@@ -138,8 +138,8 @@ def cert_fpm_spectral(g: Graph, *, rho: float | None = None) -> CertificateRecor
     """Fires when rho exceeds the n-appropriate threshold; guarantees 2*beta_star = n."""
     name = "fpm-spectral"
     guarantee = "fractional perfect matching (2*beta_star = n)"
-    thr = fpm_threshold(g.n)
-    if thr is None or not is_connected(g):
+    thr = fpm_threshold(g.n) if is_connected(g) else None
+    if thr is None:
         return CertificateRecord(name, False, False, guarantee, kind="fpm")
     r = _rho_of(g, rho)
     fired, at = _fire_above(r, thr)
@@ -150,8 +150,8 @@ def cert_pm_spectral(g: Graph, *, rho: float | None = None) -> CertificateRecord
     """Fires when rho exceeds the even-n threshold; guarantees beta = n/2."""
     name = "pm-spectral"
     guarantee = "perfect matching (beta = n/2)"
-    thr = pm_threshold(g.n)
-    if thr is None or not is_connected(g):
+    thr = pm_threshold(g.n) if is_connected(g) else None
+    if thr is None:
         return CertificateRecord(name, False, False, guarantee, kind="pm")
     r = _rho_of(g, rho)
     fired, at = _fire_above(r, thr)
@@ -165,8 +165,8 @@ def cert_beta_star_increment(g: Graph, target: HalfIntegral, *, rho: float | Non
     guarantee = f"2*beta_star >= {k + 1}"
     if not 1 <= k <= g.n - 1:
         raise ValueError(f"target {target} out of range for n={g.n} (need 1 <= 2*target <= n-1)")
-    case = beta_star_increment_case(g.n, k)
-    if g.n < 3 or not is_connected(g) or case is None:
+    case = beta_star_increment_case(g.n, k) if g.n >= 3 and is_connected(g) else None
+    if case is None:
         return CertificateRecord(name, False, False, guarantee, kind="beta_star_geq", param=k + 1)
     tag, thr = case
     r = _rho_of(g, rho)
@@ -182,8 +182,8 @@ def cert_beta_increment(g: Graph, beta: int, *, rho: float | None = None) -> Cer
     guarantee = f"beta >= {beta + 1}"
     if not 1 <= beta <= (g.n - 2) / 2:
         raise ValueError(f"beta {beta} out of range for n={g.n} (need 1 <= beta <= (n-2)/2)")
-    case = beta_increment_case(g.n, beta)
-    if not is_connected(g) or case is None:
+    case = beta_increment_case(g.n, beta) if is_connected(g) else None
+    if case is None:
         return CertificateRecord(name, False, False, guarantee, kind="beta_geq", param=beta + 1)
     tag, thr = case
     r = _rho_of(g, rho)

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
+import numpy as np
+
 MAX_VERTICES = 2048
 ISO_CAP = 10
 
@@ -376,35 +378,37 @@ def from_graph6(text: str) -> Graph:
             f"expected {nbytes} adjacency bytes for n={n}, got {len(s) - pos}",
             min(len(s), pos + nbytes),
         )
-    rows = [0] * n
-    bit = 0
-    for k in range(nbytes):
-        val = _g6_byte(s, pos + k)
-        for shift in range(5, -1, -1):
-            if bit >= nbits:
-                if val >> shift & 1:
-                    raise Graph6Error("nonzero padding bits", pos + k)
-                continue
-            if val >> shift & 1:
-                i, j = _PAIR_CACHE_LOOKUP(n, bit)
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            bit += 1
-    return Graph._from_rows_unchecked(n, tuple(rows))
+    # code points, not an ASCII encoding, so that a non-ASCII character is
+    # reported as a bad byte at its own offset
+    codes = np.frombuffer(s[pos:].encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    bad = np.flatnonzero((codes < 63) | (codes > 126))
+    if bad.size:
+        _g6_byte(s, pos + int(bad[0]))  # raises the bad-byte error at the first one
+    bits = np.unpackbits((codes - 63).astype(np.uint8)[:, None], axis=1)[:, 2:].ravel()
+    if bits[nbits:].any():
+        raise Graph6Error("nonzero padding bits", pos + nbytes - 1)
+    # the column-order upper triangle is the row-major strict lower triangle
+    lower = np.zeros((n, n), dtype=np.uint8)
+    lower[np.tri(n, k=-1, dtype=bool)] = bits[:nbits]
+    return Graph._from_rows_unchecked(n, pack_rows(lower | lower.T))
 
 
-_pair_cache: dict[int, list[tuple[int, int]]] = {}
+def dense_rows(rows: Sequence[int], n: int) -> np.ndarray:
+    """0/1 uint8 matrix whose row i holds bits 0..n-1 of the bitset rows[i]."""
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows), dtype=np.uint8)
+    return np.unpackbits(packed.reshape(len(rows), width), axis=1, count=n, bitorder="little")
+
+
+def pack_rows(a: np.ndarray) -> tuple[int, ...]:
+    """Inverse of dense_rows: each 0/1 row of ``a`` as a bitset."""
+    packed = np.packbits(a, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in packed)
 
 
 def pairs_colex(n: int) -> list[tuple[int, int]]:
     """Vertex pairs in graph6 bit order: (0,1), (0,2), (1,2), (0,3), ..."""
-    if n not in _pair_cache:
-        _pair_cache[n] = [(i, j) for j in range(1, n) for i in range(j)]
-    return _pair_cache[n]
-
-
-def _PAIR_CACHE_LOOKUP(n: int, bit: int) -> tuple[int, int]:
-    return pairs_colex(n)[bit]
+    return [(i, j) for j in range(1, n) for i in range(j)]
 
 
 # ---------------------------------------------------------------------------

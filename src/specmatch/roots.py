@@ -22,7 +22,8 @@ def largest_real_root(coeffs) -> float:
     """Largest real root of a polynomial given by descending coefficients.
 
     Brackets the root (critical points isolate the rightmost sign change),
-    bisects to width 1e-13 and applies one Newton polish.  Deterministic.
+    bisects to width 1e-13 or to adjacent floats, whichever comes first, and
+    applies one Newton polish.  Deterministic.
     """
     c = [float(v) for v in coeffs]
     if not c or c[0] == 0.0:
@@ -63,6 +64,8 @@ def largest_real_root(coeffs) -> float:
 
     while hi - lo > BISECT_WIDTH:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # adjacent floats: roots >= 512 are spaced wider than the width
+            break
         if _eval(c, mid) <= 0.0:
             lo = mid
         else:

@@ -191,6 +191,15 @@ class TestCertifyAll:
         report = certify_all(empty(1))
         assert all(not rec.applicable for rec in report.certificates)
 
+    def test_disconnected_solves_no_threshold(self, monkeypatch):
+        # connectivity is tested first, so no threshold root is computed
+        def no_root(coeffs):
+            raise AssertionError(f"threshold root solved for {coeffs}")
+
+        monkeypatch.setattr("specmatch.extremal.largest_real_root", no_root)
+        report = certify_all(empty(600))
+        assert report.certificates and not any(rec.applicable for rec in report.certificates)
+
     def test_soundness_on_random_connected(self, rng):
         for _ in range(150):
             g = random_connected_graph(rng, rng.randrange(2, 11), rng.random())

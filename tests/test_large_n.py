@@ -1,0 +1,160 @@
+"""Single-graph queries near the vertex cap: spectral radius, graph6 decoding
+and threshold roots at n up to MAX_VERTICES = 2048.
+
+Budget: the whole module runs in about 15 s on 2 cores, most of it in the
+dense eigensolver and the networkx encoder at n = 2048.
+"""
+
+from __future__ import annotations
+
+import math
+import subprocess
+import sys
+
+import networkx as nx
+import numpy as np
+import pytest
+
+from specmatch import (
+    Graph,
+    Graph6Error,
+    certify_all,
+    complete,
+    empty,
+    from_graph6,
+    join,
+    spectral_radius,
+    theta_n,
+    union,
+)
+from specmatch.extremal import theta_n_coeffs
+
+
+def path(n):
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def star(n):
+    return join(complete(1), empty(n - 1))
+
+
+def random_edges(n, p, seed):
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(n, 1)
+    keep = rng.random(iu.size) < p
+    return list(zip(iu[keep].tolist(), ju[keep].tolist()))
+
+
+def top_eigenvalue(n, edges):
+    a = np.zeros((n, n))
+    u, v = np.array(edges).T
+    a[u, v] = a[v, u] = 1.0
+    return float(np.linalg.eigvalsh(a)[-1])
+
+
+def shapes(n):
+    edges = random_edges(n, 6 / n, seed=n)
+    return {
+        "path": (path(n), 2 * math.cos(math.pi / (n + 1))),
+        "complete": (complete(n), n - 1.0),
+        "star": (star(n), math.sqrt(n - 1)),
+        "random": (Graph(n, edges), top_eigenvalue(n, edges)),
+    }
+
+
+class TestSpectralRadius:
+    @pytest.mark.parametrize("n", [600, 2048])
+    def test_shapes_match_closed_forms(self, n):
+        for name, (g, expected) in shapes(n).items():
+            res = spectral_radius(g)
+            assert res.value == pytest.approx(expected, abs=1e-9), name
+            assert res.residual <= 1e-10, name
+
+    def test_polishing_step_clears_eigh_residual(self):
+        # eigh's own top eigenvector leaves a residual of 3e-11 to 1.3e-10 on
+        # K_2000 and K_2048, around the default tolerance; one A + I step
+        # takes it to rounding level
+        assert spectral_radius(complete(2048)).residual <= 1e-11
+
+    def test_disconnected_union(self):
+        g = union(path(600), star(600))
+        res = spectral_radius(g)
+        assert res.value == pytest.approx(math.sqrt(599), abs=1e-9)
+        assert res.residual <= 1e-10
+        assert res.component_index == 1
+        assert not any(res.vector[:600]) and max(res.vector[600:]) == 1.0
+
+
+class TestGraph6:
+    @pytest.mark.parametrize("n", [63, 64, 258, 600, 2048])
+    def test_round_trip_against_networkx(self, n):
+        edges = random_edges(n, min(0.5, 40 / n), seed=n)
+        g_nx = nx.Graph()
+        g_nx.add_nodes_from(range(n))
+        g_nx.add_edges_from(edges)
+        code = nx.to_graph6_bytes(g_nx).decode()
+        assert code.startswith(">>graph6<<")
+        expected = Graph(n, edges)
+        assert from_graph6(code) == expected
+        assert from_graph6(code[len(">>graph6<<") :]) == expected
+
+    @pytest.fixture(scope="class")
+    def code600(self):
+        g_nx = nx.Graph()
+        g_nx.add_nodes_from(range(600))
+        g_nx.add_edges_from(random_edges(600, 0.05, seed=1))
+        return nx.to_graph6_bytes(g_nx, header=False).decode().strip()
+
+    @pytest.mark.parametrize("char", [chr(20), chr(127), "é", "€"])
+    def test_bad_character_offset(self, code600, char):
+        k = 4 + 1000  # '~' plus three size bytes, then the body
+        with pytest.raises(Graph6Error) as err:
+            from_graph6(code600[:k] + char + code600[k + 1 :])
+        assert err.value.offset == k
+
+    def test_first_bad_character_reported(self, code600):
+        s = code600[:10] + "é" + code600[11:20] + chr(20) + code600[21:]
+        with pytest.raises(Graph6Error) as err:
+            from_graph6(s)
+        assert err.value.offset == 10
+
+    def test_truncated_offset(self, code600):
+        with pytest.raises(Graph6Error) as err:
+            from_graph6(code600[:-1])
+        assert err.value.offset == len(code600) - 1
+
+    def test_nonzero_padding_offset(self):
+        # the empty graph on 2048 vertices: '~', 18 size bits, then
+        # 2048 * 2047 / 2 zero bits that leave two padding bits in the last byte
+        n = 2048
+        nbytes = (n * (n - 1) // 2 + 5) // 6
+        code = "~" + "".join(chr(63 + (n >> shift & 63)) for shift in (12, 6, 0)) + "?" * nbytes
+        assert from_graph6(code) == empty(n)
+        bad = code[:-1] + chr(ord(code[-1]) + 1)
+        with pytest.raises(Graph6Error) as err:
+            from_graph6(bad)
+        assert "padding" in str(err.value) and err.value.offset == len(code) - 1
+
+
+class TestThresholds:
+    @pytest.mark.parametrize("n", [515, 600, 1000, 2048])
+    def test_theta_n_matches_numpy_roots(self, n):
+        roots = np.roots(theta_n_coeffs(n))
+        expected = max(r.real for r in roots if abs(r.imag) < 1e-9)
+        assert theta_n(n) == pytest.approx(expected, rel=1e-12)
+
+    def test_threshold_cli_at_600(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "specmatch.cli", "threshold", "--theorem", "t35", "--n", "600"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0
+        assert float(proc.stdout) == pytest.approx(theta_n(600), rel=1e-11)
+
+    def test_certify_all_connected_600(self):
+        report = certify_all(path(600))
+        assert report.rho == pytest.approx(2 * math.cos(math.pi / 601), abs=1e-9)
+        fpm = next(rec for rec in report.certificates if rec.name == "fpm-spectral")
+        assert fpm.applicable and not fpm.fired

@@ -125,19 +125,13 @@ class TestSpectralRadius:
         with pytest.raises(ValueError):
             spectral_radius(complete(3), -1.0)
 
-    def test_nonconvergence_carries_estimate(self):
-        import numpy as np
-
-        from specmatch.spectral import _power_iteration
-
-        a = np.zeros((6, 6))
-        for i in range(5):
-            a[i, i + 1] = a[i + 1, i] = 1.0
+    def test_unmet_tolerance_carries_estimate(self):
+        n = 40
         with pytest.raises(ConvergenceError) as err:
-            _power_iteration(a, 1e-30, cap=3)
-        assert err.value.iterations == 3
-        assert 0.0 <= err.value.best <= 2.0 + 1e-9
-        assert err.value.residual >= 0.0
+            spectral_radius(path(n), 1e-30)
+        assert err.value.best == pytest.approx(2 * math.cos(math.pi / (n + 1)), abs=1e-9)
+        assert err.value.residual > 1e-30
+        assert err.value.iterations == 1
 
 
 class TestQuotient:
