@@ -125,7 +125,7 @@ class TestSpectralRadius:
         with pytest.raises(ValueError):
             spectral_radius(complete(3), -1.0)
 
-    def test_unmet_tolerance_carries_estimate(self):
+    def test_nonconvergence_carries_estimate(self):
         n = 40
         with pytest.raises(ConvergenceError) as err:
             spectral_radius(path(n), 1e-30)
