@@ -28,9 +28,7 @@ from .spectral import (
     QuotientMatrix,
     RhoResult,
     adjacency_quotient,
-    char_poly_f,
     char_poly_f_coeffs,
-    char_poly_g,
     char_poly_g_coeffs,
     charpoly_int,
     exact_char_poly,

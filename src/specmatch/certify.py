@@ -1,9 +1,12 @@
 """Spectral certificates: threshold tests that force matching structure.
 
 Each certificate checks a strict spectral inequality against an explicit
-threshold and, when it fires, guarantees a matching property.  Comparisons
-use a guard band of 1e-9: values inside the band count as "at threshold"
-and never fire, since the hypotheses are strict inequalities.
+threshold and, when it fires, guarantees a matching property.  One table,
+``certificate_table(n, connected)``, lists every certificate of an order in
+report order, and ``decide`` is the one firing rule: certify_all, the
+``cert_*`` functions and the exhaustive sweep in ``verify`` all use both.
+Comparisons use a guard band of 1e-9: values inside the band count as "at
+threshold" and never fire, since the hypotheses are strict inequalities.
 """
 
 from __future__ import annotations
@@ -53,7 +56,8 @@ class CertificateRecord:
 
 
 # ---------------------------------------------------------------------------
-# threshold tables (single source of truth, shared with the sweep harness)
+# thresholds and the certificate table (single source of truth: certify_all,
+# the cert_* functions and the certificate sweep in verify all read it)
 
 
 def fpm_threshold(n: int) -> float | None:
@@ -106,16 +110,85 @@ def beta_increment_case(n: int, beta: int) -> tuple[str, float] | None:
     return None
 
 
-def _fire_above(rho: float, threshold: float) -> tuple[bool, bool]:
-    return rho > threshold + GUARD, abs(rho - threshold) <= GUARD
+@dataclass(frozen=True)
+class Certificate:
+    """One row of the certificate table for an order n and a connectivity flag.
+
+    ``threshold`` is None when the certificate does not apply.  The row that
+    fires below (min-degree) holds the factor that multiplies delta.
+    """
+
+    name: str
+    kind: str
+    param: int
+    guarantee: str
+    threshold: float | None
+    below: bool = False
 
 
-def _fire_below(rho: float, threshold: float) -> tuple[bool, bool]:
-    return rho < threshold - GUARD, abs(rho - threshold) <= GUARD
+_FPM_GUARANTEE = "fractional perfect matching (2*beta_star = n)"
 
 
-def _rho_of(g: Graph, rho: float | None) -> float:
-    return rho if rho is not None else spectral_radius(g).value
+def _min_degree_row(n: int, connected: bool) -> Certificate:
+    factor = math.sqrt((n + 1) / (n - 1)) if n >= 2 and connected else None
+    return Certificate("min-degree-fpm", "fpm", 0, _FPM_GUARANTEE, factor, below=True)
+
+
+def _fpm_row(n: int, connected: bool) -> Certificate:
+    return Certificate("fpm-spectral", "fpm", 0, _FPM_GUARANTEE, fpm_threshold(n) if connected else None)
+
+
+def _pm_row(n: int, connected: bool) -> Certificate:
+    thr = pm_threshold(n) if connected else None
+    return Certificate("pm-spectral", "pm", 0, "perfect matching (beta = n/2)", thr)
+
+
+def _beta_star_row(n: int, connected: bool, k: int) -> Certificate:
+    # the beta* increment certificate is stated for n >= 3 only
+    case = beta_star_increment_case(n, k) if n >= 3 and connected else None
+    thr = None if case is None else case[1]
+    return Certificate(f"beta-star-increment({HalfIntegral(k)})", "beta_star_geq", k + 1, f"2*beta_star >= {k + 1}", thr)
+
+
+def _beta_row(n: int, connected: bool, beta: int) -> Certificate:
+    case = beta_increment_case(n, beta) if connected else None
+    thr = None if case is None else case[1]
+    return Certificate(f"beta-increment({beta})", "beta_geq", beta + 1, f"beta >= {beta + 1}", thr)
+
+
+def certificate_table(n: int, connected: bool) -> list[Certificate]:
+    """Every certificate for an n-vertex graph, in report order: min-degree,
+    fpm, pm, the beta* increments for 2*target = 1..n-1, then the beta
+    increments for beta = 1..(n-2)/2."""
+    return (
+        [_min_degree_row(n, connected), _fpm_row(n, connected), _pm_row(n, connected)]
+        + [_beta_star_row(n, connected, k) for k in range(1, n)]
+        + [_beta_row(n, connected, b) for b in range(1, (n - 2) // 2 + 1)]
+    )
+
+
+def decide(cert: Certificate, rho: float, delta: int) -> tuple[float, bool, bool]:
+    """(threshold, fired, at_threshold) of an applicable certificate."""
+    if cert.below:
+        thr = delta * cert.threshold
+        return thr, rho < thr - GUARD, abs(rho - thr) <= GUARD
+    thr = cert.threshold
+    return thr, rho > thr + GUARD, abs(rho - thr) <= GUARD
+
+
+def _record(cert: Certificate, rho: float | None, delta: int | None) -> CertificateRecord:
+    if cert.threshold is None:
+        return CertificateRecord(cert.name, False, False, cert.guarantee, kind=cert.kind, param=cert.param)
+    thr, fired, at = decide(cert, rho, delta)
+    return CertificateRecord(
+        cert.name, True, fired, cert.guarantee, threshold=thr, at_threshold=at, kind=cert.kind, param=cert.param
+    )
+
+
+def _certify_one(g: Graph, cert: Certificate, rho: float | None) -> CertificateRecord:
+    if cert.threshold is None:
+        return _record(cert, None, None)
+    return _record(cert, rho if rho is not None else spectral_radius(g).value, min_degree(g))
 
 
 # ---------------------------------------------------------------------------
@@ -124,71 +197,31 @@ def _rho_of(g: Graph, rho: float | None) -> float:
 
 def cert_min_degree_fpm(g: Graph, *, rho: float | None = None) -> CertificateRecord:
     """Fires when rho < delta * sqrt((n+1)/(n-1)); guarantees 2*beta_star = n."""
-    name = "min-degree-fpm"
-    guarantee = "fractional perfect matching (2*beta_star = n)"
-    if g.n < 2 or not is_connected(g):
-        return CertificateRecord(name, False, False, guarantee, kind="fpm")
-    r = _rho_of(g, rho)
-    bound = min_degree(g) * math.sqrt((g.n + 1) / (g.n - 1))
-    fired, at = _fire_below(r, bound)
-    return CertificateRecord(name, True, fired, guarantee, threshold=bound, at_threshold=at, kind="fpm")
+    return _certify_one(g, _min_degree_row(g.n, is_connected(g)), rho)
 
 
 def cert_fpm_spectral(g: Graph, *, rho: float | None = None) -> CertificateRecord:
     """Fires when rho exceeds the n-appropriate threshold; guarantees 2*beta_star = n."""
-    name = "fpm-spectral"
-    guarantee = "fractional perfect matching (2*beta_star = n)"
-    thr = fpm_threshold(g.n) if is_connected(g) else None
-    if thr is None:
-        return CertificateRecord(name, False, False, guarantee, kind="fpm")
-    r = _rho_of(g, rho)
-    fired, at = _fire_above(r, thr)
-    return CertificateRecord(name, True, fired, guarantee, threshold=thr, at_threshold=at, kind="fpm")
+    return _certify_one(g, _fpm_row(g.n, is_connected(g)), rho)
 
 
 def cert_pm_spectral(g: Graph, *, rho: float | None = None) -> CertificateRecord:
     """Fires when rho exceeds the even-n threshold; guarantees beta = n/2."""
-    name = "pm-spectral"
-    guarantee = "perfect matching (beta = n/2)"
-    thr = pm_threshold(g.n) if is_connected(g) else None
-    if thr is None:
-        return CertificateRecord(name, False, False, guarantee, kind="pm")
-    r = _rho_of(g, rho)
-    fired, at = _fire_above(r, thr)
-    return CertificateRecord(name, True, fired, guarantee, threshold=thr, at_threshold=at, kind="pm")
+    return _certify_one(g, _pm_row(g.n, is_connected(g)), rho)
 
 
 def cert_beta_star_increment(g: Graph, target: HalfIntegral, *, rho: float | None = None) -> CertificateRecord:
     """Fires when rho exceeds the case threshold; guarantees beta* >= target + 1/2."""
-    k = target.doubled
-    name = f"beta-star-increment({target})"
-    guarantee = f"2*beta_star >= {k + 1}"
-    if not 1 <= k <= g.n - 1:
+    if not 1 <= target.doubled <= g.n - 1:
         raise ValueError(f"target {target} out of range for n={g.n} (need 1 <= 2*target <= n-1)")
-    case = beta_star_increment_case(g.n, k) if g.n >= 3 and is_connected(g) else None
-    if case is None:
-        return CertificateRecord(name, False, False, guarantee, kind="beta_star_geq", param=k + 1)
-    tag, thr = case
-    r = _rho_of(g, rho)
-    fired, at = _fire_above(r, thr)
-    return CertificateRecord(
-        name, True, fired, guarantee, threshold=thr, at_threshold=at, kind="beta_star_geq", param=k + 1
-    )
+    return _certify_one(g, _beta_star_row(g.n, is_connected(g), target.doubled), rho)
 
 
 def cert_beta_increment(g: Graph, beta: int, *, rho: float | None = None) -> CertificateRecord:
     """Fires when rho exceeds the case threshold; guarantees beta(G) >= beta + 1."""
-    name = f"beta-increment({beta})"
-    guarantee = f"beta >= {beta + 1}"
     if not 1 <= beta <= (g.n - 2) / 2:
         raise ValueError(f"beta {beta} out of range for n={g.n} (need 1 <= beta <= (n-2)/2)")
-    case = beta_increment_case(g.n, beta) if is_connected(g) else None
-    if case is None:
-        return CertificateRecord(name, False, False, guarantee, kind="beta_geq", param=beta + 1)
-    tag, thr = case
-    r = _rho_of(g, rho)
-    fired, at = _fire_above(r, thr)
-    return CertificateRecord(name, True, fired, guarantee, threshold=thr, at_threshold=at, kind="beta_geq", param=beta + 1)
+    return _certify_one(g, _beta_row(g.n, is_connected(g), beta), rho)
 
 
 def _guarantee_holds(kind: str, param: int, n: int, beta: int, beta_star_doubled: int) -> bool:
@@ -244,16 +277,10 @@ def certify_all(g: Graph, verify_truth: bool | None = None, tol: float = DEFAULT
     """
     if verify_truth is None:
         verify_truth = g.n <= 12
+    connected = is_connected(g)
     rho = spectral_radius(g, tol).value if g.n else None
-    records = [
-        cert_min_degree_fpm(g, rho=rho),
-        cert_fpm_spectral(g, rho=rho),
-        cert_pm_spectral(g, rho=rho),
-    ]
-    for k in range(1, g.n):
-        records.append(cert_beta_star_increment(g, HalfIntegral(k), rho=rho))
-    for b in range(1, (g.n - 2) // 2 + 1):
-        records.append(cert_beta_increment(g, b, rho=rho))
+    delta = min_degree(g) if g.n else None
+    records = [_record(cert, rho, delta) for cert in certificate_table(g.n, connected)]
     beta = beta_star_doubled = None
     if verify_truth:
         beta = matching_number(g).size
@@ -267,8 +294,8 @@ def certify_all(g: Graph, verify_truth: bool | None = None, tol: float = DEFAULT
     return CertificateReport(
         graph=graph_label(g),
         n=g.n,
-        connected=is_connected(g),
-        delta=min_degree(g) if g.n else None,
+        connected=connected,
+        delta=delta,
         rho=rho,
         rho_tol=tol,
         beta=beta,

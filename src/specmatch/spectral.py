@@ -4,7 +4,6 @@ characteristic polynomials."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -217,35 +216,5 @@ def char_poly_f_coeffs(n: int, beta_star: HalfIntegral, s: int) -> tuple[int, in
     return (1, c2, c1, c0)
 
 
-def char_poly_f(x, n: int, beta_star: HalfIntegral, s: int):
-    """Evaluate the hub-family cubic at x; exact when x is int/Fraction."""
-    coeffs = char_poly_f_coeffs(n, beta_star, s)
-    if isinstance(x, float):
-        acc = 0.0
-        for c in coeffs:
-            acc = acc * x + c
-        return acc
-    acc = Fraction(0)
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
-
-
 def char_poly_g_coeffs(n: int, b: int) -> tuple[int, int, int]:
     return (1, -(b - 1), -b * (n - b))
-
-
-def char_poly_g(x, n: int, b: int):
-    """Evaluate the split-join quadratic x^2 - (b-1)x - b(n-b); 0 <= b <= n."""
-    if not 0 <= b <= n:
-        raise ValueError(f"requires 0 <= b <= n, got b={b}, n={n}")
-    coeffs = char_poly_g_coeffs(n, b)
-    if isinstance(x, float):
-        acc = 0.0
-        for c in coeffs:
-            acc = acc * x + c
-        return acc
-    acc = Fraction(0)
-    for c in coeffs:
-        acc = acc * x + c
-    return acc

@@ -15,14 +15,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .certify import (
-    GUARD,
-    beta_increment_case,
-    beta_star_increment_case,
-    certify_all,
-    fpm_threshold,
-    pm_threshold,
-)
+from .certify import _guarantee_holds, certificate_table, certify_all, decide
 from .extremal import (
     RegimePrediction,
     matching_bound_connected,
@@ -57,6 +50,7 @@ ORACLE_BETA_STAR_EDGE_CAP = 18
 ORACLE_BETA_EDGE_CAP = 24
 RHO_TOL = 1e-8
 _SUBBATCH = 1 << 15
+CERTIFY_STRIDE = 4096  # every CERTIFY_STRIDE-th connected graph of a chunk is reconciled with certify_all
 
 THEOREMS = ("t32", "t33", "t12", "t13")
 _CONNECTED_THEOREMS = {"t32": True, "t33": False, "t12": False, "t13": True}
@@ -90,32 +84,15 @@ def _rows_from_mask(n: int, mask: int, pairs: list[tuple[int, int]]) -> list[int
     return rows
 
 
-def _rows_connected(rows: list[int], n: int) -> bool:
-    if n == 0:
-        return False
-    comp = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            u = (f & -f).bit_length() - 1
-            f &= f - 1
-            nxt |= rows[u]
-        frontier = nxt & ~comp
-        comp |= frontier
-    return comp == (1 << n) - 1
-
-
 def enumerate_graphs(n: int, connected_only: bool = False, long_run: bool = False) -> Iterator[Graph]:
     """Yield every labeled graph on n vertices once, edge-bit masks ascending."""
     _check_enum_n(n, long_run)
     pairs = pairs_colex(n)
     for mask in range(1 << len(pairs)):
-        rows = _rows_from_mask(n, mask, pairs)
-        if connected_only and not _rows_connected(rows, n):
+        g = Graph._from_rows_unchecked(n, tuple(_rows_from_mask(n, mask, pairs)))
+        if connected_only and not is_connected(g):
             continue
-        yield Graph._from_rows_unchecked(n, tuple(rows))
+        yield g
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +202,6 @@ def _batch_arrays(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.
     return rho, conn, rows_packed
 
 
-def _beta_star_doubled_rows(rows: list[int], n: int) -> int:
-    return _dc_matching_size(tuple(rows), n)
-
-
-def _beta_rows(rows: list[int], n: int) -> int:
-    return _blossom_max_matching(tuple(rows), n)[0]
-
-
 # ---------------------------------------------------------------------------
 # theorem sweeps
 
@@ -302,11 +271,11 @@ def _theorem_chunk(args: tuple) -> tuple:
     for i in range(hi - lo):
         if connected_only and not conn_list[i]:
             continue
-        rows = packed[i]
+        rows = tuple(packed[i])
         if fractional:
-            key = _beta_star_doubled_rows(rows, n)
+            key = _dc_matching_size(rows, n)
         else:
-            key = 2 * _beta_rows(rows, n)
+            key = 2 * _blossom_max_matching(rows, n)[0]
         rho = rho_list[i]
         mask = lo + i
         rec = per_class.get(key)
@@ -524,77 +493,62 @@ class CertSweepReport:
 
 
 def _cert_chunk(args: tuple) -> tuple:
-    n, lo, hi, stride = args
-    xf = (float((n + 1) / (n - 1))) ** 0.5 if n >= 2 else None
-    fpm_thr = fpm_threshold(n)
-    pm_thr = pm_threshold(n)
-    bsi = [(k, case[1]) for k in range(1, n) if (case := beta_star_increment_case(n, k)) is not None]
-    bi = [(b, case[1]) for b in range(1, (n - 2) // 2 + 1) if (case := beta_increment_case(n, b)) is not None]
+    n, lo, hi = args
+    table = certificate_table(n, connected=True)
     rho_arr, conn_arr, rows_packed = _batch_arrays(n, lo, hi)
     rho_list = rho_arr.tolist()
     conn_list = conn_arr.tolist()
     packed = rows_packed.tolist()
-    counts: dict[str, list[int]] = {}
+    counts = {cert.name: [0, 0] for cert in table if cert.threshold is not None}
     unsound: list[tuple[str, str]] = []
     examined = 0
     samples = 0
-    conn_index = -1
     for i in range(hi - lo):
         if not conn_list[i]:
             continue
-        conn_index += 1
-        examined += 1
-        rows = packed[i]
+        rows = tuple(packed[i])
         rho = rho_list[i]
-        bsd = _beta_star_doubled_rows(rows, n)
-        beta = _beta_rows(rows, n)
-        fired_map: dict[str, bool] = {}
-
-        def check(name: str, fired: bool, holds: bool) -> None:
-            c = counts.setdefault(name, [0, 0])
+        delta = min(r.bit_count() for r in rows)
+        bsd = _dc_matching_size(rows, n)
+        beta = _blossom_max_matching(rows, n)[0]
+        outcome = []  # (applicable, fired) per table row
+        for cert in table:
+            if cert.threshold is None:
+                outcome.append((False, False))
+                continue
+            fired = decide(cert, rho, delta)[1]
+            outcome.append((True, fired))
+            c = counts[cert.name]
             c[0] += 1
-            if fired:
-                c[1] += 1
-            fired_map[name] = fired
-            if fired and not holds:
-                g6 = to_graph6(Graph._from_rows_unchecked(n, tuple(rows)))
-                unsound.append((g6, name))
-
-        if xf is not None:
-            delta = min(r.bit_count() for r in rows)
-            check("min-degree-fpm", rho < delta * xf - GUARD, bsd == n)
-        if fpm_thr is not None:
-            check("fpm-spectral", rho > fpm_thr + GUARD, bsd == n)
-        if pm_thr is not None:
-            check("pm-spectral", rho > pm_thr + GUARD, beta == n // 2)
-        for k, thr in bsi:
-            check(f"beta-star-increment({HalfIntegral(k)})", rho > thr + GUARD, bsd >= k + 1)
-        for b, thr in bi:
-            check(f"beta-increment({b})", rho > thr + GUARD, beta >= b + 1)
-
-        if stride and conn_index % stride == 0:
-            # cross-check the fast path against the full certify_all route
-            g = Graph._from_rows_unchecked(n, tuple(rows))
-            report = certify_all(g, verify_truth=True)
-            for rec in report.certificates:
-                if rec.name in fired_map and rec.applicable and rec.fired != fired_map[rec.name]:
+            c[1] += fired
+            if fired and not _guarantee_holds(cert.kind, cert.param, n, beta, bsd):
+                unsound.append((to_graph6(Graph._from_rows_unchecked(n, rows)), cert.name))
+        if examined % CERTIFY_STRIDE == 0:
+            # reconcile the batched screen with the full certify_all route
+            g = Graph._from_rows_unchecked(n, rows)
+            for rec, seen in zip(certify_all(g, verify_truth=True).certificates, outcome):
+                if (rec.applicable, rec.fired) != seen:
                     unsound.append((to_graph6(g), f"fast-path mismatch on {rec.name}"))
             samples += 1
+        examined += 1
     return examined, counts, unsound, samples
 
 
-def verify_certificates(n: int, jobs: int = 1, certify_stride: int = 4096) -> CertSweepReport:
+def verify_certificates(n: int, jobs: int = 1) -> CertSweepReport:
     """Run every certificate over all connected labeled graphs on n vertices.
 
-    Thresholds and truth are evaluated in a tight loop; every
-    ``certify_stride``-th graph additionally goes through certify_all as a
-    cross-check.  Any fired-but-false certificate is reported.
+    Each chunk builds the certificate table of certify_all once and decides
+    every applicable row with the same rule, from the batched spectral
+    radius, beta and beta*.  Every ``CERTIFY_STRIDE``-th connected graph of
+    a chunk also goes through certify_all itself, and any difference in
+    (applicable, fired) is reported as a fast-path mismatch.  Any
+    fired-but-false certificate is reported.
     """
     if n < 1:
         raise GraphError("verification needs n >= 1")
     if n > 7:
         raise GraphError("certificate sweep capped at n <= 7")
-    chunk_args = [(n, lo, hi, certify_stride) for lo, hi in _chunk_ranges(n)]
+    chunk_args = [(n, lo, hi) for lo, hi in _chunk_ranges(n)]
     partials = _run_chunks(_cert_chunk, jobs, chunk_args)
     counts: dict[str, list[int]] = {}
     unsound: list[tuple[str, str]] = []
@@ -657,7 +611,7 @@ def _audit_chunk(args: tuple) -> tuple:
                 fpm_partition(g, fm)
             except GraphError as exc:
                 complain(f"fractional perfect matching partition failed: {exc}")
-        if _rows_connected(list(rows), n):
+        if is_connected(g):
             connected_graphs += 1
             t = fractional_transversal(g)
             if t.total.doubled != bsd:

@@ -200,6 +200,21 @@ class TestCertifyAll:
         report = certify_all(empty(600))
         assert report.certificates and not any(rec.applicable for rec in report.certificates)
 
+    def test_connectivity_tested_once(self, monkeypatch):
+        import specmatch.certify
+
+        calls = []
+        real = specmatch.certify.is_connected
+
+        def counted(g):
+            calls.append(g.n)
+            return real(g)
+
+        monkeypatch.setattr(specmatch.certify, "is_connected", counted)
+        report = certify_all(complete(40))
+        assert calls == [40]
+        assert len(report.certificates) == 3 + 39 + 19
+
     def test_soundness_on_random_connected(self, rng):
         for _ in range(150):
             g = random_connected_graph(rng, rng.randrange(2, 11), rng.random())

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,9 +12,8 @@ from specmatch import (
     GraphError,
     HalfIntegral,
     adjacency_quotient,
-    char_poly_f,
     char_poly_f_coeffs,
-    char_poly_g,
+    char_poly_g_coeffs,
     charpoly_int,
     complete,
     empty,
@@ -29,6 +27,7 @@ from specmatch import (
     union,
 )
 from specmatch.extremal import ExtremalSpec, build_extremal, theta_cubic_coeffs
+from specmatch.roots import _eval
 from conftest import graphs, random_connected_graph, random_graph
 
 
@@ -176,7 +175,7 @@ class TestQuotient:
         q = adjacency_quotient(g, [{0, 1}, {2, 3, 4, 5, 6}])
         # largest root of x^2 - x - 10, solved by hand
         assert quotient_spectral_radius(q) == pytest.approx((1 + math.sqrt(41)) / 2, abs=1e-10)
-        assert char_poly_g(Fraction(0), 7, 2) == -10
+        assert char_poly_g_coeffs(7, 2)[-1] == -10
         assert char_poly_g_matches(q)
 
     def test_quotient_radius_matches_power_iteration(self, rng):
@@ -235,17 +234,12 @@ class TestCharPolyF:
         for n, d, s in [(8, 7, 1), (10, 9, 2), (14, 10, 3), (20, 13, 4)]:
             g = build_extremal(ExtremalSpec(n, HalfIntegral(d), s))
             rho = spectral_radius(g).value
-            assert abs(char_poly_f(rho, n, HalfIntegral(d), s)) < 1e-6 * n**3
+            assert abs(_eval(char_poly_f_coeffs(n, HalfIntegral(d), s), rho)) < 1e-6 * n**3
 
     def test_half_perfect_reduction(self, rng):
         # beta* = (n-1)/2, s = 1 reduces to x^3-(n-4)x^2-(n-1)x+2(n-4)
         for n in range(5, 60):
             assert char_poly_f_coeffs(n, HalfIntegral(n - 1), 1) == (1, -(n - 4), -(n - 1), 2 * (n - 4))
-
-    def test_exact_rational_evaluation(self):
-        val = char_poly_f(Fraction(3, 2), 8, HalfIntegral(7), 1)
-        assert isinstance(val, Fraction)
-        assert val == Fraction(27, 8) - 4 * Fraction(9, 4) + (-7) * Fraction(3, 2) + 8
 
 
 class TestExactCharPoly:

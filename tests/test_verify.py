@@ -8,6 +8,7 @@ from specmatch import (
     HalfIntegral,
     audit_duality,
     audit_structures,
+    certify_all,
     complete,
     cross_check_matching_implementations,
     empty,
@@ -136,6 +137,31 @@ class TestCertificateSweep:
     def test_n6_zero_unsound(self):
         rep = verify_certificates(6)
         assert rep.passed and rep.connected_examined == 26704
+        assert rep.counts == (
+            ("beta-increment(1)", 26704, 24088),
+            ("beta-increment(2)", 26704, 5613),
+            ("beta-star-increment(1)", 26704, 24088),
+            ("beta-star-increment(1/2)", 26704, 26704),
+            ("beta-star-increment(2)", 26704, 5613),
+            ("beta-star-increment(3/2)", 26704, 24088),
+            ("beta-star-increment(5/2)", 26704, 5613),
+            ("fpm-spectral", 26704, 5613),
+            ("min-degree-fpm", 26704, 743),
+            ("pm-spectral", 26704, 5613),
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_counts_match_certify_all(self, n):
+        # the sweep and certify_all read one certificate table: same
+        # applicability (beta* increments start at n = 3) and same firing
+        tally: dict[str, list[int]] = {}
+        for g in enumerate_graphs(n, connected_only=True):
+            for rec in certify_all(g).certificates:
+                c = tally.setdefault(rec.name, [0, 0])
+                c[0] += rec.applicable
+                c[1] += rec.fired
+        expected = tuple((name, app, fired) for name, (app, fired) in sorted(tally.items()) if app)
+        assert verify_certificates(n).counts == expected
 
 
 class TestAudits:
