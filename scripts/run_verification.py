@@ -2,9 +2,10 @@
 """Run the full default verification battery and write CSV/text reports.
 
 Covers: exhaustive theorem sweeps at n <= 7, certificate soundness on all
-connected graphs n <= 7, duality/structure audits, oracle cross-checks, and
-the n=8 tie-class check.  Everything is deterministic; reports land in
-./reports (override with --out-dir).
+connected graphs n <= 7, the structure audit (duality, witness shape and
+perfect-matching partitions on every graph, W/R/C rules on connected ones),
+oracle cross-checks, and the n=8 tie-class check.  Everything is
+deterministic; reports land in ./reports (override with --out-dir).
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import sys
 import time
 
 from specmatch import (
-    audit_duality,
     audit_structures,
     cross_check_matching_implementations,
     verify_certificates,
@@ -57,11 +57,6 @@ def main() -> int:
         t0 = time.time()
         rep = verify_certificates(n, jobs=args.jobs)
         record(f"certificates n={n}", rep.passed, time.time() - t0, f"{rep.connected_examined} graphs")
-
-    for n in range(3, min(args.max_n, 6) + 1):
-        t0 = time.time()
-        rep = audit_duality(n)
-        record(f"duality audit n={n}", rep.passed, time.time() - t0)
 
     for n in range(3, args.max_n + 1):
         t0 = time.time()

@@ -246,6 +246,37 @@ class FractionalMatching:
                 adj.setdefault(v, []).append(u)
         return adj
 
+    def half_cycles(self) -> list[tuple[int, ...]]:
+        """The half-weight support as odd cycles, in ascending lowest-vertex order.
+
+        Each cycle is walked from its lowest vertex towards its smaller
+        neighbour.  Raises GraphError unless the support is a disjoint union
+        of odd cycles, the shape of a canonical witness.
+        """
+        adj = self.half_support_adjacency()
+        cycles: list[tuple[int, ...]] = []
+        done: set[int] = set()
+        for v0 in sorted(adj):
+            if v0 in done:
+                continue
+            if len(adj[v0]) != 2:
+                raise GraphError("non-canonical matching: half-weight support is not a union of cycles")
+            cycle = [v0]
+            prev, cur = None, v0
+            while True:
+                nxt = sorted(x for x in adj[cur] if x != prev)[0]
+                if nxt == v0:
+                    break
+                if len(adj[nxt]) != 2:
+                    raise GraphError("non-canonical matching: half-weight support is not a union of cycles")
+                cycle.append(nxt)
+                prev, cur = cur, nxt
+            if len(cycle) % 2 == 0:
+                raise GraphError("non-canonical matching: even cycle in the half-weight support")
+            done |= set(cycle)
+            cycles.append(tuple(cycle))
+        return cycles
+
     def to_text(self) -> str:
         names = {1: "1/2", 2: "1"}
         lines = [f"edge {u} {v} {names[w]}" for (u, v), w in sorted(self.doubled_weights)]
@@ -492,29 +523,10 @@ def fpm_partition(g: Graph, m: FractionalMatching) -> FpmPartition:
         if w == 2:
             parts.append(FpmPart("K2", (u, v)))
             covered |= (1 << u) | (1 << v)
-    adj = m.half_support_adjacency()
-    done: set[int] = set()
-    for v0 in sorted(adj):
-        if v0 in done:
-            continue
-        if len(adj[v0]) != 2:
-            raise GraphError("non-canonical matching: half-weight support is not a union of cycles")
-        cycle = [v0]
-        prev, cur = None, v0
-        while True:
-            nxt = sorted(x for x in adj[cur] if x != prev)[0]
-            if nxt == v0:
-                break
-            if len(adj[nxt]) != 2:
-                raise GraphError("non-canonical matching: half-weight support is not a union of cycles")
-            cycle.append(nxt)
-            prev, cur = cur, nxt
-        if len(cycle) % 2 == 0:
-            raise GraphError("non-canonical matching: even cycle in the half-weight support")
-        done |= set(cycle)
+    for cycle in m.half_cycles():
         for x in cycle:
             covered |= 1 << x
-        parts.append(FpmPart("ODD_CYCLE", tuple(cycle)))
+        parts.append(FpmPart("ODD_CYCLE", cycle))
     if covered != (1 << g.n) - 1:
         raise GraphError("matching does not saturate every vertex")
     return FpmPartition(tuple(sorted(parts, key=lambda p: p.vertices)))

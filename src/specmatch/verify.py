@@ -45,7 +45,6 @@ from .matching import (
 from .spectral import spectral_radius
 
 ENUM_CAP = 8
-ENUM_CAP_LONG = 9
 ORACLE_BETA_STAR_EDGE_CAP = 18
 ORACLE_BETA_EDGE_CAP = 24
 RHO_TOL = 1e-8
@@ -60,19 +59,7 @@ _CONNECTED_THEOREMS = {"t32": True, "t33": False, "t12": False, "t13": True}
 # enumeration
 
 
-def _check_enum_n(n: int, long_run: bool) -> None:
-    if n < 0:
-        raise GraphError("vertex count must be non-negative")
-    if n <= ENUM_CAP:
-        return
-    if n == ENUM_CAP_LONG and long_run:
-        return
-    if n == ENUM_CAP_LONG:
-        raise GraphError(f"n={n} enumerates 2^{n * (n - 1) // 2} graphs; pass long_run to allow it")
-    raise GraphError(f"exhaustive enumeration capped at n <= {ENUM_CAP_LONG}, got {n}")
-
-
-def _rows_from_mask(n: int, mask: int, pairs: list[tuple[int, int]]) -> list[int]:
+def _graph_from_mask(n: int, mask: int, pairs: list[tuple[int, int]]) -> Graph:
     rows = [0] * n
     k = mask
     while k:
@@ -81,15 +68,18 @@ def _rows_from_mask(n: int, mask: int, pairs: list[tuple[int, int]]) -> list[int
         rows[u] |= 1 << v
         rows[v] |= 1 << u
         k ^= b
-    return rows
+    return Graph._from_rows_unchecked(n, tuple(rows))
 
 
-def enumerate_graphs(n: int, connected_only: bool = False, long_run: bool = False) -> Iterator[Graph]:
+def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
     """Yield every labeled graph on n vertices once, edge-bit masks ascending."""
-    _check_enum_n(n, long_run)
+    if n < 0:
+        raise GraphError("vertex count must be non-negative")
+    if n > ENUM_CAP:
+        raise GraphError(f"exhaustive enumeration capped at n <= {ENUM_CAP}, got {n}")
     pairs = pairs_colex(n)
     for mask in range(1 << len(pairs)):
-        g = Graph._from_rows_unchecked(n, tuple(_rows_from_mask(n, mask, pairs)))
+        g = _graph_from_mask(n, mask, pairs)
         if connected_only and not is_connected(g):
             continue
         yield g
@@ -175,8 +165,12 @@ def _chunk_ranges(n: int) -> list[tuple[int, int]]:
     return [(i * step, (i + 1) * step if i < chunks - 1 else total) for i in range(chunks)]
 
 
-def _batch_arrays(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-mask spectral radius, connectivity flag, and packed neighbour rows."""
+def _batch_arrays(n: int, lo: int, hi: int) -> tuple[list[float], list[bool], list[tuple[int, ...]]]:
+    """The chunk table of masks lo..hi-1: spectral radius, connectivity flag
+    and neighbour rows of each graph, as Python lists.  Every sweep reads its
+    graphs from here."""
+    if n == 0:  # the single empty graph K_0, which is not connected
+        return [0.0] * (hi - lo), [False] * (hi - lo), [()] * (hi - lo)
     pairs = pairs_colex(n)
     m = len(pairs)
     iu = np.array([p[0] for p in pairs], dtype=np.int64)
@@ -199,7 +193,20 @@ def _batch_arrays(n: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.
             r = ((r @ r) > 0).astype(np.float64)
         conn[start - lo : stop - lo] = r[:, 0, :].all(axis=1)
         rows_packed[start - lo : stop - lo] = (a.astype(np.int64) * shifts[None, None, :]).sum(axis=2)
-    return rho, conn, rows_packed
+    return rho.tolist(), conn.tolist(), list(zip(*rows_packed.T.tolist()))
+
+
+def _sweep(worker: Callable, n: int, jobs: int, *extra) -> list:
+    """Run worker((n, lo, hi, *extra)) on every chunk of the labeled graphs on
+    n vertices; the partial results come back in chunk order."""
+    chunk_args = [(n, lo, hi, *extra) for lo, hi in _chunk_ranges(n)]
+    if jobs <= 1 or len(chunk_args) == 1:
+        return [worker(a) for a in chunk_args]
+    import multiprocessing as mp
+
+    ctx = mp.get_context("fork")
+    with ctx.Pool(jobs) as pool:
+        return pool.map(worker, chunk_args)
 
 
 # ---------------------------------------------------------------------------
@@ -259,19 +266,14 @@ def _predict(theorem: str, n: int, class_doubled: int) -> RegimePrediction:
 
 
 def _theorem_chunk(args: tuple) -> tuple:
-    theorem, n, lo, hi, bounds = args
+    n, lo, hi, theorem, bounds = args
     connected_only = _CONNECTED_THEOREMS[theorem]
     fractional = theorem in ("t32", "t33")
-    rho_arr, conn_arr, rows_packed = _batch_arrays(n, lo, hi)
+    rho_list, conn_list, rows_list = _batch_arrays(n, lo, hi)
     per_class: dict[int, list] = {}
-    connected_count = int(conn_arr.sum())
-    rho_list = rho_arr.tolist()
-    conn_list = conn_arr.tolist()
-    packed = rows_packed.tolist()
-    for i in range(hi - lo):
+    for i, rows in enumerate(rows_list):
         if connected_only and not conn_list[i]:
             continue
-        rows = tuple(packed[i])
         if fractional:
             key = _dc_matching_size(rows, n)
         else:
@@ -293,17 +295,7 @@ def _theorem_chunk(args: tuple) -> tuple:
         b = bounds.get(key)
         if b is not None and rho >= b - 1e-6:
             rec[4].append((rho, mask))
-    return connected_count, per_class
-
-
-def _run_chunks(worker: Callable, jobs: int, chunk_args: list[tuple]) -> list:
-    if jobs <= 1 or len(chunk_args) == 1:
-        return [worker(a) for a in chunk_args]
-    import multiprocessing as mp
-
-    ctx = mp.get_context("fork")
-    with ctx.Pool(jobs) as pool:
-        return pool.map(worker, chunk_args)
+    return sum(conn_list), per_class
 
 
 def verify_theorem(
@@ -334,12 +326,9 @@ def verify_theorem(
         predictions[key] = pred
         bounds[key] = pred.bound + bound_offset
 
-    chunk_args = [(theorem, n, lo, hi, bounds) for lo, hi in _chunk_ranges(n)]
-    partials = _run_chunks(_theorem_chunk, jobs, chunk_args)
-
     connected_count = 0
     merged: dict[int, list] = {}
-    for cc, per_class in partials:
+    for cc, per_class in _sweep(_theorem_chunk, n, jobs, theorem, bounds):
         connected_count += cc
         for key, rec in per_class.items():
             tgt = merged.get(key)
@@ -364,18 +353,14 @@ def verify_theorem(
         label = "2beta*" if fractional else "2beta"
         bound_holds = max_rho <= bound + RHO_TOL
         if not bound_holds:
-            bad = Graph._from_rows_unchecked(n, tuple(_rows_from_mask(n, argmax_mask, pairs)))
+            bad = _graph_from_mask(n, argmax_mask, pairs)
             discrepancies.append(
                 f"class {label}={key}: max rho {max_rho:.12g} exceeds bound {bound:.12g} at {to_graph6(bad)}"
             )
         maximizer_masks = sorted(mk for r, mk in top if r >= max_rho - RHO_TOL)
         n_maximizers = len(maximizer_masks)
         argmax_mask = maximizer_masks[0] if maximizer_masks else argmax_mask
-        argmax_g6 = (
-            to_graph6(Graph._from_rows_unchecked(n, tuple(_rows_from_mask(n, argmax_mask, pairs))))
-            if argmax_mask >= 0
-            else ""
-        )
+        argmax_g6 = to_graph6(_graph_from_mask(n, argmax_mask, pairs)) if argmax_mask >= 0 else ""
 
         # predicted graphs that genuinely belong to this class
         in_class: list[Graph] = []
@@ -394,7 +379,7 @@ def verify_theorem(
         if in_class:
             hit = [False] * len(in_class)
             for mk, screened in at_bound:
-                cand = Graph._from_rows_unchecked(n, tuple(_rows_from_mask(n, mk, pairs)))
+                cand = _graph_from_mask(n, mk, pairs)
                 # confirm the batched screen with the residual-checked spectral_radius
                 rho = spectral_radius(cand).value
                 if abs(rho - screened) > 1e-6:
@@ -423,7 +408,7 @@ def verify_theorem(
             if at_bound:
                 argmax_matches = False
                 mk = at_bound[0][0]
-                cand = Graph._from_rows_unchecked(n, tuple(_rows_from_mask(n, mk, pairs)))
+                cand = _graph_from_mask(n, mk, pairs)
                 discrepancies.append(
                     f"class {label}={key}: bound expected strict but {to_graph6(cand)} attains it"
                 )
@@ -495,19 +480,14 @@ class CertSweepReport:
 def _cert_chunk(args: tuple) -> tuple:
     n, lo, hi = args
     table = certificate_table(n, connected=True)
-    rho_arr, conn_arr, rows_packed = _batch_arrays(n, lo, hi)
-    rho_list = rho_arr.tolist()
-    conn_list = conn_arr.tolist()
-    packed = rows_packed.tolist()
+    rho_list, conn_list, rows_list = _batch_arrays(n, lo, hi)
     counts = {cert.name: [0, 0] for cert in table if cert.threshold is not None}
     unsound: list[tuple[str, str]] = []
     examined = 0
     samples = 0
-    for i in range(hi - lo):
-        if not conn_list[i]:
+    for rho, connected, rows in zip(rho_list, conn_list, rows_list):
+        if not connected:
             continue
-        rows = tuple(packed[i])
-        rho = rho_list[i]
         delta = min(r.bit_count() for r in rows)
         bsd = _dc_matching_size(rows, n)
         beta = _blossom_max_matching(rows, n)[0]
@@ -548,13 +528,11 @@ def verify_certificates(n: int, jobs: int = 1) -> CertSweepReport:
         raise GraphError("verification needs n >= 1")
     if n > 7:
         raise GraphError("certificate sweep capped at n <= 7")
-    chunk_args = [(n, lo, hi) for lo, hi in _chunk_ranges(n)]
-    partials = _run_chunks(_cert_chunk, jobs, chunk_args)
     counts: dict[str, list[int]] = {}
     unsound: list[tuple[str, str]] = []
     samples = 0
     examined = 0
-    for ex, c, u, s in partials:
+    for ex, c, u, s in _sweep(_cert_chunk, n, jobs):
         examined += ex
         for name, (app, fired) in c.items():
             tgt = counts.setdefault(name, [0, 0])
@@ -590,102 +568,65 @@ class AuditReport:
 
 def _audit_chunk(args: tuple) -> tuple:
     n, lo, hi = args
-    pairs = pairs_colex(n)
+    _, conn_list, rows_list = _batch_arrays(n, lo, hi)
     violations: list[str] = []
-    connected_graphs = 0
     fpm_graphs = 0
-    for mask in range(lo, hi):
-        rows = tuple(_rows_from_mask(n, mask, pairs))
+    for connected, rows in zip(conn_list, rows_list):
         g = Graph._from_rows_unchecked(n, rows)
         bsd = _dc_matching_size(rows, n)
-
-        def complain(msg: str) -> None:
-            violations.append(f"{to_graph6(g)}: {msg}")
-
+        fm = optimal_fractional_matching(g)
+        t = fractional_transversal(g)
+        faults: list[str] = []
+        if fm.total.doubled != bsd or t.total.doubled != bsd:
+            faults.append(f"primal {fm.total} / dual {t.total} / matching {HalfIntegral(bsd)} differ")
+        try:
+            fm.half_cycles()
+        except GraphError:
+            faults.append("half-weight support is not a disjoint union of odd cycles")
         if bsd == n:
             fpm_graphs += 1
             try:
-                fm = optimal_fractional_matching(g)
-                if fm.total.doubled != bsd:
-                    complain("canonical witness total disagrees with the fractional matching number")
                 fpm_partition(g, fm)
             except GraphError as exc:
-                complain(f"fractional perfect matching partition failed: {exc}")
-        if is_connected(g):
-            connected_graphs += 1
-            t = fractional_transversal(g)
-            if t.total.doubled != bsd:
-                complain("transversal total disagrees with the fractional matching number (duality)")
+                faults.append(f"fractional perfect matching partition failed: {exc}")
+        if connected:
             rep = wrc_decomposition(g, t, beta_star_doubled=bsd)
             if not rep.r_independent:
-                complain("zero-weight class is not independent")
+                faults.append("zero-weight class is not independent")
             if not rep.no_rc_edges:
-                complain("edge between the zero- and half-weight classes")
+                faults.append("edge between the zero- and half-weight classes")
             if not rep.connected_rule_ok:
-                complain("connected graph has exactly one of W, R empty")
+                faults.append("connected graph has exactly one of W, R empty")
             if rep.eq1_holds is not True:
-                complain("optimal transversal violates total = (n - (|R|-|W|))/2")
+                faults.append("optimal transversal violates total = (n - (|R|-|W|))/2")
             if rep.r_geq_w is not True:
-                complain("optimal transversal has |R| < |W|")
-    return connected_graphs, fpm_graphs, violations
+                faults.append("optimal transversal has |R| < |W|")
+        violations.extend(f"{to_graph6(g)}: {f}" for f in faults)
+    return sum(conn_list), fpm_graphs, violations
 
 
 def audit_structures(n: int, jobs: int = 1) -> AuditReport:
-    """Per labeled graph: duality, W/R/C properties, and the perfect-matching
-    partition succeeding exactly when 2*beta_star = n."""
-    if n < 1:
-        raise GraphError("audit needs n >= 1")
+    """Audit the half-integral witnesses of every labeled graph on n vertices.
+
+    Per graph: the canonical fractional matching, the optimal transversal
+    and 2*beta_star have one total (duality); the matching's half-weight
+    support is a disjoint union of odd cycles; the perfect-matching
+    partition succeeds when 2*beta_star = n; and, on connected graphs, the
+    transversal's W/R/C classes satisfy the structure rules.
+    """
+    if n < 0:
+        raise GraphError("audit needs n >= 0")
     if n > 7:
         raise GraphError("structure audit capped at n <= 7")
-    chunk_args = [(n, lo, hi) for lo, hi in _chunk_ranges(n)]
-    partials = _run_chunks(_audit_chunk, jobs, chunk_args)
+    partials = _sweep(_audit_chunk, n, jobs)
     connected_graphs = sum(p[0] for p in partials)
     fpm_graphs = sum(p[1] for p in partials)
-    violations: list[str] = []
-    for p in partials:
-        violations.extend(p[2])
-    return AuditReport(n, 1 << (n * (n - 1) // 2), connected_graphs, fpm_graphs, tuple(violations))
+    violations = tuple(v for p in partials for v in p[2])
+    return AuditReport(n, 1 << (n * (n - 1) // 2), connected_graphs, fpm_graphs, violations)
 
 
-def audit_duality(n: int, jobs: int = 1) -> AuditReport:
-    """Primal/dual equality and canonical witness shape on every labeled graph."""
-    if n < 0 or n > 6:
-        raise GraphError("duality audit runs exhaustively for n <= 6 only")
-    violations: list[str] = []
-    fpm_graphs = 0
-    connected_graphs = 0
-    for g in enumerate_graphs(n):
-        bsd = _dc_matching_size(g.rows, g.n)
-        fm = optimal_fractional_matching(g)
-        tv = fractional_transversal(g)
-        label = to_graph6(g)
-        if fm.total.doubled != bsd or tv.total.doubled != bsd:
-            violations.append(f"{label}: primal {fm.total} / dual {tv.total} / matching {HalfIntegral(bsd)} differ")
-        adj = fm.half_support_adjacency()
-        bad_support = any(len(nbrs) != 2 for nbrs in adj.values())
-        if not bad_support:
-            seen: set[int] = set()
-            for v0 in sorted(adj):
-                if v0 in seen:
-                    continue
-                comp = [v0]
-                prev, cur = None, v0
-                while True:
-                    nxt = [x for x in adj[cur] if x != prev][0]
-                    if nxt == v0:
-                        break
-                    comp.append(nxt)
-                    prev, cur = cur, nxt
-                seen |= set(comp)
-                if len(comp) % 2 == 0:
-                    bad_support = True
-        if bad_support:
-            violations.append(f"{label}: half-weight support is not a disjoint union of odd cycles")
-        if bsd == n:
-            fpm_graphs += 1
-        if is_connected(g):
-            connected_graphs += 1
-    return AuditReport(n, 1 << (n * (n - 1) // 2), connected_graphs, fpm_graphs, tuple(violations))
+# the duality audit is part of the structure audit; the old name stays for callers
+audit_duality = audit_structures
 
 
 # ---------------------------------------------------------------------------
@@ -719,11 +660,9 @@ def _cross_check_one(g: Graph) -> list[str]:
 
 def _cross_chunk(args: tuple) -> list[str]:
     n, lo, hi = args
-    pairs = pairs_colex(n)
     out: list[str] = []
-    for mask in range(lo, hi):
-        g = Graph._from_rows_unchecked(n, tuple(_rows_from_mask(n, mask, pairs)))
-        out.extend(_cross_check_one(g))
+    for rows in _batch_arrays(n, lo, hi)[2]:
+        out.extend(_cross_check_one(Graph._from_rows_unchecked(n, rows)))
     return out
 
 
@@ -735,14 +674,12 @@ def cross_check_matching_implementations(
     if n < 0:
         raise GraphError("n must be non-negative")
     if n <= 6:
-        chunk_args = [(n, lo, hi) for lo, hi in _chunk_ranges(n)]
-        partials = _run_chunks(_cross_chunk, jobs, chunk_args)
-        mism: list[str] = []
-        for p in partials:
-            mism.extend(p)
+        mism = [line for p in _sweep(_cross_chunk, n, jobs) for line in p]
         return CrossCheckReport(n, True, 1 << (n * (n - 1) // 2), tuple(mism))
     if n > 10:
         raise GraphError("sampled cross-check capped at n <= 10")
+    if samples < 1:
+        raise GraphError(f"sampled cross-check needs samples >= 1, got {samples}")
     rng = random.Random(seed)
     pairs = pairs_colex(n)
     mism = []
@@ -787,6 +724,8 @@ def verify_tie_class_n8(samples: int = 4000, seed: int = 2024) -> TieCaseReport:
     fractional matching number 2.  Both shape closures are enumerated
     exhaustively (all edge subsets), then random graphs confirm the bound.
     """
+    if samples < 0:
+        raise GraphError(f"samples must be non-negative, got {samples}")
     n, d = 8, 5
     pred = predicted_maximizer_general(n, HalfIntegral(d))
     rng = random.Random(seed)

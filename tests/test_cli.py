@@ -129,6 +129,16 @@ class TestVerifyCommands:
         code, out, _ = run_cli(capsys, "cross-check", "--n", "4")
         assert code == 0 and "64 graphs" in out and "result: PASS" in out
 
+    def test_verify_audit_n0(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--audit", "--n", "0")
+        assert code == 0
+        assert out == "graphs 1, connected 0, with fractional perfect matching 1\nresult: PASS\n"
+
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_sampled_cross_check_without_samples_exit2(self, capsys, samples):
+        code, out, err = run_cli(capsys, "cross-check", "--n", "7", "--samples", samples)
+        assert code == 2 and "samples >= 1" in err and "PASS" not in out
+
     def test_connected_flag_consistency(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--theorem", "t33", "--n", "4", "--connected")
         assert code == 1 and "--connected contradicts" in err

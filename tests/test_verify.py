@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from specmatch import (
+    FractionalMatching,
     Graph,
     GraphError,
     HalfIntegral,
+    Transversal,
     audit_duality,
     audit_structures,
     certify_all,
@@ -17,10 +22,19 @@ from specmatch import (
     join,
     oracle_beta,
     oracle_beta_star,
+    spectral_radius,
+    to_graph6,
     union,
     verify_certificates,
     verify_theorem,
+    verify_tie_class_n8,
 )
+from specmatch import verify
+from specmatch.cli import main
+from specmatch.verify import AuditReport
+
+# every theorem CSV at n <= 6, byte for byte; a deliberate report change updates this file
+GOLDEN_CSV = json.loads((Path(__file__).parent / "golden" / "theorem_csv.json").read_text())
 
 
 class TestEnumeration:
@@ -43,10 +57,22 @@ class TestEnumeration:
         with pytest.raises(GraphError):
             next(enumerate_graphs(9))
         with pytest.raises(GraphError):
-            next(enumerate_graphs(10, long_run=True))
-        # n=9 allowed behind the flag
-        it = enumerate_graphs(9, long_run=True)
-        assert next(it).n == 9
+            next(enumerate_graphs(10))
+        with pytest.raises(GraphError):
+            next(enumerate_graphs(-1))
+
+
+class TestChunkTable:
+    def test_matches_per_graph_invariants(self):
+        rho, conn, rows = verify._batch_arrays(4, 0, 64)
+        graphs = list(enumerate_graphs(4))
+        assert rows == [g.rows for g in graphs]
+        assert conn == [is_connected(g) for g in graphs]
+        assert rho == pytest.approx([spectral_radius(g).value for g in graphs], abs=1e-9)
+
+    def test_n0(self):
+        # the one graph on no vertices is empty and not connected
+        assert verify._batch_arrays(0, 0, 1) == ([0.0], [False], [()])
 
 
 class TestTheoremSweeps:
@@ -111,6 +137,11 @@ class TestTheoremSweeps:
         with pytest.raises(ValueError):
             verify_theorem("t99", 4)
 
+    @pytest.mark.parametrize("key", sorted(GOLDEN_CSV))
+    def test_csv_golden(self, key):
+        theorem, n = key.split(" n=")
+        assert verify_theorem(theorem, int(n)).to_csv() == GOLDEN_CSV[key]
+
 
 class TestCertificateSweep:
     def test_n4_sound_and_exact_fire_set(self):
@@ -163,9 +194,54 @@ class TestCertificateSweep:
         expected = tuple((name, app, fired) for name, (app, fired) in sorted(tally.items()) if app)
         assert verify_certificates(n).counts == expected
 
+    @pytest.mark.parametrize(
+        "n, counts",
+        [
+            (1, ()),
+            (2, (("min-degree-fpm", 1, 1),)),
+            (
+                3,
+                (
+                    ("beta-star-increment(1)", 4, 1),
+                    ("beta-star-increment(1/2)", 4, 4),
+                    ("fpm-spectral", 4, 1),
+                    ("min-degree-fpm", 4, 1),
+                ),
+            ),
+            (
+                4,
+                (
+                    ("beta-increment(1)", 38, 22),
+                    ("beta-star-increment(1)", 38, 22),
+                    ("beta-star-increment(1/2)", 38, 38),
+                    ("beta-star-increment(3/2)", 38, 22),
+                    ("fpm-spectral", 38, 22),
+                    ("min-degree-fpm", 38, 10),
+                    ("pm-spectral", 38, 22),
+                ),
+            ),
+            (
+                5,
+                (
+                    ("beta-increment(1)", 728, 591),
+                    ("beta-star-increment(1)", 728, 591),
+                    ("beta-star-increment(1/2)", 728, 728),
+                    ("beta-star-increment(2)", 728, 76),
+                    ("beta-star-increment(3/2)", 728, 591),
+                    ("fpm-spectral", 728, 76),
+                    ("min-degree-fpm", 728, 38),
+                ),
+            ),
+        ],
+    )
+    def test_counts_golden(self, n, counts):
+        assert verify_certificates(n).counts == counts
+
 
 class TestAudits:
     def test_duality_n5(self):
+        # the duality audit is folded into the structure audit; the old name stays
+        assert audit_duality is audit_structures
         rep = audit_duality(5)
         assert rep.passed
 
@@ -178,6 +254,42 @@ class TestAudits:
         a = audit_structures(5, jobs=1)
         b = audit_structures(5, jobs=2)
         assert a == b
+
+    @pytest.mark.parametrize(
+        "n, graphs, connected, fpm",
+        [(0, 1, 0, 1), (1, 1, 1, 0), (2, 2, 1, 1), (3, 8, 4, 1), (4, 64, 38, 37), (5, 1024, 728, 383), (6, 32768, 26704, 24833)],
+    )
+    def test_counts_golden(self, n, graphs, connected, fpm):
+        assert audit_structures(n) == AuditReport(n, graphs, connected, fpm, ())
+
+    def test_limits(self):
+        with pytest.raises(GraphError):
+            audit_structures(-1)
+        with pytest.raises(GraphError):
+            audit_structures(8)
+
+    def test_cli_golden(self, capsys):
+        assert main(["verify", "--audit", "--n", "5"]) == 0
+        assert capsys.readouterr().out == "graphs 1024, connected 728, with fractional perfect matching 383\nresult: PASS\n"
+
+    def test_catches_even_half_cycle(self, monkeypatch):
+        # C4 u K1 has 2beta* = 4 < n: weight 1/2 on the whole 4-cycle is
+        # feasible and optimal, so only the witness shape check rejects it
+        target = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        even = FractionalMatching(5, tuple((e, 1) for e in target.edges()), HalfIntegral(4))
+        real = verify.optimal_fractional_matching
+        monkeypatch.setattr(verify, "optimal_fractional_matching", lambda g: even if g == target else real(g))
+        rep = audit_structures(5)
+        assert rep.violations == (f"{to_graph6(target)}: half-weight support is not a disjoint union of odd cycles",)
+
+    def test_catches_nonoptimal_transversal_on_disconnected_graph(self, monkeypatch):
+        # K2 u K1: weight 1/2 everywhere covers the edge but totals 3/2 > beta* = 1
+        target = union(complete(2), empty(1))
+        loose = Transversal(3, (1, 1, 1), HalfIntegral(3))
+        real = verify.fractional_transversal
+        monkeypatch.setattr(verify, "fractional_transversal", lambda g: loose if g == target else real(g))
+        rep = audit_structures(3)
+        assert rep.violations == (f"{to_graph6(target)}: primal 1 / dual 3/2 / matching 1 differ",)
 
 
 class TestCrossCheck:
@@ -193,6 +305,25 @@ class TestCrossCheck:
         a = cross_check_matching_implementations(8, samples=50, seed=7)
         b = cross_check_matching_implementations(8, samples=50, seed=7)
         assert a == b
+
+    def test_exhaustive_n0(self):
+        rep = cross_check_matching_implementations(0)
+        assert rep.exhaustive and rep.graphs_checked == 1 and rep.passed
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_sampled_needs_a_sample(self, samples):
+        with pytest.raises(GraphError):
+            cross_check_matching_implementations(7, samples=samples)
+
+
+class TestTieClass:
+    def test_negative_samples_rejected(self):
+        with pytest.raises(GraphError):
+            verify_tie_class_n8(samples=-1)
+
+    def test_zero_samples_keeps_shape_closures(self):
+        rep = verify_tie_class_n8(samples=0)
+        assert rep.passed and rep.class_graphs_checked > 0 and rep.maximizers_match_clique_union
 
 
 class TestOracleEdgeCases:
