@@ -1,15 +1,20 @@
 """Matching number, fractional matching number, and half-integral witnesses.
 
 The fractional matching number is computed exactly as half the matching
-number of the bipartite double cover; the dual transversal comes from the
-double cover's minimum vertex cover.  Witnesses are canonical: half-weight
-support is normalised to a disjoint union of odd cycles.
+number of the bipartite double cover.  Both half-integral witnesses are
+built from one double-cover matching: the canonical fractional matching is
+its pull-back, normalised so that the half-weight support is a disjoint
+union of odd cycles, and the dual transversal comes from its minimum vertex
+cover.  The public constructors validate what they build; the structure
+audit runs the builders on one double-cover matching per graph and
+validates each witness once.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterator
 
 from .graphs import Graph, GraphError, is_connected
 from .halfint import HalfIntegral
@@ -21,16 +26,14 @@ from .halfint import HalfIntegral
 
 def _blossom_max_matching(rows: tuple[int, ...], n: int) -> tuple[int, list[int]]:
     match = [-1] * n
-    for v in range(n):  # greedy seed
-        if match[v] == -1:
-            nb = rows[v]
-            while nb:
-                u = (nb & -nb).bit_length() - 1
-                nb &= nb - 1
-                if match[u] == -1:
-                    match[v] = u
-                    match[u] = v
-                    break
+    free = (1 << n) - 1
+    for v in range(n):  # greedy seed: v takes its lowest free neighbour
+        nb = rows[v] & free
+        if free >> v & 1 and nb:
+            u = (nb & -nb).bit_length() - 1
+            match[v] = u
+            match[u] = v
+            free ^= (1 << u) | (1 << v)
 
     p = [-1] * n
     base = list(range(n))
@@ -134,15 +137,14 @@ def _dc_matching(rows: tuple[int, ...], n: int) -> tuple[list[int], list[int]]:
     # match any v in N(u) on the right.  Deterministic ascending scans.
     match_l = [-1] * n
     match_r = [-1] * n
-    for u in range(n):  # greedy seed
-        nb = rows[u]
-        while nb:
+    free_r = (1 << n) - 1
+    for u in range(n):  # greedy seed: u takes its lowest free right copy
+        nb = rows[u] & free_r
+        if nb:
             v = (nb & -nb).bit_length() - 1
-            if match_r[v] < 0:
-                match_r[v] = u
-                match_l[u] = v
-                break
-            nb &= nb - 1
+            match_r[v] = u
+            match_l[u] = v
+            free_r ^= 1 << v
     for u0 in range(n):
         if match_l[u0] >= 0:
             continue
@@ -179,8 +181,7 @@ def _dc_matching(rows: tuple[int, ...], n: int) -> tuple[list[int], list[int]]:
 
 
 def _dc_matching_size(rows: tuple[int, ...], n: int) -> int:
-    match_l, _ = _dc_matching(rows, n)
-    return sum(1 for u in range(n) if match_l[u] >= 0)
+    return n - _dc_matching(rows, n)[0].count(-1)
 
 
 def fractional_matching_number(g: Graph) -> HalfIntegral:
@@ -203,13 +204,6 @@ class FractionalMatching:
     n: int
     doubled_weights: tuple[tuple[tuple[int, int], int], ...]
     total: HalfIntegral
-
-    def weight_doubled(self, u: int, v: int) -> int:
-        key = (u, v) if u < v else (v, u)
-        for edge, w in self.doubled_weights:
-            if edge == key:
-                return w
-        return 0
 
     def vertex_load_doubled(self) -> list[int]:
         load = [0] * self.n
@@ -253,28 +247,13 @@ class FractionalMatching:
         neighbour.  Raises GraphError unless the support is a disjoint union
         of odd cycles, the shape of a canonical witness.
         """
-        adj = self.half_support_adjacency()
         cycles: list[tuple[int, ...]] = []
-        done: set[int] = set()
-        for v0 in sorted(adj):
-            if v0 in done:
-                continue
-            if len(adj[v0]) != 2:
-                raise GraphError("non-canonical matching: half-weight support is not a union of cycles")
-            cycle = [v0]
-            prev, cur = None, v0
-            while True:
-                nxt = sorted(x for x in adj[cur] if x != prev)[0]
-                if nxt == v0:
-                    break
-                if len(adj[nxt]) != 2:
-                    raise GraphError("non-canonical matching: half-weight support is not a union of cycles")
-                cycle.append(nxt)
-                prev, cur = cur, nxt
-            if len(cycle) % 2 == 0:
+        for walk, closed in _half_walks(self.half_support_adjacency()):
+            if not closed:
+                raise GraphError(_NOT_CYCLES)
+            if len(walk) % 2 == 0:
                 raise GraphError("non-canonical matching: even cycle in the half-weight support")
-            done |= set(cycle)
-            cycles.append(tuple(cycle))
+            cycles.append(tuple(walk))
         return cycles
 
     def to_text(self) -> str:
@@ -283,60 +262,70 @@ class FractionalMatching:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _canonical_half_support(dw: dict[tuple[int, int], int], n: int) -> None:
-    """Reweight even cycles / even paths of half-edges to 0/1 in place.
+_NOT_CYCLES = "non-canonical matching: half-weight support is not a union of cycles"
 
-    Components are processed in ascending lowest-vertex order; paths start
-    the 1,0,... alternation at their lowest endpoint, cycles at their lowest
-    vertex towards its smaller half-neighbour.  Leaves odd cycles alone.
+
+def _half_walks(adj: dict[int, list[int]]) -> Iterator[tuple[list[int], bool]]:
+    """Walk each component of a half-weight support: (vertices, closed).
+
+    Components come in ascending lowest-vertex order.  A cycle is walked
+    from its lowest vertex towards its smaller neighbour, a path from its
+    lower endpoint.  Every step checks the vertex it reaches, and a vertex
+    with more than two half-edges raises GraphError, so the walk ends on
+    any input.
     """
-    adj: dict[int, set[int]] = {}
-    for (u, v), w in dw.items():
-        if w == 1:
-            adj.setdefault(u, set()).add(v)
-            adj.setdefault(v, set()).add(u)
+    def walk(start: int) -> tuple[list[int], bool]:
+        out = [start]
+        prev, cur = -1, start
+        while True:
+            if len(adj[cur]) > 2:
+                raise GraphError(_NOT_CYCLES)
+            nxt = min((x for x in adj[cur] if x != prev), default=-1)
+            if nxt < 0 or nxt == start:
+                return out, nxt == start
+            out.append(nxt)
+            prev, cur = cur, nxt
+
     done: set[int] = set()
     for v0 in sorted(adj):
         if v0 in done:
             continue
-        comp = {v0}
-        queue = [v0]
-        while queue:
-            x = queue.pop()
-            for y in adj[x]:
-                if y not in comp:
-                    comp.add(y)
-                    queue.append(y)
-        done |= comp
-        ends = sorted(v for v in comp if len(adj[v]) == 1)
-        if ends:
-            start, stop_at = ends[0], None
-        else:
-            if len(comp) % 2 == 1:
-                continue  # odd cycles are already canonical
-            start, stop_at = min(comp), min(comp)
-        # walk the path/cycle assigning alternating doubled weights 2,0,...
-        prev = None
-        cur = start
-        weight = 2
-        steps = 0
-        while True:
-            choices = sorted(x for x in adj[cur] if x != prev)
-            if not choices:
-                break
-            nxt = choices[0]
-            key = (cur, nxt) if cur < nxt else (nxt, cur)
-            if weight:
-                dw[key] = weight
-            else:
-                dw.pop(key, None)
-            weight = 2 - weight
-            steps += 1
-            prev, cur = cur, nxt
-            if stop_at is not None and cur == stop_at:
-                break
+        vertices, closed = walk(v0)
+        if not closed:  # v0 may lie inside the path: walk it again from the end reached
+            vertices = walk(vertices[-1])[0]
+            if vertices[-1] < vertices[0]:
+                vertices.reverse()
+        done.update(vertices)
+        yield vertices, closed
+
+
+def _fractional_matching_from(g: Graph, match_l: list[int]) -> FractionalMatching:
+    """The canonical fractional matching of a maximum double-cover matching.
+
+    Each edge gets half the number of its matched lifted copies.  Then every
+    even cycle and every path of half-edges is reweighted 1, 0, 1, ... from
+    where ``_half_walks`` starts it, so only odd cycles keep weight 1/2.
+    The result is not validated.
+    """
+    dw: dict[tuple[int, int], int] = {}
+    for u, v in enumerate(match_l):
+        if v >= 0:
+            key = (u, v) if u < v else (v, u)
+            dw[key] = dw.get(key, 0) + 1
+    pulled = FractionalMatching(g.n, tuple(dw.items()), HalfIntegral(sum(dw.values())))
+    for vertices, closed in _half_walks(pulled.half_support_adjacency()):
+        if closed and len(vertices) % 2:
+            continue  # odd cycles are already canonical
+        steps = list(zip(vertices, vertices[1:] + vertices[:1] if closed else vertices[1:]))
         # an optimal matching never leaves an odd half-path (it could be improved)
-        assert steps % 2 == 0, "half-weight support had an augmentable odd path"
+        assert len(steps) % 2 == 0, "half-weight support had an augmentable odd path"
+        for i, (u, v) in enumerate(steps):
+            key = (u, v) if u < v else (v, u)
+            if i % 2:
+                del dw[key]
+            else:
+                dw[key] = 2
+    return FractionalMatching(g.n, tuple(sorted(dw.items())), pulled.total)
 
 
 def optimal_fractional_matching(g: Graph) -> FractionalMatching:
@@ -346,18 +335,7 @@ def optimal_fractional_matching(g: Graph) -> FractionalMatching:
     matched lifted copies), then normalises the half-weight support until it
     is a disjoint union of odd cycles.
     """
-    n = g.n
-    match_l, _ = _dc_matching(g.rows, n)
-    dw: dict[tuple[int, int], int] = {}
-    for u in range(n):
-        v = match_l[u]
-        if v >= 0:
-            key = (u, v) if u < v else (v, u)
-            dw[key] = dw.get(key, 0) + 1
-    total = sum(dw.values())
-    _canonical_half_support(dw, n)
-    assert sum(dw.values()) == total
-    fm = FractionalMatching(n, tuple(sorted(dw.items())), HalfIntegral(total))
+    fm = _fractional_matching_from(g, _dc_matching(g.rows, g.n)[0])
     fm.validate(g)
     return fm
 
@@ -374,6 +352,13 @@ class Transversal:
     doubled_weights: tuple[int, ...]
     total: HalfIntegral
 
+    def _class_masks(self) -> tuple[int, int, int]:
+        """Bitmasks of the weight classes W (weight 1), R (0) and C (1/2)."""
+        masks = [0, 0, 0]  # indexed by doubled weight: R, C, W
+        for v, w in enumerate(self.doubled_weights):
+            masks[w] |= 1 << v
+        return masks[2], masks[0], masks[1]
+
     @property
     def W(self) -> frozenset[int]:
         return frozenset(v for v, w in enumerate(self.doubled_weights) if w == 2)
@@ -387,15 +372,19 @@ class Transversal:
         return frozenset(v for v, w in enumerate(self.doubled_weights) if w == 1)
 
     def validate(self, g: Graph) -> None:
-        if len(self.doubled_weights) != g.n:
+        dw = self.doubled_weights
+        if len(dw) != g.n:
             raise GraphError("transversal length does not match the graph")
-        for v, w in enumerate(self.doubled_weights):
+        for v, w in enumerate(dw):
             if w not in (0, 1, 2):
                 raise GraphError(f"vertex {v} has doubled weight {w}, expected 0, 1 or 2")
-        for u, v in g.edges():
-            if self.doubled_weights[u] + self.doubled_weights[v] < 2:
-                raise GraphError(f"edge ({u},{v}) not covered: weights sum below 1")
-        if sum(self.doubled_weights) != self.total.doubled:
+        # an edge is uncovered exactly when it joins R to R or to C; the
+        # per-edge scan runs only to name the first such edge
+        _, r_mask, c_mask = self._class_masks()
+        if any(g.rows[v] & (r_mask | c_mask) for v, w in enumerate(dw) if w == 0):
+            u, v = next((u, v) for u, v in g.edges() if dw[u] + dw[v] < 2)
+            raise GraphError(f"edge ({u},{v}) not covered: weights sum below 1")
+        if sum(dw) != self.total.doubled:
             raise GraphError("stored total does not match the weights")
 
     def to_text(self) -> str:
@@ -404,16 +393,15 @@ class Transversal:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def fractional_transversal(g: Graph) -> Transversal:
-    """Optimal half-integral transversal from the double cover's vertex cover.
+def _transversal_from(g: Graph, match_l: list[int], match_r: list[int]) -> Transversal:
+    """The transversal of a maximum double-cover matching's vertex cover.
 
-    The cover comes from the maximum matching by alternating reachability,
-    so the construction is deterministic; g(v) is half the number of covered
-    copies of v.
+    The cover comes from the matching by alternating reachability, so the
+    construction is deterministic; g(v) is half the number of covered copies
+    of v.  The result is not validated.
     """
     n = g.n
     rows = g.rows
-    match_l, match_r = _dc_matching(rows, n)
     visited_l = [False] * n
     visited_r = [False] * n
     queue = deque(u for u in range(n) if match_l[u] < 0)
@@ -433,7 +421,12 @@ def fractional_transversal(g: Graph) -> Transversal:
                 visited_l[w] = True
                 queue.append(w)
     dwv = tuple((0 if visited_l[v] else 1) + (1 if visited_r[v] else 0) for v in range(n))
-    t = Transversal(n, dwv, HalfIntegral(sum(dwv)))
+    return Transversal(n, dwv, HalfIntegral(sum(dwv)))
+
+
+def fractional_transversal(g: Graph) -> Transversal:
+    """Optimal half-integral transversal from the double cover's vertex cover."""
+    t = _transversal_from(g, *_dc_matching(g.rows, g.n))
     t.validate(g)
     return t
 
@@ -460,19 +453,10 @@ def wrc_decomposition(g: Graph, t: Transversal, beta_star_doubled: int | None = 
     and, when the transversal is optimal, total = (n - (|R|-|W|))/2 with
     |R| >= |W|.
     """
-    t.validate(g)
-    w_mask = r_mask = c_mask = 0
-    for v, dwv in enumerate(t.doubled_weights):
-        if dwv == 2:
-            w_mask |= 1 << v
-        elif dwv == 0:
-            r_mask |= 1 << v
-        else:
-            c_mask |= 1 << v
+    t.validate(g)  # its coverage rule is (a) and (b): no R-row meets R or C
+    w_mask, r_mask, c_mask = t._class_masks()
     s = w_mask.bit_count()
     tt = r_mask.bit_count()
-    r_independent = all(not (g.rows[v] & r_mask) for v in range(g.n) if r_mask >> v & 1)
-    no_rc_edges = all(not (g.rows[v] & c_mask) for v in range(g.n) if r_mask >> v & 1)
     if g.n <= 1 or not is_connected(g):
         connected_rule_ok = True
     else:
@@ -485,7 +469,7 @@ def wrc_decomposition(g: Graph, t: Transversal, beta_star_doubled: int | None = 
     if optimal:
         eq1 = t.total.doubled == g.n - (tt - s)
         r_geq_w = tt >= s
-    return WrcReport(s, tt, c_mask.bit_count(), r_independent, no_rc_edges, connected_rule_ok, optimal, eq1, r_geq_w)
+    return WrcReport(s, tt, c_mask.bit_count(), True, True, connected_rule_ok, optimal, eq1, r_geq_w)
 
 
 # ---------------------------------------------------------------------------

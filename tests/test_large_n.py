@@ -1,8 +1,9 @@
-"""Single-graph queries near the vertex cap: spectral radius, graph6 decoding
-and threshold roots at n up to MAX_VERTICES = 2048.
+"""Single-graph queries near the vertex cap: spectral radius, graph6 decoding,
+threshold roots and the matching witnesses at n up to MAX_VERTICES = 2048.
 
-Budget: the whole module runs in about 15 s on 2 cores, most of it in the
-dense eigensolver and the networkx encoder at n = 2048.
+Budget: the whole module runs in about 13.5 s on 2 cores, most of it in the
+dense eigensolver and the networkx encoder at n = 2048; the witness tests
+take 0.2 s of it.
 """
 
 from __future__ import annotations
@@ -18,14 +19,22 @@ import pytest
 from specmatch import (
     Graph,
     Graph6Error,
+    GraphError,
+    HalfIntegral,
     certify_all,
     complete,
     empty,
+    fpm_partition,
+    fractional_matching_number,
+    fractional_transversal,
     from_graph6,
     join,
+    matching_number,
+    optimal_fractional_matching,
     spectral_radius,
     theta_n,
     union,
+    wrc_decomposition,
 )
 from specmatch.extremal import theta_n_coeffs
 
@@ -158,3 +167,46 @@ class TestThresholds:
         assert report.rho == pytest.approx(2 * math.cos(math.pi / 601), abs=1e-9)
         fpm = next(rec for rec in report.certificates if rec.name == "fpm-spectral")
         assert fpm.applicable and not fpm.fired
+
+
+def theta_graph(n):
+    """K_1 v (K_{n-3} u 2K_1): hub 0, clique 1..n-3, pendants n-2 and n-1."""
+    return join(complete(1), union(complete(n - 3), empty(2)))
+
+
+class TestWitnesses:
+    @pytest.mark.parametrize("n", [600, 2048])
+    @pytest.mark.parametrize("shape", [complete, path])
+    def test_perfect_shapes(self, n, shape):
+        # n even: beta* = n/2, the transversal is 1/2 everywhere and the
+        # canonical matching is the perfect matching {2i, 2i+1}
+        g = shape(n)
+        pairs = tuple((2 * i, 2 * i + 1) for i in range(n // 2))
+        assert fractional_matching_number(g) == HalfIntegral(n)
+        t = fractional_transversal(g)
+        assert t.doubled_weights == (1,) * n and t.total == HalfIntegral(n)
+        fm = optimal_fractional_matching(g)
+        assert fm.doubled_weights == tuple((e, 2) for e in pairs)
+        assert fm.half_cycles() == []
+        part = fpm_partition(g, fm)
+        assert [(p.kind, p.vertices) for p in part.parts] == [("K2", e) for e in pairs]
+        m = matching_number(g)
+        assert m.size == n // 2 and m.edges == pairs
+
+    @pytest.mark.parametrize("n", [600, 2048])
+    def test_theta_graph(self, n):
+        # 2beta* = n - 1: W = {hub}, R = the pendants, C = the odd clique; the
+        # hub takes one pendant, the clique a triangle and K2s
+        g = theta_graph(n)
+        assert fractional_matching_number(g) == HalfIntegral(n - 1)
+        t = fractional_transversal(g)
+        assert t.doubled_weights == (2,) + (1,) * (n - 3) + (0, 0)
+        rep = wrc_decomposition(g, t, beta_star_doubled=n - 1)
+        assert (rep.s, rep.t, rep.c) == (1, 2, n - 3) and rep.eq1_holds and rep.r_geq_w
+        fm = optimal_fractional_matching(g)
+        assert fm.total == HalfIntegral(n - 1)
+        assert fm.half_cycles() == [(1, 2, 3)]
+        full = [((0, n - 2), 2)] + [((v, v + 1), 2) for v in range(4, n - 2, 2)]
+        assert sorted(fm.doubled_weights) == sorted(full + [((1, 2), 1), ((1, 3), 1), ((2, 3), 1)])
+        with pytest.raises(GraphError, match="not perfect"):
+            fpm_partition(g, fm)

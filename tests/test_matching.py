@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 
 import networkx as nx
 import pytest
@@ -307,6 +309,21 @@ class TestFpm:
         bad.validate(g)  # feasible but not canonical
         with pytest.raises(GraphError):
             fpm_partition(g, bad)
+
+    def test_half_cycles_ends_on_a_branching_support(self):
+        # vertex 1 carries three half-edges; a walk that skipped the per-step
+        # degree check would circle 1-2-3 forever, so run it under a timeout
+        code = (
+            "from specmatch import FractionalMatching, GraphError, HalfIntegral\n"
+            "edges = [(0, 6), (0, 7), (1, 6), (1, 2), (2, 3), (1, 3)]\n"
+            "fm = FractionalMatching(8, tuple((e, 1) for e in edges), HalfIntegral(6))\n"
+            "try:\n"
+            "    fm.half_cycles()\n"
+            "except GraphError:\n"
+            "    print('GraphError')\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30)
+        assert proc.stdout == "GraphError\n", proc.stderr
 
     def test_partition_text(self):
         part = fpm_partition(path(4), optimal_fractional_matching(path(4)))

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import cProfile
 import json
+import pstats
 from pathlib import Path
 
 import pytest
@@ -29,7 +31,7 @@ from specmatch import (
     verify_theorem,
     verify_tie_class_n8,
 )
-from specmatch import verify
+from specmatch import matching, verify
 from specmatch.cli import main
 from specmatch.verify import AuditReport
 
@@ -272,13 +274,27 @@ class TestAudits:
         assert main(["verify", "--audit", "--n", "5"]) == 0
         assert capsys.readouterr().out == "graphs 1024, connected 728, with fractional perfect matching 383\nresult: PASS\n"
 
+    def test_one_matching_and_one_validation_per_witness(self):
+        # n = 4 has 64 graphs: each gets one double-cover matching, and each
+        # of its two witnesses is validated exactly once
+        profile = cProfile.Profile()
+        profile.runcall(audit_structures, 4)
+        stats = pstats.Stats(profile).stats
+
+        def calls(fn):
+            code = fn.__code__
+            return stats.get((code.co_filename, code.co_firstlineno, code.co_name), (0, 0))[1]
+
+        counts = [calls(fn) for fn in (matching._dc_matching, FractionalMatching.validate, Transversal.validate)]
+        assert counts == [64, 64, 64]
+
     def test_catches_even_half_cycle(self, monkeypatch):
         # C4 u K1 has 2beta* = 4 < n: weight 1/2 on the whole 4-cycle is
         # feasible and optimal, so only the witness shape check rejects it
         target = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3)])
         even = FractionalMatching(5, tuple((e, 1) for e in target.edges()), HalfIntegral(4))
-        real = verify.optimal_fractional_matching
-        monkeypatch.setattr(verify, "optimal_fractional_matching", lambda g: even if g == target else real(g))
+        real = verify._fractional_matching_from
+        monkeypatch.setattr(verify, "_fractional_matching_from", lambda g, *m: even if g == target else real(g, *m))
         rep = audit_structures(5)
         assert rep.violations == (f"{to_graph6(target)}: half-weight support is not a disjoint union of odd cycles",)
 
@@ -286,8 +302,8 @@ class TestAudits:
         # K2 u K1: weight 1/2 everywhere covers the edge but totals 3/2 > beta* = 1
         target = union(complete(2), empty(1))
         loose = Transversal(3, (1, 1, 1), HalfIntegral(3))
-        real = verify.fractional_transversal
-        monkeypatch.setattr(verify, "fractional_transversal", lambda g: loose if g == target else real(g))
+        real = verify._transversal_from
+        monkeypatch.setattr(verify, "_transversal_from", lambda g, *m: loose if g == target else real(g, *m))
         rep = audit_structures(3)
         assert rep.violations == (f"{to_graph6(target)}: primal 1 / dual 3/2 / matching 1 differ",)
 
