@@ -35,27 +35,36 @@ def _blossom_max_matching(rows: tuple[int, ...], n: int) -> tuple[int, list[int]
             match[u] = v
             free ^= (1 << u) | (1 << v)
 
+    # Each search keeps, for every contracted base b, the bitmask members[b]
+    # of the vertices with base[v] == b; a vertex never contracted stands for
+    # itself.  lca and mark_path collect bases in sets, a contraction ORs the
+    # marked bases' masks into cur and walks only the absorbed vertices, and
+    # a popped vertex skips its own blossom with one mask: a contraction
+    # costs the size of the blossom, not n.  The absorbed vertices are queued
+    # in ascending index order, as a scan over all n vertices would queue
+    # them; another order finds other augmenting paths and so, on some
+    # graphs, another matching of the same size.
     p = [-1] * n
     base = list(range(n))
 
     def lca(a: int, b: int) -> int:
-        used = [False] * n
+        seen = set()
         while True:
             a = base[a]
-            used[a] = True
+            seen.add(a)
             if match[a] == -1:
                 break
             a = p[match[a]]
         while True:
             b = base[b]
-            if used[b]:
+            if b in seen:
                 return b
             b = p[match[b]]
 
-    def mark_path(v: int, b: int, child: int, blossom: list[bool]) -> None:
+    def mark_path(v: int, b: int, child: int, blossom: set[int]) -> None:
         while base[v] != b:
-            blossom[base[v]] = True
-            blossom[base[match[v]]] = True
+            blossom.add(base[v])
+            blossom.add(base[match[v]])
             p[v] = child
             child = match[v]
             v = p[match[v]]
@@ -64,28 +73,36 @@ def _blossom_max_matching(rows: tuple[int, ...], n: int) -> tuple[int, list[int]
         nonlocal p, base
         p = [-1] * n
         base = list(range(n))
+        members: dict[int, int] = {}
         used = [False] * n
         used[root] = True
         q = deque([root])
         while q:
             v = q.popleft()
-            nb = rows[v]
+            nb = rows[v] & ~members.get(base[v], 1 << v)
             while nb:
                 to = (nb & -nb).bit_length() - 1
                 nb &= nb - 1
-                if base[v] == base[to] or match[v] == to:
+                if match[v] == to:
                     continue
                 if to == root or (match[to] != -1 and p[match[to]] != -1):
                     cur = lca(v, to)
-                    blossom = [False] * n
+                    blossom: set[int] = set()
                     mark_path(v, cur, to, blossom)
                     mark_path(to, cur, v, blossom)
-                    for i in range(n):
-                        if blossom[base[i]]:
-                            base[i] = cur
-                            if not used[i]:
-                                used[i] = True
-                                q.append(i)
+                    blossom.discard(cur)
+                    absorbed = 0
+                    for b in blossom:
+                        absorbed |= members.pop(b, 1 << b)
+                    members[cur] = members.get(cur, 1 << cur) | absorbed
+                    nb &= ~members[cur]  # v's base is now cur
+                    while absorbed:
+                        i = (absorbed & -absorbed).bit_length() - 1
+                        absorbed &= absorbed - 1
+                        base[i] = cur
+                        if not used[i]:
+                            used[i] = True
+                            q.append(i)
                 elif p[to] == -1:
                     p[to] = v
                     if match[to] == -1:

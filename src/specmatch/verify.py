@@ -166,12 +166,15 @@ def _chunk_ranges(n: int) -> list[tuple[int, int]]:
     return [(i * step, (i + 1) * step if i < chunks - 1 else total) for i in range(chunks)]
 
 
-def _batch_arrays(n: int, lo: int, hi: int) -> tuple[list[float], list[bool], list[tuple[int, ...]]]:
+def _batch_arrays(
+    n: int, lo: int, hi: int, *, with_rho: bool = True
+) -> tuple[list[float] | None, list[bool], list[tuple[int, ...]]]:
     """The chunk table of masks lo..hi-1: spectral radius, connectivity flag
     and neighbour rows of each graph, as Python lists.  Every sweep reads its
-    graphs from here."""
+    graphs from here.  Workers that never read rho pass ``with_rho=False``
+    and get ``None`` in its place, skipping the batched eigensolver."""
     if n == 0:  # the single empty graph K_0, which is not connected
-        return [0.0] * (hi - lo), [False] * (hi - lo), [()] * (hi - lo)
+        return [0.0] * (hi - lo) if with_rho else None, [False] * (hi - lo), [()] * (hi - lo)
     pairs = pairs_colex(n)
     m = len(pairs)
     iu = np.array([p[0] for p in pairs], dtype=np.int64)
@@ -188,13 +191,14 @@ def _batch_arrays(n: int, lo: int, hi: int) -> tuple[list[float], list[bool], li
         a = np.zeros((stop - start, n, n))
         a[:, iu, iv] = bits
         a[:, iv, iu] = bits
-        rho[start - lo : stop - lo] = np.linalg.eigvalsh(a)[:, -1]
+        if with_rho:
+            rho[start - lo : stop - lo] = np.linalg.eigvalsh(a)[:, -1]
         r = a + eye
         for _ in range(max(1, int(np.ceil(np.log2(max(n, 2)))))):
             r = ((r @ r) > 0).astype(np.float64)
         conn[start - lo : stop - lo] = r[:, 0, :].all(axis=1)
         rows_packed[start - lo : stop - lo] = (a.astype(np.int64) * shifts[None, None, :]).sum(axis=2)
-    return rho.tolist(), conn.tolist(), list(zip(*rows_packed.T.tolist()))
+    return rho.tolist() if with_rho else None, conn.tolist(), list(zip(*rows_packed.T.tolist()))
 
 
 def _sweep(worker: Callable, n: int, jobs: int, *extra) -> list:
@@ -568,7 +572,7 @@ class AuditReport:
 
 def _audit_chunk(args: tuple) -> tuple:
     n, lo, hi = args
-    _, conn_list, rows_list = _batch_arrays(n, lo, hi)
+    _, conn_list, rows_list = _batch_arrays(n, lo, hi, with_rho=False)
     violations: list[str] = []
     fpm_graphs = 0
     for connected, rows in zip(conn_list, rows_list):
@@ -667,7 +671,7 @@ def _cross_check_one(g: Graph) -> list[str]:
 def _cross_chunk(args: tuple) -> list[str]:
     n, lo, hi = args
     out: list[str] = []
-    for rows in _batch_arrays(n, lo, hi)[2]:
+    for rows in _batch_arrays(n, lo, hi, with_rho=False)[2]:
         out.extend(_cross_check_one(Graph._from_rows_unchecked(n, rows)))
     return out
 

@@ -1,9 +1,11 @@
 """Single-graph queries near the vertex cap: spectral radius, graph6 decoding,
 threshold roots and the matching witnesses at n up to MAX_VERTICES = 2048.
 
-Budget: the whole module runs in about 13.5 s on 2 cores, most of it in the
-dense eigensolver and the networkx encoder at n = 2048; the witness tests
-take 0.2 s of it.
+Budget: the whole module runs in about 21 s on 2 cores, most of it in the
+dense eigensolver and the networkx encoder at n = 2048.  The witness tests
+take 5.5 s of it: `beta --witness` on theta(2048) reads an edge list of
+2,092,037 lines (about 5 s), and `matching_number` on theta(2048) takes
+20 ms of the rest.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from specmatch import (
     union,
     wrc_decomposition,
 )
+from specmatch.cli import main
 from specmatch.extremal import theta_n_coeffs
 
 
@@ -169,6 +172,12 @@ class TestThresholds:
         assert fpm.applicable and not fpm.fired
 
 
+def assert_matching_of(g, edges):
+    covered = [v for e in edges for v in e]
+    assert len(covered) == len(set(covered))
+    assert all(g.has_edge(u, v) for u, v in edges)
+
+
 def theta_graph(n):
     """K_1 v (K_{n-3} u 2K_1): hub 0, clique 1..n-3, pendants n-2 and n-1."""
     return join(complete(1), union(complete(n - 3), empty(2)))
@@ -210,3 +219,25 @@ class TestWitnesses:
         assert sorted(fm.doubled_weights) == sorted(full + [((1, 2), 1), ((1, 3), 1), ((2, 3), 1)])
         with pytest.raises(GraphError, match="not perfect"):
             fpm_partition(g, fm)
+        # beta: the hub with a pendant and (n - 3) // 2 edges in the clique;
+        # the blossom search contracts nearly the whole clique
+        m = matching_number(g)
+        assert m.size == 1 + (n - 3) // 2
+        assert_matching_of(g, m.edges)
+
+    def test_beta_witness_cli_on_theta_2048(self, tmp_path, capsys):
+        # in-process: the graph6 text of a 2048-vertex graph is longer than
+        # one argv string may be, so the graph goes in as an edge-list file
+        n = 2048
+        edges = [f"0 {v}\n" for v in range(1, n)]
+        edges += [f"{u} {v}\n" for v in range(2, n - 2) for u in range(1, v)]
+        path_ = tmp_path / "theta2048.txt"
+        path_.write_text(f"{n} {len(edges)}\n" + "".join(edges))
+        assert main(["beta", "--edges", str(path_), "--witness"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "1023"
+        witness = [tuple(map(int, line.split()[1:3])) for line in lines[1:]]
+        assert lines[1:] == [f"edge {u} {v} 1" for u, v in witness]
+        g = theta_graph(n)
+        assert tuple(witness) == matching_number(g).edges
+        assert_matching_of(g, witness)

@@ -71,10 +71,14 @@ class TestChunkTable:
         assert rows == [g.rows for g in graphs]
         assert conn == [is_connected(g) for g in graphs]
         assert rho == pytest.approx([spectral_radius(g).value for g in graphs], abs=1e-9)
+        # workers that never read rho skip the eigensolver; the other
+        # columns are the same
+        assert verify._batch_arrays(4, 0, 64, with_rho=False) == (None, conn, rows)
 
     def test_n0(self):
         # the one graph on no vertices is empty and not connected
         assert verify._batch_arrays(0, 0, 1) == ([0.0], [False], [()])
+        assert verify._batch_arrays(0, 0, 1, with_rho=False) == (None, [False], [()])
 
 
 class TestTheoremSweeps:
