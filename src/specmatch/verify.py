@@ -46,8 +46,7 @@ from .matching import (
 from .spectral import spectral_radius
 
 ENUM_CAP = 8
-ORACLE_BETA_STAR_EDGE_CAP = 18
-ORACLE_BETA_EDGE_CAP = 24
+ORACLE_N_CAP = 10  # the brute-force oracles enumerate vertex subsets: 2^n states
 RHO_TOL = 1e-8
 _SUBBATCH = 1 << 15
 CERTIFY_STRIDE = 4096  # every CERTIFY_STRIDE-th connected graph of a chunk is reconciled with certify_all
@@ -91,9 +90,13 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
 
 
 def oracle_beta(g: Graph) -> int:
-    """Exhaustive maximum matching size, by branching over the lowest vertex."""
-    if g.edge_count() > ORACLE_BETA_EDGE_CAP:
-        raise GraphError(f"matching oracle capped at {ORACLE_BETA_EDGE_CAP} edges")
+    """Exhaustive maximum matching size, by branching over the lowest vertex.
+
+    The memo is keyed by the set of unmatched vertices, so a graph has at most
+    2^n states; graphs with more than ``ORACLE_N_CAP`` vertices are refused.
+    """
+    if g.n > ORACLE_N_CAP:
+        raise GraphError(f"matching oracle capped at n <= {ORACLE_N_CAP}, got {g.n}")
     rows = g.rows
 
     @lru_cache(maxsize=None)
@@ -116,41 +119,28 @@ def oracle_beta(g: Graph) -> int:
 
 
 def oracle_beta_star(g: Graph) -> HalfIntegral:
-    """Exhaustive maximum over doubled edge weights {0,1,2} with vertex sums <= 2.
+    """Fractional matching number by the fractional Tutte-Berge formula.
 
-    Dynamic program over (edge index, remaining capacities); capacities of
-    vertices with no later edges are cleared so states collapse.  Exact.
+    2*beta_star = n - max(|I| - |N(I)|) over the independent sets I of g,
+    where I = {} gives 0.  This is n - max_S (i(G - S) - |S|) (Scheinerman
+    and Ullman, *Fractional Graph Theory*, ch. 2): the isolated vertices of
+    G - S form an independent I with N(I) inside S, and S = N(I) attains the
+    value.  All 2^n vertex subsets are enumerated, each neighbourhood built
+    from the subset without its lowest vertex; graphs with more than
+    ``ORACLE_N_CAP`` vertices are refused.
     """
-    edges = sorted(g.edges())
-    m = len(edges)
-    if m > ORACLE_BETA_STAR_EDGE_CAP:
-        raise GraphError(f"fractional matching oracle capped at {ORACLE_BETA_STAR_EDGE_CAP} edges")
-    # active_mask[i]: capacity bits of vertices touched by edges[i:]
-    active = [0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        u, v = edges[i]
-        active[i] = active[i + 1] | (3 << (2 * u)) | (3 << (2 * v))
-
-    @lru_cache(maxsize=None)
-    def best(i: int, caps: int) -> int:
-        if i == m:
-            return 0
-        u, v = edges[i]
-        cu = caps >> (2 * u) & 3
-        cv = caps >> (2 * v) & 3
-        res = best(i + 1, caps & active[i + 1])
-        top = min(cu, cv)
-        for w in range(1, top + 1):
-            nc = caps - (w << (2 * u)) - (w << (2 * v))
-            res = max(res, w + best(i + 1, nc & active[i + 1]))
-        return res
-
-    start = 0
-    for v in range(g.n):
-        start |= 2 << (2 * v)
-    result = best(0, start & active[0])
-    best.cache_clear()
-    return HalfIntegral(result)
+    n = g.n
+    if n > ORACLE_N_CAP:
+        raise GraphError(f"fractional matching oracle capped at n <= {ORACLE_N_CAP}, got {n}")
+    rows = g.rows
+    nbhd = [0] * (1 << n)
+    surplus = 0
+    for subset in range(1, 1 << n):
+        low = subset & -subset
+        nbhd[subset] = nb = nbhd[subset ^ low] | rows[low.bit_length() - 1]
+        if not nb & subset:
+            surplus = max(surplus, subset.bit_count() - nb.bit_count())
+    return HalfIntegral(n - surplus)
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +261,15 @@ def _predict(theorem: str, n: int, class_doubled: int) -> RegimePrediction:
 
 
 def _theorem_chunk(args: tuple) -> tuple:
+    """Per class of the chunk, the candidates: the (rho, mask) pairs with
+    rho >= min(class maximum in the chunk, class bound) - ``RHO_TOL``.  So
+    every maximizer of a class and every graph at or above its bound, over
+    the whole sweep, is a candidate of its chunk."""
     n, lo, hi, theorem, bounds = args
     connected_only = _CONNECTED_THEOREMS[theorem]
     fractional = theorem in ("t32", "t33")
     rho_list, conn_list, rows_list = _batch_arrays(n, lo, hi)
-    per_class: dict[int, list] = {}
+    members: dict[int, list[int]] = {}
     for i, rows in enumerate(rows_list):
         if connected_only and not conn_list[i]:
             continue
@@ -283,24 +277,12 @@ def _theorem_chunk(args: tuple) -> tuple:
             key = _dc_matching_size(rows, n)
         else:
             key = 2 * _blossom_max_matching(rows, n)[0]
-        rho = rho_list[i]
-        mask = lo + i
-        rec = per_class.get(key)
-        if rec is None:
-            rec = [0, -1.0, -1, [], []]
-            per_class[key] = rec
-        rec[0] += 1
-        if rho > rec[1]:
-            rec[1] = rho
-            rec[2] = mask
-            if len(rec[3]) > 50000:
-                rec[3] = [(r, mk) for (r, mk) in rec[3] if r >= rho - 1e-7]
-        if rho >= rec[1] - 1e-7:
-            rec[3].append((rho, mask))
-        b = bounds.get(key)
-        if b is not None and rho >= b - 1e-6:
-            rec[4].append((rho, mask))
-    return sum(conn_list), per_class
+        members.setdefault(key, []).append(i)
+    candidates = {}
+    for key, idx in members.items():
+        floor = min(max(rho_list[i] for i in idx), bounds[key]) - RHO_TOL
+        candidates[key] = [(rho_list[i], lo + i) for i in idx if rho_list[i] >= floor]
+    return sum(conn_list), candidates
 
 
 def verify_theorem(
@@ -332,19 +314,11 @@ def verify_theorem(
         bounds[key] = pred.bound + bound_offset
 
     connected_count = 0
-    merged: dict[int, list] = {}
-    for cc, per_class in _sweep(_theorem_chunk, n, jobs, theorem, bounds):
+    merged: dict[int, list[tuple[float, int]]] = {}
+    for cc, candidates in _sweep(_theorem_chunk, n, jobs, theorem, bounds):
         connected_count += cc
-        for key, rec in per_class.items():
-            tgt = merged.get(key)
-            if tgt is None:
-                merged[key] = [rec[0], rec[1], rec[2], list(rec[3]), list(rec[4])]
-                continue
-            tgt[0] += rec[0]
-            if rec[1] > tgt[1]:
-                tgt[1], tgt[2] = rec[1], rec[2]
-            tgt[3].extend(rec[3])
-            tgt[4].extend(rec[4])
+        for key, cands in candidates.items():
+            merged.setdefault(key, []).extend(cands)
 
     pairs = pairs_colex(n)
     records: list[ClassRecord] = []
@@ -352,17 +326,18 @@ def verify_theorem(
     regime2_maxima: dict[int, float] = {}
 
     for key in sorted(merged):
-        count, max_rho, argmax_mask, top, near = merged[key]
+        cands = merged[key]
+        max_rho = max(r for r, _ in cands)
         pred = predictions[key]
         bound = bounds[key]
         label = "2beta*" if fractional else "2beta"
         bound_holds = max_rho <= bound + RHO_TOL
         if not bound_holds:
-            bad = _graph_from_mask(n, argmax_mask, pairs)
+            bad = _graph_from_mask(n, min(mk for r, mk in cands if r == max_rho), pairs)
             discrepancies.append(
                 f"class {label}={key}: max rho {max_rho:.12g} exceeds bound {bound:.12g} at {to_graph6(bad)}"
             )
-        maximizer_masks = sorted(mk for r, mk in top if r >= max_rho - RHO_TOL)
+        maximizer_masks = sorted(mk for r, mk in cands if r >= max_rho - RHO_TOL)
         n_maximizers = len(maximizer_masks)
         argmax_g6 = to_graph6(_graph_from_mask(n, maximizer_masks[0], pairs))
 
@@ -378,7 +353,7 @@ def verify_theorem(
             if member:
                 in_class.append(pg)
 
-        at_bound = sorted((mk, r) for r, mk in near if r >= bound - RHO_TOL)
+        at_bound = sorted((mk, r) for r, mk in cands if r >= bound - RHO_TOL)
         argmax_matches = True
         if in_class:
             hit = [False] * len(in_class)
@@ -686,23 +661,17 @@ def cross_check_matching_implementations(
     if n <= 6:
         mism = [line for p in _sweep(_cross_chunk, n, jobs) for line in p]
         return CrossCheckReport(n, True, 1 << (n * (n - 1) // 2), tuple(mism))
-    if n > 10:
-        raise GraphError("sampled cross-check capped at n <= 10")
+    if n > ORACLE_N_CAP:
+        raise GraphError(f"sampled cross-check capped at n <= {ORACLE_N_CAP}")
     if samples < 1:
         raise GraphError(f"sampled cross-check needs samples >= 1, got {samples}")
     rng = random.Random(seed)
     pairs = pairs_colex(n)
     mism = []
-    checked = 0
-    while checked < samples:
+    for _ in range(samples):
         p = rng.uniform(0.05, 0.95)
-        edges = [pair for pair in pairs if rng.random() < p]
-        if len(edges) > ORACLE_BETA_STAR_EDGE_CAP:
-            continue
-        g = Graph(n, edges)
-        mism.extend(_cross_check_one(g))
-        checked += 1
-    return CrossCheckReport(n, False, checked, tuple(mism))
+        mism.extend(_cross_check_one(Graph(n, [pair for pair in pairs if rng.random() < p])))
+    return CrossCheckReport(n, False, samples, tuple(mism))
 
 
 # ---------------------------------------------------------------------------
@@ -774,8 +743,7 @@ def verify_tie_class_n8(samples: int = 4000, seed: int = 2024) -> TieCaseReport:
     ):
         edges = list(shape.edges())
         for mask in range(1 << len(edges)):
-            sub = Graph(8, [e for i, e in enumerate(edges) if mask >> i & 1])
-            consider(sub)
+            consider(_graph_from_mask(8, mask, edges))
 
     pairs = pairs_colex(n)
     for _ in range(samples):

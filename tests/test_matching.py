@@ -18,6 +18,7 @@ from specmatch import (
     complete,
     components,
     empty,
+    enumerate_graphs,
     fpm_partition,
     fractional_matching_number,
     fractional_transversal,
@@ -353,7 +354,29 @@ class TestOracles:
         assert oracle_beta_star(star(3)) == HalfIntegral(2)
 
     def test_oracle_caps(self):
-        with pytest.raises(GraphError):
-            oracle_beta_star(complete(8))  # 28 edges
-        with pytest.raises(GraphError):
-            oracle_beta(complete(8))
+        # one vertex cap, whatever the edge count: dense graphs up to n = 10 answer
+        for n in (8, 10):
+            assert oracle_beta(complete(n)) == n // 2
+            assert oracle_beta_star(complete(n)) == HalfIntegral(n)
+        with pytest.raises(GraphError, match="n <= 10, got 11"):
+            oracle_beta_star(empty(11))
+        with pytest.raises(GraphError, match="n <= 10, got 11"):
+            oracle_beta(empty(11))
+
+    def test_oracles_against_networkx(self):
+        # beta is a maximum matching; 2*beta_star is a maximum matching of the bipartite double cover
+        def nx_references(g):
+            gx = nx.Graph(list(g.edges()))
+            gx.add_nodes_from(range(g.n))
+            cover = nx.Graph([((u, 0), (v, 1)) for u, v in g.edges()] + [((v, 0), (u, 1)) for u, v in g.edges()])
+            cover.add_nodes_from((v, side) for v in range(g.n) for side in (0, 1))
+            dc = nx.bipartite.maximum_matching(cover, top_nodes=[(v, 0) for v in range(g.n)])
+            return len(nx.max_weight_matching(gx, maxcardinality=True)), len(dc) // 2
+
+        rng = random.Random(8)
+        dense = [random_graph(rng, n, p) for n in range(7, 11) for p in (0.3, 0.6, 0.8, 0.95) for _ in range(3)]
+        small = [g for n in range(6) for g in enumerate_graphs(n)]
+        assert any(g.edge_count() > 24 for g in dense)
+        for g in small + dense:
+            beta, bsd = nx_references(g)
+            assert (oracle_beta(g), oracle_beta_star(g).doubled) == (beta, bsd), g.edges()

@@ -335,6 +335,21 @@ class TestCrossCheck:
         with pytest.raises(GraphError):
             cross_check_matching_implementations(7, samples=samples)
 
+    def test_sampled_n9_reaches_dense_graphs(self, monkeypatch):
+        # every draw is checked, dense ones included: no edge cap rejects a sample
+        edge_counts = []
+        real = verify._cross_check_one
+        monkeypatch.setattr(verify, "_cross_check_one", lambda g: edge_counts.append(g.edge_count()) or real(g))
+        rep = cross_check_matching_implementations(9, samples=60, seed=1)
+        assert rep.passed and rep.graphs_checked == len(edge_counts) == 60
+        assert max(edge_counts) > 18
+
+    def test_above_the_oracle_cap(self, capsys):
+        with pytest.raises(GraphError, match="n <= 10"):
+            cross_check_matching_implementations(11)
+        assert main(["cross-check", "--n", "11"]) == 2
+        assert "capped at n <= 10" in capsys.readouterr().err
+
 
 class TestTieClass:
     def test_negative_samples_rejected(self):
