@@ -3,14 +3,15 @@
 Labeled graphs on n vertices are enumerated as edge-bit masks in graph6
 column order.  Sweeps are sharded into fixed chunks (independent of the
 worker count) and merged in chunk order, so reports are byte-identical
-across runs and across --jobs settings.
+across runs and across --jobs settings.  Every sweep reads rho,
+connectivity, minimum degree, beta and 2*beta_star from one chunk table,
+whose beta and 2*beta_star are the brute-force oracles' subset tables.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterator
 
 import numpy as np
@@ -33,9 +34,7 @@ from .graphs import (
 )
 from .halfint import HalfIntegral
 from .matching import (
-    _blossom_max_matching,
     _dc_matching,
-    _dc_matching_size,
     _fractional_matching_from,
     _transversal_from,
     fpm_partition,
@@ -48,7 +47,7 @@ from .spectral import spectral_radius
 ENUM_CAP = 8
 ORACLE_N_CAP = 10  # the brute-force oracles enumerate vertex subsets: 2^n states
 RHO_TOL = 1e-8
-_SUBBATCH = 1 << 15
+_TABLE_CELLS = 1 << 21  # subset-table cells per batch: 32,768 graphs at n = 6
 CERTIFY_STRIDE = 4096  # every CERTIFY_STRIDE-th connected graph of a chunk is reconciled with certify_all
 
 THEOREMS = ("t32", "t33", "t12", "t13")
@@ -86,61 +85,68 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
 
 
 # ---------------------------------------------------------------------------
-# brute-force oracles
+# subset tables: the brute-force oracles and the chunk table's invariants
+
+
+def _subset_columns(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Connectivity, minimum degree, beta and 2*beta_star of each graph of a
+    (graphs, n) array of neighbour rows, n <= 10, from one pass over the 2^n
+    vertex subsets S of all the graphs at once; the tables have 2^n cells
+    per graph, so callers pass at most ``_TABLE_CELLS >> n`` graphs.
+
+    Vertex v doubles the tables: for S inside {0..v-1},
+    N(S + v) = N(S) | N(v), and a maximum matching of G[S + v] leaves v
+    unmatched or matches it to a neighbour u in S, so
+    beta(S + v) = max(beta(S), 1 + beta(S - u)).  Then g is connected when
+    the closure of {0} under N is V, and 2*beta_star = n - max(|I| - |N(I)|)
+    over the independent sets I, where I = {} gives 0.  This is the
+    fractional Tutte-Berge formula n - max_S (i(G - S) - |S|) (Scheinerman
+    and Ullman, *Fractional Graph Theory*, ch. 2): the isolated vertices of
+    G - S form an independent I with N(I) inside S, and S = N(I) attains
+    the value.
+    """
+    count = len(rows)
+    rows = rows.astype(np.uint16)
+    size = np.array([s.bit_count() for s in range(1 << n)], dtype=np.int8)
+    nbhd = np.zeros((1 << n, count), dtype=np.uint16)
+    beta = np.zeros((1 << n, count), dtype=np.int8)
+    for v in range(n):
+        old, new = beta[: 1 << v], beta[1 << v : 2 << v]
+        nbhd[1 << v : 2 << v] = nbhd[: 1 << v] | rows[:, v]
+        new[:] = old
+        for u in range(v):
+            # axis 1 splits the subsets of {0..v-1} on u: [:, 1] holds S, [:, 0] holds S - u
+            adjacent = ((rows[:, v] >> u) & 1).astype(np.int8)
+            src, dst = old.reshape(-1, 2, 1 << u, count), new.reshape(-1, 2, 1 << u, count)
+            np.maximum(dst[:, 1], (src[:, 0] + 1) * adjacent, out=dst[:, 1])
+    reach = np.ones(count, dtype=np.intp)
+    graphs = np.arange(count)
+    for _ in range(n - 1):
+        reach |= nbhd[reach, graphs]
+    subsets = np.arange(1 << n, dtype=np.uint16)[:, None]
+    surplus = np.where(nbhd & subsets, 0, size[:, None] - size[nbhd]).max(axis=0, initial=0)
+    return reach == (1 << n) - 1, size[rows].min(axis=1, initial=n), beta[-1], n - surplus.astype(np.int64)
+
+
+def _oracle_columns(g: Graph, what: str) -> tuple[np.ndarray, ...]:
+    if g.n > ORACLE_N_CAP:
+        raise GraphError(f"{what} oracle capped at n <= {ORACLE_N_CAP}, got {g.n}")
+    return _subset_columns(np.array([g.rows], dtype=np.int64), g.n)
 
 
 def oracle_beta(g: Graph) -> int:
-    """Exhaustive maximum matching size, by branching over the lowest vertex.
-
-    The memo is keyed by the set of unmatched vertices, so a graph has at most
-    2^n states; graphs with more than ``ORACLE_N_CAP`` vertices are refused.
-    """
-    if g.n > ORACLE_N_CAP:
-        raise GraphError(f"matching oracle capped at n <= {ORACLE_N_CAP}, got {g.n}")
-    rows = g.rows
-
-    @lru_cache(maxsize=None)
-    def best(mask: int) -> int:
-        if not mask:
-            return 0
-        v = (mask & -mask).bit_length() - 1
-        rest = mask & (mask - 1)
-        res = best(rest)  # v stays unmatched
-        nb = rows[v] & rest
-        while nb:
-            u = (nb & -nb).bit_length() - 1
-            nb &= nb - 1
-            res = max(res, 1 + best(rest & ~(1 << u)))
-        return res
-
-    result = best((1 << g.n) - 1)
-    best.cache_clear()
-    return result
+    """Exhaustive maximum matching size: the beta column of the subset tables
+    (``_subset_columns``) on g alone.  A table has 2^n rows, so graphs with
+    more than ``ORACLE_N_CAP`` vertices are refused."""
+    return int(_oracle_columns(g, "matching")[2][0])
 
 
 def oracle_beta_star(g: Graph) -> HalfIntegral:
-    """Fractional matching number by the fractional Tutte-Berge formula.
-
-    2*beta_star = n - max(|I| - |N(I)|) over the independent sets I of g,
-    where I = {} gives 0.  This is n - max_S (i(G - S) - |S|) (Scheinerman
-    and Ullman, *Fractional Graph Theory*, ch. 2): the isolated vertices of
-    G - S form an independent I with N(I) inside S, and S = N(I) attains the
-    value.  All 2^n vertex subsets are enumerated, each neighbourhood built
-    from the subset without its lowest vertex; graphs with more than
-    ``ORACLE_N_CAP`` vertices are refused.
-    """
-    n = g.n
-    if n > ORACLE_N_CAP:
-        raise GraphError(f"fractional matching oracle capped at n <= {ORACLE_N_CAP}, got {n}")
-    rows = g.rows
-    nbhd = [0] * (1 << n)
-    surplus = 0
-    for subset in range(1, 1 << n):
-        low = subset & -subset
-        nbhd[subset] = nb = nbhd[subset ^ low] | rows[low.bit_length() - 1]
-        if not nb & subset:
-            surplus = max(surplus, subset.bit_count() - nb.bit_count())
-    return HalfIntegral(n - surplus)
+    """Fractional matching number by the fractional Tutte-Berge formula: the
+    2*beta_star column of the subset tables (``_subset_columns``) on g alone.
+    A table has 2^n rows, so graphs with more than ``ORACLE_N_CAP`` vertices
+    are refused."""
+    return HalfIntegral(int(_oracle_columns(g, "fractional matching")[3][0]))
 
 
 # ---------------------------------------------------------------------------
@@ -156,39 +162,32 @@ def _chunk_ranges(n: int) -> list[tuple[int, int]]:
     return [(i * step, (i + 1) * step if i < chunks - 1 else total) for i in range(chunks)]
 
 
-def _batch_arrays(
-    n: int, lo: int, hi: int, *, with_rho: bool = True
-) -> tuple[list[float] | None, list[bool], list[tuple[int, ...]]]:
-    """The chunk table of masks lo..hi-1: spectral radius, connectivity flag
-    and neighbour rows of each graph, as Python lists.  Every sweep reads its
-    graphs from here.  Workers that never read rho pass ``with_rho=False``
-    and get ``None`` in its place, skipping the batched eigensolver."""
-    if n == 0:  # the single empty graph K_0, which is not connected
-        return [0.0] * (hi - lo) if with_rho else None, [False] * (hi - lo), [()] * (hi - lo)
+def _batch_arrays(n: int, lo: int, hi: int, *, with_rho: bool = True) -> tuple[list | None, list, list, list, list, list]:
+    """The chunk table of masks lo..hi-1, one Python list per column: spectral
+    radius, connectivity flag, minimum degree, beta, 2*beta_star and the
+    neighbour rows of each graph (K_0 reads rho 0, not connected, degree
+    0).  Every sweep reads its graphs and their invariants from here.  rho
+    comes from the batched eigensolver; the other invariants from the
+    oracles' subset tables (``_subset_columns``).  Workers that never read
+    rho pass ``with_rho=False`` and get ``None`` in its place, skipping the
+    eigensolver."""
     pairs = pairs_colex(n)
-    m = len(pairs)
-    iu = np.array([p[0] for p in pairs], dtype=np.int64)
-    iv = np.array([p[1] for p in pairs], dtype=np.int64)
-    rho = np.empty(hi - lo, dtype=np.float64)
-    conn = np.empty(hi - lo, dtype=bool)
-    rows_packed = np.empty((hi - lo, n), dtype=np.int64)
-    eye = np.eye(n)
-    shifts = (1 << np.arange(n, dtype=np.int64))
-    for start in range(lo, hi, _SUBBATCH):
-        stop = min(start + _SUBBATCH, hi)
-        masks = np.arange(start, stop, dtype=np.int64)
-        bits = ((masks[:, None] >> np.arange(m)[None, :]) & 1).astype(np.float64)
-        a = np.zeros((stop - start, n, n))
-        a[:, iu, iv] = bits
-        a[:, iv, iu] = bits
-        if with_rho:
-            rho[start - lo : stop - lo] = np.linalg.eigvalsh(a)[:, -1]
-        r = a + eye
-        for _ in range(max(1, int(np.ceil(np.log2(max(n, 2)))))):
-            r = ((r @ r) > 0).astype(np.float64)
-        conn[start - lo : stop - lo] = r[:, 0, :].all(axis=1)
-        rows_packed[start - lo : stop - lo] = (a.astype(np.int64) * shifts[None, None, :]).sum(axis=2)
-    return rho.tolist() if with_rho else None, conn.tolist(), list(zip(*rows_packed.T.tolist()))
+    masks = np.arange(lo, hi, dtype=np.int64)
+    rows = np.zeros((hi - lo, n), dtype=np.int64)
+    for j, (u, v) in enumerate(pairs):
+        bit = (masks >> j) & 1
+        rows[:, u] |= bit << v
+        rows[:, v] |= bit << u
+    rho, columns = np.zeros(hi - lo), []
+    step = _TABLE_CELLS >> n
+    for start in range(0, hi - lo, step):
+        part = rows[start : start + step]
+        if with_rho and n:
+            a = ((part[:, :, None] >> np.arange(n)) & 1).astype(np.float64)
+            rho[start : start + step] = np.linalg.eigvalsh(a)[:, -1]
+        columns.append(_subset_columns(part, n))
+    conn, delta, beta, bsd = (np.concatenate(col).tolist() for col in zip(*columns))
+    return rho.tolist() if with_rho else None, conn, delta, beta, bsd, list(map(tuple, rows.tolist()))
 
 
 def _sweep(worker: Callable, n: int, jobs: int, *extra) -> list:
@@ -268,16 +267,12 @@ def _theorem_chunk(args: tuple) -> tuple:
     n, lo, hi, theorem, bounds = args
     connected_only = _CONNECTED_THEOREMS[theorem]
     fractional = theorem in ("t32", "t33")
-    rho_list, conn_list, rows_list = _batch_arrays(n, lo, hi)
+    rho_list, conn_list, _, beta_list, bsd_list, _ = _batch_arrays(n, lo, hi)
+    keys = bsd_list if fractional else [2 * beta for beta in beta_list]
     members: dict[int, list[int]] = {}
-    for i, rows in enumerate(rows_list):
-        if connected_only and not conn_list[i]:
-            continue
-        if fractional:
-            key = _dc_matching_size(rows, n)
-        else:
-            key = 2 * _blossom_max_matching(rows, n)[0]
-        members.setdefault(key, []).append(i)
+    for i, (connected, key) in enumerate(zip(conn_list, keys)):
+        if connected or not connected_only:
+            members.setdefault(key, []).append(i)
     candidates = {}
     for key, idx in members.items():
         floor = min(max(rho_list[i] for i in idx), bounds[key]) - RHO_TOL
@@ -459,17 +454,13 @@ class CertSweepReport:
 def _cert_chunk(args: tuple) -> tuple:
     n, lo, hi = args
     table = certificate_table(n, connected=True)
-    rho_list, conn_list, rows_list = _batch_arrays(n, lo, hi)
     counts = {cert.name: [0, 0] for cert in table if cert.threshold is not None}
     unsound: list[tuple[str, str]] = []
     examined = 0
     samples = 0
-    for rho, connected, rows in zip(rho_list, conn_list, rows_list):
+    for rho, connected, delta, beta, bsd, rows in zip(*_batch_arrays(n, lo, hi)):
         if not connected:
             continue
-        delta = min(r.bit_count() for r in rows)
-        bsd = _dc_matching_size(rows, n)
-        beta = _blossom_max_matching(rows, n)[0]
         outcome = []  # (applicable, fired) per table row
         for cert in table:
             if cert.threshold is None:
@@ -547,14 +538,14 @@ class AuditReport:
 
 def _audit_chunk(args: tuple) -> tuple:
     n, lo, hi = args
-    _, conn_list, rows_list = _batch_arrays(n, lo, hi, with_rho=False)
+    _, conn_list, _, _, bsd_list, rows_list = _batch_arrays(n, lo, hi, with_rho=False)
     violations: list[str] = []
     fpm_graphs = 0
-    for connected, rows in zip(conn_list, rows_list):
+    for connected, bsd, rows in zip(conn_list, bsd_list, rows_list):
         g = Graph._from_rows_unchecked(n, rows)
-        # one double-cover matching gives 2*beta_star and both witnesses
+        # one double-cover matching gives both witnesses; their totals must
+        # equal 2*beta_star from the subset tables, which never see them
         match_l, match_r = _dc_matching(rows, n)
-        bsd = n - match_l.count(-1)
         fm = _fractional_matching_from(g, match_l)
         t = _transversal_from(g, match_l, match_r)
         faults: list[str] = []
@@ -630,24 +621,23 @@ class CrossCheckReport:
         return not self.mismatches
 
 
-def _cross_check_one(g: Graph) -> list[str]:
+def _cross_check_one(g: Graph, beta: int, bsd: int) -> list[str]:
     out = []
     fast = fractional_matching_number(g)
-    slow = oracle_beta_star(g)
-    if fast != slow:
-        out.append(f"{to_graph6(g)}: fractional matching number {fast} != oracle {slow}")
+    if fast.doubled != bsd:
+        out.append(f"{to_graph6(g)}: fractional matching number {fast} != oracle {HalfIntegral(bsd)}")
     bfast = matching_number(g).size
-    bslow = oracle_beta(g)
-    if bfast != bslow:
-        out.append(f"{to_graph6(g)}: matching number {bfast} != oracle {bslow}")
+    if bfast != beta:
+        out.append(f"{to_graph6(g)}: matching number {bfast} != oracle {beta}")
     return out
 
 
 def _cross_chunk(args: tuple) -> list[str]:
     n, lo, hi = args
+    _, _, _, beta_list, bsd_list, rows_list = _batch_arrays(n, lo, hi, with_rho=False)
     out: list[str] = []
-    for rows in _batch_arrays(n, lo, hi, with_rho=False)[2]:
-        out.extend(_cross_check_one(Graph._from_rows_unchecked(n, rows)))
+    for beta, bsd, rows in zip(beta_list, bsd_list, rows_list):
+        out.extend(_cross_check_one(Graph._from_rows_unchecked(n, rows), beta, bsd))
     return out
 
 
@@ -668,9 +658,13 @@ def cross_check_matching_implementations(
     rng = random.Random(seed)
     pairs = pairs_colex(n)
     mism = []
-    for _ in range(samples):
-        p = rng.uniform(0.05, 0.95)
-        mism.extend(_cross_check_one(Graph(n, [pair for pair in pairs if rng.random() < p])))
+    for start in range(0, samples, _TABLE_CELLS >> n):
+        draws = []
+        for _ in range(min(_TABLE_CELLS >> n, samples - start)):
+            p = rng.uniform(0.05, 0.95)
+            draws.append(Graph(n, [pair for pair in pairs if rng.random() < p]))
+        _, _, beta, bsd = _subset_columns(np.array([g.rows for g in draws], dtype=np.int64), n)
+        mism += [line for g, b, d in zip(draws, beta.tolist(), bsd.tolist()) for line in _cross_check_one(g, b, d)]
     return CrossCheckReport(n, False, samples, tuple(mism))
 
 

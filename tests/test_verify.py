@@ -20,8 +20,11 @@ from specmatch import (
     cross_check_matching_implementations,
     empty,
     enumerate_graphs,
+    fractional_matching_number,
     is_connected,
     join,
+    matching_number,
+    min_degree,
     oracle_beta,
     oracle_beta_star,
     spectral_radius,
@@ -33,6 +36,7 @@ from specmatch import (
 )
 from specmatch import matching, verify
 from specmatch.cli import main
+from specmatch.graphs import pairs_colex
 from specmatch.verify import AuditReport
 
 # every theorem CSV at n <= 6, byte for byte; a deliberate report change updates this file
@@ -66,19 +70,46 @@ class TestEnumeration:
 
 class TestChunkTable:
     def test_matches_per_graph_invariants(self):
-        rho, conn, rows = verify._batch_arrays(4, 0, 64)
-        graphs = list(enumerate_graphs(4))
-        assert rows == [g.rows for g in graphs]
-        assert conn == [is_connected(g) for g in graphs]
-        assert rho == pytest.approx([spectral_radius(g).value for g in graphs], abs=1e-9)
-        # workers that never read rho skip the eigensolver; the other
-        # columns are the same
-        assert verify._batch_arrays(4, 0, 64, with_rho=False) == (None, conn, rows)
+        # every labeled graph with 1 <= n <= 5, and one n = 7 chunk whose
+        # last vertex has neighbours 0, 2 and 5
+        tables = [(n, 0, 1 << (n * (n - 1) // 2)) for n in range(1, 6)] + [(7, *verify._chunk_ranges(7)[37])]
+        for n, lo, hi in tables:
+            graphs = [verify._graph_from_mask(n, mask, pairs_colex(n)) for mask in range(lo, hi)]
+            rho, conn, delta, beta, bsd, rows = verify._batch_arrays(n, lo, hi)
+            assert rows == [g.rows for g in graphs]
+            assert conn == [is_connected(g) for g in graphs]
+            assert delta == [min_degree(g) for g in graphs]
+            assert beta == [matching_number(g).size for g in graphs]
+            assert bsd == [fractional_matching_number(g).doubled for g in graphs]
+            assert rho == pytest.approx([spectral_radius(g).value for g in graphs], abs=1e-9)
+            # workers that never read rho skip the eigensolver; the other
+            # columns are the same
+            assert verify._batch_arrays(n, lo, hi, with_rho=False) == (None, conn, delta, beta, bsd, rows)
 
     def test_n0(self):
-        # the one graph on no vertices is empty and not connected
-        assert verify._batch_arrays(0, 0, 1) == ([0.0], [False], [()])
-        assert verify._batch_arrays(0, 0, 1, with_rho=False) == (None, [False], [()])
+        # the one graph on no vertices is empty and not connected; its
+        # minimum degree, which min_degree refuses, reads 0
+        assert verify._batch_arrays(0, 0, 1) == ([0.0], [False], [0], [0], [0], [()])
+        assert verify._batch_arrays(0, 0, 1, with_rho=False) == (None, [False], [0], [0], [0], [()])
+
+    @pytest.mark.parametrize(
+        "sweep, args",
+        [("verify_theorem", (t, 5)) for t in verify.THEOREMS]
+        + [("verify_certificates", (5,)), ("cross_check_matching_implementations", (5,))],
+        ids=[*verify.THEOREMS, "certificates", "cross-check"],
+    )
+    def test_workers_read_the_columns(self, sweep, args):
+        # beta and 2*beta_star come from the table: nothing in verify calls a
+        # matching routine or an oracle per graph
+        profile = cProfile.Profile()
+        profile.runcall(getattr(verify, sweep), *args)
+        stats = pstats.Stats(profile).stats
+        per_graph = 0
+        for fn in (matching._dc_matching_size, matching._blossom_max_matching, oracle_beta, oracle_beta_star):
+            code = fn.__code__
+            callers = stats.get((code.co_filename, code.co_firstlineno, code.co_name), (0, 0, 0, 0, {}))[4]
+            per_graph += sum(c[0] for caller, c in callers.items() if caller[0] == verify.__file__)
+        assert per_graph == 0
 
 
 class TestTheoremSweeps:
@@ -339,7 +370,9 @@ class TestCrossCheck:
         # every draw is checked, dense ones included: no edge cap rejects a sample
         edge_counts = []
         real = verify._cross_check_one
-        monkeypatch.setattr(verify, "_cross_check_one", lambda g: edge_counts.append(g.edge_count()) or real(g))
+        monkeypatch.setattr(
+            verify, "_cross_check_one", lambda g, *oracle: edge_counts.append(g.edge_count()) or real(g, *oracle)
+        )
         rep = cross_check_matching_implementations(9, samples=60, seed=1)
         assert rep.passed and rep.graphs_checked == len(edge_counts) == 60
         assert max(edge_counts) > 18
