@@ -12,9 +12,14 @@ workload follows, for the per-layer metrics.
 The JSON written to `--out` holds every run (seed, side, order, `correct`,
 `attempted`, `failed` and the end-to-end metrics of `BENCHMARK.json`), and
 per metric the median and quartiles of each side, the number of pairs the
-change won (ties count for neither side), and whether that makes a gain:
-wins in at least nine tenths of the pairs, and medians further apart than
-the parent's quartile distance.
+change won (ties count for neither side), whether that makes a gain (wins in
+at least nine tenths of the pairs, and medians further apart than the
+parent's quartile distance) and whether the metric regressed (the change's
+median worse than the parent's by more than the metric's `bound` in
+`BENCHMARK.json`, a fraction of the parent's median).  Per workload and side
+it tallies the runs, those with `correct: false` and the share of operations
+that failed.  The script exits with status 1 when a metric regressed or the
+change's failed share is higher than the parent's, and says which.
 
     python scripts/bench_pairs.py --workload query-mix --seeds 1 2 3 4 5 6 7 8 9 10 \\
         --trace --out BENCH_label.json
@@ -76,7 +81,7 @@ def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
         change = [by_seed[s, "change"] for s in seeds]
         wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
         p_q, c_q = quartiles(parent), quartiles(change)
-        better = (c_q["median"] < p_q["median"]) if lower else (c_q["median"] > p_q["median"])
+        worse_by = (c_q["median"] - p_q["median"]) * (1 if lower else -1)
         apart = abs(c_q["median"] - p_q["median"]) > p_q["q3"] - p_q["q1"]
         out[name] = {
             "unit": spec["unit"],
@@ -87,8 +92,33 @@ def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
             "change_over_parent": c_q["median"] / p_q["median"] if p_q["median"] else None,
             "change_wins": wins,
             "pairs": len(seeds),
-            "gain": better and apart and wins >= 0.9 * len(seeds),
+            "gain": worse_by < 0 and apart and wins >= 0.9 * len(seeds),
+            "regressed": worse_by > spec["bound"] * abs(p_q["median"]),
         }
+    return out
+
+
+def tally(runs: list[dict]) -> dict:
+    """Per side: runs, runs whose outputs failed a check, and the share of
+    attempted operations that failed."""
+    out = {}
+    for side in ("parent", "change"):
+        mine = [r for r in runs if r["side"] == side]
+        attempted = sum(r["attempted"] for r in mine)
+        out[side] = {
+            "runs": len(mine),
+            "incorrect_runs": sum(not r["correct"] for r in mine),
+            "failed_share": sum(r["failed"] for r in mine) / attempted if attempted else 0.0,
+        }
+    return out
+
+
+def faults(workload: str, entry: dict) -> list[str]:
+    """What rejects the change on one workload: regressed metrics, a higher failed share."""
+    out = [f"{workload}: {name} regressed" for name, m in entry["summary"].items() if m["regressed"]]
+    shares = {side: t["failed_share"] for side, t in entry["tally"].items()}
+    if shares["change"] > shares["parent"]:
+        out.append(f"{workload}: failed share {shares['change']:.4f} above the parent's {shares['parent']:.4f}")
     return out
 
 
@@ -134,7 +164,7 @@ def main() -> int:
                         }
                     )
                     print(f"{workload} seed {seed} {side}: wall_s {metrics['wall_s']:.3f}", flush=True)
-            entry = {"runs": runs, "summary": summarise(runs, benchmark["end_to_end"])}
+            entry = {"runs": runs, "summary": summarise(runs, benchmark["end_to_end"]), "tally": tally(runs)}
             if args.trace:
                 entry["traced"] = {}
                 for side in ("parent", "change"):
@@ -146,7 +176,10 @@ def main() -> int:
                     }
             report["workloads"][workload] = entry
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
-    return 0
+    rejected = [line for workload, entry in report["workloads"].items() for line in faults(workload, entry)]
+    for line in rejected:
+        print(line, file=sys.stderr)
+    return 1 if rejected else 0
 
 
 if __name__ == "__main__":

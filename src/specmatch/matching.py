@@ -513,8 +513,14 @@ class FpmPartition:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def fpm_partition(g: Graph, m: FractionalMatching) -> FpmPartition:
-    """Split a canonical fractional perfect matching into K2 and odd-cycle parts."""
+def fpm_partition(
+    g: Graph, m: FractionalMatching, *, cycles: list[tuple[int, ...]] | None = None
+) -> FpmPartition:
+    """Split a canonical fractional perfect matching into K2 and odd-cycle parts.
+
+    ``cycles``, when given, is ``m.half_cycles()`` as the caller already
+    walked it; otherwise the half-weight support is walked here.
+    """
     m.validate(g)
     if m.total.doubled < g.n:
         raise GraphError(f"matching is not perfect: total {m.total} < n/2 = {g.n}/2")
@@ -524,7 +530,7 @@ def fpm_partition(g: Graph, m: FractionalMatching) -> FpmPartition:
         if w == 2:
             parts.append(FpmPart("K2", (u, v)))
             covered |= (1 << u) | (1 << v)
-    for cycle in m.half_cycles():
+    for cycle in m.half_cycles() if cycles is None else cycles:
         for x in cycle:
             covered |= 1 << x
         parts.append(FpmPart("ODD_CYCLE", cycle))

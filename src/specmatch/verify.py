@@ -551,15 +551,18 @@ def _audit_chunk(args: tuple) -> tuple:
         faults: list[str] = []
         if fm.total.doubled != bsd or t.total.doubled != bsd:
             faults.append(f"primal {fm.total} / dual {t.total} / matching {HalfIntegral(bsd)} differ")
+        cycles = None
         try:
-            fm.half_cycles()
+            cycles = fm.half_cycles()
         except GraphError:
             faults.append("half-weight support is not a disjoint union of odd cycles")
-        # each witness is validated once: by fpm_partition and wrc_decomposition where they run
+        # each witness is validated once, by fpm_partition and wrc_decomposition
+        # where they run; fpm_partition reuses the cycles walked above and walks
+        # again only after a failed walk, to raise its own message
         if bsd == n:
             fpm_graphs += 1
             try:
-                fpm_partition(g, fm)
+                fpm_partition(g, fm, cycles=cycles)
             except GraphError as exc:
                 faults.append(f"fractional perfect matching partition failed: {exc}")
         else:

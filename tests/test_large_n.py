@@ -38,6 +38,7 @@ from specmatch import (
     union,
     wrc_decomposition,
 )
+from specmatch import spectral
 from specmatch.cli import main
 from specmatch.extremal import theta_n_coeffs
 
@@ -48,6 +49,26 @@ def path(n):
 
 def star(n):
     return join(complete(1), empty(n - 1))
+
+
+def theta_graph(n):
+    """K_1 v (K_{n-3} u 2K_1): hub 0, clique 1..n-3, pendants n-2 and n-1."""
+    return join(complete(1), union(complete(n - 3), empty(2)))
+
+
+def complete_bipartite(n):
+    return join(empty(n // 3), empty(n - n // 3))
+
+
+def barbell(n):
+    """K_{n/2-1} and K_{n/2+1} joined by one edge.  Unequal cliques keep the
+    spectral gap at 2; with equal ones it is 4/n, and two solvers' vectors
+    may then differ by their residuals over that gap."""
+    m = n // 2 - 1
+    rows = list(union(complete(m), complete(n - m)).rows)
+    rows[m - 1] |= 1 << m
+    rows[m] |= 1 << (m - 1)
+    return Graph.from_rows(n, rows)
 
 
 def random_edges(n, p, seed):
@@ -71,6 +92,8 @@ def shapes(n):
         "complete": (complete(n), n - 1.0),
         "star": (star(n), math.sqrt(n - 1)),
         "random": (Graph(n, edges), top_eigenvalue(n, edges)),
+        "theta": (theta_graph(n), theta_n(n)),
+        "bipartite": (complete_bipartite(n), math.sqrt(n // 3 * (n - n // 3))),
     }
 
 
@@ -82,11 +105,50 @@ class TestSpectralRadius:
             assert res.value == pytest.approx(expected, abs=1e-9), name
             assert res.residual <= 1e-10, name
 
-    def test_polishing_step_clears_eigh_residual(self):
+    @pytest.mark.parametrize("route", ["lanczos", "dense"])
+    def test_polishing_step_clears_eigh_residual(self, monkeypatch, route):
         # eigh's own top eigenvector leaves a residual of 3e-11 to 1.3e-10 on
         # K_2000 and K_2048, around the default tolerance; one A + I step
-        # takes it to rounding level
+        # takes it to rounding level.  Lanczos ends K_n after one step.
+        if route == "dense":
+            monkeypatch.setattr(spectral, "LANCZOS_STEPS", 2048)
         assert spectral_radius(complete(2048)).residual <= 1e-11
+
+    @pytest.mark.parametrize("n", [600, 2048])
+    def test_lanczos_agrees_with_dense_solver(self, monkeypatch, n):
+        h = n // 2
+        cases = {
+            "complete": complete(n),
+            "theta": theta_graph(n),
+            "star": star(n),
+            "bipartite": complete_bipartite(n),
+            "barbell": barbell(n),
+            "random": Graph(n, random_edges(n, 6 / n, seed=n)),
+            "theta u random": union(theta_graph(h), Graph(h, random_edges(h, 6 / h, seed=h))),
+            "barbell u star": union(barbell(h), star(h)),
+        }
+        results = {name: spectral_radius(g) for name, g in cases.items()}
+        # every component at or below the budget goes to eigh
+        monkeypatch.setattr(spectral, "LANCZOS_STEPS", n)
+        for name, g in cases.items():
+            res, dense = results[name], spectral_radius(g)
+            assert res.value == pytest.approx(dense.value, abs=1e-9), name
+            assert np.max(np.abs(np.subtract(res.vector, dense.vector))) <= 1e-9, name
+            assert res.residual <= 1e-10 and res.iterations == dense.iterations == 1, name
+            assert res.component_index == dense.component_index, name
+
+    @pytest.mark.parametrize("shape, dense_calls", [("path", 1), ("complete", 0), ("theta", 0), ("random", 0)])
+    def test_dense_fallback_runs_on_paths_only(self, monkeypatch, shape, dense_calls):
+        # a path's spectral gap needs about n/2 Lanczos steps, above the budget;
+        # the other shapes end within it (the tridiagonal's own eigh is smaller)
+        random = lambda n: Graph(n, random_edges(n, 6 / n, seed=n))  # noqa: E731
+        g = {"path": path, "complete": complete, "theta": theta_graph, "random": random}[shape](2048)
+        calls = []
+        real = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape[0]) or real(m))
+        spectral_radius(g)
+        assert calls.count(g.n) == dense_calls
+        assert all(k <= spectral.LANCZOS_STEPS for k in calls if k != g.n)
 
     def test_disconnected_union(self):
         g = union(path(600), star(600))
@@ -176,11 +238,6 @@ def assert_matching_of(g, edges):
     covered = [v for e in edges for v in e]
     assert len(covered) == len(set(covered))
     assert all(g.has_edge(u, v) for u, v in edges)
-
-
-def theta_graph(n):
-    """K_1 v (K_{n-3} u 2K_1): hub 0, clique 1..n-3, pendants n-2 and n-1."""
-    return join(complete(1), union(complete(n - 3), empty(2)))
 
 
 class TestWitnesses:

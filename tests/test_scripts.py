@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -36,20 +38,27 @@ def test_threshold_table():
     assert len(proc.stdout.splitlines()) == 1 + 8  # header, then n = 3..10
 
 
-def test_bench_pairs_summary():
+def import_bench_pairs():
     sys.path.insert(0, str(ROOT / "scripts"))
     try:
         import bench_pairs
     finally:
         sys.path.remove(str(ROOT / "scripts"))
-    spec = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]
+    return bench_pairs
 
-    def runs(parent, change):
-        return [
-            {"seed": s, "side": side, "metrics": {"wall_s": v}}
-            for s, (p, c) in enumerate(zip(parent, change))
-            for side, v in (("parent", p), ("change", c))
-        ]
+
+def synthetic_runs(parent, change, name="wall_s"):
+    return [
+        {"seed": s, "side": side, "metrics": {name: v}}
+        for s, (p, c) in enumerate(zip(parent, change))
+        for side, v in (("parent", p), ("change", c))
+    ]
+
+
+def test_bench_pairs_summary():
+    bench_pairs = import_bench_pairs()
+    spec = [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]
+    runs = synthetic_runs
 
     # 9 of 10 pairs won, medians 10.0 and 6.5 further apart than the
     # parent's quartiles (both 10.0)
@@ -62,3 +71,44 @@ def test_bench_pairs_summary():
     # all pairs won, but by less than the parent's quartile distance
     close = bench_pairs.summarise(runs([9.0, 11.0] * 5, [8.9, 10.9] * 5), spec)["wall_s"]
     assert (close["change_wins"], close["gain"]) == (10, False)
+    assert not (won["regressed"] or lost["regressed"] or close["regressed"])
+
+
+@pytest.mark.parametrize(
+    "better, parent, change, regressed",
+    [
+        ("lower", 10.0, 12.5, False),  # worse by exactly the bound
+        ("lower", 10.0, 12.6, True),
+        ("higher", 10.0, 7.5, False),
+        ("higher", 10.0, 7.4, True),
+        ("higher", 10.0, 20.0, False),
+    ],
+)
+def test_bench_pairs_regression(better, parent, change, regressed):
+    bench_pairs = import_bench_pairs()
+    spec = [{"name": "m", "unit": "1/s", "better": better, "bound": 0.25}]
+    # one outlier pair on each side does not move the medians
+    runs = synthetic_runs([parent] * 9 + [parent * 3], [change] * 9 + [change / 3], name="m")
+    summary = bench_pairs.summarise(runs, spec)
+    assert summary["m"]["regressed"] is regressed
+    entry = {"summary": summary, "tally": {"parent": {"failed_share": 0.0}, "change": {"failed_share": 0.0}}}
+    assert bench_pairs.faults("w", entry) == (["w: m regressed"] if regressed else [])
+
+
+def test_bench_pairs_tally_and_failed_share():
+    bench_pairs = import_bench_pairs()
+    runs = [
+        {"side": "parent", "correct": True, "attempted": 50, "failed": 0},
+        {"side": "parent", "correct": True, "attempted": 50, "failed": 1},
+        {"side": "change", "correct": False, "attempted": 60, "failed": 3},
+        {"side": "change", "correct": True, "attempted": 40, "failed": 0},
+    ]
+    tally = bench_pairs.tally(runs)
+    assert tally == {
+        "parent": {"runs": 2, "incorrect_runs": 0, "failed_share": 0.01},
+        "change": {"runs": 2, "incorrect_runs": 1, "failed_share": 0.03},
+    }
+    assert bench_pairs.faults("w", {"summary": {}, "tally": tally}) == ["w: failed share 0.0300 above the parent's 0.0100"]
+    # an equal share is no fault
+    tally["change"]["failed_share"] = 0.01
+    assert bench_pairs.faults("w", {"summary": {}, "tally": tally}) == []

@@ -323,15 +323,34 @@ class TestAudits:
         counts = [calls(fn) for fn in (matching._dc_matching, FractionalMatching.validate, Transversal.validate)]
         assert counts == [64, 64, 64]
 
-    def test_catches_even_half_cycle(self, monkeypatch):
-        # C4 u K1 has 2beta* = 4 < n: weight 1/2 on the whole 4-cycle is
-        # feasible and optimal, so only the witness shape check rejects it
-        target = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        even = FractionalMatching(5, tuple((e, 1) for e in target.edges()), HalfIntegral(4))
+    def test_one_half_cycle_walk_per_graph(self):
+        # the odd-cycle check and the perfect-matching partition share one
+        # walk of the half-weight support: 1,024 graphs at n = 5
+        profile = cProfile.Profile()
+        profile.runcall(audit_structures, 5)
+        code = FractionalMatching.half_cycles.__code__
+        stats = pstats.Stats(profile).stats
+        assert stats[code.co_filename, code.co_firstlineno, code.co_name][1] <= 1024
+
+    @pytest.mark.parametrize(
+        "n, partition_fault",
+        [
+            # C4 u K1 has 2beta* = 4 < n: only the witness shape check runs
+            (5, None),
+            # C4 has 2beta* = n: the partition walks the cycles again and fails too
+            (4, "fractional perfect matching partition failed: non-canonical matching: even cycle in the half-weight support"),
+        ],
+    )
+    def test_catches_even_half_cycle(self, monkeypatch, n, partition_fault):
+        # weight 1/2 on the whole 4-cycle is feasible and optimal, so only the
+        # witness shape checks reject it
+        target = Graph(n, [(0, 1), (1, 2), (2, 3), (0, 3)])
+        even = FractionalMatching(n, tuple((e, 1) for e in target.edges()), HalfIntegral(4))
         real = verify._fractional_matching_from
         monkeypatch.setattr(verify, "_fractional_matching_from", lambda g, *m: even if g == target else real(g, *m))
-        rep = audit_structures(5)
-        assert rep.violations == (f"{to_graph6(target)}: half-weight support is not a disjoint union of odd cycles",)
+        rep = audit_structures(n)
+        faults = ["half-weight support is not a disjoint union of odd cycles", partition_fault]
+        assert rep.violations == tuple(f"{to_graph6(target)}: {f}" for f in faults if f)
 
     def test_catches_nonoptimal_transversal_on_disconnected_graph(self, monkeypatch):
         # K2 u K1: weight 1/2 everywhere covers the edge but totals 3/2 > beta* = 1
