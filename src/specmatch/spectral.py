@@ -73,7 +73,7 @@ def _lanczos_pair(a: np.ndarray, tol: float) -> tuple[float, float, np.ndarray] 
     exhaustion.
     """
     n = a.shape[0]
-    basis = np.empty((LANCZOS_STEPS, n))
+    basis = np.empty((LANCZOS_STEPS + 1, n))
     basis[0] = 1.0 / np.sqrt(n)
     alpha = np.empty(LANCZOS_STEPS)
     beta = np.empty(LANCZOS_STEPS)
@@ -99,8 +99,7 @@ def _lanczos_pair(a: np.ndarray, tol: float) -> tuple[float, float, np.ndarray] 
                     return r, resid, x
             if exhausted:
                 return None
-        if k + 1 < LANCZOS_STEPS:
-            basis[k + 1] = w / beta[k]
+        basis[k + 1] = w / beta[k]
     return None
 
 

@@ -332,25 +332,24 @@ class TestAudits:
         stats = pstats.Stats(profile).stats
         assert stats[code.co_filename, code.co_firstlineno, code.co_name][1] <= 1024
 
-    @pytest.mark.parametrize(
-        "n, partition_fault",
-        [
-            # C4 u K1 has 2beta* = 4 < n: only the witness shape check runs
-            (5, None),
-            # C4 has 2beta* = n: the partition walks the cycles again and fails too
-            (4, "fractional perfect matching partition failed: non-canonical matching: even cycle in the half-weight support"),
-        ],
-    )
-    def test_catches_even_half_cycle(self, monkeypatch, n, partition_fault):
+    def test_catches_even_half_cycle(self, monkeypatch):
         # weight 1/2 on the whole 4-cycle is feasible and optimal, so only the
-        # witness shape checks reject it
-        target = Graph(n, [(0, 1), (1, 2), (2, 3), (0, 3)])
-        even = FractionalMatching(n, tuple((e, 1) for e in target.edges()), HalfIntegral(4))
+        # witness shape checks reject it.  C4 u K1 has 2beta* = 4 < n, where
+        # only the odd-cycle check runs; C4 has 2beta* = n, where the
+        # partition walks the cycles again and fails too.
+        partition_fault = "fractional perfect matching partition failed: non-canonical matching: even cycle in the half-weight support"
         real = verify._fractional_matching_from
-        monkeypatch.setattr(verify, "_fractional_matching_from", lambda g, *m: even if g == target else real(g, *m))
-        rep = audit_structures(n)
-        faults = ["half-weight support is not a disjoint union of odd cycles", partition_fault]
-        assert rep.violations == tuple(f"{to_graph6(target)}: {f}" for f in faults if f)
+        for n, faults in [
+            (5, ["half-weight support is not a disjoint union of odd cycles"]),
+            (4, ["half-weight support is not a disjoint union of odd cycles", partition_fault]),
+        ]:
+            target = Graph(n, [(0, 1), (1, 2), (2, 3), (0, 3)])
+            even = FractionalMatching(n, tuple((e, 1) for e in target.edges()), HalfIntegral(4))
+            monkeypatch.setattr(
+                verify, "_fractional_matching_from", lambda g, *m, t=target, e=even: e if g == t else real(g, *m)
+            )
+            rep = audit_structures(n)
+            assert rep.violations == tuple(f"{to_graph6(target)}: {f}" for f in faults)
 
     def test_catches_nonoptimal_transversal_on_disconnected_graph(self, monkeypatch):
         # K2 u K1: weight 1/2 everywhere covers the edge but totals 3/2 > beta* = 1
