@@ -3,8 +3,9 @@
 Each certificate checks a strict spectral inequality against an explicit
 threshold and, when it fires, guarantees a matching property.  One table,
 ``certificate_table(n, connected)``, lists every certificate of an order in
-report order, and ``decide`` is the one firing rule: certify_all, the
-``cert_*`` functions and the exhaustive sweep in ``verify`` all use both.
+report order, ``decide`` is the one firing rule and ``_guarantee_holds``
+the one guarantee rule: certify_all and the ``cert_*`` functions apply them
+to one graph, the exhaustive sweep in ``verify`` to whole numpy columns.
 Comparisons use a guard band of 1e-9: values inside the band count as "at
 threshold" and never fire, since the hypotheses are strict inequalities.
 """
@@ -168,7 +169,9 @@ def certificate_table(n: int, connected: bool) -> list[Certificate]:
 
 
 def decide(cert: Certificate, rho: float, delta: int) -> tuple[float, bool, bool]:
-    """(threshold, fired, at_threshold) of an applicable certificate."""
+    """(threshold, fired, at_threshold) of an applicable certificate.  rho and
+    delta are scalars or numpy columns of equal length; the results are then
+    columns too (threshold only where it scales with delta)."""
     if cert.below:
         thr = delta * cert.threshold
         return thr, rho < thr - GUARD, abs(rho - thr) <= GUARD
@@ -225,6 +228,9 @@ def cert_beta_increment(g: Graph, beta: int, *, rho: float | None = None) -> Cer
 
 
 def _guarantee_holds(kind: str, param: int, n: int, beta: int, beta_star_doubled: int) -> bool:
+    """Whether the guarantee of a certificate row holds on an n-vertex graph
+    with matching number beta.  beta and beta_star_doubled are scalars or
+    numpy columns of equal length; the answer is then a boolean column."""
     if kind == "fpm":
         return beta_star_doubled == n
     if kind == "pm":

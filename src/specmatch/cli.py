@@ -208,13 +208,7 @@ def _cmd_verify(args) -> int:
             f"--connected contradicts {args.theorem}, which quantifies over all graphs; "
             "use t32/t13 for the connected classes"
         )
-    report = verify_theorem(
-        args.theorem,
-        args.n,
-        jobs=args.jobs,
-        long_run=args.long_run,
-        bound_offset=args.debug_bound_offset,
-    )
+    report = verify_theorem(args.theorem, args.n, jobs=args.jobs, long_run=args.long_run)
     print(
         f"{report.theorem} n={report.n}: {report.labeled_examined} labeled graphs, "
         f"{report.connected_count} connected"
@@ -305,7 +299,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="write the CSV report here")
     p.add_argument("--long-run", action="store_true")
-    p.add_argument("--debug-bound-offset", type=float, default=0.0, help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("cross-check", help="matching implementations vs brute-force oracles")

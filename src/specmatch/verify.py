@@ -4,8 +4,10 @@ Labeled graphs on n vertices are enumerated as edge-bit masks in graph6
 column order.  Sweeps are sharded into fixed chunks (independent of the
 worker count) and merged in chunk order, so reports are byte-identical
 across runs and across --jobs settings.  Every sweep reads rho,
-connectivity, minimum degree, beta and 2*beta_star from one chunk table,
-whose beta and 2*beta_star are the brute-force oracles' subset tables.
+connectivity, minimum degree, beta and 2*beta_star from one chunk table of
+numpy columns, whose beta and 2*beta_star are the brute-force oracles'
+subset tables.  The theorem and certificate sweeps work on whole columns;
+the audit and the cross-check, which build witnesses, go graph by graph.
 """
 
 from __future__ import annotations
@@ -162,12 +164,12 @@ def _chunk_ranges(n: int) -> list[tuple[int, int]]:
     return [(i * step, (i + 1) * step if i < chunks - 1 else total) for i in range(chunks)]
 
 
-def _batch_arrays(n: int, lo: int, hi: int, *, with_rho: bool = True) -> tuple[list | None, list, list, list, list, list]:
-    """The chunk table of masks lo..hi-1, one Python list per column: spectral
-    radius, connectivity flag, minimum degree, beta, 2*beta_star and the
-    neighbour rows of each graph (K_0 reads rho 0, not connected, degree
-    0).  Every sweep reads its graphs and their invariants from here.  rho
-    comes from the batched eigensolver; the other invariants from the
+def _batch_arrays(n: int, lo: int, hi: int, *, with_rho: bool = True) -> tuple[np.ndarray | None, ...]:
+    """The chunk table of masks lo..hi-1, one numpy array per column: spectral
+    radius, connectivity flag, minimum degree, beta, 2*beta_star, and the
+    (graphs, n) array of neighbour rows (K_0 reads rho 0, not connected,
+    degree 0).  Every sweep reads its graphs and their invariants from here.
+    rho comes from the batched eigensolver; the other invariants from the
     oracles' subset tables (``_subset_columns``).  Workers that never read
     rho pass ``with_rho=False`` and get ``None`` in its place, skipping the
     eigensolver."""
@@ -186,20 +188,21 @@ def _batch_arrays(n: int, lo: int, hi: int, *, with_rho: bool = True) -> tuple[l
             a = ((part[:, :, None] >> np.arange(n)) & 1).astype(np.float64)
             rho[start : start + step] = np.linalg.eigvalsh(a)[:, -1]
         columns.append(_subset_columns(part, n))
-    conn, delta, beta, bsd = (np.concatenate(col).tolist() for col in zip(*columns))
-    return rho.tolist() if with_rho else None, conn, delta, beta, bsd, list(map(tuple, rows.tolist()))
+    conn, delta, beta, bsd = (np.concatenate(col) for col in zip(*columns))
+    return rho if with_rho else None, conn, delta, beta, bsd, rows
 
 
 def _sweep(worker: Callable, n: int, jobs: int, *extra) -> list:
     """Run worker((n, lo, hi, *extra)) on every chunk of the labeled graphs on
-    n vertices; the partial results come back in chunk order."""
+    n vertices, in at most min(jobs, chunks) processes; the partial results
+    come back in chunk order."""
     chunk_args = [(n, lo, hi, *extra) for lo, hi in _chunk_ranges(n)]
     if jobs <= 1 or len(chunk_args) == 1:
         return [worker(a) for a in chunk_args]
     import multiprocessing as mp
 
     ctx = mp.get_context("fork")
-    with ctx.Pool(jobs) as pool:
+    with ctx.Pool(min(jobs, len(chunk_args))) as pool:
         return pool.map(worker, chunk_args)
 
 
@@ -265,28 +268,19 @@ def _theorem_chunk(args: tuple) -> tuple:
     every maximizer of a class and every graph at or above its bound, over
     the whole sweep, is a candidate of its chunk."""
     n, lo, hi, theorem, bounds = args
-    connected_only = _CONNECTED_THEOREMS[theorem]
-    fractional = theorem in ("t32", "t33")
-    rho_list, conn_list, _, beta_list, bsd_list, _ = _batch_arrays(n, lo, hi)
-    keys = bsd_list if fractional else [2 * beta for beta in beta_list]
-    members: dict[int, list[int]] = {}
-    for i, (connected, key) in enumerate(zip(conn_list, keys)):
-        if connected or not connected_only:
-            members.setdefault(key, []).append(i)
+    rho, connected, _, beta, bsd, _ = _batch_arrays(n, lo, hi)
+    keys = bsd if theorem in ("t32", "t33") else 2 * beta
+    if _CONNECTED_THEOREMS[theorem]:
+        keys = np.where(connected, keys, -1)  # -1: no class
     candidates = {}
-    for key, idx in members.items():
-        floor = min(max(rho_list[i] for i in idx), bounds[key]) - RHO_TOL
-        candidates[key] = [(rho_list[i], lo + i) for i in idx if rho_list[i] >= floor]
-    return sum(conn_list), candidates
+    for key in np.unique(keys[keys >= 0]).tolist():
+        idx = np.flatnonzero(keys == key)
+        idx = idx[rho[idx] >= min(rho[idx].max(), bounds[key]) - RHO_TOL]
+        candidates[key] = list(zip(rho[idx].tolist(), (lo + idx).tolist()))
+    return int(connected.sum()), candidates
 
 
-def verify_theorem(
-    theorem: str,
-    n: int,
-    jobs: int = 1,
-    long_run: bool = False,
-    bound_offset: float = 0.0,
-) -> VerificationReport:
+def verify_theorem(theorem: str, n: int, jobs: int = 1, long_run: bool = False) -> VerificationReport:
     """Bucket all (connected, for the connected theorems) labeled graphs on n
     vertices by class, then check bounds, maximizers, and predictions."""
     if theorem not in THEOREMS:
@@ -300,13 +294,9 @@ def verify_theorem(
     connected_only = _CONNECTED_THEOREMS[theorem]
     fractional = theorem in ("t32", "t33")
 
-    predictions: dict[int, RegimePrediction] = {}
-    bounds: dict[int, float] = {}
     keys = range(0, n + 1) if fractional else range(0, n + 1, 2)
-    for key in keys:
-        pred = _predict(theorem, n, key)
-        predictions[key] = pred
-        bounds[key] = pred.bound + bound_offset
+    predictions = {key: _predict(theorem, n, key) for key in keys}
+    bounds = {key: pred.bound for key, pred in predictions.items()}
 
     connected_count = 0
     merged: dict[int, list[tuple[float, int]]] = {}
@@ -453,35 +443,28 @@ class CertSweepReport:
 
 def _cert_chunk(args: tuple) -> tuple:
     n, lo, hi = args
+    rho, connected, delta, beta, bsd, rows = _batch_arrays(n, lo, hi)
+    rho, delta, beta, bsd, rows = (col[connected] for col in (rho, delta, beta, bsd, rows))
     table = certificate_table(n, connected=True)
-    counts = {cert.name: [0, 0] for cert in table if cert.threshold is not None}
-    unsound: list[tuple[str, str]] = []
-    examined = 0
-    samples = 0
-    for rho, connected, delta, beta, bsd, rows in zip(*_batch_arrays(n, lo, hi)):
-        if not connected:
-            continue
-        outcome = []  # (applicable, fired) per table row
-        for cert in table:
-            if cert.threshold is None:
-                outcome.append((False, False))
-                continue
-            fired = decide(cert, rho, delta)[1]
-            outcome.append((True, fired))
-            c = counts[cert.name]
-            c[0] += 1
-            c[1] += fired
-            if fired and not _guarantee_holds(cert.kind, cert.param, n, beta, bsd):
-                unsound.append((to_graph6(Graph._from_rows_unchecked(n, rows)), cert.name))
-        if examined % CERTIFY_STRIDE == 0:
-            # reconcile the batched screen with the full certify_all route
-            g = Graph._from_rows_unchecked(n, rows)
-            for rec, seen in zip(certify_all(g, verify_truth=True).certificates, outcome):
-                if (rec.applicable, rec.fired) != seen:
-                    unsound.append((to_graph6(g), f"fast-path mismatch on {rec.name}"))
-            samples += 1
-        examined += 1
-    return examined, counts, unsound, samples
+    applicable = [cert.threshold is not None for cert in table]
+    # (table rows, graphs) matrices, the table having 3 rows or more; a row
+    # that does not apply never fires
+    never = np.zeros(len(rho), dtype=bool)
+    fired = np.array([decide(c, rho, delta)[1] if app else never for c, app in zip(table, applicable)], dtype=bool)
+    holds = np.array([_guarantee_holds(c.kind, c.param, n, beta, bsd) for c in table], dtype=bool)
+    counts = {c.name: (len(rho), int(f.sum())) for c, app, f in zip(table, applicable, fired) if app}
+    # graph by graph: its unsound rows in table order, then its fast-path mismatches
+    lines = [(i, table[row].name) for i, row in zip(*np.nonzero((fired & ~holds).T))]
+    samples = range(0, len(rho), CERTIFY_STRIDE)
+    for i in samples:
+        # reconcile the batched screen with the full certify_all route
+        g = Graph._from_rows_unchecked(n, tuple(rows[i].tolist()))
+        for rec, app, f in zip(certify_all(g, verify_truth=True).certificates, applicable, fired[:, i].tolist()):
+            if (rec.applicable, rec.fired) != (app, f):
+                lines.append((i, f"fast-path mismatch on {rec.name}"))
+    lines.sort(key=lambda line: line[0])
+    unsound = [(to_graph6(Graph._from_rows_unchecked(n, tuple(rows[i].tolist()))), name) for i, name in lines]
+    return len(rho), counts, unsound, len(samples)
 
 
 def verify_certificates(n: int, jobs: int = 1) -> CertSweepReport:
@@ -538,10 +521,10 @@ class AuditReport:
 
 def _audit_chunk(args: tuple) -> tuple:
     n, lo, hi = args
-    _, conn_list, _, _, bsd_list, rows_list = _batch_arrays(n, lo, hi, with_rho=False)
+    _, conn_col, _, _, bsd_col, rows_col = _batch_arrays(n, lo, hi, with_rho=False)
     violations: list[str] = []
     fpm_graphs = 0
-    for connected, bsd, rows in zip(conn_list, bsd_list, rows_list):
+    for connected, bsd, rows in zip(conn_col.tolist(), bsd_col.tolist(), map(tuple, rows_col.tolist())):
         g = Graph._from_rows_unchecked(n, rows)
         # one double-cover matching gives both witnesses; their totals must
         # equal 2*beta_star from the subset tables, which never see them
@@ -579,7 +562,7 @@ def _audit_chunk(args: tuple) -> tuple:
             if rep.r_geq_w is not True:
                 faults.append("optimal transversal has |R| < |W|")
         violations.extend(f"{to_graph6(g)}: {f}" for f in faults)
-    return sum(conn_list), fpm_graphs, violations
+    return int(conn_col.sum()), fpm_graphs, violations
 
 
 def audit_structures(n: int, jobs: int = 1) -> AuditReport:
@@ -637,9 +620,9 @@ def _cross_check_one(g: Graph, beta: int, bsd: int) -> list[str]:
 
 def _cross_chunk(args: tuple) -> list[str]:
     n, lo, hi = args
-    _, _, _, beta_list, bsd_list, rows_list = _batch_arrays(n, lo, hi, with_rho=False)
+    _, _, _, beta_col, bsd_col, rows_col = _batch_arrays(n, lo, hi, with_rho=False)
     out: list[str] = []
-    for beta, bsd, rows in zip(beta_list, bsd_list, rows_list):
+    for beta, bsd, rows in zip(beta_col.tolist(), bsd_col.tolist(), map(tuple, rows_col.tolist())):
         out.extend(_cross_check_one(Graph._from_rows_unchecked(n, rows), beta, bsd))
     return out
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from specmatch import (
     to_graph6,
     Graph,
 )
+from specmatch import verify
 from specmatch.cli import main
 
 
@@ -110,10 +112,11 @@ class TestVerifyCommands:
             "n,two_beta_star,regime,bound,max_rho,n_maximizers,argmax_g6,prediction_g6,bound_holds,argmax_matches"
         )
 
-    def test_verify_injected_bound_failure_exit3(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify", "--theorem", "t33", "--n", "4", "--debug-bound-offset", "-0.5"
-        )
+    def test_verify_injected_bound_failure_exit3(self, capsys, monkeypatch):
+        # every class bound lowered by 0.5
+        predict = verify._predict
+        monkeypatch.setattr(verify, "_predict", lambda *a: dataclasses.replace(predict(*a), bound=predict(*a).bound - 0.5))
+        code, out, _ = run_cli(capsys, "verify", "--theorem", "t33", "--n", "4")
         assert code == 3
         assert "DISCREPANCY" in out
 

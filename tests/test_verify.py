@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 import cProfile
+import dataclasses
 import json
+import multiprocessing
 import pstats
+import types
 from pathlib import Path
 
 import pytest
@@ -35,12 +38,26 @@ from specmatch import (
     verify_tie_class_n8,
 )
 from specmatch import matching, verify
+from specmatch.certify import _guarantee_holds, certificate_table, decide
 from specmatch.cli import main
 from specmatch.graphs import pairs_colex
 from specmatch.verify import AuditReport
 
 # every theorem CSV at n <= 6, byte for byte; a deliberate report change updates this file
 GOLDEN_CSV = json.loads((Path(__file__).parent / "golden" / "theorem_csv.json").read_text())
+
+
+def _verify_calls(stats, fn) -> int:
+    """Calls into fn made from verify.py, in a cProfile stats table."""
+    code = fn.__code__
+    callers = stats.get((code.co_filename, code.co_firstlineno, code.co_name), (0, 0, 0, 0, {}))[4]
+    return sum(c[0] for caller, c in callers.items() if caller[0] == verify.__file__)
+
+
+def _lists(table):
+    """A chunk table as Python lists, the rows as tuples."""
+    *columns, rows = table
+    return (*(None if col is None else col.tolist() for col in columns), list(map(tuple, rows.tolist())))
 
 
 class TestEnumeration:
@@ -75,7 +92,7 @@ class TestChunkTable:
         tables = [(n, 0, 1 << (n * (n - 1) // 2)) for n in range(1, 6)] + [(7, *verify._chunk_ranges(7)[37])]
         for n, lo, hi in tables:
             graphs = [verify._graph_from_mask(n, mask, pairs_colex(n)) for mask in range(lo, hi)]
-            rho, conn, delta, beta, bsd, rows = verify._batch_arrays(n, lo, hi)
+            rho, conn, delta, beta, bsd, rows = _lists(verify._batch_arrays(n, lo, hi))
             assert rows == [g.rows for g in graphs]
             assert conn == [is_connected(g) for g in graphs]
             assert delta == [min_degree(g) for g in graphs]
@@ -84,13 +101,13 @@ class TestChunkTable:
             assert rho == pytest.approx([spectral_radius(g).value for g in graphs], abs=1e-9)
             # workers that never read rho skip the eigensolver; the other
             # columns are the same
-            assert verify._batch_arrays(n, lo, hi, with_rho=False) == (None, conn, delta, beta, bsd, rows)
+            assert _lists(verify._batch_arrays(n, lo, hi, with_rho=False)) == (None, conn, delta, beta, bsd, rows)
 
     def test_n0(self):
         # the one graph on no vertices is empty and not connected; its
         # minimum degree, which min_degree refuses, reads 0
-        assert verify._batch_arrays(0, 0, 1) == ([0.0], [False], [0], [0], [0], [()])
-        assert verify._batch_arrays(0, 0, 1, with_rho=False) == (None, [False], [0], [0], [0], [()])
+        assert _lists(verify._batch_arrays(0, 0, 1)) == ([0.0], [False], [0], [0], [0], [()])
+        assert _lists(verify._batch_arrays(0, 0, 1, with_rho=False)) == (None, [False], [0], [0], [0], [()])
 
     @pytest.mark.parametrize(
         "sweep, args",
@@ -106,10 +123,41 @@ class TestChunkTable:
         stats = pstats.Stats(profile).stats
         per_graph = 0
         for fn in (matching._dc_matching_size, matching._blossom_max_matching, oracle_beta, oracle_beta_star):
-            code = fn.__code__
-            callers = stats.get((code.co_filename, code.co_firstlineno, code.co_name), (0, 0, 0, 0, {}))[4]
-            per_graph += sum(c[0] for caller, c in callers.items() if caller[0] == verify.__file__)
+            per_graph += _verify_calls(stats, fn)
         assert per_graph == 0
+
+    def test_certificates_decide_on_columns(self):
+        # the certificate sweep rules on whole columns: at n = 5 (one chunk)
+        # verify calls decide and _guarantee_holds at most once per table row
+        profile = cProfile.Profile()
+        profile.runcall(verify_certificates, 5)
+        stats = pstats.Stats(profile).stats
+        rows = len(certificate_table(5, True))
+        assert 0 < _verify_calls(stats, decide) <= rows
+        assert 0 < _verify_calls(stats, _guarantee_holds) <= rows
+
+    @pytest.mark.parametrize("jobs, size", [(1000, 64), (2, 2)])
+    def test_pool_no_larger_than_the_chunk_count(self, monkeypatch, jobs, size):
+        # n = 7 has 64 chunks; the fake pool maps serially and starts no process
+        asked = []
+
+        class Pool:
+            def __init__(self, processes):
+                asked.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, args):
+                return list(map(fn, args))
+
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: types.SimpleNamespace(Pool=Pool))
+        chunk = lambda args: args[1:3]  # noqa: E731
+        assert verify._sweep(chunk, 7, jobs) == verify._chunk_ranges(7)
+        assert asked == [size]
 
 
 class TestTheoremSweeps:
@@ -159,8 +207,11 @@ class TestTheoremSweeps:
         assert a == b
         assert a.splitlines()[0].startswith("n,two_beta_star,regime,bound")
 
-    def test_bound_offset_detects_failures(self):
-        rep = verify_theorem("t33", 4, bound_offset=-0.5)
+    def test_bound_offset_detects_failures(self, monkeypatch):
+        # every class bound lowered by 0.5
+        predict = verify._predict
+        monkeypatch.setattr(verify, "_predict", lambda *a: dataclasses.replace(predict(*a), bound=predict(*a).bound - 0.5))
+        rep = verify_theorem("t33", 4)
         assert not rep.passed
         assert rep.discrepancies
 
@@ -197,6 +248,30 @@ class TestCertificateSweep:
             if __import__("specmatch").spectral_radius(g).value > math.sqrt(3) + GUARD
         )
         assert counts["pm-spectral"] == (38, expected)
+
+    def test_reports_unsound_rows_and_fast_path_mismatches(self, monkeypatch, capsys):
+        # the sweep's pm-spectral row gets threshold 0, so it fires on every
+        # connected graph; certify_all keeps the real table
+        def table(n, connected):
+            real = certificate_table(n, connected)
+            return [dataclasses.replace(c, threshold=0.0) if c.name == "pm-spectral" else c for c in real]
+
+        monkeypatch.setattr(verify, "certificate_table", table)
+        expected = []
+        for i, g in enumerate(enumerate_graphs(4, connected_only=True)):
+            if matching_number(g).size < 2:
+                expected.append((to_graph6(g), "pm-spectral"))
+            pm = next(rec for rec in certify_all(g).certificates if rec.name == "pm-spectral")
+            if i % verify.CERTIFY_STRIDE == 0 and not pm.fired:
+                expected.append((to_graph6(g), "fast-path mismatch on pm-spectral"))
+        # the first connected graph, the star K_{1,3}, is sampled, unsound and mismatched
+        assert expected[:2] == [("Cs", "pm-spectral"), ("Cs", "fast-path mismatch on pm-spectral")]
+        rep = verify_certificates(4)
+        assert rep.unsound == tuple(expected)
+        assert rep.passed is False
+        assert main(["verify", "--certificates", "--n", "4"]) == 3
+        out = capsys.readouterr().out.splitlines()
+        assert [line for line in out if line.startswith("UNSOUND")] == [f"UNSOUND {name} on {g6}" for g6, name in expected]
 
     def test_n3_pm_never_applicable(self):
         rep = verify_certificates(3)
