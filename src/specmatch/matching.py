@@ -2,12 +2,14 @@
 
 The fractional matching number is computed exactly as half the matching
 number of the bipartite double cover.  Both half-integral witnesses are
-built from one double-cover matching: the canonical fractional matching is
-its pull-back, normalised so that the half-weight support is a disjoint
-union of odd cycles, and the dual transversal comes from its minimum vertex
-cover.  The public constructors validate what they build; the structure
-audit runs the builders on one double-cover matching per graph and
-validates each witness once.
+built from one double-cover matching by a bitmask core: the canonical
+fractional matching is its pull-back as partner and half-support rows,
+normalised so that the half-weight support is a disjoint union of odd
+cycles, and the dual transversal is the W/R/C masks of its minimum vertex
+cover.  Each witness property has one rule on these masks.  The public
+constructors wrap the core and validate what they build with those rules;
+the structure audit runs the core and the rules directly, with no witness
+objects.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graphs import Graph, GraphError, is_connected
+from .graphs import Graph, GraphError, dense_rows, is_connected
 from .halfint import HalfIntegral
 
 
@@ -211,6 +213,212 @@ def has_fractional_perfect_matching(g: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# the bitmask witness core
+#
+# A fractional matching is held as two lists of bitmask rows: partner[v]
+# has a bit for each edge of weight 1 at v, half[v] one for each edge of
+# weight 1/2.  A transversal is held as the masks of its weight classes W
+# (weight 1), R (0) and C (1/2).  The builders read one double-cover
+# matching; each rule below checks one property on these masks and raises
+# GraphError with its own message.  The public classes convert to masks and
+# call the same rules, and the structure audit calls them on the builders'
+# output directly.
+
+_NOT_CYCLES = "non-canonical matching: half-weight support is not a union of cycles"
+
+
+def _walk(half: list[int], start: int, cur: int) -> tuple[list[int], bool]:
+    # from start through its neighbour cur onwards, until the support ends
+    # (False) or comes back to start (True); every vertex reached is checked
+    out = [start]
+    prev = start
+    while cur != start:
+        row = half[cur]
+        if row.bit_count() > 2:
+            raise GraphError(_NOT_CYCLES)
+        out.append(cur)
+        row &= ~(1 << prev)
+        if not row:
+            return out, False
+        prev, cur = cur, (row & -row).bit_length() - 1
+    return out, True
+
+
+def _walks(half: list[int]) -> Iterator[tuple[list[int], bool]]:
+    """Walk each component of a half-weight support: (vertices, closed).
+
+    Components come in ascending lowest-vertex order.  A cycle is walked
+    from its lowest vertex towards its smaller neighbour, a path from its
+    lower endpoint.  A vertex with more than two half-edges raises
+    GraphError when the walk reaches it, so the walk ends on any input.  The
+    caller may rewrite the rows of a component once it has been yielded.
+    """
+    todo = 0
+    for v, row in enumerate(half):
+        if row:
+            todo |= 1 << v
+    while todo:
+        v0 = (todo & -todo).bit_length() - 1
+        row = half[v0]
+        if row.bit_count() > 2:
+            raise GraphError(_NOT_CYCLES)
+        low = row & -row
+        vertices, closed = _walk(half, v0, low.bit_length() - 1)
+        if not closed and row != low:  # v0 lies inside a path: add its other side
+            vertices = vertices[::-1] + _walk(half, v0, (row ^ low).bit_length() - 1)[0][1:]
+            if vertices[-1] < vertices[0]:
+                vertices.reverse()
+        for x in vertices:
+            todo &= ~(1 << x)
+        yield vertices, closed
+
+
+def _fractional_matching_from(rows: tuple[int, ...], match_l: list[int]) -> tuple[list[int], list[int], int]:
+    """The canonical fractional matching of a maximum double-cover matching.
+
+    Returns the partner rows, the half-support rows and the doubled total.
+    Each edge gets half the number of its matched lifted copies.  Then every
+    even cycle and every path of half-edges is reweighted 1, 0, 1, ... from
+    where ``_walks`` starts it, so only odd cycles keep weight 1/2.  The
+    result is not checked.
+    """
+    n = len(rows)
+    partner = [0] * n
+    half = [0] * n
+    total = 0
+    for u, v in enumerate(match_l):
+        if v >= 0:
+            total += 1
+            if match_l[v] == u:
+                partner[u] = 1 << v
+            else:
+                half[u] |= 1 << v
+                half[v] |= 1 << u
+    for vertices, closed in _walks(half):
+        if closed and len(vertices) % 2:
+            continue  # odd cycles are already canonical
+        # an optimal matching never leaves an odd half-path (it could be improved)
+        assert closed or len(vertices) % 2, "half-weight support had an augmentable odd path"
+        for x in vertices:
+            half[x] = 0
+        for a, b in zip(vertices[::2], vertices[1::2]):
+            partner[a] = 1 << b
+            partner[b] = 1 << a
+    return partner, half, total
+
+
+def _transversal_from(rows: tuple[int, ...], match_l: list[int], match_r: list[int]) -> tuple[int, int, int]:
+    """The W, R, C masks of a maximum double-cover matching's vertex cover.
+
+    The cover comes from the matching by alternating reachability from the
+    unmatched left copies, so the construction is deterministic; g(v) is
+    half the number of covered copies of v: 1 on W (only the right copy
+    reached), 0 on R (only the left copy) and 1/2 on C.  The result is not
+    checked.
+    """
+    seen_l = 0
+    for u, v in enumerate(match_l):
+        if v < 0:
+            seen_l |= 1 << u
+    seen_r = 0
+    todo = seen_l
+    while todo:
+        u = (todo & -todo).bit_length() - 1
+        todo &= todo - 1
+        reached = rows[u] & ~seen_r
+        seen_r |= reached
+        while reached:
+            w = match_r[(reached & -reached).bit_length() - 1]
+            reached &= reached - 1
+            if w >= 0 and not seen_l >> w & 1:
+                seen_l |= 1 << w
+                todo |= 1 << w
+    return seen_r & ~seen_l, seen_l & ~seen_r, ((1 << len(rows)) - 1) & ~(seen_l ^ seen_r)
+
+
+def _check_matching(rows: tuple[int, ...], partner: list[int], half: list[int], total: int) -> None:
+    """Feasibility: weights only on edges, at most 1 at each vertex, and the
+    doubled ``total`` equal to the weights' sum."""
+    off = doubled = most = 0
+    for row, p, h in zip(rows, partner, half):
+        weighted = p | h
+        off |= weighted ^ (weighted & row)
+        load = 2 * p.bit_count() + h.bit_count()
+        doubled += load
+        if load > most:
+            most = load
+    if off:  # rows are symmetric: the first vertex with a weight off its row is the lower end
+        u, off = next((u, (p | h) & ~row) for u, (row, p, h) in enumerate(zip(rows, partner, half)) if (p | h) & ~row)
+        raise GraphError(f"weight on non-edge ({u},{(off & -off).bit_length() - 1})")
+    if most > 2:
+        loads = (2 * p.bit_count() + h.bit_count() for p, h in zip(partner, half))
+        v, load = next((v, load) for v, load in enumerate(loads) if load > 2)
+        raise GraphError(f"vertex {v} is overloaded: incident weight {load}/2")
+    if doubled != 2 * total:
+        raise GraphError("stored total does not match the weights")
+
+
+def _odd_cycles(half: list[int]) -> list[tuple[int, ...]]:
+    """The half-weight support as odd cycles, in ascending lowest-vertex order.
+
+    Each cycle is walked from its lowest vertex towards its smaller
+    neighbour.  Raises GraphError unless the support is a disjoint union of
+    odd cycles, the shape of a canonical witness.
+    """
+    cycles: list[tuple[int, ...]] = []
+    for vertices, closed in _walks(half):
+        if not closed:
+            raise GraphError(_NOT_CYCLES)
+        if len(vertices) % 2 == 0:
+            raise GraphError("non-canonical matching: even cycle in the half-weight support")
+        cycles.append(tuple(vertices))
+    return cycles
+
+
+def _check_perfect(n: int, total: int, partner: list[int], support: int) -> None:
+    """Perfect-matching coverage: doubled total n, and every vertex in a
+    weight-1 edge or in ``support``, the vertices of the half-weight cycles."""
+    if total < n:
+        raise GraphError(f"matching is not perfect: total {HalfIntegral(total)} < n/2 = {n}/2")
+    for p in partner:
+        support |= p
+    if support != (1 << n) - 1:
+        raise GraphError("matching does not saturate every vertex")
+
+
+def _check_cover(rows: tuple[int, ...], r: int, c: int) -> None:
+    """Transversal coverage: no edge joins R to R or to C (weights sum below 1)."""
+    rc = r | c
+    todo = r  # every uncovered edge has an end in R
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        if rows[low.bit_length() - 1] & rc:
+            break
+    else:
+        return
+    for u, row in enumerate(rows):  # name the first uncovered edge (u, v), u < v
+        bad = (row & (rc if r >> u & 1 else r if c >> u & 1 else 0)) >> (u + 1)
+        if bad:
+            raise GraphError(f"edge ({u},{u + (bad & -bad).bit_length()}) not covered: weights sum below 1")
+
+
+def _wrc_rules(n: int, connected: bool, w: int, r: int, total: int, bsd: int) -> tuple[bool, bool, bool | None, bool | None]:
+    """The W/R/C rules of a transversal with doubled total ``total`` against
+    2*beta_star = ``bsd``: (connected rule, optimal, eq1, |R| >= |W|).
+
+    On a connected graph W and R are empty or non-empty together (vacuous
+    on a single vertex); an optimal transversal has total = (n - (|R|-|W|))/2
+    and |R| >= |W|.  The last two are None when it is not optimal.
+    """
+    s, t = w.bit_count(), r.bit_count()
+    connected_rule_ok = n <= 1 or not connected or (s == 0) == (t == 0)
+    if total != bsd:
+        return connected_rule_ok, False, None, None
+    return connected_rule_ok, True, total == n - (t - s), t >= s
+
+
+# ---------------------------------------------------------------------------
 # fractional matching witnesses
 
 
@@ -222,56 +430,36 @@ class FractionalMatching:
     doubled_weights: tuple[tuple[tuple[int, int], int], ...]
     total: HalfIntegral
 
-    def vertex_load_doubled(self) -> list[int]:
-        load = [0] * self.n
-        for (u, v), w in self.doubled_weights:
-            load[u] += w
-            load[v] += w
-        return load
-
-    def validate(self, g: Graph) -> None:
-        total = 0
+    def _rows(self, n: int) -> tuple[list[int], list[int]]:
+        """Partner and half-support rows on n vertices; raises GraphError on
+        entries that rows cannot hold."""
+        partner = [0] * n
+        half = [0] * n
         seen = set()
         for (u, v), w in self.doubled_weights:
-            if not (0 <= u < v < g.n):
+            if not (0 <= u < v < n):
                 raise GraphError(f"weighted pair ({u},{v}) out of range")
             if (u, v) in seen:
                 raise GraphError(f"duplicate weighted edge ({u},{v})")
             seen.add((u, v))
-            if not g.has_edge(u, v):
-                raise GraphError(f"weight on non-edge ({u},{v})")
             if w not in (1, 2):
                 raise GraphError(f"doubled weight must be 1 or 2, got {w}")
-            total += w
-        for v, load in enumerate(self.vertex_load_doubled()):
-            if load > 2:
-                raise GraphError(f"vertex {v} is overloaded: incident weight {load}/2")
-        if total != self.total.doubled:
-            raise GraphError("stored total does not match the weights")
+            masks = partner if w == 2 else half
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return partner, half
 
-    def half_support_adjacency(self) -> dict[int, list[int]]:
-        adj: dict[int, list[int]] = {}
-        for (u, v), w in self.doubled_weights:
-            if w == 1:
-                adj.setdefault(u, []).append(v)
-                adj.setdefault(v, []).append(u)
-        return adj
+    def _valid_rows(self, g: Graph) -> tuple[list[int], list[int]]:
+        partner, half = self._rows(g.n)
+        _check_matching(g.rows, partner, half, self.total.doubled)
+        return partner, half
+
+    def validate(self, g: Graph) -> None:
+        self._valid_rows(g)
 
     def half_cycles(self) -> list[tuple[int, ...]]:
-        """The half-weight support as odd cycles, in ascending lowest-vertex order.
-
-        Each cycle is walked from its lowest vertex towards its smaller
-        neighbour.  Raises GraphError unless the support is a disjoint union
-        of odd cycles, the shape of a canonical witness.
-        """
-        cycles: list[tuple[int, ...]] = []
-        for walk, closed in _half_walks(self.half_support_adjacency()):
-            if not closed:
-                raise GraphError(_NOT_CYCLES)
-            if len(walk) % 2 == 0:
-                raise GraphError("non-canonical matching: even cycle in the half-weight support")
-            cycles.append(tuple(walk))
-        return cycles
+        """The half-weight support as odd cycles (see ``_odd_cycles``)."""
+        return _odd_cycles(self._rows(self.n)[1])
 
     def to_text(self) -> str:
         names = {1: "1/2", 2: "1"}
@@ -279,80 +467,22 @@ class FractionalMatching:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-_NOT_CYCLES = "non-canonical matching: half-weight support is not a union of cycles"
-
-
-def _half_walks(adj: dict[int, list[int]]) -> Iterator[tuple[list[int], bool]]:
-    """Walk each component of a half-weight support: (vertices, closed).
-
-    Components come in ascending lowest-vertex order.  A cycle is walked
-    from its lowest vertex towards its smaller neighbour, a path from its
-    lower endpoint.  Every step checks the vertex it reaches, and a vertex
-    with more than two half-edges raises GraphError, so the walk ends on
-    any input.
-    """
-    def walk(start: int) -> tuple[list[int], bool]:
-        out = [start]
-        prev, cur = -1, start
-        while True:
-            if len(adj[cur]) > 2:
-                raise GraphError(_NOT_CYCLES)
-            nxt = min((x for x in adj[cur] if x != prev), default=-1)
-            if nxt < 0 or nxt == start:
-                return out, nxt == start
-            out.append(nxt)
-            prev, cur = cur, nxt
-
-    done: set[int] = set()
-    for v0 in sorted(adj):
-        if v0 in done:
-            continue
-        vertices, closed = walk(v0)
-        if not closed:  # v0 may lie inside the path: walk it again from the end reached
-            vertices = walk(vertices[-1])[0]
-            if vertices[-1] < vertices[0]:
-                vertices.reverse()
-        done.update(vertices)
-        yield vertices, closed
-
-
-def _fractional_matching_from(g: Graph, match_l: list[int]) -> FractionalMatching:
-    """The canonical fractional matching of a maximum double-cover matching.
-
-    Each edge gets half the number of its matched lifted copies.  Then every
-    even cycle and every path of half-edges is reweighted 1, 0, 1, ... from
-    where ``_half_walks`` starts it, so only odd cycles keep weight 1/2.
-    The result is not validated.
-    """
-    dw: dict[tuple[int, int], int] = {}
-    for u, v in enumerate(match_l):
-        if v >= 0:
-            key = (u, v) if u < v else (v, u)
-            dw[key] = dw.get(key, 0) + 1
-    pulled = FractionalMatching(g.n, tuple(dw.items()), HalfIntegral(sum(dw.values())))
-    for vertices, closed in _half_walks(pulled.half_support_adjacency()):
-        if closed and len(vertices) % 2:
-            continue  # odd cycles are already canonical
-        steps = list(zip(vertices, vertices[1:] + vertices[:1] if closed else vertices[1:]))
-        # an optimal matching never leaves an odd half-path (it could be improved)
-        assert len(steps) % 2 == 0, "half-weight support had an augmentable odd path"
-        for i, (u, v) in enumerate(steps):
-            key = (u, v) if u < v else (v, u)
-            if i % 2:
-                del dw[key]
-            else:
-                dw[key] = 2
-    return FractionalMatching(g.n, tuple(sorted(dw.items())), pulled.total)
-
-
 def optimal_fractional_matching(g: Graph) -> FractionalMatching:
     """Maximum fractional matching in canonical half-integral form.
 
-    Pulls back the double cover matching (each edge gets half the number of
-    matched lifted copies), then normalises the half-weight support until it
-    is a disjoint union of odd cycles.
+    The witness core's matching (``_fractional_matching_from`` on one
+    double-cover matching, the builder the structure audit checks) as an
+    object, validated.
     """
-    fm = _fractional_matching_from(g, _dc_matching(g.rows, g.n)[0])
+    partner, half, total = _fractional_matching_from(g.rows, _dc_matching(g.rows, g.n)[0])
+    weights = []
+    for u, (p, h) in enumerate(zip(partner, half)):
+        above = (p | h) >> (u + 1)
+        while above:
+            v = u + (above & -above).bit_length()
+            above &= above - 1
+            weights.append(((u, v), 2 if p >> v & 1 else 1))
+    fm = FractionalMatching(g.n, tuple(weights), HalfIntegral(total))
     fm.validate(g)
     return fm
 
@@ -395,12 +525,8 @@ class Transversal:
         for v, w in enumerate(dw):
             if w not in (0, 1, 2):
                 raise GraphError(f"vertex {v} has doubled weight {w}, expected 0, 1 or 2")
-        # an edge is uncovered exactly when it joins R to R or to C; the
-        # per-edge scan runs only to name the first such edge
         _, r_mask, c_mask = self._class_masks()
-        if any(g.rows[v] & (r_mask | c_mask) for v, w in enumerate(dw) if w == 0):
-            u, v = next((u, v) for u, v in g.edges() if dw[u] + dw[v] < 2)
-            raise GraphError(f"edge ({u},{v}) not covered: weights sum below 1")
+        _check_cover(g.rows, r_mask, c_mask)
         if sum(dw) != self.total.doubled:
             raise GraphError("stored total does not match the weights")
 
@@ -410,40 +536,15 @@ class Transversal:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _transversal_from(g: Graph, match_l: list[int], match_r: list[int]) -> Transversal:
-    """The transversal of a maximum double-cover matching's vertex cover.
-
-    The cover comes from the matching by alternating reachability, so the
-    construction is deterministic; g(v) is half the number of covered copies
-    of v.  The result is not validated.
-    """
-    n = g.n
-    rows = g.rows
-    visited_l = [False] * n
-    visited_r = [False] * n
-    queue = deque(u for u in range(n) if match_l[u] < 0)
-    for u in queue:
-        visited_l[u] = True
-    while queue:
-        u = queue.popleft()
-        nb = rows[u]
-        while nb:
-            v = (nb & -nb).bit_length() - 1
-            nb &= nb - 1
-            if v == match_l[u] or visited_r[v]:
-                continue
-            visited_r[v] = True
-            w = match_r[v]
-            if w >= 0 and not visited_l[w]:
-                visited_l[w] = True
-                queue.append(w)
-    dwv = tuple((0 if visited_l[v] else 1) + (1 if visited_r[v] else 0) for v in range(n))
-    return Transversal(n, dwv, HalfIntegral(sum(dwv)))
-
-
 def fractional_transversal(g: Graph) -> Transversal:
-    """Optimal half-integral transversal from the double cover's vertex cover."""
-    t = _transversal_from(g, *_dc_matching(g.rows, g.n))
+    """Optimal half-integral transversal from the double cover's vertex cover.
+
+    The witness core's W/R/C masks (``_transversal_from``, the builder the
+    structure audit checks) as an object, validated.
+    """
+    w_bits, _, c_bits = dense_rows(_transversal_from(g.rows, *_dc_matching(g.rows, g.n)), g.n)
+    dwv = tuple((2 * w_bits + c_bits).tolist())
+    t = Transversal(g.n, dwv, HalfIntegral(sum(dwv)))
     t.validate(g)
     return t
 
@@ -468,25 +569,15 @@ def wrc_decomposition(g: Graph, t: Transversal, beta_star_doubled: int | None = 
     half-weight class, (c) on a connected graph the full- and zero-weight
     classes are empty or non-empty together (vacuous on a single vertex),
     and, when the transversal is optimal, total = (n - (|R|-|W|))/2 with
-    |R| >= |W|.
+    |R| >= |W|.  (a) and (b) are the coverage rule, so an infeasible
+    transversal raises GraphError; the rest are ``_wrc_rules``.
     """
-    t.validate(g)  # its coverage rule is (a) and (b): no R-row meets R or C
+    t.validate(g)
     w_mask, r_mask, c_mask = t._class_masks()
-    s = w_mask.bit_count()
-    tt = r_mask.bit_count()
-    if g.n <= 1 or not is_connected(g):
-        connected_rule_ok = True
-    else:
-        connected_rule_ok = (s == 0) == (tt == 0)
     if beta_star_doubled is None:
         beta_star_doubled = _dc_matching_size(g.rows, g.n)
-    optimal = t.total.doubled == beta_star_doubled
-    eq1 = None
-    r_geq_w = None
-    if optimal:
-        eq1 = t.total.doubled == g.n - (tt - s)
-        r_geq_w = tt >= s
-    return WrcReport(s, tt, c_mask.bit_count(), True, True, connected_rule_ok, optimal, eq1, r_geq_w)
+    rules = _wrc_rules(g.n, is_connected(g), w_mask, r_mask, t.total.doubled, beta_star_doubled)
+    return WrcReport(w_mask.bit_count(), r_mask.bit_count(), c_mask.bit_count(), True, True, *rules)
 
 
 # ---------------------------------------------------------------------------
@@ -521,19 +612,16 @@ def fpm_partition(
     ``cycles``, when given, is ``m.half_cycles()`` as the caller already
     walked it; otherwise the half-weight support is walked here.
     """
-    m.validate(g)
-    if m.total.doubled < g.n:
-        raise GraphError(f"matching is not perfect: total {m.total} < n/2 = {g.n}/2")
-    parts: list[FpmPart] = []
-    covered = 0
-    for (u, v), w in m.doubled_weights:
-        if w == 2:
-            parts.append(FpmPart("K2", (u, v)))
-            covered |= (1 << u) | (1 << v)
-    for cycle in m.half_cycles() if cycles is None else cycles:
-        for x in cycle:
-            covered |= 1 << x
-        parts.append(FpmPart("ODD_CYCLE", cycle))
-    if covered != (1 << g.n) - 1:
-        raise GraphError("matching does not saturate every vertex")
+    partner, half = m._valid_rows(g)
+    support = 0  # the vertices of the half-weight cycles
+    if cycles is None:
+        for row in half:
+            support |= row
+    else:
+        for cycle in cycles:
+            for x in cycle:
+                support |= 1 << x
+    _check_perfect(g.n, m.total.doubled, partner, support)
+    parts = [FpmPart("K2", (u, p.bit_length() - 1)) for u, p in enumerate(partner) if p >> (u + 1)]
+    parts += [FpmPart("ODD_CYCLE", cycle) for cycle in (_odd_cycles(half) if cycles is None else cycles)]
     return FpmPartition(tuple(sorted(parts, key=lambda p: p.vertices)))

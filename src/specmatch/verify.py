@@ -8,6 +8,8 @@ connectivity, minimum degree, beta and 2*beta_star from one chunk table of
 numpy columns, whose beta and 2*beta_star are the brute-force oracles'
 subset tables.  The theorem and certificate sweeps work on whole columns;
 the audit and the cross-check, which build witnesses, go graph by graph.
+The audit runs on the bitmask witness core of ``matching`` and its rules,
+the same code the public witness constructors wrap.
 """
 
 from __future__ import annotations
@@ -36,13 +38,16 @@ from .graphs import (
 )
 from .halfint import HalfIntegral
 from .matching import (
+    _check_cover,
+    _check_matching,
+    _check_perfect,
     _dc_matching,
     _fractional_matching_from,
+    _odd_cycles,
     _transversal_from,
-    fpm_partition,
+    _wrc_rules,
     fractional_matching_number,
     matching_number,
-    wrc_decomposition,
 )
 from .spectral import spectral_radius
 
@@ -519,49 +524,61 @@ class AuditReport:
         return not self.violations
 
 
+def _fault(rule: Callable, *args) -> str | None:
+    """The message of a witness rule that fails, or None."""
+    try:
+        rule(*args)
+    except GraphError as exc:
+        return str(exc)
+    return None
+
+
 def _audit_chunk(args: tuple) -> tuple:
     n, lo, hi = args
     _, conn_col, _, _, bsd_col, rows_col = _batch_arrays(n, lo, hi, with_rho=False)
     violations: list[str] = []
     fpm_graphs = 0
     for connected, bsd, rows in zip(conn_col.tolist(), bsd_col.tolist(), map(tuple, rows_col.tolist())):
-        g = Graph._from_rows_unchecked(n, rows)
-        # one double-cover matching gives both witnesses; their totals must
-        # equal 2*beta_star from the subset tables, which never see them
+        # one double-cover matching gives both witnesses as bitmasks; their
+        # totals must equal 2*beta_star from the subset tables, which never see them
         match_l, match_r = _dc_matching(rows, n)
-        fm = _fractional_matching_from(g, match_l)
-        t = _transversal_from(g, match_l, match_r)
+        partner, half, fm_total = _fractional_matching_from(rows, match_l)
+        w, r, c = _transversal_from(rows, match_l, match_r)
+        t_total = 2 * w.bit_count() + c.bit_count()
         faults: list[str] = []
-        if fm.total.doubled != bsd or t.total.doubled != bsd:
-            faults.append(f"primal {fm.total} / dual {t.total} / matching {HalfIntegral(bsd)} differ")
-        cycles = None
-        try:
-            cycles = fm.half_cycles()
-        except GraphError:
+        if fm_total != bsd or t_total != bsd:
+            faults.append(f"primal {HalfIntegral(fm_total)} / dual {HalfIntegral(t_total)} / matching {HalfIntegral(bsd)} differ")
+        # each rule runs once per witness: one walk of the half-weight
+        # support, one feasibility check and one coverage check
+        walk_fault = _fault(_odd_cycles, half)
+        if walk_fault:
             faults.append("half-weight support is not a disjoint union of odd cycles")
-        # each witness is validated once, by fpm_partition and wrc_decomposition
-        # where they run; fpm_partition reuses the cycles walked above and walks
-        # again only after a failed walk, to raise its own message
+        fm_fault = _fault(_check_matching, rows, partner, half, fm_total)
         if bsd == n:
             fpm_graphs += 1
-            try:
-                fpm_partition(g, fm, cycles=cycles)
-            except GraphError as exc:
-                faults.append(f"fractional perfect matching partition failed: {exc}")
-        else:
-            fm.validate(g)
-        if not connected:
-            t.validate(g)
-        else:
-            # R independent with no R-C edge is the coverage rule that validate enforces
-            rep = wrc_decomposition(g, t, beta_star_doubled=bsd)
-            if not rep.connected_rule_ok:
+            support = 0
+            for row in half:
+                support |= row
+            # the partition fails on the first of: feasibility, coverage, the walk
+            fault = fm_fault or _fault(_check_perfect, n, fm_total, partner, support) or walk_fault
+            if fault:
+                faults.append(f"fractional perfect matching partition failed: {fault}")
+        elif fm_fault:
+            faults.append(f"fractional matching is infeasible: {fm_fault}")
+        t_fault = _fault(_check_cover, rows, r, c)
+        if t_fault:
+            faults.append(f"transversal is infeasible: {t_fault}")
+        if connected:
+            connected_rule_ok, _, eq1, r_geq_w = _wrc_rules(n, True, w, r, t_total, bsd)
+            if not connected_rule_ok:
                 faults.append("connected graph has exactly one of W, R empty")
-            if rep.eq1_holds is not True:
+            if eq1 is not True:
                 faults.append("optimal transversal violates total = (n - (|R|-|W|))/2")
-            if rep.r_geq_w is not True:
+            if r_geq_w is not True:
                 faults.append("optimal transversal has |R| < |W|")
-        violations.extend(f"{to_graph6(g)}: {f}" for f in faults)
+        if faults:
+            g6 = to_graph6(Graph._from_rows_unchecked(n, rows))
+            violations.extend(f"{g6}: {f}" for f in faults)
     return int(conn_col.sum()), fpm_graphs, violations
 
 
@@ -572,9 +589,11 @@ def audit_structures(n: int, jobs: int = 1) -> AuditReport:
     and 2*beta_star have one total (duality); the matching's half-weight
     support is a disjoint union of odd cycles; the perfect-matching
     partition succeeds when 2*beta_star = n; and, on connected graphs, the
-    transversal's W/R/C classes satisfy the structure rules.  All three come
-    from one double-cover matching per graph, and each witness is validated
-    once.
+    transversal's W/R/C classes satisfy the structure rules.  The witnesses
+    come from one double-cover matching per graph through the bitmask core
+    that the public constructors wrap, and each rule of ``matching`` runs
+    once per witness on its masks; no witness object is built.  A rule that
+    fails is reported as a violation with its own message.
     """
     if n < 0:
         raise GraphError("audit needs n >= 0")

@@ -183,7 +183,11 @@ class TestOptimalFractionalMatching:
             fm = optimal_fractional_matching(g)
             fm.validate(g)
             assert fm.total == fractional_matching_number(g)
-            adj = fm.half_support_adjacency()
+            adj = {}
+            for (u, v), w in fm.doubled_weights:
+                if w == 1:
+                    adj.setdefault(u, []).append(v)
+                    adj.setdefault(v, []).append(u)
             # half-weight support must be disjoint odd cycles
             assert all(len(nbrs) == 2 for nbrs in adj.values())
             seen = set()
@@ -380,3 +384,51 @@ class TestOracles:
         for g in small + dense:
             beta, bsd = nx_references(g)
             assert (oracle_beta(g), oracle_beta_star(g).doubled) == (beta, bsd), g.edges()
+
+
+def _fm(n, weights, total):
+    return FractionalMatching(n, tuple(weights), HalfIntegral(total))
+
+
+# every message the witness checks raise, one malformed witness each
+_MALFORMED = [
+    ("fm-range", lambda: _fm(3, [((0, 3), 2)], 2).validate(path(3)), "weighted pair (0,3) out of range"),
+    ("fm-duplicate", lambda: _fm(3, [((0, 1), 1), ((0, 1), 1)], 2).validate(path(3)), "duplicate weighted edge (0,1)"),
+    ("fm-non-edge", lambda: _fm(3, [((0, 2), 2)], 2).validate(path(3)), "weight on non-edge (0,2)"),
+    ("fm-weight", lambda: _fm(3, [((0, 1), 3)], 3).validate(path(3)), "doubled weight must be 1 or 2, got 3"),
+    ("fm-overloaded", lambda: _fm(3, [((0, 1), 2), ((1, 2), 2)], 4).validate(path(3)), "vertex 1 is overloaded: incident weight 4/2"),
+    ("fm-total", lambda: _fm(3, [((0, 1), 2)], 1).validate(path(3)), "stored total does not match the weights"),
+    ("t-length", lambda: Transversal(2, (1, 1), HalfIntegral(2)).validate(path(3)), "transversal length does not match the graph"),
+    ("t-weight", lambda: Transversal(3, (1, 3, 1), HalfIntegral(5)).validate(path(3)), "vertex 1 has doubled weight 3, expected 0, 1 or 2"),
+    ("t-uncovered-rr", lambda: Transversal(3, (0, 0, 2), HalfIntegral(2)).validate(path(3)), "edge (0,1) not covered: weights sum below 1"),
+    ("t-uncovered-cr", lambda: Transversal(3, (2, 1, 0), HalfIntegral(3)).validate(path(3)), "edge (1,2) not covered: weights sum below 1"),
+    ("t-total", lambda: Transversal(3, (2, 2, 2), HalfIntegral(5)).validate(path(3)), "stored total does not match the weights"),
+    ("fpm-not-perfect", lambda: fpm_partition(star(3), optimal_fractional_matching(star(3))), "matching is not perfect: total 1 < n/2 = 4/2"),
+    (
+        "fpm-not-saturating",
+        lambda: fpm_partition(cycle(5), optimal_fractional_matching(cycle(5)), cycles=[]),
+        "matching does not saturate every vertex",
+    ),
+    (
+        "cycles-path",
+        lambda: _fm(3, [((0, 1), 1), ((1, 2), 1)], 2).half_cycles(),
+        "non-canonical matching: half-weight support is not a union of cycles",
+    ),
+    (
+        "cycles-branching",
+        lambda: _fm(4, [((0, 1), 1), ((0, 2), 1), ((0, 3), 1)], 3).half_cycles(),
+        "non-canonical matching: half-weight support is not a union of cycles",
+    ),
+    (
+        "cycles-even",
+        lambda: _fm(4, [(e, 1) for e in cycle(4).edges()], 4).half_cycles(),
+        "non-canonical matching: even cycle in the half-weight support",
+    ),
+]
+
+
+@pytest.mark.parametrize("check, message", [case[1:] for case in _MALFORMED], ids=[case[0] for case in _MALFORMED])
+def test_validation_messages(check, message):
+    with pytest.raises(GraphError) as excinfo:
+        check()
+    assert str(excinfo.value) == message

@@ -395,7 +395,7 @@ class TestAudits:
             code = fn.__code__
             return stats.get((code.co_filename, code.co_firstlineno, code.co_name), (0, 0))[1]
 
-        counts = [calls(fn) for fn in (matching._dc_matching, FractionalMatching.validate, Transversal.validate)]
+        counts = [calls(fn) for fn in (matching._dc_matching, matching._check_matching, matching._check_cover)]
         assert counts == [64, 64, 64]
 
     def test_one_half_cycle_walk_per_graph(self):
@@ -403,7 +403,7 @@ class TestAudits:
         # walk of the half-weight support: 1,024 graphs at n = 5
         profile = cProfile.Profile()
         profile.runcall(audit_structures, 5)
-        code = FractionalMatching.half_cycles.__code__
+        code = matching._odd_cycles.__code__
         stats = pstats.Stats(profile).stats
         assert stats[code.co_filename, code.co_firstlineno, code.co_name][1] <= 1024
 
@@ -411,7 +411,7 @@ class TestAudits:
         # weight 1/2 on the whole 4-cycle is feasible and optimal, so only the
         # witness shape checks reject it.  C4 u K1 has 2beta* = 4 < n, where
         # only the odd-cycle check runs; C4 has 2beta* = n, where the
-        # partition walks the cycles again and fails too.
+        # partition reports the failed walk too.
         partition_fault = "fractional perfect matching partition failed: non-canonical matching: even cycle in the half-weight support"
         real = verify._fractional_matching_from
         for n, faults in [
@@ -419,9 +419,9 @@ class TestAudits:
             (4, ["half-weight support is not a disjoint union of odd cycles", partition_fault]),
         ]:
             target = Graph(n, [(0, 1), (1, 2), (2, 3), (0, 3)])
-            even = FractionalMatching(n, tuple((e, 1) for e in target.edges()), HalfIntegral(4))
+            even = ([0] * n, list(target.rows), 4)  # partner rows, half-support rows, doubled total
             monkeypatch.setattr(
-                verify, "_fractional_matching_from", lambda g, *m, t=target, e=even: e if g == t else real(g, *m)
+                verify, "_fractional_matching_from", lambda rows, *m, t=target, e=even: e if rows == t.rows else real(rows, *m)
             )
             rep = audit_structures(n)
             assert rep.violations == tuple(f"{to_graph6(target)}: {f}" for f in faults)
@@ -429,11 +429,46 @@ class TestAudits:
     def test_catches_nonoptimal_transversal_on_disconnected_graph(self, monkeypatch):
         # K2 u K1: weight 1/2 everywhere covers the edge but totals 3/2 > beta* = 1
         target = union(complete(2), empty(1))
-        loose = Transversal(3, (1, 1, 1), HalfIntegral(3))
+        loose = (0, 0, 0b111)  # W, R, C masks
         real = verify._transversal_from
-        monkeypatch.setattr(verify, "_transversal_from", lambda g, *m: loose if g == target else real(g, *m))
+        monkeypatch.setattr(verify, "_transversal_from", lambda rows, *m: loose if rows == target.rows else real(rows, *m))
         rep = audit_structures(3)
         assert rep.violations == (f"{to_graph6(target)}: primal 1 / dual 3/2 / matching 1 differ",)
+
+    @pytest.mark.parametrize(
+        "target, witness, faults",
+        [
+            (
+                # P3 with weight 1 on both edges: vertex 1 carries 2 > 1
+                Graph(3, [(0, 1), (1, 2)]),
+                ([0b010, 0b101, 0b010], [0, 0, 0], 4),  # partner rows, half-support rows, doubled total
+                ["primal 2 / dual 1 / matching 1 differ", "fractional matching is infeasible: vertex 1 is overloaded: incident weight 4/2"],
+            ),
+            (
+                # connected P3 with its optimal total on the non-edge 02
+                Graph(3, [(0, 1), (1, 2)]),
+                ([0b100, 0, 0b001], [0, 0, 0], 2),
+                ["fractional matching is infeasible: weight on non-edge (0,2)"],
+            ),
+        ],
+    )
+    def test_reports_infeasible_matching(self, monkeypatch, target, witness, faults):
+        real = verify._fractional_matching_from
+        monkeypatch.setattr(verify, "_fractional_matching_from", lambda rows, *m: witness if rows == target.rows else real(rows, *m))
+        rep = audit_structures(3)
+        assert rep.violations == tuple(f"{to_graph6(target)}: {f}" for f in faults)
+
+    def test_reports_uncovered_transversal(self, monkeypatch):
+        # K2 u K1 with weight 0 everywhere leaves the edge uncovered
+        target = union(complete(2), empty(1))
+        zero = (0, 0b111, 0)  # W, R, C masks
+        real = verify._transversal_from
+        monkeypatch.setattr(verify, "_transversal_from", lambda rows, *m: zero if rows == target.rows else real(rows, *m))
+        rep = audit_structures(3)
+        assert rep.violations == (
+            f"{to_graph6(target)}: primal 1 / dual 0 / matching 1 differ",
+            f"{to_graph6(target)}: transversal is infeasible: edge (0,1) not covered: weights sum below 1",
+        )
 
 
 class TestCrossCheck:

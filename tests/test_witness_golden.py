@@ -3,7 +3,7 @@
 For each graph the digest covers the canonical fractional matching and its
 half cycles, the optimal transversal, the maximum matching's edges and the
 fractional perfect matching partition (or the error it raises).  The graphs
-are every labeled graph on n <= 5 vertices and a fixed-seed sample with
+are every labeled graph on n <= 6 vertices and a fixed-seed sample with
 7 <= n <= 13.  Rewrite the stored digests, only after a deliberate change
 of witness, with
 
@@ -33,7 +33,7 @@ from specmatch.verify import enumerate_graphs
 GOLDEN = Path(__file__).parent / "golden" / "witnesses.json"
 RANDOM_SEED = 20261018
 RANDOM_PER_ORDER = 200
-LABELED_ORDERS = range(6)
+LABELED_ORDERS = range(7)
 RANDOM_ORDERS = range(7, 14)
 
 
