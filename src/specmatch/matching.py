@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graphs import Graph, GraphError, dense_rows, is_connected
+from .graphs import Graph, GraphError, _bits, dense_rows, is_connected
 from .halfint import HalfIntegral
 
 
@@ -215,14 +215,10 @@ def has_fractional_perfect_matching(g: Graph) -> bool:
 # ---------------------------------------------------------------------------
 # the bitmask witness core
 #
-# A fractional matching is held as two lists of bitmask rows: partner[v]
-# has a bit for each edge of weight 1 at v, half[v] one for each edge of
-# weight 1/2.  A transversal is held as the masks of its weight classes W
-# (weight 1), R (0) and C (1/2).  The builders read one double-cover
-# matching; each rule below checks one property on these masks and raises
-# GraphError with its own message.  The public classes convert to masks and
-# call the same rules, and the structure audit calls them on the builders'
-# output directly.
+# partner[v] has a bit for each weight-1 edge at v, half[v] one for each
+# weight-1/2 edge; a transversal is its W (weight 1), R (0) and C (1/2)
+# masks.  Each rule checks one property and raises GraphError with its own
+# message.
 
 _NOT_CYCLES = "non-canonical matching: half-weight support is not a union of cycles"
 
@@ -389,13 +385,7 @@ def _check_perfect(n: int, total: int, partner: list[int], support: int) -> None
 def _check_cover(rows: tuple[int, ...], r: int, c: int) -> None:
     """Transversal coverage: no edge joins R to R or to C (weights sum below 1)."""
     rc = r | c
-    todo = r  # every uncovered edge has an end in R
-    while todo:
-        low = todo & -todo
-        todo ^= low
-        if rows[low.bit_length() - 1] & rc:
-            break
-    else:
+    if not any(rows[u] & rc for u in _bits(r)):  # every uncovered edge has an end in R
         return
     for u, row in enumerate(rows):  # name the first uncovered edge (u, v), u < v
         bad = (row & (rc if r >> u & 1 else r if c >> u & 1 else 0)) >> (u + 1)
@@ -477,7 +467,7 @@ def optimal_fractional_matching(g: Graph) -> FractionalMatching:
     partner, half, total = _fractional_matching_from(g.rows, _dc_matching(g.rows, g.n)[0])
     weights = []
     for u, (p, h) in enumerate(zip(partner, half)):
-        above = (p | h) >> (u + 1)
+        above = (p | h) >> (u + 1)  # each edge at its lower end u
         while above:
             v = u + (above & -above).bit_length()
             above &= above - 1
