@@ -245,9 +245,10 @@ def _walks(half: list[int]) -> Iterator[tuple[list[int], bool]]:
 
     Components come in ascending lowest-vertex order.  A cycle is walked
     from its lowest vertex towards its smaller neighbour, a path from its
-    lower endpoint.  A vertex with more than two half-edges raises
-    GraphError when the walk reaches it, so the walk ends on any input.  The
-    caller may rewrite the rows of a component once it has been yielded.
+    lower endpoint.  The rows must be symmetric, as every caller builds
+    them; a vertex with more than two half-edges then raises GraphError when
+    the walk reaches it, so the walk ends.  The caller may rewrite the rows
+    of a component once it has been yielded.
     """
     todo = 0
     for v, row in enumerate(half):
