@@ -3,13 +3,18 @@
 Labeled graphs on n vertices are enumerated as edge-bit masks in graph6
 column order.  Sweeps are sharded into fixed chunks (independent of the
 worker count) and merged in chunk order, so reports are byte-identical
-across runs and across --jobs settings.  Every sweep reads rho,
-connectivity, minimum degree, beta and 2*beta_star from one chunk table of
-numpy columns, whose beta and 2*beta_star are the brute-force oracles'
-subset tables.  The theorem and certificate sweeps work on whole columns;
-the audit and the cross-check, which build witnesses, go graph by graph.
-The audit runs on the bitmask witness core of ``matching`` and its rules,
-the same code the public witness constructors wrap.
+across runs and across --jobs settings.  Every sweep reads connectivity,
+minimum degree, edge count, beta and 2*beta_star from one chunk table of
+numpy columns, whose invariants come from the brute-force oracles' subset
+tables.  rho comes from one batched eigensolver, ``_rho_column``: the
+certificate sweep reads it for every graph, as a column of the table; the
+theorem sweeps compute it only for the graphs whose Stanley bound can
+reach a class maximum or bound, 0.1-1.5 % of them at n = 6 and 7; the
+audit and the cross-check never read it.  The theorem and certificate
+sweeps work on whole columns; the audit and the cross-check, which build
+witnesses, go graph by graph.  The audit runs on the bitmask witness core
+of ``matching`` and its rules, the same code the public witness
+constructors wrap.
 """
 
 from __future__ import annotations
@@ -95,11 +100,11 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
 # subset tables: the brute-force oracles and the chunk table's invariants
 
 
-def _subset_columns(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Connectivity, minimum degree, beta and 2*beta_star of each graph of a
-    (graphs, n) array of neighbour rows, n <= 10, from one pass over the 2^n
-    vertex subsets S of all the graphs at once; the tables have 2^n cells
-    per graph, so callers pass at most ``_TABLE_CELLS >> n`` graphs.
+def _subset_columns(rows: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """Connectivity, minimum degree, edge count, beta and 2*beta_star of each
+    graph of a (graphs, n) array of neighbour rows, n <= 10, from one pass
+    over the 2^n vertex subsets S of all the graphs at once; the tables have
+    2^n cells per graph, so callers pass at most ``_TABLE_CELLS >> n`` graphs.
 
     Vertex v doubles the tables: for S inside {0..v-1},
     N(S + v) = N(S) | N(v), and a maximum matching of G[S + v] leaves v
@@ -132,7 +137,8 @@ def _subset_columns(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, n
         reach |= nbhd[reach, graphs]
     subsets = np.arange(1 << n, dtype=np.uint16)[:, None]
     surplus = np.where(nbhd & subsets, 0, size[:, None] - size[nbhd]).max(axis=0, initial=0)
-    return reach == (1 << n) - 1, size[rows].min(axis=1, initial=n), beta[-1], n - surplus.astype(np.int64)
+    degrees, connected = size[rows], reach == (1 << n) - 1
+    return connected, degrees.min(axis=1, initial=n), degrees.sum(axis=1) // 2, beta[-1], n - surplus.astype(np.int64)
 
 
 def _oracle_columns(g: Graph, what: str) -> tuple[np.ndarray, ...]:
@@ -145,7 +151,7 @@ def oracle_beta(g: Graph) -> int:
     """Exhaustive maximum matching size: the beta column of the subset tables
     (``_subset_columns``) on g alone.  A table has 2^n rows, so graphs with
     more than ``ORACLE_N_CAP`` vertices are refused."""
-    return int(_oracle_columns(g, "matching")[2][0])
+    return int(_oracle_columns(g, "matching")[3][0])
 
 
 def oracle_beta_star(g: Graph) -> HalfIntegral:
@@ -153,7 +159,7 @@ def oracle_beta_star(g: Graph) -> HalfIntegral:
     2*beta_star column of the subset tables (``_subset_columns``) on g alone.
     A table has 2^n rows, so graphs with more than ``ORACLE_N_CAP`` vertices
     are refused."""
-    return HalfIntegral(int(_oracle_columns(g, "fractional matching")[3][0]))
+    return HalfIntegral(int(_oracle_columns(g, "fractional matching")[4][0]))
 
 
 # ---------------------------------------------------------------------------
@@ -169,15 +175,27 @@ def _chunk_ranges(n: int) -> list[tuple[int, int]]:
     return [(i * step, (i + 1) * step if i < chunks - 1 else total) for i in range(chunks)]
 
 
+def _rho_column(rows: np.ndarray, n: int) -> np.ndarray:
+    """Spectral radius of each graph of a (graphs, n) array of neighbour
+    rows, from one batched ``eigvalsh`` (K_0 reads 0).  The solver works
+    matrix by matrix, so a graph's rho does not depend on the batch it is
+    computed in."""
+    if not n:
+        return np.zeros(len(rows))
+    a = ((rows[:, :, None] >> np.arange(n)) & 1).astype(np.float64)
+    return np.linalg.eigvalsh(a)[:, -1]
+
+
 def _batch_arrays(n: int, lo: int, hi: int, *, with_rho: bool = True) -> tuple[np.ndarray | None, ...]:
     """The chunk table of masks lo..hi-1, one numpy array per column: spectral
-    radius, connectivity flag, minimum degree, beta, 2*beta_star, and the
-    (graphs, n) array of neighbour rows (K_0 reads rho 0, not connected,
-    degree 0).  Every sweep reads its graphs and their invariants from here.
-    rho comes from the batched eigensolver; the other invariants from the
-    oracles' subset tables (``_subset_columns``).  Workers that never read
-    rho pass ``with_rho=False`` and get ``None`` in its place, skipping the
-    eigensolver."""
+    radius, connectivity flag, minimum degree, edge count, beta, 2*beta_star,
+    and the (graphs, n) array of neighbour rows (K_0 reads rho 0, not
+    connected, degree 0).  Every sweep reads its graphs and their invariants
+    from here.  rho comes from the batched eigensolver (``_rho_column``) on
+    every graph of the table; the other invariants from the oracles' subset
+    tables (``_subset_columns``).  Workers that never read rho, or compute
+    it themselves for the graphs that need it, pass ``with_rho=False`` and
+    get ``None`` in its place, skipping the eigensolver."""
     pairs = pairs_colex(n)
     masks = np.arange(lo, hi, dtype=np.int64)
     rows = np.zeros((hi - lo, n), dtype=np.int64)
@@ -189,12 +207,11 @@ def _batch_arrays(n: int, lo: int, hi: int, *, with_rho: bool = True) -> tuple[n
     step = _TABLE_CELLS >> n
     for start in range(0, hi - lo, step):
         part = rows[start : start + step]
-        if with_rho and n:
-            a = ((part[:, :, None] >> np.arange(n)) & 1).astype(np.float64)
-            rho[start : start + step] = np.linalg.eigvalsh(a)[:, -1]
+        if with_rho:
+            rho[start : start + step] = _rho_column(part, n)
         columns.append(_subset_columns(part, n))
-    conn, delta, beta, bsd = (np.concatenate(col) for col in zip(*columns))
-    return rho if with_rho else None, conn, delta, beta, bsd, rows
+    conn, delta, edges, beta, bsd = (np.concatenate(col) for col in zip(*columns))
+    return rho if with_rho else None, conn, delta, edges, beta, bsd, rows
 
 
 def _sweep(worker: Callable, n: int, jobs: int, *extra) -> list:
@@ -267,20 +284,49 @@ def _predict(theorem: str, n: int, class_doubled: int) -> RegimePrediction:
     raise ValueError(f"unknown theorem {theorem!r}; expected one of {THEOREMS}")
 
 
+def _rho_cap(edges: np.ndarray) -> np.ndarray:
+    """Stanley's bound rho <= (sqrt(1 + 8m) - 1)/2 on a graph with m edges
+    (R. P. Stanley, *Linear Algebra Appl.* 87, 1987), raised by ``RHO_TOL``
+    so that it also caps the rho that ``eigvalsh`` rounds."""
+    return (np.sqrt(1 + 8 * edges) - 1) / 2 + RHO_TOL
+
+
 def _theorem_chunk(args: tuple) -> tuple:
     """Per class of the chunk, the candidates: the (rho, mask) pairs with
     rho >= min(class maximum in the chunk, class bound) - ``RHO_TOL``.  So
     every maximizer of a class and every graph at or above its bound, over
-    the whole sweep, is a candidate of its chunk."""
+    the whole sweep, is a candidate of its chunk.
+
+    The chunk table is read without rho.  rho comes from ``_rho_column``,
+    and only for the graphs whose cap (``_rho_cap``) leaves them a chance.
+    Per class, stage 1 takes every graph whose cap reaches the class bound
+    minus ``RHO_TOL``.  Unless one of them reaches the bound itself, stage 2
+    takes the rest one edge count at a time, densest first, until the cap
+    falls below the running class maximum minus ``RHO_TOL``.  Every graph
+    left out has rho below the threshold and below the class maximum, so
+    the candidates are those of the full rho column, bit for bit."""
     n, lo, hi, theorem, bounds = args
-    rho, connected, _, beta, bsd, _ = _batch_arrays(n, lo, hi)
+    _, connected, _, edges, beta, bsd, rows = _batch_arrays(n, lo, hi, with_rho=False)
     keys = bsd if theorem in ("t32", "t33") else 2 * beta
     if _CONNECTED_THEOREMS[theorem]:
         keys = np.where(connected, keys, -1)  # -1: no class
+    cap = _rho_cap(edges)
+    rho = np.full(hi - lo, -np.inf)  # -inf: not computed, below every threshold
     candidates = {}
     for key in np.unique(keys[keys >= 0]).tolist():
         idx = np.flatnonzero(keys == key)
-        idx = idx[rho[idx] >= min(rho[idx].max(), bounds[key]) - RHO_TOL]
+        near = cap[idx] >= bounds[key] - RHO_TOL
+        rho[idx[near]] = _rho_column(rows[idx[near]], n)
+        top = rho[idx].max()
+        if top < bounds[key]:
+            rest = idx[~near]
+            for m in np.unique(edges[rest])[::-1].tolist():
+                block = rest[edges[rest] == m]
+                if cap[block[0]] < top - RHO_TOL:
+                    break
+                rho[block] = _rho_column(rows[block], n)
+                top = max(top, rho[block].max())
+        idx = idx[rho[idx] >= min(top, bounds[key]) - RHO_TOL]
         candidates[key] = list(zip(rho[idx].tolist(), (lo + idx).tolist()))
     return int(connected.sum()), candidates
 
@@ -448,7 +494,7 @@ class CertSweepReport:
 
 def _cert_chunk(args: tuple) -> tuple:
     n, lo, hi = args
-    rho, connected, delta, beta, bsd, rows = _batch_arrays(n, lo, hi)
+    rho, connected, delta, _, beta, bsd, rows = _batch_arrays(n, lo, hi)
     rho, delta, beta, bsd, rows = (col[connected] for col in (rho, delta, beta, bsd, rows))
     table = certificate_table(n, connected=True)
     applicable = [cert.threshold is not None for cert in table]
@@ -535,7 +581,7 @@ def _fault(rule: Callable, *args) -> str | None:
 
 def _audit_chunk(args: tuple) -> tuple:
     n, lo, hi = args
-    _, conn_col, _, _, bsd_col, rows_col = _batch_arrays(n, lo, hi, with_rho=False)
+    _, conn_col, _, _, _, bsd_col, rows_col = _batch_arrays(n, lo, hi, with_rho=False)
     violations: list[str] = []
     fpm_graphs = 0
     for connected, bsd, rows in zip(conn_col.tolist(), bsd_col.tolist(), map(tuple, rows_col.tolist())):
@@ -639,7 +685,7 @@ def _cross_check_one(g: Graph, beta: int, bsd: int) -> list[str]:
 
 def _cross_chunk(args: tuple) -> list[str]:
     n, lo, hi = args
-    _, _, _, beta_col, bsd_col, rows_col = _batch_arrays(n, lo, hi, with_rho=False)
+    _, _, _, _, beta_col, bsd_col, rows_col = _batch_arrays(n, lo, hi, with_rho=False)
     out: list[str] = []
     for beta, bsd, rows in zip(beta_col.tolist(), bsd_col.tolist(), map(tuple, rows_col.tolist())):
         out.extend(_cross_check_one(Graph._from_rows_unchecked(n, rows), beta, bsd))
@@ -668,7 +714,7 @@ def cross_check_matching_implementations(
         for _ in range(min(_TABLE_CELLS >> n, samples - start)):
             p = rng.uniform(0.05, 0.95)
             draws.append(Graph(n, [pair for pair in pairs if rng.random() < p]))
-        _, _, beta, bsd = _subset_columns(np.array([g.rows for g in draws], dtype=np.int64), n)
+        _, _, _, beta, bsd = _subset_columns(np.array([g.rows for g in draws], dtype=np.int64), n)
         mism += [line for g, b, d in zip(draws, beta.tolist(), bsd.tolist()) for line in _cross_check_one(g, b, d)]
     return CrossCheckReport(n, False, samples, tuple(mism))
 

@@ -8,6 +8,7 @@ stated sizes.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import random
@@ -41,6 +42,15 @@ from specmatch.spectral import char_poly_f_coeffs
 from conftest import random_connected_graph
 
 JOBS = min(8, os.cpu_count() or 1)
+# SHA-256 of the n = 7 theorem CSVs, which tests/golden/theorem_csv.json (n <= 6) leaves out
+N7_CSV_SHA256 = {
+    "t32": "749b0d85ee4d6599f1fb793b021aff22f53da3a5cddd8e8a7f76602c333f6761",
+    "t33": "3d6ff7f887008f2b9fa8f65ba31546fd27c6ea816305a2c399658d26d8f717d7",
+}
+
+
+def csv_sha256(rep) -> str:
+    return hashlib.sha256(rep.to_csv().encode()).hexdigest()
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -76,6 +86,8 @@ class TestAcceptance:
         for n in (6, 7):
             rep = verify_theorem("t32", n, jobs=JOBS)
             ok = ok and rep.passed
+            if n == 7:
+                assert csv_sha256(rep) == N7_CSV_SHA256["t32"]
             details.append(f"n={n}: {rep.connected_count} connected graphs, {len(rep.classes)} classes")
             # uniqueness outside the stated regimes: a single predicted graph per class
             for rec in rep.classes:
@@ -89,9 +101,11 @@ class TestAcceptance:
         for n in range(1, 8):
             rep = verify_theorem("t33", n, jobs=JOBS)
             ok = ok and rep.passed
+            if n == 7:
+                assert csv_sha256(rep) == N7_CSV_SHA256["t33"]
             if any("2beta*-1" in line for line in rep.resolutions):
                 stated = True
-        details.append("t33 exhaustive n<=7 passed; bound constant resolved to 2beta*-1")
+        details.append("t33 exhaustive n<=7 passed, n=7 CSV as pinned; bound constant resolved to 2beta*-1")
         tie = verify_tie_class_n8()
         ok = ok and stated and tie.passed
         ok = ok and len(tie.predicted_g6) == 2

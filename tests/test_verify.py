@@ -8,6 +8,7 @@ import pstats
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from specmatch import (
@@ -60,6 +61,32 @@ def _lists(table):
     return (*(None if col is None else col.tolist() for col in columns), list(map(tuple, rows.tolist())))
 
 
+def _full_rho_candidates(n, lo, hi, theorem, bounds):
+    """What ``_theorem_chunk`` returns, computed from the chunk table's full rho column."""
+    rho, connected, _, _, beta, bsd, _ = verify._batch_arrays(n, lo, hi, with_rho=True)
+    keys = bsd if theorem in ("t32", "t33") else 2 * beta
+    if verify._CONNECTED_THEOREMS[theorem]:
+        keys = np.where(connected, keys, -1)
+    candidates = {}
+    for key in np.unique(keys[keys >= 0]).tolist():
+        idx = np.flatnonzero(keys == key)
+        idx = idx[rho[idx] >= min(rho[idx].max(), bounds[key]) - verify.RHO_TOL]
+        candidates[key] = list(zip(rho[idx].tolist(), (lo + idx).tolist()))
+    return int(connected.sum()), candidates
+
+
+def _screened_chunks(theorem):
+    """(chunk, pruned output, full-rho output) on every chunk at n <= 6 and
+    on the first and a middle chunk at n = 7."""
+    for n in range(1, 8):
+        step = 1 if theorem in ("t32", "t33") else 2
+        bounds = {key: verify._predict(theorem, n, key).bound for key in range(0, n + 1, step)}
+        chunks = verify._chunk_ranges(n)
+        for lo, hi in chunks if n < 7 else (chunks[0], chunks[len(chunks) // 2]):
+            args = (n, lo, hi, theorem, bounds)
+            yield (n, lo, hi), verify._theorem_chunk(args), _full_rho_candidates(*args)
+
+
 class TestEnumeration:
     def test_counts_n3(self):
         graphs = list(enumerate_graphs(3))
@@ -92,22 +119,23 @@ class TestChunkTable:
         tables = [(n, 0, 1 << (n * (n - 1) // 2)) for n in range(1, 6)] + [(7, *verify._chunk_ranges(7)[37])]
         for n, lo, hi in tables:
             graphs = [verify._graph_from_mask(n, mask, pairs_colex(n)) for mask in range(lo, hi)]
-            rho, conn, delta, beta, bsd, rows = _lists(verify._batch_arrays(n, lo, hi))
+            rho, conn, delta, edges, beta, bsd, rows = _lists(verify._batch_arrays(n, lo, hi))
             assert rows == [g.rows for g in graphs]
             assert conn == [is_connected(g) for g in graphs]
             assert delta == [min_degree(g) for g in graphs]
+            assert edges == [g.edge_count() for g in graphs]
             assert beta == [matching_number(g).size for g in graphs]
             assert bsd == [fractional_matching_number(g).doubled for g in graphs]
             assert rho == pytest.approx([spectral_radius(g).value for g in graphs], abs=1e-9)
             # workers that never read rho skip the eigensolver; the other
             # columns are the same
-            assert _lists(verify._batch_arrays(n, lo, hi, with_rho=False)) == (None, conn, delta, beta, bsd, rows)
+            assert _lists(verify._batch_arrays(n, lo, hi, with_rho=False)) == (None, conn, delta, edges, beta, bsd, rows)
 
     def test_n0(self):
         # the one graph on no vertices is empty and not connected; its
         # minimum degree, which min_degree refuses, reads 0
-        assert _lists(verify._batch_arrays(0, 0, 1)) == ([0.0], [False], [0], [0], [0], [()])
-        assert _lists(verify._batch_arrays(0, 0, 1, with_rho=False)) == (None, [False], [0], [0], [0], [()])
+        assert _lists(verify._batch_arrays(0, 0, 1)) == ([0.0], [False], [0], [0], [0], [0], [()])
+        assert _lists(verify._batch_arrays(0, 0, 1, with_rho=False)) == (None, [False], [0], [0], [0], [0], [()])
 
     @pytest.mark.parametrize(
         "sweep, args",
@@ -158,6 +186,31 @@ class TestChunkTable:
         chunk = lambda args: args[1:3]  # noqa: E731
         assert verify._sweep(chunk, 7, jobs) == verify._chunk_ranges(7)
         assert asked == [size]
+
+
+class TestPrunedScreen:
+    @pytest.mark.parametrize("theorem", verify.THEOREMS)
+    def test_matches_the_full_rho_column(self, theorem):
+        # the theorem chunks compute rho only where Stanley's bound leaves a
+        # graph a chance; their candidates and counts are those of the full column
+        for chunk, pruned, full in _screened_chunks(theorem):
+            assert pruned == full, chunk
+
+    def test_catches_a_cap_that_is_too_tight(self, monkeypatch):
+        # a cap at 0.95 times Stanley's bound drops candidates, and the comparison sees it
+        cap = verify._rho_cap
+        monkeypatch.setattr(verify, "_rho_cap", lambda edges: 0.95 * cap(edges))
+        assert any(pruned != full for t in verify.THEOREMS for _, pruned, full in _screened_chunks(t))
+
+    def test_rho_of_a_sub_batch_is_bit_identical(self):
+        # the pruned screen computes rho on sub-batches; every bit must match
+        # the full table's column, whatever the batch and the order
+        rng = np.random.default_rng(2024)
+        for n, lo, hi in [(6, 0, 1 << 15), (7, *verify._chunk_ranges(7)[37])]:
+            full, *_, rows = verify._batch_arrays(n, lo, hi)
+            for size in (1, 7, 400, 5000):
+                pick = rng.permutation(len(rows))[:size]
+                assert np.array_equal(verify._rho_column(rows[pick], n).view(np.int64), full[pick].view(np.int64))
 
 
 class TestTheoremSweeps:
