@@ -78,8 +78,8 @@ def _full_rho_candidates(n, lo, hi, theorem, bounds):
 def _screened_chunks(theorem):
     """(chunk, pruned output, full-rho output) on every chunk at n <= 6 and
     on the first and a middle chunk at n = 7."""
+    step = 1 if theorem in ("t32", "t33") else 2  # the classes: 2*beta_star, or 2*beta
     for n in range(1, 8):
-        step = 1 if theorem in ("t32", "t33") else 2
         bounds = {key: verify._predict(theorem, n, key).bound for key in range(0, n + 1, step)}
         chunks = verify._chunk_ranges(n)
         for lo, hi in chunks if n < 7 else (chunks[0], chunks[len(chunks) // 2]):
