@@ -188,43 +188,43 @@ def _record(cert: Certificate, rho: float | None, delta: int | None) -> Certific
     )
 
 
-def _certify_one(g: Graph, cert: Certificate, rho: float | None) -> CertificateRecord:
+def _certify_one(g: Graph, cert: Certificate) -> CertificateRecord:
     if cert.threshold is None:
         return _record(cert, None, None)
-    return _record(cert, rho if rho is not None else spectral_radius(g).value, min_degree(g))
+    return _record(cert, spectral_radius(g).value, min_degree(g))
 
 
 # ---------------------------------------------------------------------------
 # certificates
 
 
-def cert_min_degree_fpm(g: Graph, *, rho: float | None = None) -> CertificateRecord:
+def cert_min_degree_fpm(g: Graph) -> CertificateRecord:
     """Fires when rho < delta * sqrt((n+1)/(n-1)); guarantees 2*beta_star = n."""
-    return _certify_one(g, _min_degree_row(g.n, is_connected(g)), rho)
+    return _certify_one(g, _min_degree_row(g.n, is_connected(g)))
 
 
-def cert_fpm_spectral(g: Graph, *, rho: float | None = None) -> CertificateRecord:
+def cert_fpm_spectral(g: Graph) -> CertificateRecord:
     """Fires when rho exceeds the n-appropriate threshold; guarantees 2*beta_star = n."""
-    return _certify_one(g, _fpm_row(g.n, is_connected(g)), rho)
+    return _certify_one(g, _fpm_row(g.n, is_connected(g)))
 
 
-def cert_pm_spectral(g: Graph, *, rho: float | None = None) -> CertificateRecord:
+def cert_pm_spectral(g: Graph) -> CertificateRecord:
     """Fires when rho exceeds the even-n threshold; guarantees beta = n/2."""
-    return _certify_one(g, _pm_row(g.n, is_connected(g)), rho)
+    return _certify_one(g, _pm_row(g.n, is_connected(g)))
 
 
-def cert_beta_star_increment(g: Graph, target: HalfIntegral, *, rho: float | None = None) -> CertificateRecord:
+def cert_beta_star_increment(g: Graph, target: HalfIntegral) -> CertificateRecord:
     """Fires when rho exceeds the case threshold; guarantees beta* >= target + 1/2."""
     if not 1 <= target.doubled <= g.n - 1:
         raise ValueError(f"target {target} out of range for n={g.n} (need 1 <= 2*target <= n-1)")
-    return _certify_one(g, _beta_star_row(g.n, is_connected(g), target.doubled), rho)
+    return _certify_one(g, _beta_star_row(g.n, is_connected(g), target.doubled))
 
 
-def cert_beta_increment(g: Graph, beta: int, *, rho: float | None = None) -> CertificateRecord:
+def cert_beta_increment(g: Graph, beta: int) -> CertificateRecord:
     """Fires when rho exceeds the case threshold; guarantees beta(G) >= beta + 1."""
     if not 1 <= beta <= (g.n - 2) / 2:
         raise ValueError(f"beta {beta} out of range for n={g.n} (need 1 <= beta <= (n-2)/2)")
-    return _certify_one(g, _beta_row(g.n, is_connected(g), beta), rho)
+    return _certify_one(g, _beta_row(g.n, is_connected(g), beta))
 
 
 def _guarantee_holds(kind: str, param: int, n: int, beta: int, beta_star_doubled: int) -> bool:

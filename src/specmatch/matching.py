@@ -595,24 +595,13 @@ class FpmPartition:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def fpm_partition(
-    g: Graph, m: FractionalMatching, *, cycles: list[tuple[int, ...]] | None = None
-) -> FpmPartition:
-    """Split a canonical fractional perfect matching into K2 and odd-cycle parts.
-
-    ``cycles``, when given, is ``m.half_cycles()`` as the caller already
-    walked it; otherwise the half-weight support is walked here.
-    """
+def fpm_partition(g: Graph, m: FractionalMatching) -> FpmPartition:
+    """Split a canonical fractional perfect matching into K2 and odd-cycle parts."""
     partner, half = m._valid_rows(g)
     support = 0  # the vertices of the half-weight cycles
-    if cycles is None:
-        for row in half:
-            support |= row
-    else:
-        for cycle in cycles:
-            for x in cycle:
-                support |= 1 << x
+    for row in half:
+        support |= row
     _check_perfect(g.n, m.total.doubled, partner, support)
     parts = [FpmPart("K2", (u, p.bit_length() - 1)) for u, p in enumerate(partner) if p >> (u + 1)]
-    parts += [FpmPart("ODD_CYCLE", cycle) for cycle in (_odd_cycles(half) if cycles is None else cycles)]
+    parts += [FpmPart("ODD_CYCLE", cycle) for cycle in _odd_cycles(half)]
     return FpmPartition(tuple(sorted(parts, key=lambda p: p.vertices)))

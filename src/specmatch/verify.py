@@ -1,14 +1,18 @@
 """Exhaustive small-graph sweeps: bounds, maximizers, certificates, audits.
 
-Labeled graphs on n vertices are enumerated as edge-bit masks in graph6
-column order.  Sweeps are sharded into fixed chunks (independent of the
-worker count) and merged in chunk order, so reports are byte-identical
-across runs and across --jobs settings.  Every sweep reads connectivity,
-minimum degree, edge count, beta and 2*beta_star from one chunk table of
-numpy columns, whose invariants come from the brute-force oracles' subset
-tables.  rho comes from one batched eigensolver, ``_rho_column``: the
-certificate sweep reads it for every graph, as a column of the table; the
-theorem sweeps compute it only for the graphs whose Stanley bound can
+Labeled graphs on n vertices are edge-bit masks in graph6 column order.
+Every sweep reads its graphs from one table of numpy columns built from an
+array of masks (``_batch_arrays``): connectivity, minimum degree, edge
+count, beta and 2*beta_star from the brute-force oracles' subset tables,
+and the neighbour rows.  The exhaustive sweeps are sharded into fixed
+chunks of the mask range (independent of the worker count) and merged in
+chunk order, so reports are byte-identical across runs and across --jobs
+settings.  The sampled cross-check reads the masks it draws, in tables of
+bounded size; the n = 8 tie class reads every edge subset of its two shape
+closures and its samples, and runs the theorem sweep's screen and class
+check on them.  rho comes from one batched eigensolver, ``_rho_column``:
+the certificate sweep reads it for every graph, as a column of the table;
+the theorem screen computes it only for the graphs whose Stanley bound can
 reach a class maximum or bound, 0.1-1.5 % of them at n = 6 and 7; the
 audit and the cross-check never read it.  The theorem and certificate
 sweeps work on whole columns; the audit and the cross-check, which build
@@ -186,32 +190,37 @@ def _rho_column(rows: np.ndarray, n: int) -> np.ndarray:
     return np.linalg.eigvalsh(a)[:, -1]
 
 
-def _batch_arrays(n: int, lo: int, hi: int, *, with_rho: bool = True) -> tuple[np.ndarray | None, ...]:
-    """The chunk table of masks lo..hi-1, one numpy array per column: spectral
-    radius, connectivity flag, minimum degree, edge count, beta, 2*beta_star,
-    and the (graphs, n) array of neighbour rows (K_0 reads rho 0, not
-    connected, degree 0).  Every sweep reads its graphs and their invariants
-    from here.  rho comes from the batched eigensolver (``_rho_column``) on
-    every graph of the table; the other invariants from the oracles' subset
-    tables (``_subset_columns``).  Workers that never read rho, or compute
-    it themselves for the graphs that need it, pass ``with_rho=False`` and
-    get ``None`` in its place, skipping the eigensolver."""
-    pairs = pairs_colex(n)
-    masks = np.arange(lo, hi, dtype=np.int64)
-    rows = np.zeros((hi - lo, n), dtype=np.int64)
-    for j, (u, v) in enumerate(pairs):
+def _batch_arrays(
+    n: int, lo: int, hi: int, *, masks: np.ndarray | None = None, with_rho: bool = True
+) -> tuple[np.ndarray | None, ...]:
+    """The table of the graphs on n vertices whose edge masks, in graph6 bit
+    order (``pairs_colex``), are masks[lo:hi], or lo..hi-1 when masks is
+    None; one numpy array per column: spectral radius, connectivity flag,
+    minimum degree, edge count, beta, 2*beta_star, the (graphs, n) array of
+    neighbour rows and the masks (K_0 reads rho 0, not connected, degree 0).
+    Every sweep reads its graphs and their invariants from here: the chunk
+    workers a range of masks, the sampled cross-check and the n = 8 tie
+    class the masks they draw or enumerate, repeats and any order allowed.
+    rho comes from the batched eigensolver (``_rho_column``) on every graph
+    of the table; the other invariants from the oracles' subset tables
+    (``_subset_columns``).  Workers that never read rho, or compute it
+    themselves for the graphs that need it, pass ``with_rho=False`` and get
+    ``None`` in its place, skipping the eigensolver."""
+    masks = np.arange(lo, hi, dtype=np.int64) if masks is None else np.asarray(masks[lo:hi], dtype=np.int64)
+    rows = np.zeros((len(masks), n), dtype=np.int64)
+    for j, (u, v) in enumerate(pairs_colex(n)):
         bit = (masks >> j) & 1
         rows[:, u] |= bit << v
         rows[:, v] |= bit << u
-    rho, columns = np.zeros(hi - lo), []
+    rho, columns = np.zeros(len(masks)), []
     step = _TABLE_CELLS >> n
-    for start in range(0, hi - lo, step):
+    for start in range(0, len(masks), step):
         part = rows[start : start + step]
         if with_rho:
             rho[start : start + step] = _rho_column(part, n)
         columns.append(_subset_columns(part, n))
     conn, delta, edges, beta, bsd = (np.concatenate(col) for col in zip(*columns))
-    return rho if with_rho else None, conn, delta, edges, beta, bsd, rows
+    return rho if with_rho else None, conn, delta, edges, beta, bsd, rows, masks
 
 
 def _sweep(worker: Callable, n: int, jobs: int, *extra) -> list:
@@ -292,33 +301,36 @@ def _rho_cap(edges: np.ndarray) -> np.ndarray:
 
 
 def _theorem_chunk(args: tuple) -> tuple:
-    """Per class of the chunk, the candidates: the (rho, mask) pairs with
-    rho >= min(class maximum in the chunk, class bound) - ``RHO_TOL``.  So
-    every maximizer of a class and every graph at or above its bound, over
-    the whole sweep, is a candidate of its chunk.
+    """Per class named in bounds that has graphs in the table of
+    masks[lo:hi] (``_batch_arrays``): its size, and its candidates, the
+    (rho, mask) pairs with rho >= min(class maximum in the table, class
+    bound) - ``RHO_TOL``.  So every maximizer of a class and every graph at
+    or above its bound, over a whole sweep, is a candidate of its chunk.
 
-    The chunk table is read without rho.  rho comes from ``_rho_column``,
-    and only for the graphs whose cap (``_rho_cap``) leaves them a chance.
-    Per class, stage 1 takes every graph whose cap reaches the class bound
-    minus ``RHO_TOL``.  Unless one of them reaches the bound itself, stage 2
-    takes the rest one edge count at a time, densest first, until the cap
-    falls below the running class maximum minus ``RHO_TOL``.  Every graph
-    left out has rho below the threshold and below the class maximum, so
-    the candidates are those of the full rho column, bit for bit."""
-    n, lo, hi, theorem, bounds = args
-    _, connected, _, edges, beta, bsd, rows = _batch_arrays(n, lo, hi, with_rho=False)
+    The table is read without rho.  rho comes from ``_rho_column``, and only
+    for the graphs whose cap (``_rho_cap``) leaves them a chance.  Per
+    class, stage 1 takes every graph whose cap reaches the class bound minus
+    ``RHO_TOL``.  Unless one of them reaches the bound itself, stage 2 takes
+    the rest one edge count at a time, densest first, until the cap falls
+    below the running class maximum minus ``RHO_TOL``.  Every graph left out
+    has rho below the threshold and below the class maximum, so the
+    candidates are those of the full rho column, bit for bit."""
+    n, lo, hi, masks, theorem, bounds = args
+    _, connected, _, edges, beta, bsd, rows, masks = _batch_arrays(n, lo, hi, masks=masks, with_rho=False)
     keys = bsd if theorem in ("t32", "t33") else 2 * beta
     if _CONNECTED_THEOREMS[theorem]:
         keys = np.where(connected, keys, -1)  # -1: no class
     cap = _rho_cap(edges)
-    rho = np.full(hi - lo, -np.inf)  # -inf: not computed, below every threshold
-    candidates = {}
-    for key in np.unique(keys[keys >= 0]).tolist():
+    rho = np.full(len(masks), -np.inf)  # -inf: not computed, below every threshold
+    sizes, candidates = {}, {}
+    for key, bound in bounds.items():
         idx = np.flatnonzero(keys == key)
-        near = cap[idx] >= bounds[key] - RHO_TOL
+        if not len(idx):
+            continue
+        near = cap[idx] >= bound - RHO_TOL
         rho[idx[near]] = _rho_column(rows[idx[near]], n)
         top = rho[idx].max()
-        if top < bounds[key]:
+        if top < bound:
             rest = idx[~near]
             for m in np.unique(edges[rest])[::-1].tolist():
                 block = rest[edges[rest] == m]
@@ -326,9 +338,88 @@ def _theorem_chunk(args: tuple) -> tuple:
                     break
                 rho[block] = _rho_column(rows[block], n)
                 top = max(top, rho[block].max())
-        idx = idx[rho[idx] >= min(top, bounds[key]) - RHO_TOL]
-        candidates[key] = list(zip(rho[idx].tolist(), (lo + idx).tolist()))
-    return int(connected.sum()), candidates
+        sizes[key] = len(idx)
+        idx = idx[rho[idx] >= min(top, bound) - RHO_TOL]
+        candidates[key] = list(zip(rho[idx].tolist(), masks[idx].tolist()))
+    return int(connected.sum()), sizes, candidates
+
+
+def _check_class(theorem: str, n: int, key: int, pred: RegimePrediction, cands: list[tuple[float, int]]) -> tuple:
+    """The record of one class from its candidates (``_theorem_chunk``), which
+    predicted graphs lie in the class, and the discrepancies: the class
+    maximum against the bound; every candidate at the bound confirmed by
+    ``spectral_radius`` and matched by isomorphism to a predicted graph of
+    the class, each of which must attain it; with no predicted graph in the
+    class, nothing may reach the bound."""
+    fractional = theorem in ("t32", "t33")
+    label = "2beta*" if fractional else "2beta"
+    pairs = pairs_colex(n)
+    discrepancies: list[str] = []
+    max_rho = max(r for r, _ in cands)
+    bound_holds = max_rho <= pred.bound + RHO_TOL
+    if not bound_holds:
+        bad = _graph_from_mask(n, min(mk for r, mk in cands if r == max_rho), pairs)
+        discrepancies.append(
+            f"class {label}={key}: max rho {max_rho:.12g} exceeds bound {pred.bound:.12g} at {to_graph6(bad)}"
+        )
+    maximizer_masks = sorted(mk for r, mk in cands if r >= max_rho - RHO_TOL)
+    argmax_g6 = to_graph6(_graph_from_mask(n, maximizer_masks[0], pairs))
+
+    # predicted graphs that genuinely belong to this class
+    members = tuple(
+        (not _CONNECTED_THEOREMS[theorem] or is_connected(pg))
+        and (fractional_matching_number(pg).doubled if fractional else 2 * matching_number(pg).size) == key
+        for pg in pred.extremal_graphs
+    )
+    in_class = [pg for pg, member in zip(pred.extremal_graphs, members) if member]
+
+    at_bound = sorted((mk, r) for r, mk in cands if r >= pred.bound - RHO_TOL)
+    argmax_matches = True
+    if in_class:
+        hit = [False] * len(in_class)
+        for mk, screened in at_bound:
+            cand = _graph_from_mask(n, mk, pairs)
+            # confirm the batched screen with the residual-checked spectral_radius
+            rho = spectral_radius(cand).value
+            if abs(rho - screened) > 1e-6:
+                discrepancies.append(
+                    f"class {label}={key}: batched screen and spectral_radius disagree on {to_graph6(cand)}"
+                )
+            matched = False
+            for idx, pg in enumerate(in_class):
+                if is_isomorphic(cand, pg):
+                    hit[idx] = True
+                    matched = True
+                    break
+            if not matched:
+                argmax_matches = False
+                discrepancies.append(
+                    f"class {label}={key}: graph {to_graph6(cand)} attains the bound but is not a predicted extremal graph"
+                )
+        for idx, pg in enumerate(in_class):
+            if not hit[idx]:
+                argmax_matches = False
+                discrepancies.append(
+                    f"class {label}={key}: predicted extremal graph {to_graph6(pg)} does not attain the class maximum"
+                )
+    elif at_bound:
+        # the bound is strict for this class; nothing may reach it
+        argmax_matches = False
+        cand = _graph_from_mask(n, at_bound[0][0], pairs)
+        discrepancies.append(f"class {label}={key}: bound expected strict but {to_graph6(cand)} attains it")
+    record = ClassRecord(
+        n,
+        key,
+        pred.regime,
+        pred.bound,
+        max_rho,
+        len(maximizer_masks),
+        argmax_g6,
+        tuple(to_graph6(pg) for pg in pred.extremal_graphs),
+        bound_holds,
+        argmax_matches,
+    )
+    return record, members, discrepancies
 
 
 def verify_theorem(theorem: str, n: int, jobs: int = 1, long_run: bool = False) -> VerificationReport:
@@ -342,107 +433,27 @@ def verify_theorem(theorem: str, n: int, jobs: int = 1, long_run: bool = False) 
         raise GraphError(f"full sweep at n={n} enumerates 2^{n * (n - 1) // 2} graphs; pass long_run to allow it")
     if n > ENUM_CAP:
         raise GraphError(f"full sweep capped at n <= {ENUM_CAP}")
-    connected_only = _CONNECTED_THEOREMS[theorem]
-    fractional = theorem in ("t32", "t33")
 
-    keys = range(0, n + 1) if fractional else range(0, n + 1, 2)
+    keys = range(0, n + 1) if theorem in ("t32", "t33") else range(0, n + 1, 2)
     predictions = {key: _predict(theorem, n, key) for key in keys}
     bounds = {key: pred.bound for key, pred in predictions.items()}
 
     connected_count = 0
     merged: dict[int, list[tuple[float, int]]] = {}
-    for cc, candidates in _sweep(_theorem_chunk, n, jobs, theorem, bounds):
+    for cc, _, candidates in _sweep(_theorem_chunk, n, jobs, None, theorem, bounds):
         connected_count += cc
         for key, cands in candidates.items():
             merged.setdefault(key, []).extend(cands)
 
-    pairs = pairs_colex(n)
     records: list[ClassRecord] = []
     discrepancies: list[str] = []
     regime2_maxima: dict[int, float] = {}
-
     for key in sorted(merged):
-        cands = merged[key]
-        max_rho = max(r for r, _ in cands)
-        pred = predictions[key]
-        bound = bounds[key]
-        label = "2beta*" if fractional else "2beta"
-        bound_holds = max_rho <= bound + RHO_TOL
-        if not bound_holds:
-            bad = _graph_from_mask(n, min(mk for r, mk in cands if r == max_rho), pairs)
-            discrepancies.append(
-                f"class {label}={key}: max rho {max_rho:.12g} exceeds bound {bound:.12g} at {to_graph6(bad)}"
-            )
-        maximizer_masks = sorted(mk for r, mk in cands if r >= max_rho - RHO_TOL)
-        n_maximizers = len(maximizer_masks)
-        argmax_g6 = to_graph6(_graph_from_mask(n, maximizer_masks[0], pairs))
-
-        # predicted graphs that genuinely belong to this class
-        in_class: list[Graph] = []
-        for pg in pred.extremal_graphs:
-            if connected_only and not is_connected(pg):
-                continue
-            if fractional:
-                member = fractional_matching_number(pg).doubled == key
-            else:
-                member = 2 * matching_number(pg).size == key
-            if member:
-                in_class.append(pg)
-
-        at_bound = sorted((mk, r) for r, mk in cands if r >= bound - RHO_TOL)
-        argmax_matches = True
-        if in_class:
-            hit = [False] * len(in_class)
-            for mk, screened in at_bound:
-                cand = _graph_from_mask(n, mk, pairs)
-                # confirm the batched screen with the residual-checked spectral_radius
-                rho = spectral_radius(cand).value
-                if abs(rho - screened) > 1e-6:
-                    discrepancies.append(
-                        f"class {label}={key}: batched screen and spectral_radius disagree on {to_graph6(cand)}"
-                    )
-                matched = False
-                for idx, pg in enumerate(in_class):
-                    if is_isomorphic(cand, pg):
-                        hit[idx] = True
-                        matched = True
-                        break
-                if not matched:
-                    argmax_matches = False
-                    discrepancies.append(
-                        f"class {label}={key}: graph {to_graph6(cand)} attains the bound but is not a predicted extremal graph"
-                    )
-            for idx, pg in enumerate(in_class):
-                if not hit[idx]:
-                    argmax_matches = False
-                    discrepancies.append(
-                        f"class {label}={key}: predicted extremal graph {to_graph6(pg)} does not attain the class maximum"
-                    )
-        else:
-            # the bound is strict for this class; nothing may reach it
-            if at_bound:
-                argmax_matches = False
-                mk = at_bound[0][0]
-                cand = _graph_from_mask(n, mk, pairs)
-                discrepancies.append(
-                    f"class {label}={key}: bound expected strict but {to_graph6(cand)} attains it"
-                )
-        if pred.regime in ("2", "3") and theorem == "t33":
-            regime2_maxima[key] = max_rho
-        records.append(
-            ClassRecord(
-                n,
-                key,
-                pred.regime,
-                bound,
-                max_rho,
-                n_maximizers,
-                argmax_g6,
-                tuple(to_graph6(pg) for pg in pred.extremal_graphs),
-                bound_holds,
-                argmax_matches,
-            )
-        )
+        record, _, found = _check_class(theorem, n, key, predictions[key], merged[key])
+        records.append(record)
+        discrepancies += found
+        if record.regime in ("2", "3") and theorem == "t33":
+            regime2_maxima[key] = record.max_rho
 
     resolutions: list[str] = []
     if theorem == "t33":
@@ -466,7 +477,7 @@ def verify_theorem(theorem: str, n: int, jobs: int = 1, long_run: bool = False) 
     return VerificationReport(
         theorem,
         n,
-        connected_only,
+        _CONNECTED_THEOREMS[theorem],
         labeled,
         connected_count,
         tuple(records),
@@ -494,7 +505,7 @@ class CertSweepReport:
 
 def _cert_chunk(args: tuple) -> tuple:
     n, lo, hi = args
-    rho, connected, delta, _, beta, bsd, rows = _batch_arrays(n, lo, hi)
+    rho, connected, delta, _, beta, bsd, rows, _ = _batch_arrays(n, lo, hi)
     rho, delta, beta, bsd, rows = (col[connected] for col in (rho, delta, beta, bsd, rows))
     table = certificate_table(n, connected=True)
     applicable = [cert.threshold is not None for cert in table]
@@ -581,7 +592,7 @@ def _fault(rule: Callable, *args) -> str | None:
 
 def _audit_chunk(args: tuple) -> tuple:
     n, lo, hi = args
-    _, conn_col, _, _, _, bsd_col, rows_col = _batch_arrays(n, lo, hi, with_rho=False)
+    _, conn_col, _, _, _, bsd_col, rows_col, _ = _batch_arrays(n, lo, hi, with_rho=False)
     violations: list[str] = []
     fpm_graphs = 0
     for connected, bsd, rows in zip(conn_col.tolist(), bsd_col.tolist(), map(tuple, rows_col.tolist())):
@@ -684,38 +695,44 @@ def _cross_check_one(g: Graph, beta: int, bsd: int) -> list[str]:
 
 
 def _cross_chunk(args: tuple) -> list[str]:
-    n, lo, hi = args
-    _, _, _, _, beta_col, bsd_col, rows_col = _batch_arrays(n, lo, hi, with_rho=False)
+    n, lo, hi, masks = args
+    _, _, _, _, beta_col, bsd_col, rows_col, _ = _batch_arrays(n, lo, hi, masks=masks, with_rho=False)
     out: list[str] = []
     for beta, bsd, rows in zip(beta_col.tolist(), bsd_col.tolist(), map(tuple, rows_col.tolist())):
         out.extend(_cross_check_one(Graph._from_rows_unchecked(n, rows), beta, bsd))
     return out
 
 
+def _random_masks(n: int, samples: int, rng: random.Random, p_lo: float, p_hi: float) -> np.ndarray:
+    """Edge masks of ``samples`` random graphs on n vertices: each draws p
+    uniformly from [p_lo, p_hi], then keeps each vertex pair, in graph6 bit
+    order, when its draw falls below p."""
+    masks = np.zeros(samples, dtype=np.int64)
+    for i in range(samples):
+        p = rng.uniform(p_lo, p_hi)
+        masks[i] = sum(1 << j for j in range(n * (n - 1) // 2) if rng.random() < p)
+    return masks
+
+
 def cross_check_matching_implementations(
     n: int, samples: int = 1000, seed: int = 2024, jobs: int = 1
 ) -> CrossCheckReport:
     """Exhaustive (n <= 6) or sampled comparison of both matching numbers
-    against the brute-force oracles."""
+    against the brute-force oracles.  The samples are checked in tables of
+    at most ``_TABLE_CELLS >> n`` graphs, so memory beyond their masks does
+    not grow with their number."""
     if n < 0:
         raise GraphError("n must be non-negative")
     if n <= 6:
-        mism = [line for p in _sweep(_cross_chunk, n, jobs) for line in p]
+        mism = [line for p in _sweep(_cross_chunk, n, jobs, None) for line in p]
         return CrossCheckReport(n, True, 1 << (n * (n - 1) // 2), tuple(mism))
     if n > ORACLE_N_CAP:
         raise GraphError(f"sampled cross-check capped at n <= {ORACLE_N_CAP}")
     if samples < 1:
         raise GraphError(f"sampled cross-check needs samples >= 1, got {samples}")
-    rng = random.Random(seed)
-    pairs = pairs_colex(n)
-    mism = []
-    for start in range(0, samples, _TABLE_CELLS >> n):
-        draws = []
-        for _ in range(min(_TABLE_CELLS >> n, samples - start)):
-            p = rng.uniform(0.05, 0.95)
-            draws.append(Graph(n, [pair for pair in pairs if rng.random() < p]))
-        _, _, _, beta, bsd = _subset_columns(np.array([g.rows for g in draws], dtype=np.int64), n)
-        mism += [line for g, b, d in zip(draws, beta.tolist(), bsd.tolist()) for line in _cross_check_one(g, b, d)]
+    masks = _random_masks(n, samples, random.Random(seed), 0.05, 0.95)
+    step = _TABLE_CELLS >> n
+    mism = [line for lo in range(0, samples, step) for line in _cross_chunk((n, lo, min(lo + step, samples), masks))]
     return CrossCheckReport(n, False, samples, tuple(mism))
 
 
@@ -740,75 +757,59 @@ class TieCaseReport:
         return not self.violations
 
 
+def _subset_masks(g: Graph) -> np.ndarray:
+    """The edge masks (graph6 bit order) of every spanning subgraph of g, in
+    the order of the subsets of g.edges() read as binary numbers."""
+    pairs = pairs_colex(g.n)
+    subsets = np.arange(1 << g.edge_count(), dtype=np.int64)
+    masks = np.zeros_like(subsets)
+    for j, e in enumerate(g.edges()):
+        masks |= ((subsets >> j) & 1) << pairs.index(e)
+    return masks
+
+
 def verify_tie_class_n8(samples: int = 4000, seed: int = 2024) -> TieCaseReport:
-    """Check the n=8, 2*beta_star=5 class without the full 2^28 sweep.
+    """Check the n=8, 2*beta_star=5 class of t33 without the full 2^28 sweep.
 
     Every graph in the class embeds into one of the two transversal shapes
     K_5 u 3K_1 (s=0) or K_1 v (K_3 u 4K_1) (s=1); the s=2 shape would force
-    fractional matching number 2.  Both shape closures are enumerated
-    exhaustively (all edge subsets), then random graphs confirm the bound.
+    fractional matching number 2.  One table (``_batch_arrays``) holds every
+    edge subset of both shape closures, then ``samples`` random graphs; the
+    theorem sweep's screen (``_theorem_chunk``) picks the class's
+    candidates, and its class check (``_check_class``) rules on them.  This
+    is the theorem check of ``verify_theorem`` on that mask set, so its
+    violations read like the sweep's discrepancies.
     """
     if samples < 0:
         raise GraphError(f"samples must be non-negative, got {samples}")
     n, d = 8, 5
-    pred = predicted_maximizer_general(n, HalfIntegral(d))
-    rng = random.Random(seed)
-    violations: list[str] = []
-    notes = list(pred.notes)
-
+    pred = _predict("t33", n, d)
     predicted_rho = tuple(spectral_radius(g).value for g in pred.extremal_graphs)
-    predicted_in_class = tuple(fractional_matching_number(g).doubled == d for g in pred.extremal_graphs)
-    for g, r in zip(pred.extremal_graphs, predicted_rho):
-        if abs(r - pred.bound) > RHO_TOL:
-            violations.append(f"predicted graph {to_graph6(g)} has rho {r:.12g}, bound {pred.bound:.12g}")
-
-    clique_union = pred.extremal_graphs[-1]  # K_5 u 3K_1
-    max_rho = -1.0
-    checked = 0
-    maximizers_ok = True
-
-    def consider(g: Graph) -> None:
-        nonlocal max_rho, checked, maximizers_ok
-        if fractional_matching_number(g).doubled != d:
-            return
-        checked += 1
-        r = spectral_radius(g).value
-        if r > pred.bound + RHO_TOL:
-            violations.append(f"class graph {to_graph6(g)} exceeds the bound: rho {r:.12g}")
-        if r > max_rho:
-            max_rho = r
-        if r >= pred.bound - RHO_TOL and not is_isomorphic(g, clique_union):
-            maximizers_ok = False
-            violations.append(f"class graph {to_graph6(g)} attains the bound but is not the clique union")
-
-    # exhaustive over both shape closures (every subset of each shape's edges)
-    for shape in (
-        clique_union,
+    violations = [
+        f"predicted graph {to_graph6(g)} has rho {r:.12g}, bound {pred.bound:.12g}"
+        for g, r in zip(pred.extremal_graphs, predicted_rho)
+        if abs(r - pred.bound) > RHO_TOL
+    ]
+    shapes = (
+        pred.extremal_graphs[-1],  # K_5 u 3K_1
         Graph(8, [(0, v) for v in range(1, 8)] + [(1, 2), (1, 3), (2, 3)]),  # K_1 v (K_3 u 4K_1)
-    ):
-        edges = list(shape.edges())
-        for mask in range(1 << len(edges)):
-            consider(_graph_from_mask(8, mask, edges))
-
-    pairs = pairs_colex(n)
-    for _ in range(samples):
-        p = rng.uniform(0.1, 0.5)
-        consider(Graph(n, [pair for pair in pairs if rng.random() < p]))
-
-    if abs(max_rho - pred.bound) > RHO_TOL:
-        violations.append(f"class maximum {max_rho:.12g} does not reach the bound {pred.bound:.12g}")
-    notes.append(
+    )
+    masks = np.concatenate([*map(_subset_masks, shapes), _random_masks(n, samples, random.Random(seed), 0.1, 0.5)])
+    _, sizes, candidates = _theorem_chunk((n, 0, len(masks), masks, "t33", {d: pred.bound}))
+    record, in_class, found = _check_class("t33", n, d, pred, candidates[d])
+    notes = (
+        *pred.notes,
         "class maximum equals 2beta*-1 = 4, attained only by the clique union; "
-        "the split join K_2 v 6K_1 also has rho 4 but lies in the 2beta*=4 class"
+        "the split join K_2 v 6K_1 also has rho 4 but lies in the 2beta*=4 class",
     )
     return TieCaseReport(
         pred.bound,
         tuple(to_graph6(g) for g in pred.extremal_graphs),
         predicted_rho,
-        predicted_in_class,
-        checked,
-        max_rho,
-        maximizers_ok,
-        tuple(notes),
-        tuple(violations),
+        in_class,
+        sizes[d],
+        record.max_rho,
+        record.argmax_matches,
+        notes,
+        tuple(violations + found),
     )

@@ -33,6 +33,7 @@ from specmatch import (
     union,
     wrc_decomposition,
 )
+from specmatch import matching
 from conftest import graphs, random_graph
 
 
@@ -406,7 +407,7 @@ _MALFORMED = [
     ("fpm-not-perfect", lambda: fpm_partition(star(3), optimal_fractional_matching(star(3))), "matching is not perfect: total 1 < n/2 = 4/2"),
     (
         "fpm-not-saturating",
-        lambda: fpm_partition(cycle(5), optimal_fractional_matching(cycle(5)), cycles=[]),
+        lambda: matching._check_perfect(5, 5, [0] * 5, 0),  # total n/2, but no vertex in an edge or a half-cycle
         "matching does not saturate every vertex",
     ),
     (

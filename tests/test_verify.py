@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import cProfile
 import dataclasses
+import hashlib
 import json
 import multiprocessing
 import pstats
@@ -26,6 +27,7 @@ from specmatch import (
     enumerate_graphs,
     fractional_matching_number,
     is_connected,
+    is_isomorphic,
     join,
     matching_number,
     min_degree,
@@ -57,22 +59,23 @@ def _verify_calls(stats, fn) -> int:
 
 def _lists(table):
     """A chunk table as Python lists, the rows as tuples."""
-    *columns, rows = table
-    return (*(None if col is None else col.tolist() for col in columns), list(map(tuple, rows.tolist())))
+    *columns, rows, masks = table
+    return (*(None if col is None else col.tolist() for col in columns), list(map(tuple, rows.tolist())), masks.tolist())
 
 
 def _full_rho_candidates(n, lo, hi, theorem, bounds):
     """What ``_theorem_chunk`` returns, computed from the chunk table's full rho column."""
-    rho, connected, _, _, beta, bsd, _ = verify._batch_arrays(n, lo, hi, with_rho=True)
+    rho, connected, _, _, beta, bsd, _, _ = verify._batch_arrays(n, lo, hi, with_rho=True)
     keys = bsd if theorem in ("t32", "t33") else 2 * beta
     if verify._CONNECTED_THEOREMS[theorem]:
         keys = np.where(connected, keys, -1)
-    candidates = {}
+    sizes, candidates = {}, {}
     for key in np.unique(keys[keys >= 0]).tolist():
         idx = np.flatnonzero(keys == key)
+        sizes[key] = len(idx)
         idx = idx[rho[idx] >= min(rho[idx].max(), bounds[key]) - verify.RHO_TOL]
         candidates[key] = list(zip(rho[idx].tolist(), (lo + idx).tolist()))
-    return int(connected.sum()), candidates
+    return int(connected.sum()), sizes, candidates
 
 
 def _screened_chunks(theorem):
@@ -83,8 +86,8 @@ def _screened_chunks(theorem):
         bounds = {key: verify._predict(theorem, n, key).bound for key in range(0, n + 1, step)}
         chunks = verify._chunk_ranges(n)
         for lo, hi in chunks if n < 7 else (chunks[0], chunks[len(chunks) // 2]):
-            args = (n, lo, hi, theorem, bounds)
-            yield (n, lo, hi), verify._theorem_chunk(args), _full_rho_candidates(*args)
+            pruned = verify._theorem_chunk((n, lo, hi, None, theorem, bounds))
+            yield (n, lo, hi), pruned, _full_rho_candidates(n, lo, hi, theorem, bounds)
 
 
 class TestEnumeration:
@@ -119,7 +122,8 @@ class TestChunkTable:
         tables = [(n, 0, 1 << (n * (n - 1) // 2)) for n in range(1, 6)] + [(7, *verify._chunk_ranges(7)[37])]
         for n, lo, hi in tables:
             graphs = [verify._graph_from_mask(n, mask, pairs_colex(n)) for mask in range(lo, hi)]
-            rho, conn, delta, edges, beta, bsd, rows = _lists(verify._batch_arrays(n, lo, hi))
+            rho, conn, delta, edges, beta, bsd, rows, masks = _lists(verify._batch_arrays(n, lo, hi))
+            assert masks == list(range(lo, hi))
             assert rows == [g.rows for g in graphs]
             assert conn == [is_connected(g) for g in graphs]
             assert delta == [min_degree(g) for g in graphs]
@@ -129,19 +133,41 @@ class TestChunkTable:
             assert rho == pytest.approx([spectral_radius(g).value for g in graphs], abs=1e-9)
             # workers that never read rho skip the eigensolver; the other
             # columns are the same
-            assert _lists(verify._batch_arrays(n, lo, hi, with_rho=False)) == (None, conn, delta, edges, beta, bsd, rows)
+            assert _lists(verify._batch_arrays(n, lo, hi, with_rho=False)) == (None, conn, delta, edges, beta, bsd, rows, masks)
+
+    def test_mask_array_with_repeats(self):
+        # any masks, unsorted and repeated, read through the window lo..hi:
+        # n = 8 shape subsets as the tie class enumerates them, and n = 6 draws
+        rng = np.random.default_rng(7)
+        hub = join(complete(1), union(complete(3), empty(4)))  # K_1 v (K_3 u 4K_1)
+        subsets = verify._subset_masks(hub)
+        assert len(set(subsets.tolist())) == 1 << 10 and subsets[-1] == sum(1 << pairs_colex(8).index(e) for e in hub.edges())
+        for n, masks in [(8, subsets), (6, rng.integers(0, 1 << 15, 150))]:
+            masks = np.tile(masks, 2)[rng.permutation(2 * len(masks))]
+            lo, hi = 3, len(masks) - 2
+            graphs = [verify._graph_from_mask(n, mask, pairs_colex(n)) for mask in masks[lo:hi].tolist()]
+            rho, conn, delta, edges, beta, bsd, rows, picked = _lists(verify._batch_arrays(n, lo, hi, masks=masks))
+            assert picked == masks[lo:hi].tolist() and len(set(picked)) < len(picked)
+            assert rows == [g.rows for g in graphs]
+            assert conn == [is_connected(g) for g in graphs]
+            assert delta == [min_degree(g) for g in graphs]
+            assert edges == [g.edge_count() for g in graphs]
+            assert beta == [matching_number(g).size for g in graphs]
+            assert bsd == [fractional_matching_number(g).doubled for g in graphs]
+            assert rho == pytest.approx([spectral_radius(g).value for g in graphs], abs=1e-9)
 
     def test_n0(self):
         # the one graph on no vertices is empty and not connected; its
         # minimum degree, which min_degree refuses, reads 0
-        assert _lists(verify._batch_arrays(0, 0, 1)) == ([0.0], [False], [0], [0], [0], [0], [()])
-        assert _lists(verify._batch_arrays(0, 0, 1, with_rho=False)) == (None, [False], [0], [0], [0], [0], [()])
+        assert _lists(verify._batch_arrays(0, 0, 1)) == ([0.0], [False], [0], [0], [0], [0], [()], [0])
+        assert _lists(verify._batch_arrays(0, 0, 1, with_rho=False)) == (None, [False], [0], [0], [0], [0], [()], [0])
 
     @pytest.mark.parametrize(
         "sweep, args",
         [("verify_theorem", (t, 5)) for t in verify.THEOREMS]
-        + [("verify_certificates", (5,)), ("cross_check_matching_implementations", (5,))],
-        ids=[*verify.THEOREMS, "certificates", "cross-check"],
+        + [("verify_certificates", (5,)), ("cross_check_matching_implementations", (5,))]
+        + [("cross_check_matching_implementations", (7, 50))],
+        ids=[*verify.THEOREMS, "certificates", "cross-check", "sampled-cross-check"],
     )
     def test_workers_read_the_columns(self, sweep, args):
         # beta and 2*beta_star come from the table: nothing in verify calls a
@@ -207,7 +233,7 @@ class TestPrunedScreen:
         # the full table's column, whatever the batch and the order
         rng = np.random.default_rng(2024)
         for n, lo, hi in [(6, 0, 1 << 15), (7, *verify._chunk_ranges(7)[37])]:
-            full, *_, rows = verify._batch_arrays(n, lo, hi)
+            full, *_, rows, _ = verify._batch_arrays(n, lo, hi)
             for size in (1, 7, 400, 5000):
                 pick = rng.permutation(len(rows))[:size]
                 assert np.array_equal(verify._rho_column(rows[pick], n).view(np.int64), full[pick].view(np.int64))
@@ -547,6 +573,26 @@ class TestCrossCheck:
         with pytest.raises(GraphError):
             cross_check_matching_implementations(7, samples=samples)
 
+    @pytest.mark.parametrize(
+        "n, seed, digest",
+        [
+            (7, 2024, "c9dd44c100779e4d18686fe28e4d312ca883e631341a44255d1a3a0587d8a374"),
+            (7, 201, "ab25108068efb2914c6e1e5c14f7722d2d767639a8220d4d8a3d3e2498eb484e"),
+            (8, 2024, "c7fd0415d8e505b77a24bfeaa552c9b6d81139bc726f0022a91efdc1d277e8fe"),
+            (8, 201, "75151baadbbe260f3eb4c6c4f28624dd5dc334906e79f8379b76ea3fedef146c"),
+            (9, 2024, "6453afedefc060d7988eabd04e5b2501e4839b7bdd1e3fad4fef40d62ccde976"),
+            (9, 201, "0480fca094e69b86e7766c3d4c5bc3365c3369cd367333fdd5669aea304c6fe3"),
+        ],
+    )
+    def test_sampled_reports_pinned(self, monkeypatch, n, seed, digest):
+        # the 1,000 draws, in order, with their oracle columns: "graph6 beta 2*beta_star" per line
+        seen = []
+        real = verify._cross_check_one
+        monkeypatch.setattr(verify, "_cross_check_one", lambda g, b, d: seen.append(f"{to_graph6(g)} {b} {d}") or real(g, b, d))
+        rep = cross_check_matching_implementations(n, seed=seed)
+        assert (rep.n, rep.exhaustive, rep.graphs_checked, rep.mismatches) == (n, False, 1000, ())
+        assert hashlib.sha256("\n".join(seen).encode()).hexdigest() == digest
+
     def test_sampled_n9_reaches_dense_graphs(self, monkeypatch):
         # every draw is checked, dense ones included: no edge cap rejects a sample
         edge_counts = []
@@ -570,9 +616,49 @@ class TestTieClass:
         with pytest.raises(GraphError):
             verify_tie_class_n8(samples=-1)
 
-    def test_zero_samples_keeps_shape_closures(self):
+    @pytest.mark.parametrize("kwargs, checked", [({}, 549), ({"samples": 0}, 503), ({"seed": 201}, 546)])
+    def test_report_pinned(self, kwargs, checked):
+        # samples=0 keeps the two shape closures alone
+        assert verify_tie_class_n8(**kwargs) == verify.TieCaseReport(
+            bound=4.0,
+            predicted_g6=("G}rEE?", "G~{???"),
+            predicted_rho=(4.0, 4.0),
+            predicted_in_class=(False, True),
+            class_graphs_checked=checked,
+            max_rho_in_class=4.0,
+            maximizers_match_clique_union=True,
+            notes=(
+                "stated bound 2*beta_star is not attained; the clique union attains 2*beta_star - 1",
+                "tie partner has fractional matching number 2, below 5/2; only the clique union attains the bound inside the class",
+                "class maximum equals 2beta*-1 = 4, attained only by the clique union; "
+                "the split join K_2 v 6K_1 also has rho 4 but lies in the 2beta*=4 class",
+            ),
+            violations=(),
+        )
+
+    def test_a_lowered_bound_fails(self, monkeypatch):
+        # the (t33, 8, 5) bound lowered by 0.5: the clique union and its class now exceed it
+        real = verify.predicted_maximizer_general
+
+        def lowered(n, beta_star):
+            pred = real(n, beta_star)
+            return dataclasses.replace(pred, bound=pred.bound - 0.5) if (n, beta_star.doubled) == (8, 5) else pred
+
+        monkeypatch.setattr(verify, "predicted_maximizer_general", lowered)
         rep = verify_tie_class_n8(samples=0)
-        assert rep.passed and rep.class_graphs_checked > 0 and rep.maximizers_match_clique_union
+        assert rep.bound == 3.5 and not rep.passed
+        # the theorem sweep's wording: K_5 u 3K_1 on vertices 0..4 is the smallest mask at rho 4
+        assert "class 2beta*=5: max rho 4 exceeds bound 3.5 at G~{???" in rep.violations
+
+    def test_no_per_graph_matching_or_spectral_calls(self):
+        # the table gives 2*beta_star, the screen rho: verify calls these
+        # routines only on the 2 predicted graphs and the at-bound candidates,
+        # without samples the one labeling of K_5 u 3K_1 among the shape subsets
+        profile = cProfile.Profile()
+        rep = profile.runcall(verify_tie_class_n8, samples=0)
+        stats = pstats.Stats(profile).stats
+        calls = [_verify_calls(stats, fn) for fn in (spectral_radius, fractional_matching_number, is_isomorphic)]
+        assert rep.passed and max(calls) <= 2 + 1, calls
 
 
 class TestOracleEdgeCases:
