@@ -703,10 +703,11 @@ def _cross_chunk(args: tuple) -> list[str]:
     return out
 
 
-def _random_masks(n: int, samples: int, rng: random.Random, p_lo: float, p_hi: float) -> np.ndarray:
-    """Edge masks of ``samples`` random graphs on n vertices: each draws p
-    uniformly from [p_lo, p_hi], then keeps each vertex pair, in graph6 bit
-    order, when its draw falls below p."""
+def _random_masks(n: int, samples: int, seed: int, p_lo: float, p_hi: float) -> np.ndarray:
+    """Edge masks of ``samples`` random graphs on n vertices from
+    ``random.Random(seed)``: each draws p uniformly from [p_lo, p_hi], then
+    keeps each vertex pair, in graph6 bit order, when its draw falls below p."""
+    rng = random.Random(seed)
     masks = np.zeros(samples, dtype=np.int64)
     for i in range(samples):
         p = rng.uniform(p_lo, p_hi)
@@ -730,7 +731,7 @@ def cross_check_matching_implementations(
         raise GraphError(f"sampled cross-check capped at n <= {ORACLE_N_CAP}")
     if samples < 1:
         raise GraphError(f"sampled cross-check needs samples >= 1, got {samples}")
-    masks = _random_masks(n, samples, random.Random(seed), 0.05, 0.95)
+    masks = _random_masks(n, samples, seed, 0.05, 0.95)
     step = _TABLE_CELLS >> n
     mism = [line for lo in range(0, samples, step) for line in _cross_chunk((n, lo, min(lo + step, samples), masks))]
     return CrossCheckReport(n, False, samples, tuple(mism))
@@ -794,7 +795,7 @@ def verify_tie_class_n8(samples: int = 4000, seed: int = 2024) -> TieCaseReport:
         pred.extremal_graphs[-1],  # K_5 u 3K_1
         Graph(8, [(0, v) for v in range(1, 8)] + [(1, 2), (1, 3), (2, 3)]),  # K_1 v (K_3 u 4K_1)
     )
-    masks = np.concatenate([*map(_subset_masks, shapes), _random_masks(n, samples, random.Random(seed), 0.1, 0.5)])
+    masks = np.concatenate([*map(_subset_masks, shapes), _random_masks(n, samples, seed, 0.1, 0.5)])
     _, sizes, candidates = _theorem_chunk((n, 0, len(masks), masks, "t33", {d: pred.bound}))
     record, in_class, found = _check_class("t33", n, d, pred, candidates[d])
     notes = (

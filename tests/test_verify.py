@@ -616,6 +616,10 @@ class TestTieClass:
         with pytest.raises(GraphError):
             verify_tie_class_n8(samples=-1)
 
+    def test_zero_samples_keeps_shape_closures(self):
+        rep = verify_tie_class_n8(samples=0)
+        assert rep.passed and rep.class_graphs_checked > 0 and rep.maximizers_match_clique_union
+
     @pytest.mark.parametrize("kwargs, checked", [({}, 549), ({"samples": 0}, 503), ({"seed": 201}, 546)])
     def test_report_pinned(self, kwargs, checked):
         # samples=0 keeps the two shape closures alone
