@@ -72,7 +72,7 @@ def _blossom_max_matching(rows: tuple[int, ...], n: int) -> tuple[int, list[int]
             v = p[match[v]]
 
     def find_path(root: int) -> bool:
-        nonlocal p, base
+        nonlocal p, base, free
         p = [-1] * n
         base = list(range(n))
         members: dict[int, int] = {}
@@ -108,6 +108,7 @@ def _blossom_max_matching(rows: tuple[int, ...], n: int) -> tuple[int, list[int]
                 elif p[to] == -1:
                     p[to] = v
                     if match[to] == -1:
+                        free &= ~(1 << to)
                         while to != -1:  # augment
                             pv = p[to]
                             ppv = match[pv]
@@ -119,9 +120,16 @@ def _blossom_max_matching(rows: tuple[int, ...], n: int) -> tuple[int, list[int]
                     q.append(match[to])
         return False
 
-    size = sum(1 for v in range(n) if match[v] != -1) // 2
-    for v in range(n):
-        if match[v] == -1 and find_path(v):
+    # Edmonds' lemma: a free vertex with no augmenting path keeps none after
+    # later augmentations.  The free vertices are searched in ascending
+    # order and leave ``free`` when searched, so a path found from v ends at
+    # a free vertex above v; a search from a vertex with no neighbour or no
+    # free vertex above it would fail without touching match, and is skipped.
+    size = (n - free.bit_count()) // 2
+    while free:
+        v = (free & -free).bit_length() - 1
+        free ^= 1 << v
+        if rows[v] and free and find_path(v):
             size += 1
     return size, match
 
@@ -135,7 +143,7 @@ class MatchingResult:
 def matching_number(g: Graph) -> MatchingResult:
     """Exact maximum matching size with a witness edge set."""
     size, match = _blossom_max_matching(g.rows, g.n)
-    edges = tuple(sorted((v, match[v]) for v in range(g.n) if match[v] > v))
+    edges = tuple((v, w) for v, w in enumerate(match) if w > v)
     assert len(edges) == size
     return MatchingResult(size, edges)
 
@@ -153,10 +161,15 @@ def bipartite_double_cover(g: Graph) -> Graph:
 
 def _dc_matching(rows: tuple[int, ...], n: int) -> tuple[list[int], list[int]]:
     # Augmenting-path maximum matching on the double cover: left copy u may
-    # match any v in N(u) on the right.  Deterministic ascending scans.
+    # match any v in N(u) on the right.  Deterministic ascending scans.  A
+    # path joins a free left copy to a free right copy, both with a
+    # neighbour, so the searches run from the free left copies with a
+    # neighbour (free_l) while a free right copy with one (free_r) is left;
+    # any other search would fail without touching the matching.  The rows
+    # are symmetric, so the right copy of v has a neighbour iff rows[v] does.
     match_l = [-1] * n
     match_r = [-1] * n
-    free_r = (1 << n) - 1
+    free_l, free_r = 0, (1 << n) - 1
     for u in range(n):  # greedy seed: u takes its lowest free right copy
         nb = rows[u] & free_r
         if nb:
@@ -164,9 +177,13 @@ def _dc_matching(rows: tuple[int, ...], n: int) -> tuple[list[int], list[int]]:
             match_r[v] = u
             match_l[u] = v
             free_r ^= 1 << v
-    for u0 in range(n):
-        if match_l[u0] >= 0:
-            continue
+        elif rows[u]:
+            free_l |= 1 << u
+        else:
+            free_r ^= 1 << u
+    while free_l and free_r:
+        u0 = (free_l & -free_l).bit_length() - 1
+        free_l ^= 1 << u0
         seen = 0
         parent: dict[int, int] = {}
         stack = [(u0, rows[u0])]
@@ -187,6 +204,7 @@ def _dc_matching(rows: tuple[int, ...], n: int) -> tuple[list[int], list[int]]:
                 break
             stack.append((w, rows[w]))
         if found >= 0:
+            free_r ^= 1 << found
             v = found
             while True:
                 u = parent[v]

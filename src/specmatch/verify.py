@@ -11,10 +11,10 @@ settings.  The sampled cross-check reads the masks it draws, in tables of
 bounded size; the n = 8 tie class reads every edge subset of its two shape
 closures and its samples, and runs the theorem sweep's screen and class
 check on them.  rho comes from one batched eigensolver, ``_rho_column``:
-the certificate sweep reads it for every graph, as a column of the table;
-the theorem screen computes it only for the graphs whose Stanley bound can
-reach a class maximum or bound, 0.1-1.5 % of them at n = 6 and 7; the
-audit and the cross-check never read it.  The theorem and certificate
+the certificate sweep computes it for every connected graph; the theorem
+screen computes it only for the graphs whose Stanley bound can reach a
+class maximum or bound, 0.1-1.5 % of them at n = 6 and 7; the audit and
+the cross-check never read it.  The theorem and certificate
 sweeps work on whole columns; the audit and the cross-check, which build
 witnesses, go graph by graph.  The audit runs on the bitmask witness core
 of ``matching`` and its rules, the same code the public witness
@@ -119,7 +119,10 @@ def _subset_columns(rows: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     fractional Tutte-Berge formula n - max_S (i(G - S) - |S|) (Scheinerman
     and Ullman, *Fractional Graph Theory*, ch. 2): the isolated vertices of
     G - S form an independent I with N(I) inside S, and S = N(I) attains
-    the value.
+    the value.  The maximum is taken over all subsets S, independent or
+    not, with the same value: I = S - N(S) is independent, and N(I) misses
+    S & N(S) (a neighbour of I inside S would put I's vertex in N(S)), so
+    |I| - |N(I)| >= |S| - |N(S)|.
     """
     count = len(rows)
     rows = rows.astype(np.uint16)
@@ -139,8 +142,7 @@ def _subset_columns(rows: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     graphs = np.arange(count)
     for _ in range(n - 1):
         reach |= nbhd[reach, graphs]
-    subsets = np.arange(1 << n, dtype=np.uint16)[:, None]
-    surplus = np.where(nbhd & subsets, 0, size[:, None] - size[nbhd]).max(axis=0, initial=0)
+    surplus = (size[:, None] - size[nbhd]).max(axis=0, initial=0)
     degrees, connected = size[rows], reach == (1 << n) - 1
     return connected, degrees.min(axis=1, initial=n), degrees.sum(axis=1) // 2, beta[-1], n - surplus.astype(np.int64)
 
@@ -505,8 +507,9 @@ class CertSweepReport:
 
 def _cert_chunk(args: tuple) -> tuple:
     n, lo, hi = args
-    rho, connected, delta, _, beta, bsd, rows, _ = _batch_arrays(n, lo, hi)
-    rho, delta, beta, bsd, rows = (col[connected] for col in (rho, delta, beta, bsd, rows))
+    _, connected, delta, _, beta, bsd, rows, _ = _batch_arrays(n, lo, hi, with_rho=False)
+    delta, beta, bsd, rows = (col[connected] for col in (delta, beta, bsd, rows))
+    rho = _rho_column(rows, n)
     table = certificate_table(n, connected=True)
     applicable = [cert.threshold is not None for cert in table]
     # (table rows, graphs) matrices, the table having 3 rows or more; a row

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import cProfile
+import pstats
 import random
 import subprocess
 import sys
+from collections import deque
 
 import networkx as nx
 import pytest
@@ -433,3 +436,196 @@ def test_validation_messages(check, message):
     with pytest.raises(GraphError) as excinfo:
         check()
     assert str(excinfo.value) == message
+
+
+# ---------------------------------------------------------------------------
+# the matching kernels before their searches were pruned, kept verbatim as
+# the reference the pruned kernels must reproduce exactly
+
+
+def reference_blossom_max_matching(rows: tuple[int, ...], n: int) -> tuple[int, list[int]]:
+    match = [-1] * n
+    free = (1 << n) - 1
+    for v in range(n):  # greedy seed: v takes its lowest free neighbour
+        nb = rows[v] & free
+        if free >> v & 1 and nb:
+            u = (nb & -nb).bit_length() - 1
+            match[v] = u
+            match[u] = v
+            free ^= (1 << u) | (1 << v)
+
+    p = [-1] * n
+    base = list(range(n))
+
+    def lca(a: int, b: int) -> int:
+        seen = set()
+        while True:
+            a = base[a]
+            seen.add(a)
+            if match[a] == -1:
+                break
+            a = p[match[a]]
+        while True:
+            b = base[b]
+            if b in seen:
+                return b
+            b = p[match[b]]
+
+    def mark_path(v: int, b: int, child: int, blossom: set[int]) -> None:
+        while base[v] != b:
+            blossom.add(base[v])
+            blossom.add(base[match[v]])
+            p[v] = child
+            child = match[v]
+            v = p[match[v]]
+
+    def find_path(root: int) -> bool:
+        nonlocal p, base
+        p = [-1] * n
+        base = list(range(n))
+        members: dict[int, int] = {}
+        used = [False] * n
+        used[root] = True
+        q = deque([root])
+        while q:
+            v = q.popleft()
+            nb = rows[v] & ~members.get(base[v], 1 << v)
+            while nb:
+                to = (nb & -nb).bit_length() - 1
+                nb &= nb - 1
+                if match[v] == to:
+                    continue
+                if to == root or (match[to] != -1 and p[match[to]] != -1):
+                    cur = lca(v, to)
+                    blossom: set[int] = set()
+                    mark_path(v, cur, to, blossom)
+                    mark_path(to, cur, v, blossom)
+                    blossom.discard(cur)
+                    absorbed = 0
+                    for b in blossom:
+                        absorbed |= members.pop(b, 1 << b)
+                    members[cur] = members.get(cur, 1 << cur) | absorbed
+                    nb &= ~members[cur]  # v's base is now cur
+                    while absorbed:
+                        i = (absorbed & -absorbed).bit_length() - 1
+                        absorbed &= absorbed - 1
+                        base[i] = cur
+                        if not used[i]:
+                            used[i] = True
+                            q.append(i)
+                elif p[to] == -1:
+                    p[to] = v
+                    if match[to] == -1:
+                        while to != -1:  # augment
+                            pv = p[to]
+                            ppv = match[pv]
+                            match[to] = pv
+                            match[pv] = to
+                            to = ppv
+                        return True
+                    used[match[to]] = True
+                    q.append(match[to])
+        return False
+
+    size = sum(1 for v in range(n) if match[v] != -1) // 2
+    for v in range(n):
+        if match[v] == -1 and find_path(v):
+            size += 1
+    return size, match
+
+
+def reference_dc_matching(rows: tuple[int, ...], n: int) -> tuple[list[int], list[int]]:
+    match_l = [-1] * n
+    match_r = [-1] * n
+    free_r = (1 << n) - 1
+    for u in range(n):  # greedy seed: u takes its lowest free right copy
+        nb = rows[u] & free_r
+        if nb:
+            v = (nb & -nb).bit_length() - 1
+            match_r[v] = u
+            match_l[u] = v
+            free_r ^= 1 << v
+    for u0 in range(n):
+        if match_l[u0] >= 0:
+            continue
+        seen = 0
+        parent: dict[int, int] = {}
+        stack = [(u0, rows[u0])]
+        found = -1
+        while stack:
+            u, nb = stack[-1]
+            nb &= ~seen
+            if not nb:
+                stack.pop()
+                continue
+            v = (nb & -nb).bit_length() - 1
+            stack[-1] = (u, nb & (nb - 1))
+            seen |= 1 << v
+            parent[v] = u
+            w = match_r[v]
+            if w < 0:
+                found = v
+                break
+            stack.append((w, rows[w]))
+        if found >= 0:
+            v = found
+            while True:
+                u = parent[v]
+                nxt = match_l[u]
+                match_r[v] = u
+                match_l[u] = v
+                if nxt < 0:
+                    break
+                v = nxt
+    return match_l, match_r
+
+
+def _find_path_calls(kernel, gs) -> int:
+    """Calls of the blossom search ``find_path`` nested in ``kernel`` while it
+    runs on each graph of gs, by cProfile."""
+    profiler = cProfile.Profile()
+    profiler.enable()
+    for g in gs:
+        kernel(g.rows, g.n)
+    profiler.disable()
+    source = kernel.__code__.co_filename
+    return sum(calls for (file, _, name), (calls, *_) in pstats.Stats(profiler).stats.items() if (file, name) == (source, "find_path"))
+
+
+class TestPrunedKernels:
+    """The pruned kernels return exactly what the reference kernels return."""
+
+    @staticmethod
+    def _assert_same(g):
+        assert matching._blossom_max_matching(g.rows, g.n) == reference_blossom_max_matching(g.rows, g.n), g.edges()
+        assert matching._dc_matching(g.rows, g.n) == reference_dc_matching(g.rows, g.n), g.edges()
+
+    def test_every_labeled_graph_up_to_n6(self):
+        for n in range(7):
+            for g in enumerate_graphs(n):
+                self._assert_same(g)
+
+    def test_random_graphs(self):
+        rng = random.Random(15)
+        for _ in range(2000):
+            self._assert_same(random_graph(rng, rng.randint(7, 40), rng.random() ** 2))
+
+    def test_n500(self):
+        n = 500
+        theta = join(complete(1), union(complete(n - 3), empty(2)))
+        for g in (path(n), complete(n), theta, random_graph(random.Random(500), n, 6 / n)):
+            self._assert_same(g)
+
+    def test_fewer_searches(self):
+        every_n5 = list(enumerate_graphs(5))
+        assert _find_path_calls(reference_blossom_max_matching, every_n5) == 1258
+        assert _find_path_calls(matching._blossom_max_matching, every_n5) == 134
+
+    def test_no_search_from_an_isolated_vertex(self):
+        # an isolated vertex 0 in front of G changes no other search
+        every_n4 = list(enumerate_graphs(4))
+        with_k1 = [union(empty(1), g) for g in every_n4]
+        pruned, reference = matching._blossom_max_matching, reference_blossom_max_matching
+        assert _find_path_calls(pruned, with_k1) == _find_path_calls(pruned, every_n4)
+        assert _find_path_calls(reference, with_k1) == _find_path_calls(reference, every_n4) + len(every_n4)
+        assert _find_path_calls(pruned, [empty(5)]) == 0
