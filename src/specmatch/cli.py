@@ -10,14 +10,7 @@ import argparse
 import sys
 
 from .certify import SoundnessError, beta_increment_case, certify_all, fpm_threshold
-from .extremal import (
-    ExtremalSpec,
-    build_extremal,
-    matching_bound_connected,
-    matching_bound_general,
-    predicted_maximizer_connected,
-    predicted_maximizer_general,
-)
+from .extremal import ExtremalSpec, build_extremal, predicted_maximizer_connected
 from .graphs import (
     Graph,
     Graph6Error,
@@ -36,6 +29,9 @@ from .matching import (
 )
 from .spectral import ConvergenceError, DEFAULT_TOL, spectral_radius
 from .verify import (
+    THEOREMS,
+    _CONNECTED_THEOREMS,
+    _predict,
     audit_structures,
     cross_check_matching_implementations,
     verify_certificates,
@@ -156,14 +152,11 @@ def _cmd_threshold(args) -> int:
     if args.theorem in ("t32", "t33"):
         if args.beta_star is None:
             raise _UsageError(f"--theorem {args.theorem} needs --beta-star")
-        bs = HalfIntegral.parse(args.beta_star)
-        pred = (predicted_maximizer_connected if args.theorem == "t32" else predicted_maximizer_general)(n, bs)
-        print(_fmt(pred.bound))
+        print(_fmt(_predict(args.theorem, n, HalfIntegral.parse(args.beta_star).doubled).bound))
     elif args.theorem in ("t12", "t13"):
         if args.beta is None:
             raise _UsageError(f"--theorem {args.theorem} needs --beta")
-        pred = (matching_bound_general if args.theorem == "t12" else matching_bound_connected)(n, args.beta)
-        print(_fmt(pred.bound))
+        print(_fmt(_predict(args.theorem, n, 2 * args.beta).bound))
     elif args.theorem == "t35":
         thr = fpm_threshold(n)
         if thr is None:
@@ -203,7 +196,7 @@ def _cmd_verify(args) -> int:
         return EXIT_OK if report.passed else EXIT_VERIFY
     if not args.theorem:
         raise _UsageError("verify needs --theorem, --certificates, or --audit")
-    if args.connected and args.theorem in ("t33", "t12"):
+    if args.connected and not _CONNECTED_THEOREMS[args.theorem]:
         raise _UsageError(
             f"--connected contradicts {args.theorem}, which quantifies over all graphs; "
             "use t32/t13 for the connected classes"
@@ -287,7 +280,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_threshold)
 
     p = sub.add_parser("verify", help="exhaustive verification sweeps")
-    p.add_argument("--theorem", choices=["t32", "t33", "t12", "t13"])
+    p.add_argument("--theorem", choices=THEOREMS)
     p.add_argument("--certificates", action="store_true")
     p.add_argument("--audit", action="store_true")
     p.add_argument("--n", type=int, required=True)

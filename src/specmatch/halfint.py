@@ -20,10 +20,6 @@ class HalfIntegral:
     doubled: int
 
     @classmethod
-    def from_int(cls, value: int) -> HalfIntegral:
-        return cls(2 * value)
-
-    @classmethod
     def parse(cls, text: str) -> HalfIntegral:
         """Parse 'k/2', 'x.0', 'x.5' or a bare integer; reject other decimals."""
         s = text.strip()
@@ -38,25 +34,12 @@ class HalfIntegral:
         return self.doubled / 2.0
 
     @property
-    def is_integer(self) -> bool:
-        return self.doubled % 2 == 0
-
-    @property
     def floor(self) -> int:
         return self.doubled // 2
 
     @property
     def ceil(self) -> int:
         return -((-self.doubled) // 2)
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.doubled, 2)
-
-    def __add__(self, other: HalfIntegral) -> HalfIntegral:
-        return HalfIntegral(self.doubled + other.doubled)
-
-    def __sub__(self, other: HalfIntegral) -> HalfIntegral:
-        return HalfIntegral(self.doubled - other.doubled)
 
     def __str__(self) -> str:
         if self.doubled % 2 == 0:

@@ -10,15 +10,15 @@ chunk order, so reports are byte-identical across runs and across --jobs
 settings.  The sampled cross-check reads the masks it draws, in tables of
 bounded size; the n = 8 tie class reads every edge subset of its two shape
 closures and its samples, and runs the theorem sweep's screen and class
-check on them.  rho comes from one batched eigensolver, ``_rho_column``:
-the certificate sweep computes it for every connected graph; the theorem
-screen computes it only for the graphs whose Stanley bound can reach a
-class maximum or bound, 0.1-1.5 % of them at n = 6 and 7; the audit and
-the cross-check never read it.  The theorem and certificate
-sweeps work on whole columns; the audit and the cross-check, which build
-witnesses, go graph by graph.  The audit runs on the bitmask witness core
-of ``matching`` and its rules, the same code the public witness
-constructors wrap.
+check on them.  rho is not a table column: the workers that read it call
+one batched eigensolver, ``_rho_column``.  The certificate sweep computes
+it for every connected graph; the theorem screen, densest edge count
+first, only while Stanley's bound can reach a class maximum or bound,
+0.1-1.5 % of the graphs at n = 6 and 7; the audit and the cross-check
+never read it.  The theorem and certificate sweeps work on whole columns;
+the audit and the cross-check, which build witnesses, go graph by graph.
+The audit runs on the bitmask witness core of ``matching`` and its rules,
+the same code the public witness constructors wrap.
 """
 
 from __future__ import annotations
@@ -192,37 +192,26 @@ def _rho_column(rows: np.ndarray, n: int) -> np.ndarray:
     return np.linalg.eigvalsh(a)[:, -1]
 
 
-def _batch_arrays(
-    n: int, lo: int, hi: int, *, masks: np.ndarray | None = None, with_rho: bool = True
-) -> tuple[np.ndarray | None, ...]:
+def _batch_arrays(n: int, lo: int, hi: int, *, masks: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
     """The table of the graphs on n vertices whose edge masks, in graph6 bit
     order (``pairs_colex``), are masks[lo:hi], or lo..hi-1 when masks is
-    None; one numpy array per column: spectral radius, connectivity flag,
-    minimum degree, edge count, beta, 2*beta_star, the (graphs, n) array of
-    neighbour rows and the masks (K_0 reads rho 0, not connected, degree 0).
-    Every sweep reads its graphs and their invariants from here: the chunk
-    workers a range of masks, the sampled cross-check and the n = 8 tie
-    class the masks they draw or enumerate, repeats and any order allowed.
-    rho comes from the batched eigensolver (``_rho_column``) on every graph
-    of the table; the other invariants from the oracles' subset tables
-    (``_subset_columns``).  Workers that never read rho, or compute it
-    themselves for the graphs that need it, pass ``with_rho=False`` and get
-    ``None`` in its place, skipping the eigensolver."""
+    None; one numpy array per column: connectivity flag, minimum degree,
+    edge count, beta, 2*beta_star, the (graphs, n) array of neighbour rows
+    and the masks (K_0 reads not connected, degree 0).  Every sweep reads
+    its graphs and their invariants from here: the chunk workers a range of
+    masks, the sampled cross-check and the n = 8 tie class the masks they
+    draw or enumerate, repeats and any order allowed.  The invariants come
+    from the oracles' subset tables (``_subset_columns``); rho is left to
+    the workers that read it (``_rho_column``)."""
     masks = np.arange(lo, hi, dtype=np.int64) if masks is None else np.asarray(masks[lo:hi], dtype=np.int64)
     rows = np.zeros((len(masks), n), dtype=np.int64)
     for j, (u, v) in enumerate(pairs_colex(n)):
         bit = (masks >> j) & 1
         rows[:, u] |= bit << v
         rows[:, v] |= bit << u
-    rho, columns = np.zeros(len(masks)), []
     step = _TABLE_CELLS >> n
-    for start in range(0, len(masks), step):
-        part = rows[start : start + step]
-        if with_rho:
-            rho[start : start + step] = _rho_column(part, n)
-        columns.append(_subset_columns(part, n))
-    conn, delta, edges, beta, bsd = (np.concatenate(col) for col in zip(*columns))
-    return rho if with_rho else None, conn, delta, edges, beta, bsd, rows, masks
+    columns = [_subset_columns(rows[start : start + step], n) for start in range(0, len(masks), step)]
+    return (*(np.concatenate(c) for c in zip(*columns)), rows, masks)
 
 
 def _sweep(worker: Callable, n: int, jobs: int, *extra) -> list:
@@ -309,16 +298,15 @@ def _theorem_chunk(args: tuple) -> tuple:
     bound) - ``RHO_TOL``.  So every maximizer of a class and every graph at
     or above its bound, over a whole sweep, is a candidate of its chunk.
 
-    The table is read without rho.  rho comes from ``_rho_column``, and only
-    for the graphs whose cap (``_rho_cap``) leaves them a chance.  Per
-    class, stage 1 takes every graph whose cap reaches the class bound minus
-    ``RHO_TOL``.  Unless one of them reaches the bound itself, stage 2 takes
-    the rest one edge count at a time, densest first, until the cap falls
-    below the running class maximum minus ``RHO_TOL``.  Every graph left out
-    has rho below the threshold and below the class maximum, so the
-    candidates are those of the full rho column, bit for bit."""
+    rho comes from ``_rho_column``, and only for the graphs whose cap
+    (``_rho_cap``) leaves them a chance.  Per class, the loop takes the
+    graphs one edge count at a time, densest first, and stops at the first
+    edge count whose cap falls below min(running class maximum, class
+    bound) - ``RHO_TOL``.  The cap grows with the edge count, so every
+    graph left out has rho below that threshold, and the candidates are
+    those of a full rho column, bit for bit."""
     n, lo, hi, masks, theorem, bounds = args
-    _, connected, _, edges, beta, bsd, rows, masks = _batch_arrays(n, lo, hi, masks=masks, with_rho=False)
+    connected, _, edges, beta, bsd, rows, masks = _batch_arrays(n, lo, hi, masks=masks)
     keys = bsd if theorem in ("t32", "t33") else 2 * beta
     if _CONNECTED_THEOREMS[theorem]:
         keys = np.where(connected, keys, -1)  # -1: no class
@@ -329,17 +317,13 @@ def _theorem_chunk(args: tuple) -> tuple:
         idx = np.flatnonzero(keys == key)
         if not len(idx):
             continue
-        near = cap[idx] >= bound - RHO_TOL
-        rho[idx[near]] = _rho_column(rows[idx[near]], n)
-        top = rho[idx].max()
-        if top < bound:
-            rest = idx[~near]
-            for m in np.unique(edges[rest])[::-1].tolist():
-                block = rest[edges[rest] == m]
-                if cap[block[0]] < top - RHO_TOL:
-                    break
-                rho[block] = _rho_column(rows[block], n)
-                top = max(top, rho[block].max())
+        top = -np.inf
+        for m in np.unique(edges[idx])[::-1].tolist():
+            block = idx[edges[idx] == m]
+            if cap[block[0]] < min(top, bound) - RHO_TOL:
+                break
+            rho[block] = _rho_column(rows[block], n)
+            top = max(top, rho[block].max())
         sizes[key] = len(idx)
         idx = idx[rho[idx] >= min(top, bound) - RHO_TOL]
         candidates[key] = list(zip(rho[idx].tolist(), masks[idx].tolist()))
@@ -507,7 +491,7 @@ class CertSweepReport:
 
 def _cert_chunk(args: tuple) -> tuple:
     n, lo, hi = args
-    _, connected, delta, _, beta, bsd, rows, _ = _batch_arrays(n, lo, hi, with_rho=False)
+    connected, delta, _, beta, bsd, rows, _ = _batch_arrays(n, lo, hi)
     delta, beta, bsd, rows = (col[connected] for col in (delta, beta, bsd, rows))
     rho = _rho_column(rows, n)
     table = certificate_table(n, connected=True)
@@ -595,7 +579,7 @@ def _fault(rule: Callable, *args) -> str | None:
 
 def _audit_chunk(args: tuple) -> tuple:
     n, lo, hi = args
-    _, conn_col, _, _, _, bsd_col, rows_col, _ = _batch_arrays(n, lo, hi, with_rho=False)
+    conn_col, _, _, _, bsd_col, rows_col, _ = _batch_arrays(n, lo, hi)
     violations: list[str] = []
     fpm_graphs = 0
     for connected, bsd, rows in zip(conn_col.tolist(), bsd_col.tolist(), map(tuple, rows_col.tolist())):
@@ -699,7 +683,7 @@ def _cross_check_one(g: Graph, beta: int, bsd: int) -> list[str]:
 
 def _cross_chunk(args: tuple) -> list[str]:
     n, lo, hi, masks = args
-    _, _, _, _, beta_col, bsd_col, rows_col, _ = _batch_arrays(n, lo, hi, masks=masks, with_rho=False)
+    _, _, _, beta_col, bsd_col, rows_col, _ = _batch_arrays(n, lo, hi, masks=masks)
     out: list[str] = []
     for beta, bsd, rows in zip(beta_col.tolist(), bsd_col.tolist(), map(tuple, rows_col.tolist())):
         out.extend(_cross_check_one(Graph._from_rows_unchecked(n, rows), beta, bsd))

@@ -10,13 +10,16 @@ import pytest
 from specmatch import (
     HalfIntegral,
     from_graph6,
+    matching_bound_connected,
+    matching_bound_general,
     predicted_maximizer_connected,
+    predicted_maximizer_general,
     to_edge_list_text,
     to_graph6,
     Graph,
 )
 from specmatch import verify
-from specmatch.cli import main
+from specmatch.cli import _fmt, main
 
 
 def run_cli(capsys, *argv):
@@ -193,6 +196,27 @@ class TestRoundTripGrid:
             code, out, _ = run_cli(capsys, "threshold", "--theorem", "t32", "--n", str(n), "--beta-star", f"{d}/2")
             assert code == 0
             assert rho == pytest.approx(float(out), abs=1e-8)
+
+
+class TestThresholdMatchesPredictors:
+    @pytest.mark.parametrize(
+        "theorem, predict",
+        [
+            ("t32", lambda n, d: predicted_maximizer_connected(n, HalfIntegral(d))),
+            ("t33", lambda n, d: predicted_maximizer_general(n, HalfIntegral(d))),
+            ("t12", lambda n, d: matching_bound_general(n, d // 2)),
+            ("t13", lambda n, d: matching_bound_connected(n, d // 2)),
+        ],
+        ids=["t32", "t33", "t12", "t13"],
+    )
+    def test_every_class(self, capsys, theorem, predict):
+        # every class the sweeps check at n <= 10: 2*beta_star, or 2*beta
+        fractional = theorem in ("t32", "t33")
+        for n in range(1, 11):
+            for d in range(0, n + 1, 1 if fractional else 2):
+                value = ("--beta-star", f"{d}/2") if fractional else ("--beta", str(d // 2))
+                code, out, _ = run_cli(capsys, "threshold", "--theorem", theorem, "--n", str(n), *value)
+                assert (code, out) == (0, _fmt(predict(n, d).bound) + "\n"), (n, d)
 
 
 class TestConsoleEntry:

@@ -58,14 +58,17 @@ def _verify_calls(stats, fn) -> int:
 
 
 def _lists(table):
-    """A chunk table as Python lists, the rows as tuples."""
+    """A chunk table as Python lists, the rows as tuples, led by the rho that
+    ``_rho_column`` computes from the table's rows."""
     *columns, rows, masks = table
-    return (*(None if col is None else col.tolist() for col in columns), list(map(tuple, rows.tolist())), masks.tolist())
+    rho = verify._rho_column(rows, rows.shape[1])
+    return (rho.tolist(), *(col.tolist() for col in columns), list(map(tuple, rows.tolist())), masks.tolist())
 
 
 def _full_rho_candidates(n, lo, hi, theorem, bounds):
-    """What ``_theorem_chunk`` returns, computed from the chunk table's full rho column."""
-    rho, connected, _, _, beta, bsd, _, _ = verify._batch_arrays(n, lo, hi, with_rho=True)
+    """What ``_theorem_chunk`` returns, computed from rho on every graph of the chunk table."""
+    connected, _, _, beta, bsd, rows, _ = verify._batch_arrays(n, lo, hi)
+    rho = verify._rho_column(rows, n)
     keys = bsd if theorem in ("t32", "t33") else 2 * beta
     if verify._CONNECTED_THEOREMS[theorem]:
         keys = np.where(connected, keys, -1)
@@ -78,12 +81,12 @@ def _full_rho_candidates(n, lo, hi, theorem, bounds):
     return int(connected.sum()), sizes, candidates
 
 
-def _screened_chunks(theorem):
+def _screened_chunks(theorem, lower=0.0):
     """(chunk, pruned output, full-rho output) on every chunk at n <= 6 and
-    on the first and a middle chunk at n = 7."""
+    on the first and a middle chunk at n = 7, each class bound lowered by lower."""
     step = 1 if theorem in ("t32", "t33") else 2  # the classes: 2*beta_star, or 2*beta
     for n in range(1, 8):
-        bounds = {key: verify._predict(theorem, n, key).bound for key in range(0, n + 1, step)}
+        bounds = {key: verify._predict(theorem, n, key).bound - lower for key in range(0, n + 1, step)}
         chunks = verify._chunk_ranges(n)
         for lo, hi in chunks if n < 7 else (chunks[0], chunks[len(chunks) // 2]):
             pruned = verify._theorem_chunk((n, lo, hi, None, theorem, bounds))
@@ -131,9 +134,6 @@ class TestChunkTable:
             assert beta == [matching_number(g).size for g in graphs]
             assert bsd == [fractional_matching_number(g).doubled for g in graphs]
             assert rho == pytest.approx([spectral_radius(g).value for g in graphs], abs=1e-9)
-            # workers that never read rho skip the eigensolver; the other
-            # columns are the same
-            assert _lists(verify._batch_arrays(n, lo, hi, with_rho=False)) == (None, conn, delta, edges, beta, bsd, rows, masks)
 
     def test_mask_array_with_repeats(self):
         # any masks, unsorted and repeated, read through the window lo..hi:
@@ -158,9 +158,10 @@ class TestChunkTable:
 
     def test_n0(self):
         # the one graph on no vertices is empty and not connected; its
-        # minimum degree, which min_degree refuses, reads 0
-        assert _lists(verify._batch_arrays(0, 0, 1)) == ([0.0], [False], [0], [0], [0], [0], [()], [0])
-        assert _lists(verify._batch_arrays(0, 0, 1, with_rho=False)) == (None, [False], [0], [0], [0], [0], [()], [0])
+        # minimum degree, which min_degree refuses, reads 0, and so does its rho
+        table = verify._batch_arrays(0, 0, 1)
+        assert len(table) == 7
+        assert _lists(table) == ([0.0], [False], [0], [0], [0], [0], [()], [0])
 
     @pytest.mark.parametrize(
         "sweep, args",
@@ -218,9 +219,11 @@ class TestPrunedScreen:
     @pytest.mark.parametrize("theorem", verify.THEOREMS)
     def test_matches_the_full_rho_column(self, theorem):
         # the theorem chunks compute rho only where Stanley's bound leaves a
-        # graph a chance; their candidates and counts are those of the full column
-        for chunk, pruned, full in _screened_chunks(theorem):
-            assert pruned == full, chunk
+        # graph a chance; their candidates and counts are those of the full
+        # column, also when class maxima exceed bounds lowered by 0.5
+        for lower in (0.0, 0.5):
+            for chunk, pruned, full in _screened_chunks(theorem, lower):
+                assert pruned == full, (chunk, lower)
 
     def test_catches_a_cap_that_is_too_tight(self, monkeypatch):
         # a cap at 0.95 times Stanley's bound drops candidates, and the comparison sees it
@@ -228,12 +231,30 @@ class TestPrunedScreen:
         monkeypatch.setattr(verify, "_rho_cap", lambda edges: 0.95 * cap(edges))
         assert any(pruned != full for t in verify.THEOREMS for _, pruned, full in _screened_chunks(t))
 
+    @pytest.mark.parametrize("theorem, screened", [("t32", 494), ("t33", 354), ("t12", 96), ("t13", 231)])
+    def test_screens_in_nonempty_batches(self, monkeypatch, theorem, screened):
+        # one densest-first loop per class: rho for a pinned number of graphs
+        # over n = 1..6, and no eigensolver call on an empty batch
+        batches = []
+        rho_column = verify._rho_column
+
+        def spy(rows, n):
+            batches.append(len(rows))
+            return rho_column(rows, n)
+
+        monkeypatch.setattr(verify, "_rho_column", spy)
+        for n in range(1, 7):
+            verify_theorem(theorem, n)
+        assert sum(batches) == screened
+        assert min(batches) > 0
+
     def test_rho_of_a_sub_batch_is_bit_identical(self):
         # the pruned screen computes rho on sub-batches; every bit must match
-        # the full table's column, whatever the batch and the order
+        # rho computed on the whole table, whatever the batch and the order
         rng = np.random.default_rng(2024)
         for n, lo, hi in [(6, 0, 1 << 15), (7, *verify._chunk_ranges(7)[37])]:
-            full, *_, rows, _ = verify._batch_arrays(n, lo, hi)
+            *_, rows, _ = verify._batch_arrays(n, lo, hi)
+            full = verify._rho_column(rows, n)
             for size in (1, 7, 400, 5000):
                 pick = rng.permutation(len(rows))[:size]
                 assert np.array_equal(verify._rho_column(rows[pick], n).view(np.int64), full[pick].view(np.int64))
