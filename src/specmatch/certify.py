@@ -6,8 +6,13 @@ threshold and, when it fires, guarantees a matching property.  One table,
 report order, ``decide`` is the one firing rule and ``_guarantee_holds``
 the one guarantee rule: certify_all and the ``cert_*`` functions apply them
 to one graph, the exhaustive sweep in ``verify`` to whole numpy columns.
-Comparisons use a guard band of 1e-9: values inside the band count as "at
-threshold" and never fire, since the hypotheses are strict inequalities.
+Each spectral threshold is the largest rho of the connected class one step
+below its guarantee, read from the class bounds in ``extremal``: fpm is the
+t32 bound at 2*beta_star = n - 1, ``beta-star-increment(k/2)`` the t32
+bound at 2*beta_star = k, pm the t13 bound at beta = n/2 - 1 and
+``beta-increment(b)`` the t13 bound at beta = b.  Comparisons use a guard
+band of 1e-9: values inside the band count as "at threshold" and never
+fire, since the hypotheses are strict inequalities.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .extremal import rho_join_formula, theta_cubic, theta_n
+from .extremal import _t13_regime, _t32_regime
 from .graphs import Graph, is_connected, min_degree, to_graph6
 from .halfint import HalfIntegral
 from .matching import fractional_matching_number, matching_number
@@ -64,11 +69,7 @@ class CertificateRecord:
 def fpm_threshold(n: int) -> float | None:
     """Spectral threshold above which a connected n-vertex graph has a
     fractional perfect matching; None when no threshold is stated."""
-    if n < 3:
-        return None
-    if n >= 8 and n != 9:
-        return theta_n(n)
-    return rho_join_formula(n, (n - 1) // 2)
+    return _t32_regime(n, n - 1)[1] if n >= 3 else None
 
 
 def pm_threshold(n: int) -> float | None:
@@ -76,39 +77,17 @@ def pm_threshold(n: int) -> float | None:
     perfect matching; None for odd or tiny n."""
     if n % 2 or n < 4:
         return None
-    if n == 4:
-        return rho_join_formula(4, 1)
-    if n == 6:
-        return rho_join_formula(6, 2)
-    return theta_n(n)
+    return _t13_regime(n, n // 2 - 1)[1]
 
 
-def beta_star_increment_case(n: int, target_doubled: int) -> tuple[str, float] | None:
-    """Case selection for the beta* increment certificate.
-
-    Integer targets above (n+3)/3 (n >= 11) and half-odd targets above
-    (2n+3)/6 (n >= 8, n != 9) use the hub-family cubic; targets with ceiling
-    at most (n+3)/3 use the split-join threshold.
-    """
-    k = target_doubled
-    if k % 2 == 0:
-        if 3 * k > 2 * n + 6 and n >= 11:
-            return ("cubic-even", theta_cubic(n, HalfIntegral(k)))
-    else:
-        if 3 * k > 2 * n + 3 and n >= 8 and n != 9:
-            return ("cubic-odd", theta_cubic(n, HalfIntegral(k)))
-    if 3 * ((k + 1) // 2) <= n + 3:
-        return ("join", rho_join_formula(n, k // 2))
-    return None
-
-
-def beta_increment_case(n: int, beta: int) -> tuple[str, float] | None:
-    """Case selection for the matching-number increment certificate."""
-    if 3 * beta >= n + 1 and 2 * beta <= n - 2 and n >= 8:
-        return ("cubic", theta_cubic(n, HalfIntegral(2 * beta + 1)))
-    if 3 * beta <= n:
-        return ("join", rho_join_formula(n, beta))
-    return None
+def beta_star_increment_case(n: int, target_doubled: int) -> tuple[str, float]:
+    """Case and threshold of the beta* increment certificate: the t32 bound
+    of the class 2*beta_star = target_doubled, tagged by its regime (the
+    hub-family cubic, by the target's parity, or the split join)."""
+    regime, bound = _t32_regime(n, target_doubled)
+    if regime == "ii":
+        return ("cubic-odd" if target_doubled % 2 else "cubic-even", bound)
+    return ("join", bound)
 
 
 @dataclass(frozen=True)
@@ -146,14 +125,12 @@ def _pm_row(n: int, connected: bool) -> Certificate:
 
 def _beta_star_row(n: int, connected: bool, k: int) -> Certificate:
     # the beta* increment certificate is stated for n >= 3 only
-    case = beta_star_increment_case(n, k) if n >= 3 and connected else None
-    thr = None if case is None else case[1]
+    thr = beta_star_increment_case(n, k)[1] if n >= 3 and connected else None
     return Certificate(f"beta-star-increment({HalfIntegral(k)})", "beta_star_geq", k + 1, f"2*beta_star >= {k + 1}", thr)
 
 
 def _beta_row(n: int, connected: bool, beta: int) -> Certificate:
-    case = beta_increment_case(n, beta) if connected else None
-    thr = None if case is None else case[1]
+    thr = _t13_regime(n, beta)[1] if connected else None
     return Certificate(f"beta-increment({beta})", "beta_geq", beta + 1, f"beta >= {beta + 1}", thr)
 
 

@@ -9,8 +9,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .certify import SoundnessError, beta_increment_case, certify_all, fpm_threshold
-from .extremal import ExtremalSpec, build_extremal, predicted_maximizer_connected
+from .certify import SoundnessError, certify_all, fpm_threshold
+from .extremal import ExtremalSpec, _t13_regime, build_extremal, predicted_maximizer_connected
 from .graphs import (
     Graph,
     Graph6Error,
@@ -126,14 +126,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    g = _read_graph(args)
-    verify_truth = None
-    if args.verify_truth:
-        verify_truth = True
-    elif args.no_verify_truth:
-        verify_truth = False
-    report = certify_all(g, verify_truth=verify_truth)
-    print(report.to_json())
+    print(certify_all(_read_graph(args), verify_truth=args.verify_truth).to_json())
     return EXIT_OK
 
 
@@ -165,16 +158,18 @@ def _cmd_threshold(args) -> int:
     elif args.theorem == "t37":
         if args.beta is None:
             raise _UsageError("--theorem t37 needs --beta")
-        case = beta_increment_case(n, args.beta)
-        if case is None:
+        # the beta-increment certificate's range; its threshold is the t13 class bound
+        if not 1 <= args.beta <= (n - 2) / 2:
             raise _UsageError(f"no matching-increment threshold for n={n}, beta={args.beta}")
-        print(_fmt(case[1]))
+        print(_fmt(_t13_regime(n, args.beta)[1]))
     else:  # pragma: no cover - argparse choices guard this
         raise _UsageError(f"unknown theorem {args.theorem}")
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
+    if not args.theorem and (args.connected or args.out or args.long_run):
+        raise _UsageError("--connected, --out and --long-run apply to --theorem only")
     if args.certificates:
         report = verify_certificates(args.n, jobs=args.jobs)
         print(f"connected graphs examined: {report.connected_examined}")
@@ -194,8 +189,6 @@ def _cmd_verify(args) -> int:
             print(f"VIOLATION {v}")
         print("result: " + ("PASS" if report.passed else "FAIL"))
         return EXIT_OK if report.passed else EXIT_VERIFY
-    if not args.theorem:
-        raise _UsageError("verify needs --theorem, --certificates, or --audit")
     if args.connected and not _CONNECTED_THEOREMS[args.theorem]:
         raise _UsageError(
             f"--connected contradicts {args.theorem}, which quantifies over all graphs; "
@@ -262,9 +255,10 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("certify", help="run every spectral certificate")
     _add_input_opts(p)
-    p.add_argument("--verify-truth", action="store_true")
-    p.add_argument("--no-verify-truth", action="store_true")
-    p.set_defaults(func=_cmd_certify)
+    truth = p.add_mutually_exclusive_group()
+    truth.add_argument("--verify-truth", dest="verify_truth", action="store_true")
+    truth.add_argument("--no-verify-truth", dest="verify_truth", action="store_false")
+    p.set_defaults(func=_cmd_certify, verify_truth=None)
 
     p = sub.add_parser("extremal", help="emit an extremal family graph as graph6")
     p.add_argument("--n", type=int, required=True)
@@ -280,9 +274,10 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_threshold)
 
     p = sub.add_parser("verify", help="exhaustive verification sweeps")
-    p.add_argument("--theorem", choices=THEOREMS)
-    p.add_argument("--certificates", action="store_true")
-    p.add_argument("--audit", action="store_true")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--theorem", choices=THEOREMS)
+    mode.add_argument("--certificates", action="store_true")
+    mode.add_argument("--audit", action="store_true")
     p.add_argument("--n", type=int, required=True)
     p.add_argument(
         "--connected",

@@ -134,15 +134,24 @@ def _check_class_args(n: int, d: int) -> None:
         raise ValueError(f"2*beta_star = {d} exceeds n = {n}")
 
 
+def _t32_regime(n: int, d: int) -> tuple[str, float]:
+    """(regime, bound) of t32's connected class 2*beta_star = d; builds no graph."""
+    if d == n:
+        return "i", float(n - 1)
+    if n < 3 * ((d + 1) // 2) - 3:
+        return "ii", theta_cubic(n, HalfIntegral(d))
+    return "iii", rho_join_formula(n, d // 2)
+
+
 def predicted_maximizer_connected(n: int, beta_star: HalfIntegral) -> RegimePrediction:
     """Sharp spectral-radius bound over connected graphs with this fractional matching number."""
     d = beta_star.doubled
     _check_class_args(n, d)
-    if d == n:
-        return RegimePrediction("i", float(n - 1), (complete(n),), n != 1)
-    ceil_b = (d + 1) // 2
-    if n < 3 * ceil_b - 3:
-        return RegimePrediction("ii", theta_cubic(n, beta_star), (_g1_hub(n, d),), True)
+    regime, bound = _t32_regime(n, d)
+    if regime == "i":
+        return RegimePrediction(regime, bound, (complete(n),), n != 1)
+    if regime == "ii":
+        return RegimePrediction(regime, bound, (_g1_hub(n, d),), True)
     b = d // 2
     attained = d % 2 == 0 and (d >= 2 or n == 1)
     notes = ()
@@ -151,7 +160,7 @@ def predicted_maximizer_connected(n: int, beta_star: HalfIntegral) -> RegimePred
             "bound is strict: the split join has fractional matching number "
             f"{b}, below {beta_star}, so no graph in the class attains it",
         )
-    return RegimePrediction("iii", rho_join_formula(n, b), (_g2_split_join(n, d),), attained, notes)
+    return RegimePrediction(regime, bound, (_g2_split_join(n, d),), attained, notes)
 
 
 def predicted_maximizer_general(n: int, beta_star: HalfIntegral) -> RegimePrediction:
@@ -201,34 +210,41 @@ def matching_bound_general(n: int, beta: int) -> RegimePrediction:
     _check_beta_args(n, beta)
     if n <= 2 * beta + 1:
         return RegimePrediction("1", float(n - 1), (complete(n),), True)
-    clique = union(complete(2 * beta + 1), empty(n - 2 * beta - 1))
+    clique = _g3_clique_union(n, 2 * beta + 1)
     if n < 3 * beta + 2:
         return RegimePrediction("2", float(2 * beta), (clique,), True)
+    g_join = _g2_split_join(n, 2 * beta)
     if n == 3 * beta + 2:
-        g_join = join(complete(beta), empty(n - beta))
         graphs = (g_join,) if g_join == clique else (g_join, clique)
         return RegimePrediction("3", float(2 * beta), graphs, True)
-    return RegimePrediction("4", rho_join_formula(n, beta), (join(complete(beta), empty(n - beta)),), True)
+    return RegimePrediction("4", rho_join_formula(n, beta), (g_join,), True)
+
+
+def _t13_regime(n: int, beta: int) -> tuple[str, float]:
+    """(regime, bound) of t13's connected class with matching number beta; builds no graph."""
+    if n <= 2 * beta + 1:
+        return "1", float(n - 1)
+    if n <= 3 * beta - 1:  # the hub family's quotient cubic
+        return "2", theta_cubic(n, HalfIntegral(2 * beta + 1))
+    return "3", rho_join_formula(n, beta)
 
 
 def matching_bound_connected(n: int, beta: int) -> RegimePrediction:
     """Sharp spectral-radius bound over connected graphs with matching number beta."""
     _check_beta_args(n, beta)
-    if n <= 2 * beta + 1:
-        return RegimePrediction("1", float(n - 1), (complete(n),), True)
-    if n <= 3 * beta - 1:
-        # threshold derived from the hub family's quotient matrix; the stated
-        # cubic has two degree-one terms, and its literal largest root is
-        # logged here as a diagnostic rather than used
-        bound = theta_cubic(n, HalfIntegral(2 * beta + 1))
-        hub = join(complete(1), union(complete(2 * beta - 1), empty(n - 2 * beta)))
-        literal = largest_real_root((1, 0, 3 - 2 * beta - n, 2 * (beta - 1) * (n - 2 * beta)))
-        notes = (
-            f"stated cubic read literally has largest root {literal:.12g}; "
-            f"the hub-family quotient gives {bound:.12g}, which is used",
-        )
-        return RegimePrediction("2", bound, (hub,), True, notes)
-    return RegimePrediction("3", rho_join_formula(n, beta), (join(complete(beta), empty(n - beta)),), True)
+    regime, bound = _t13_regime(n, beta)
+    if regime == "1":
+        return RegimePrediction(regime, bound, (complete(n),), True)
+    if regime == "3":
+        return RegimePrediction(regime, bound, (_g2_split_join(n, 2 * beta),), True)
+    # the stated cubic has two degree-one terms; its literal largest root is
+    # logged here as a diagnostic rather than used
+    literal = largest_real_root((1, 0, 3 - 2 * beta - n, 2 * (beta - 1) * (n - 2 * beta)))
+    notes = (
+        f"stated cubic read literally has largest root {literal:.12g}; "
+        f"the hub-family quotient gives {bound:.12g}, which is used",
+    )
+    return RegimePrediction(regime, bound, (_g1_hub(n, 2 * beta + 1),), True, notes)
 
 
 def quotient_cubic_matches_family(n: int, beta_star: HalfIntegral) -> bool:

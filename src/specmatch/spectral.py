@@ -128,7 +128,7 @@ def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> RhoResult:
     """
     if g.n == 0:
         raise GraphError("spectral radius undefined for the empty graph")
-    if tol <= 0:
+    if not tol > 0:  # NaN too
         raise ValueError("tolerance must be positive")
     best: tuple[float, float, int, int, list[int], np.ndarray] | None = None
     for idx, comp in enumerate(components(g)):

@@ -7,18 +7,19 @@ count, beta and 2*beta_star from the brute-force oracles' subset tables,
 and the neighbour rows.  The exhaustive sweeps are sharded into fixed
 chunks of the mask range (independent of the worker count) and merged in
 chunk order, so reports are byte-identical across runs and across --jobs
-settings.  The sampled cross-check reads the masks it draws, in tables of
-bounded size; the n = 8 tie class reads every edge subset of its two shape
-closures and its samples, and runs the theorem sweep's screen and class
-check on them.  rho is not a table column: the workers that read it call
-one batched eigensolver, ``_rho_column``.  The certificate sweep computes
-it for every connected graph; the theorem screen, densest edge count
-first, only while Stanley's bound can reach a class maximum or bound,
-0.1-1.5 % of the graphs at n = 6 and 7; the audit and the cross-check
-never read it.  The theorem and certificate sweeps work on whole columns;
-the audit and the cross-check, which build witnesses, go graph by graph.
-The audit runs on the bitmask witness core of ``matching`` and its rules,
-the same code the public witness constructors wrap.
+settings.  The sampled cross-check reads the masks it draws, and the n = 8
+tie class every edge subset of its two shape closures and its samples, on
+which it runs the theorem sweep's screen and class check; ``_sweep`` runs
+such a mask set in windows of bounded table size, like chunks.  rho is not
+a table column: the workers that read it call one batched eigensolver,
+``_rho_column``.  The certificate sweep computes it for every connected
+graph; the theorem screen, densest edge count first, only while Stanley's
+bound can reach a class maximum or bound, 0.1-1.5 % of the graphs at n = 6
+and 7; the audit and the cross-check never read it.  The theorem and
+certificate sweeps work on whole columns; the audit and the cross-check,
+which build witnesses, go graph by graph.  The audit runs on the bitmask
+witness core of ``matching`` and its rules, the same code the public
+witness constructors wrap.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ import numpy as np
 
 from .certify import _guarantee_holds, certificate_table, certify_all, decide
 from .extremal import (
+    ExtremalSpec,
     RegimePrediction,
+    build_extremal,
     matching_bound_connected,
     matching_bound_general,
     predicted_maximizer_connected,
@@ -214,11 +217,16 @@ def _batch_arrays(n: int, lo: int, hi: int, *, masks: np.ndarray | None = None) 
     return (*(np.concatenate(c) for c in zip(*columns)), rows, masks)
 
 
-def _sweep(worker: Callable, n: int, jobs: int, *extra) -> list:
-    """Run worker((n, lo, hi, *extra)) on every chunk of the labeled graphs on
-    n vertices, in at most min(jobs, chunks) processes; the partial results
-    come back in chunk order."""
-    chunk_args = [(n, lo, hi, *extra) for lo, hi in _chunk_ranges(n)]
+def _sweep(worker: Callable, n: int, jobs: int, masks: np.ndarray | None = None, *extra) -> list:
+    """Run worker((n, lo, hi, masks, *extra)) on every chunk of the labeled
+    graphs on n vertices, or given masks, on every window of at most
+    ``_TABLE_CELLS >> n`` of them, passed as its own array; in at most
+    min(jobs, windows) processes, the results in window order."""
+    if masks is None:
+        chunk_args = [(n, lo, hi, None, *extra) for lo, hi in _chunk_ranges(n)]
+    else:
+        step = _TABLE_CELLS >> n
+        chunk_args = [(n, 0, len(w), w, *extra) for w in (masks[lo : lo + step] for lo in range(0, len(masks), step))]
     if jobs <= 1 or len(chunk_args) == 1:
         return [worker(a) for a in chunk_args]
     import multiprocessing as mp
@@ -490,8 +498,8 @@ class CertSweepReport:
 
 
 def _cert_chunk(args: tuple) -> tuple:
-    n, lo, hi = args
-    connected, delta, _, beta, bsd, rows, _ = _batch_arrays(n, lo, hi)
+    n, lo, hi, masks = args
+    connected, delta, _, beta, bsd, rows, _ = _batch_arrays(n, lo, hi, masks=masks)
     delta, beta, bsd, rows = (col[connected] for col in (delta, beta, bsd, rows))
     rho = _rho_column(rows, n)
     table = certificate_table(n, connected=True)
@@ -578,8 +586,8 @@ def _fault(rule: Callable, *args) -> str | None:
 
 
 def _audit_chunk(args: tuple) -> tuple:
-    n, lo, hi = args
-    conn_col, _, _, _, bsd_col, rows_col, _ = _batch_arrays(n, lo, hi)
+    n, lo, hi, masks = args
+    conn_col, _, _, _, bsd_col, rows_col, _ = _batch_arrays(n, lo, hi, masks=masks)
     violations: list[str] = []
     fpm_graphs = 0
     for connected, bsd, rows in zip(conn_col.tolist(), bsd_col.tolist(), map(tuple, rows_col.tolist())):
@@ -706,21 +714,20 @@ def cross_check_matching_implementations(
     n: int, samples: int = 1000, seed: int = 2024, jobs: int = 1
 ) -> CrossCheckReport:
     """Exhaustive (n <= 6) or sampled comparison of both matching numbers
-    against the brute-force oracles.  The samples are checked in tables of
-    at most ``_TABLE_CELLS >> n`` graphs, so memory beyond their masks does
-    not grow with their number."""
+    against the brute-force oracles.  The samples are checked in windows of
+    at most ``_TABLE_CELLS >> n`` graphs in up to jobs processes, so memory
+    beyond their masks does not grow with their number."""
     if n < 0:
         raise GraphError("n must be non-negative")
     if n <= 6:
-        mism = [line for p in _sweep(_cross_chunk, n, jobs, None) for line in p]
+        mism = [line for p in _sweep(_cross_chunk, n, jobs) for line in p]
         return CrossCheckReport(n, True, 1 << (n * (n - 1) // 2), tuple(mism))
     if n > ORACLE_N_CAP:
         raise GraphError(f"sampled cross-check capped at n <= {ORACLE_N_CAP}")
     if samples < 1:
         raise GraphError(f"sampled cross-check needs samples >= 1, got {samples}")
     masks = _random_masks(n, samples, seed, 0.05, 0.95)
-    step = _TABLE_CELLS >> n
-    mism = [line for lo in range(0, samples, step) for line in _cross_chunk((n, lo, min(lo + step, samples), masks))]
+    mism = [line for p in _sweep(_cross_chunk, n, jobs, masks) for line in p]
     return CrossCheckReport(n, False, samples, tuple(mism))
 
 
@@ -761,12 +768,12 @@ def verify_tie_class_n8(samples: int = 4000, seed: int = 2024) -> TieCaseReport:
 
     Every graph in the class embeds into one of the two transversal shapes
     K_5 u 3K_1 (s=0) or K_1 v (K_3 u 4K_1) (s=1); the s=2 shape would force
-    fractional matching number 2.  One table (``_batch_arrays``) holds every
-    edge subset of both shape closures, then ``samples`` random graphs; the
-    theorem sweep's screen (``_theorem_chunk``) picks the class's
-    candidates, and its class check (``_check_class``) rules on them.  This
-    is the theorem check of ``verify_theorem`` on that mask set, so its
-    violations read like the sweep's discrepancies.
+    fractional matching number 2.  The mask set holds every edge subset of
+    both shape closures, then ``samples`` random graphs; the theorem sweep's
+    screen (``_theorem_chunk``) picks the class's candidates window by
+    window (``_sweep``), and its class check (``_check_class``) rules on
+    them.  This is the theorem check of ``verify_theorem`` on that mask
+    set, so its violations read like the sweep's discrepancies.
     """
     if samples < 0:
         raise GraphError(f"samples must be non-negative, got {samples}")
@@ -778,13 +785,13 @@ def verify_tie_class_n8(samples: int = 4000, seed: int = 2024) -> TieCaseReport:
         for g, r in zip(pred.extremal_graphs, predicted_rho)
         if abs(r - pred.bound) > RHO_TOL
     ]
-    shapes = (
-        pred.extremal_graphs[-1],  # K_5 u 3K_1
-        Graph(8, [(0, v) for v in range(1, 8)] + [(1, 2), (1, 3), (2, 3)]),  # K_1 v (K_3 u 4K_1)
-    )
+    shapes = [build_extremal(ExtremalSpec(n, HalfIntegral(d), s)) for s in (0, 1)]
     masks = np.concatenate([*map(_subset_masks, shapes), _random_masks(n, samples, seed, 0.1, 0.5)])
-    _, sizes, candidates = _theorem_chunk((n, 0, len(masks), masks, "t33", {d: pred.bound}))
-    record, in_class, found = _check_class("t33", n, d, pred, candidates[d])
+    checked, cands = 0, []
+    for _, sizes, candidates in _sweep(_theorem_chunk, n, 1, masks, "t33", {d: pred.bound}):
+        checked += sizes.get(d, 0)
+        cands += candidates.get(d, [])
+    record, in_class, found = _check_class("t33", n, d, pred, cands)
     notes = (
         *pred.notes,
         "class maximum equals 2beta*-1 = 4, attained only by the clique union; "
@@ -795,7 +802,7 @@ def verify_tie_class_n8(samples: int = 4000, seed: int = 2024) -> TieCaseReport:
         tuple(to_graph6(g) for g in pred.extremal_graphs),
         predicted_rho,
         in_class,
-        sizes[d],
+        checked,
         record.max_rho,
         record.argmax_matches,
         notes,

@@ -21,8 +21,10 @@ from specmatch import (
     matching_number,
     spectral_radius,
     union,
+    verify_certificates,
 )
-from specmatch.certify import beta_star_increment_case, fpm_threshold, pm_threshold
+from specmatch.certify import beta_star_increment_case, certificate_table, fpm_threshold, pm_threshold
+from specmatch.extremal import rho_join_formula, theta_cubic, theta_n
 from conftest import random_connected_graph
 
 
@@ -284,3 +286,57 @@ class TestExtremalTightnessSweep:
                         continue  # certificate case differs from the class bound
                     assert not rec.fired, (n, d)
                     assert fractional_matching_number(g).doubled < d + 1, (n, d)
+
+
+# the thresholds in the paper's own wording, each regime with its stated
+# conditions; the certificate table reads them from the t32/t13 class bounds
+def _stated_fpm(n):
+    if n >= 8 and n != 9:
+        return theta_n(n)
+    return rho_join_formula(n, (n - 1) // 2)  # the split join
+
+
+def _stated_pm(n):
+    if n == 4:
+        return rho_join_formula(4, 1)
+    if n == 6:
+        return rho_join_formula(6, 2)
+    return theta_n(n)
+
+
+def _stated_beta_star_increment(n, k):
+    if k % 2 == 0 and 3 * k > 2 * n + 6 and n >= 11:
+        return theta_cubic(n, HalfIntegral(k))  # cubic-even
+    if k % 2 == 1 and 3 * k > 2 * n + 3 and n >= 8 and n != 9:
+        return theta_cubic(n, HalfIntegral(k))  # cubic-odd
+    assert 3 * ((k + 1) // 2) <= n + 3, (n, k)  # the join case covers every other target
+    return rho_join_formula(n, k // 2)
+
+
+def _stated_beta_increment(n, b):
+    if 3 * b >= n + 1 and 2 * b <= n - 2 and n >= 8:
+        return theta_cubic(n, HalfIntegral(2 * b + 1))  # cubic
+    assert 3 * b <= n, (n, b)  # the join case covers every other beta
+    return rho_join_formula(n, b)
+
+
+class TestStatedThresholds:
+    def test_table_rows_equal_the_stated_thresholds(self):
+        for n in [*range(300), *range(300, 2049, 53)]:
+            rows = {c.name: c.threshold for c in certificate_table(n, connected=True)}
+            assert rows["fpm-spectral"] == (_stated_fpm(n) if n >= 3 else None), n
+            assert rows["pm-spectral"] == (_stated_pm(n) if n % 2 == 0 and n >= 4 else None), n
+            for k in range(1, n):
+                stated = _stated_beta_star_increment(n, k) if n >= 3 else None
+                assert rows[f"beta-star-increment({HalfIntegral(k)})"] == stated, (n, k)
+            for b in range(1, (n - 2) // 2 + 1):
+                assert rows[f"beta-increment({b})"] == _stated_beta_increment(n, b), (n, b)
+
+    def test_fpm_and_pm_rows_fire_like_their_increment_rows(self):
+        # fpm is the beta* increment to n/2 and pm the beta increment to n/2:
+        # each pair reads one class bound, so the sweep counts them alike
+        for n in range(3, 8):
+            counts = {name: (app, fired) for name, app, fired in verify_certificates(n, jobs=2).counts}
+            assert counts["fpm-spectral"] == counts[f"beta-star-increment({HalfIntegral(n - 1)})"], n
+            if n % 2 == 0:
+                assert counts["pm-spectral"] == counts[f"beta-increment({(n - 2) // 2})"], n

@@ -19,6 +19,8 @@ from specmatch import (
     Graph,
 )
 from specmatch import verify
+from specmatch.certify import certificate_table
+from specmatch.extremal import rho_join_formula
 from specmatch.cli import _fmt, main
 
 
@@ -151,6 +153,33 @@ class TestVerifyCommands:
         code, out, _ = run_cli(capsys, "verify", "--theorem", "t32", "--n", "4", "--connected")
         assert code == 0 and "result: PASS" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--certificates", "--audit", "--n", "3"],
+            ["verify", "--audit", "--theorem", "t32", "--n", "3"],
+            ["verify", "--theorem", "t33", "--certificates", "--n", "3"],
+            ["verify", "--audit", "--n", "3", "--out", "{out}"],
+            ["verify", "--certificates", "--n", "3", "--out", "{out}"],
+            ["verify", "--audit", "--n", "3", "--long-run"],
+            ["verify", "--certificates", "--n", "3", "--connected"],
+            ["certify", "--graph6", "Bw", "--verify-truth", "--no-verify-truth"],
+        ],
+    )
+    def test_conflicting_options_rejected(self, capsys, tmp_path, argv):
+        # an option the chosen mode would ignore is a usage error, and nothing runs
+        out_path = tmp_path / "report.csv"
+        code, out, err = run_cli(capsys, *(a.format(out=out_path) for a in argv))
+        assert (code, out) == (1, "") and err.startswith("usage error: ")
+        assert not out_path.exists()
+
+    def test_certify_truth_flags(self, capsys):
+        # n = 20 is above certify_all's default cut-off for the ground truth
+        g6 = to_graph6(Graph(20, [(i, i + 1) for i in range(19)]))
+        for flags, beta in [((), None), (("--verify-truth",), 10), (("--no-verify-truth",), None)]:
+            code, out, _ = run_cli(capsys, "certify", "--graph6", g6, *flags)
+            assert code == 0 and json.loads(out)["beta"] == beta, flags
+
 
 class TestExitCodes:
     def test_usage_error_unknown_command(self, capsys):
@@ -217,6 +246,24 @@ class TestThresholdMatchesPredictors:
                 value = ("--beta-star", f"{d}/2") if fractional else ("--beta", str(d // 2))
                 code, out, _ = run_cli(capsys, "threshold", "--theorem", theorem, "--n", str(n), *value)
                 assert (code, out) == (0, _fmt(predict(n, d).bound) + "\n"), (n, d)
+
+
+class TestBetaIncrementThreshold:
+    def test_applies_the_certificate_range(self, capsys):
+        # t37 prints the beta-increment(beta) row of the certificate table for
+        # 1 <= beta <= (n-2)/2 and rejects every other beta, as cert_beta_increment does
+        for n in range(0, 25):
+            rows = {c.name: c.threshold for c in certificate_table(n, connected=True)}
+            for beta in range(-1, n + 2):
+                code, out, err = run_cli(capsys, "threshold", "--theorem", "t37", "--n", str(n), "--beta", str(beta))
+                if 1 <= beta <= (n - 2) / 2:
+                    assert (code, out) == (0, _fmt(rows[f"beta-increment({beta})"]) + "\n"), (n, beta)
+                else:
+                    assert (code, out) == (1, ""), (n, beta)
+                    assert f"no matching-increment threshold for n={n}, beta={beta}" in err
+        # far above the vertex cap too: the threshold is a formula, no graph is built
+        code, out, _ = run_cli(capsys, "threshold", "--theorem", "t37", "--n", "100000", "--beta", "3")
+        assert (code, out) == (0, _fmt(rho_join_formula(100000, 3)) + "\n")
 
 
 class TestConsoleEntry:

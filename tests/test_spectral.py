@@ -14,6 +14,7 @@ from specmatch import (
     adjacency_quotient,
     char_poly_f_coeffs,
     char_poly_g_coeffs,
+    certify_all,
     charpoly_int,
     complete,
     empty,
@@ -123,6 +124,14 @@ class TestSpectralRadius:
     def test_rejects_nonpositive_tolerance(self):
         with pytest.raises(ValueError):
             spectral_radius(complete(3), -1.0)
+
+    def test_rejects_nan_tolerance(self):
+        # NaN fails every comparison, so no pair would meet it; the call must
+        # not fall back to the dense solver unchecked, nor write NaN into JSON
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            spectral_radius(path(600), math.nan)
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            certify_all(complete(3), tol=math.nan)
 
     def test_nonconvergence_carries_estimate(self):
         # 600 vertices are above the Lanczos budget: the dense fallback raises

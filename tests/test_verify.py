@@ -625,6 +625,18 @@ class TestCrossCheck:
         assert rep.passed and rep.graphs_checked == len(edge_counts) == 60
         assert max(edge_counts) > 18
 
+    @pytest.mark.parametrize("n, samples, windows", [(7, 300, 1), (10, 2500, 2)])
+    def test_sampled_honours_jobs(self, monkeypatch, n, samples, windows):
+        # the samples run in windows of _TABLE_CELLS >> n masks (2,048 at
+        # n = 10), and two windows or more share a pool of jobs processes
+        serial = cross_check_matching_implementations(n, samples=samples, seed=5, jobs=1)
+        opened = []
+        get_context = multiprocessing.get_context
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: opened.append(method) or get_context(method))
+        assert cross_check_matching_implementations(n, samples=samples, seed=5, jobs=2) == serial
+        assert serial.graphs_checked == samples and serial.passed
+        assert len(opened) == (windows >= 2)
+
     def test_above_the_oracle_cap(self, capsys):
         with pytest.raises(GraphError, match="n <= 10"):
             cross_check_matching_implementations(11)
@@ -641,9 +653,11 @@ class TestTieClass:
         rep = verify_tie_class_n8(samples=0)
         assert rep.passed and rep.class_graphs_checked > 0 and rep.maximizers_match_clique_union
 
-    @pytest.mark.parametrize("kwargs, checked", [({}, 549), ({"samples": 0}, 503), ({"seed": 201}, 546)])
+    @pytest.mark.parametrize(
+        "kwargs, checked", [({}, 549), ({"samples": 0}, 503), ({"seed": 201}, 546), ({"samples": 7000}, 586)]
+    )
     def test_report_pinned(self, kwargs, checked):
-        # samples=0 keeps the two shape closures alone
+        # samples=0 keeps the two shape closures alone; samples=7000 fills two windows
         assert verify_tie_class_n8(**kwargs) == verify.TieCaseReport(
             bound=4.0,
             predicted_g6=("G}rEE?", "G~{???"),
@@ -660,6 +674,17 @@ class TestTieClass:
             ),
             violations=(),
         )
+
+    def test_tables_bounded_by_windows(self, monkeypatch):
+        # the 2,048 shape subsets and 7,000 samples go through _sweep in
+        # windows of _TABLE_CELLS >> 8 masks, one bounded table each
+        sizes = []
+        batch_arrays = verify._batch_arrays
+        monkeypatch.setattr(
+            verify, "_batch_arrays", lambda n, lo, hi, **kw: sizes.append(hi - lo) or batch_arrays(n, lo, hi, **kw)
+        )
+        verify_tie_class_n8(samples=7000)
+        assert sizes == [verify._TABLE_CELLS >> 8, 2048 + 7000 - (verify._TABLE_CELLS >> 8)]
 
     def test_a_lowered_bound_fails(self, monkeypatch):
         # the (t33, 8, 5) bound lowered by 0.5: the clique union and its class now exceed it
