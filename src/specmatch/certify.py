@@ -20,12 +20,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from sys import intern
 
 from .extremal import _t13_regime, _t32_regime
 from .graphs import Graph, is_connected, min_degree, to_graph6
 from .halfint import HalfIntegral
 from .matching import fractional_matching_number, matching_number
-from .spectral import DEFAULT_TOL, spectral_radius
+from .spectral import DEFAULT_TOL, _check_tol, spectral_radius
 
 GUARD = 1e-9
 
@@ -39,7 +40,7 @@ class SoundnessError(AssertionError):
         self.cert_name = cert_name
 
 
-@dataclass
+@dataclass(slots=True)
 class CertificateRecord:
     name: str
     applicable: bool
@@ -123,15 +124,21 @@ def _pm_row(n: int, connected: bool) -> Certificate:
     return Certificate("pm-spectral", "pm", 0, "perfect matching (beta = n/2)", thr)
 
 
+# The increment rows' names and guarantees are interned: an order has about
+# 3n/2 of them, and reports that a caller keeps then share one copy.
+
+
 def _beta_star_row(n: int, connected: bool, k: int) -> Certificate:
     # the beta* increment certificate is stated for n >= 3 only
     thr = beta_star_increment_case(n, k)[1] if n >= 3 and connected else None
-    return Certificate(f"beta-star-increment({HalfIntegral(k)})", "beta_star_geq", k + 1, f"2*beta_star >= {k + 1}", thr)
+    name, guarantee = intern(f"beta-star-increment({HalfIntegral(k)})"), intern(f"2*beta_star >= {k + 1}")
+    return Certificate(name, "beta_star_geq", k + 1, guarantee, thr)
 
 
 def _beta_row(n: int, connected: bool, beta: int) -> Certificate:
     thr = _t13_regime(n, beta)[1] if connected else None
-    return Certificate(f"beta-increment({beta})", "beta_geq", beta + 1, f"beta >= {beta + 1}", thr)
+    name, guarantee = intern(f"beta-increment({beta})"), intern(f"beta >= {beta + 1}")
+    return Certificate(name, "beta_geq", beta + 1, guarantee, thr)
 
 
 def certificate_table(n: int, connected: bool) -> list[Certificate]:
@@ -258,6 +265,7 @@ def certify_all(g: Graph, verify_truth: bool | None = None, tol: float = DEFAULT
     With verify_truth (default on for n <= 12) the ground truth beta and
     beta* are computed and every fired certificate is asserted sound.
     """
+    _check_tol(tol)  # before any work: the report would carry it
     if verify_truth is None:
         verify_truth = g.n <= 12
     connected = is_connected(g)

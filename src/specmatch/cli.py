@@ -10,7 +10,15 @@ import argparse
 import sys
 
 from .certify import SoundnessError, certify_all, fpm_threshold
-from .extremal import ExtremalSpec, _t13_regime, build_extremal, predicted_maximizer_connected
+from .extremal import (
+    ExtremalSpec,
+    _check_beta_args,
+    _check_class_args,
+    _t13_regime,
+    _t32_regime,
+    build_extremal,
+    predicted_maximizer_connected,
+)
 from .graphs import (
     Graph,
     Graph6Error,
@@ -142,13 +150,22 @@ def _cmd_extremal(args) -> int:
 
 def _cmd_threshold(args) -> int:
     n = args.n
-    if args.theorem in ("t32", "t33"):
-        if args.beta_star is None:
-            raise _UsageError(f"--theorem {args.theorem} needs --beta-star")
+    if args.theorem in ("t32", "t33") and args.beta_star is None:
+        raise _UsageError(f"--theorem {args.theorem} needs --beta-star")
+    if args.theorem in ("t12", "t13", "t37") and args.beta is None:
+        raise _UsageError(f"--theorem {args.theorem} needs --beta")
+    # t32, t13 and t37 read a class bound with no graph built, so n may
+    # exceed the vertex cap
+    if args.theorem == "t32":
+        d = HalfIntegral.parse(args.beta_star).doubled
+        _check_class_args(n, d)
+        print(_fmt(_t32_regime(n, d)[1]))
+    elif args.theorem == "t33":
         print(_fmt(_predict(args.theorem, n, HalfIntegral.parse(args.beta_star).doubled).bound))
-    elif args.theorem in ("t12", "t13"):
-        if args.beta is None:
-            raise _UsageError(f"--theorem {args.theorem} needs --beta")
+    elif args.theorem == "t13":
+        _check_beta_args(n, args.beta)
+        print(_fmt(_t13_regime(n, args.beta)[1]))
+    elif args.theorem == "t12":
         print(_fmt(_predict(args.theorem, n, 2 * args.beta).bound))
     elif args.theorem == "t35":
         thr = fpm_threshold(n)
@@ -156,8 +173,6 @@ def _cmd_threshold(args) -> int:
             raise _UsageError(f"no fractional perfect matching threshold for n={n} (need n >= 3)")
         print(_fmt(thr))
     elif args.theorem == "t37":
-        if args.beta is None:
-            raise _UsageError("--theorem t37 needs --beta")
         # the beta-increment certificate's range; its threshold is the t13 class bound
         if not 1 <= args.beta <= (n - 2) / 2:
             raise _UsageError(f"no matching-increment threshold for n={n}, beta={args.beta}")
@@ -311,7 +326,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (Graph6Error, ValueError) as exc:
+    except (Graph6Error, ValueError, OverflowError) as exc:
         if isinstance(exc, GraphError) and not isinstance(exc, Graph6Error):
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_COMPUTE

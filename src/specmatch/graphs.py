@@ -13,6 +13,10 @@ import numpy as np
 
 MAX_VERTICES = 2048
 ISO_CAP = 10
+# 0..MAX_VERTICES as one shared int object each (CPython caches only up to
+# 256): results a caller keeps, such as matching witnesses, refer to these
+# instead of holding ints of their own
+_LABELS = tuple(range(MAX_VERTICES + 1))
 
 
 class GraphError(ValueError):
@@ -346,6 +350,9 @@ def _g6_byte(s: str, pos: int) -> int:
     return val
 
 
+_G6_BLOCK = 256  # rows of the symmetric matrix that from_graph6 packs at once
+
+
 def from_graph6(text: str) -> Graph:
     s = text.strip()
     if not s:
@@ -387,17 +394,31 @@ def from_graph6(text: str) -> Graph:
     bits = np.unpackbits((codes - 63).astype(np.uint8)[:, None], axis=1)[:, 2:].ravel()
     if bits[nbits:].any():
         raise Graph6Error("nonzero padding bits", pos + nbytes - 1)
-    # the column-order upper triangle is the row-major strict lower triangle
+    # the column-order upper triangle is the row-major strict lower triangle,
+    # filled row by row; the symmetric rows are packed a block at a time, so
+    # the triangle is the only n x n array
     lower = np.zeros((n, n), dtype=np.uint8)
-    lower[np.tri(n, k=-1, dtype=bool)] = bits[:nbits]
-    return Graph._from_rows_unchecked(n, pack_rows(lower | lower.T))
+    start = 0
+    for j in range(1, n):
+        lower[j, :j] = bits[start : start + j]
+        start += j
+    rows: list[int] = []
+    for lo in range(0, n, _G6_BLOCK):
+        rows += pack_rows(lower[lo : lo + _G6_BLOCK] | lower[:, lo : lo + _G6_BLOCK].T)
+    return Graph._from_rows_unchecked(n, tuple(rows))
+
+
+def byte_rows(rows: Sequence[int], n: int) -> np.ndarray:
+    """uint8 matrix whose row i holds the bitset rows[i] as ceil(n/8) bytes,
+    little-endian in bytes and in bits, as ``np.packbits(..., bitorder="little")``."""
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows), dtype=np.uint8)
+    return packed.reshape(len(rows), width)
 
 
 def dense_rows(rows: Sequence[int], n: int) -> np.ndarray:
     """0/1 uint8 matrix whose row i holds bits 0..n-1 of the bitset rows[i]."""
-    width = (n + 7) // 8
-    packed = np.frombuffer(b"".join(r.to_bytes(width, "little") for r in rows), dtype=np.uint8)
-    return np.unpackbits(packed.reshape(len(rows), width), axis=1, count=n, bitorder="little")
+    return np.unpackbits(byte_rows(rows, n), axis=1, count=n, bitorder="little")
 
 
 def pack_rows(a: np.ndarray) -> tuple[int, ...]:

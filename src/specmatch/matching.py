@@ -1,15 +1,18 @@
 """Matching number, fractional matching number, and half-integral witnesses.
 
 The fractional matching number is computed exactly as half the matching
-number of the bipartite double cover.  Both half-integral witnesses are
-built from one double-cover matching by a bitmask core: the canonical
-fractional matching is its pull-back as partner and half-support rows,
-normalised so that the half-weight support is a disjoint union of odd
-cycles, and the dual transversal is the W/R/C masks of its minimum vertex
-cover.  Each witness property has one rule on these masks.  The public
-constructors wrap the core and validate what they build with those rules;
-the structure audit runs the core and the rules directly, with no witness
-objects.
+number of the bipartite double cover, found by Hopcroft-Karp phases.  Both
+half-integral witnesses are built from one double-cover matching by a
+bitmask core: the canonical fractional matching is its pull-back as
+partner and half-support rows, normalised so that the half-weight support
+is a disjoint union of odd cycles, and the dual transversal is the W/R/C
+masks of its minimum vertex cover.  The canonical matching is built from the ascending depth-first
+matching, which the golden witnesses pin; the transversal, like the size,
+is the same for every maximum matching, and is built from the
+Hopcroft-Karp one.  Each witness property has one rule on these masks.
+The public constructors wrap the core and validate what they build with
+those rules; the structure audit runs the core and the rules directly,
+with no witness objects.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graphs import Graph, GraphError, _bits, dense_rows, is_connected
+from .graphs import _LABELS, Graph, GraphError, _bits, dense_rows, is_connected
 from .halfint import HalfIntegral
 
 
@@ -143,7 +146,7 @@ class MatchingResult:
 def matching_number(g: Graph) -> MatchingResult:
     """Exact maximum matching size with a witness edge set."""
     size, match = _blossom_max_matching(g.rows, g.n)
-    edges = tuple((v, w) for v, w in enumerate(match) if w > v)
+    edges = tuple((_LABELS[v], _LABELS[w]) for v, w in enumerate(match) if w > v)
     assert len(edges) == size
     return MatchingResult(size, edges)
 
@@ -159,18 +162,24 @@ def bipartite_double_cover(g: Graph) -> Graph:
     return Graph.from_rows(2 * n, rows)
 
 
-def _dc_matching(rows: tuple[int, ...], n: int) -> tuple[list[int], list[int]]:
-    # Augmenting-path maximum matching on the double cover: left copy u may
-    # match any v in N(u) on the right.  Deterministic ascending scans.  A
-    # path joins a free left copy to a free right copy, both with a
-    # neighbour, so the searches run from the free left copies with a
-    # neighbour (free_l) while a free right copy with one (free_r) is left;
-    # any other search would fail without touching the matching.  The rows
-    # are symmetric, so the right copy of v has a neighbour iff rows[v] does.
+def _dc_matching(rows: tuple[int, ...], n: int, layered: bool = False) -> tuple[list[int], list[int]]:
+    # Maximum matching on the double cover: left copy u may match any v in
+    # N(u) on the right.  A greedy seed gives each u its lowest free right
+    # copy.  A path joins a free left copy to a free right copy, both with a
+    # neighbour, so only those are kept as free_l and free_r, and the search
+    # ends once either is empty.  The rows are symmetric, so the right copy
+    # of v has a neighbour iff rows[v] does.
+    #
+    # By default the searches are depth-first, one per free left copy in
+    # ascending order: the canonical fractional matching is built from this
+    # matching.  With layered, they are Hopcroft-Karp phases (Hopcroft and
+    # Karp, SIAM J. Comput. 2(4), 1973), far fewer searches on large sparse
+    # graphs.  The two matchings differ, but not their size or their W/R/C
+    # cover, which is the same for every maximum matching (Dulmage-Mendelsohn).
     match_l = [-1] * n
     match_r = [-1] * n
     free_l, free_r = 0, (1 << n) - 1
-    for u in range(n):  # greedy seed: u takes its lowest free right copy
+    for u in range(n):
         nb = rows[u] & free_r
         if nb:
             v = (nb & -nb).bit_length() - 1
@@ -181,6 +190,67 @@ def _dc_matching(rows: tuple[int, ...], n: int) -> tuple[list[int], list[int]]:
             free_l |= 1 << u
         else:
             free_r ^= 1 << u
+    if layered:
+        # A phase runs one breadth-first search from all of free_l at once:
+        # lefts[k] is the mask of the left copies k steps out (lefts[0] =
+        # free_l, lefts[k + 1] the partners of the right copies first reached
+        # from lefts[k]), up to the first step that reaches a free right copy.
+        # Searches back from each free right copy reached then take a maximal
+        # set of vertex-disjoint shortest augmenting paths: from a right copy
+        # in step k, to a neighbour in lefts[k], then to its partner.  A left
+        # copy leaves its mask once visited, so a phase visits each copy once,
+        # and a search back meets a dead end only where an earlier path took a
+        # copy.  A phase that reaches no free right copy ends the search.
+        while free_l and free_r:
+            lefts = []
+            seen = 0
+            front = free_l
+            while True:
+                lefts.append(front)
+                reach = 0
+                while front:
+                    low = front & -front
+                    reach |= rows[low.bit_length() - 1]
+                    front ^= low
+                reach &= ~seen
+                if not reach or reach & free_r:
+                    break
+                seen |= reach
+                while reach:
+                    low = reach & -reach
+                    front |= 1 << match_r[low.bit_length() - 1]
+                    reach ^= low
+            ends = reach & free_r
+            if not ends:
+                break
+            last = len(lefts) - 1
+            while ends and lefts[0]:
+                end = ends & -ends
+                ends ^= end
+                path = [end.bit_length() - 1]  # v_last, u_last, v_last-1, ..., u_0: u_k in lefts[k] takes v_k
+                k = last
+                while True:
+                    nb = rows[path[-1]] & lefts[k]
+                    if not nb:  # a dead end: back one step towards the free copy
+                        if k == last:
+                            break
+                        del path[-2:]
+                        k += 1
+                        continue
+                    low = nb & -nb
+                    lefts[k] ^= low
+                    u = low.bit_length() - 1
+                    path.append(u)
+                    if not k:
+                        for i in range(0, len(path), 2):
+                            match_r[path[i]] = path[i + 1]
+                            match_l[path[i + 1]] = path[i]
+                        free_l ^= low
+                        free_r ^= end
+                        break
+                    path.append(match_l[u])
+                    k -= 1
+        return match_l, match_r
     while free_l and free_r:
         u0 = (free_l & -free_l).bit_length() - 1
         free_l ^= 1 << u0
@@ -218,7 +288,7 @@ def _dc_matching(rows: tuple[int, ...], n: int) -> tuple[list[int], list[int]]:
 
 
 def _dc_matching_size(rows: tuple[int, ...], n: int) -> int:
-    return n - _dc_matching(rows, n)[0].count(-1)
+    return n - _dc_matching(rows, n, True)[0].count(-1)
 
 
 def fractional_matching_number(g: Graph) -> HalfIntegral:
@@ -551,7 +621,7 @@ def fractional_transversal(g: Graph) -> Transversal:
     The witness core's W/R/C masks (``_transversal_from``, the builder the
     structure audit checks) as an object, validated.
     """
-    w_bits, _, c_bits = dense_rows(_transversal_from(g.rows, *_dc_matching(g.rows, g.n)), g.n)
+    w_bits, _, c_bits = dense_rows(_transversal_from(g.rows, *_dc_matching(g.rows, g.n, layered=True)), g.n)
     dwv = tuple((2 * w_bits + c_bits).tolist())
     t = Transversal(g.n, dwv, HalfIntegral(sum(dwv)))
     t.validate(g)

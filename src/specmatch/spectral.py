@@ -5,19 +5,21 @@ The Perron vector of a connected component is positive, so the all-ones start
 is never orthogonal to it, and its Krylov space lies in the span of the cells
 of the coarsest equitable partition: K_n and C_n end after 1 step, stars and
 K_{a,b} after 2, the theta(n) graph after 3, random graphs and trees after
-tens.  Paths, whose small spectral gap needs about n/2 steps, and components
-of at most ``LANCZOS_STEPS`` vertices go to the dense solver, which computes
-all eigenvectors to keep one.
+tens.  Lanczos reads the component's bit-packed rows through a byte-table
+operator and builds no float matrix.  Paths, whose small spectral gap needs
+about n/2 steps, and components of at most ``LANCZOS_STEPS`` vertices go to
+the dense solver, which takes the float adjacency matrix and computes all
+eigenvectors to keep one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .graphs import Graph, GraphError, components, dense_rows
+from .graphs import Graph, GraphError, byte_rows, components
 from .halfint import HalfIntegral
 from .roots import largest_real_root
 
@@ -26,7 +28,7 @@ CHARPOLY_CAP = 16
 # Lanczos step budget.  Up to 2048 vertices, G(n, 6/n) settles within 37
 # steps, random trees within 74 and the giant component of G(n, 2/n) within
 # 93; paths need about n/2 and go to the dense solver, to which the budget's
-# 128 products add about 14% at 2048 vertices.
+# 128 byte-table products (about 1 ms each at 2048 vertices) add about 12%.
 LANCZOS_STEPS = 128
 
 
@@ -49,19 +51,54 @@ class RhoResult:
     vector: tuple[float, ...]
 
 
-def _polish(a: np.ndarray, x: np.ndarray) -> tuple[float, float, np.ndarray]:
+def _polish(matvec: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> tuple[float, float, np.ndarray]:
     # eigh alone leaves residuals near 1e-10 at n = 2000; one step of A + I
     # from a top eigenvector (A + I keeps a bipartite component's -rho below
     # rho) and a Rayleigh quotient bring them to rounding level
     x = x / x[np.argmax(np.abs(x))]
-    y = a @ x + x
+    y = matvec(x) + x
     x = y / y.max()
-    ax = a @ x
+    ax = matvec(x)
     r = float(x @ ax) / float(x @ x)
     return r, float(np.max(np.abs(ax - r * x))), x
 
 
-def _lanczos_pair(a: np.ndarray, tol: float) -> tuple[float, float, np.ndarray] | None:
+# _BITS[j, p] is bit j of the byte p
+_BITS = (np.arange(256) >> np.arange(8)[:, None] & 1).astype(np.float64)
+# entries gathered at once by the byte-table operator (512 KiB of float64)
+_GATHER = 1 << 16
+
+
+def _byte_table_matvec(packed: np.ndarray, cols: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> A x with no float matrix, for the 0/1 matrix A whose row i is
+    bit-packed in ``packed[i]`` (as ``byte_rows``) and whose column j is bit
+    ``cols[j]``; the other bits of the rows must be clear.
+
+    Per call, x is scattered to the bits ``cols`` and one (width, 8) @
+    (8, 256) product tabulates, for each byte position b and byte value p,
+    the sum of x over the bits of p in byte b ("four Russians").  Row i of
+    A x is then the sum over b of its byte's entry: one gather per byte of
+    ``packed`` through a precomputed flat index, at any density.  The
+    gathers run in blocks of rows that hold at most ``_GATHER`` entries.
+    """
+    k, width = packed.shape
+    index = packed.astype(np.intp)
+    index += 256 * np.arange(width)
+    padded = np.zeros(8 * width)
+    step = max(1, _GATHER // width)
+
+    def matvec(x: np.ndarray) -> np.ndarray:
+        padded[cols] = x
+        table = (padded.reshape(width, 8) @ _BITS).ravel()
+        y = np.empty(k)
+        for lo in range(0, k, step):
+            y[lo : lo + step] = table.take(index[lo : lo + step]).sum(axis=1)
+        return y
+
+    return matvec
+
+
+def _lanczos_pair(matvec: Callable[[np.ndarray], np.ndarray], n: int, tol: float) -> tuple[float, float, np.ndarray] | None:
     """Polished top Ritz pair of Lanczos from the all-ones vector, or None.
 
     Full reorthogonalisation (two classical Gram-Schmidt passes against the
@@ -72,7 +109,6 @@ def _lanczos_pair(a: np.ndarray, tol: float) -> tuple[float, float, np.ndarray] 
     positive with a residual within tol after LANCZOS_STEPS steps, or at
     exhaustion.
     """
-    n = a.shape[0]
     basis = np.empty((LANCZOS_STEPS + 1, n))
     basis[0] = 1.0 / np.sqrt(n)
     alpha = np.empty(LANCZOS_STEPS)
@@ -80,7 +116,7 @@ def _lanczos_pair(a: np.ndarray, tol: float) -> tuple[float, float, np.ndarray] 
     check = 1
     for k in range(LANCZOS_STEPS):
         q = basis[: k + 1]
-        w = a @ q[k]
+        w = matvec(q[k])
         alpha[k] = q[k] @ w
         w -= (q @ w) @ q
         w -= (q @ w) @ q
@@ -92,7 +128,7 @@ def _lanczos_pair(a: np.ndarray, tol: float) -> tuple[float, float, np.ndarray] 
             t = np.diag(alpha[: k + 1]) + np.diag(beta[:k], -1)  # eigh reads the lower triangle
             y = np.linalg.eigh(t)[1][:, -1]
             if exhausted or beta[k] * abs(y[-1]) <= tol:
-                r, resid, x = _polish(a, y @ q)
+                r, resid, x = _polish(matvec, y @ q)
                 # only the Perron vector is positive (Perron-Frobenius), so a
                 # Ritz pair that settled on a lower eigenvalue is not taken
                 if resid <= tol and x.min() > 0:
@@ -103,15 +139,25 @@ def _lanczos_pair(a: np.ndarray, tol: float) -> tuple[float, float, np.ndarray] 
     return None
 
 
-def _perron_pair(a: np.ndarray, tol: float) -> tuple[float, float, np.ndarray]:
-    if a.shape[0] > LANCZOS_STEPS:
-        pair = _lanczos_pair(a, tol)
+def _perron_pair(packed: np.ndarray, verts: list[int], tol: float) -> tuple[float, float, np.ndarray]:
+    """Perron pair of the connected component on ``verts``, whose rows are
+    bit-packed over the whole vertex set in ``packed``: Lanczos on the
+    byte-table operator above ``LANCZOS_STEPS`` vertices, else (or when it
+    misses ``tol``) the dense solver on the float adjacency matrix."""
+    if len(verts) > LANCZOS_STEPS:
+        pair = _lanczos_pair(_byte_table_matvec(packed, np.asarray(verts)), len(verts), tol)
         if pair is not None:
             return pair
-    r, resid, x = _polish(a, np.linalg.eigh(a)[1][:, -1])
+    a = np.unpackbits(packed, axis=1, bitorder="little")[:, verts].astype(np.float64)
+    r, resid, x = _polish(a.__matmul__, np.linalg.eigh(a)[1][:, -1])
     if resid > tol:
         raise ConvergenceError("eigenpair residual above tolerance", r, resid, 1)
     return r, resid, x
+
+
+def _check_tol(tol: float) -> None:
+    if not tol > 0:  # NaN too
+        raise ValueError("tolerance must be positive")
 
 
 def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> RhoResult:
@@ -128,16 +174,14 @@ def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> RhoResult:
     """
     if g.n == 0:
         raise GraphError("spectral radius undefined for the empty graph")
-    if not tol > 0:  # NaN too
-        raise ValueError("tolerance must be positive")
+    _check_tol(tol)
     best: tuple[float, float, int, int, list[int], np.ndarray] | None = None
     for idx, comp in enumerate(components(g)):
         verts = sorted(comp)
         if len(verts) == 1:
             cand = (0.0, 0.0, 0, idx, verts, np.ones(1))
         else:
-            a = dense_rows([g.rows[v] for v in verts], g.n)[:, verts].astype(np.float64)
-            value, resid, vec = _perron_pair(a, tol)
+            value, resid, vec = _perron_pair(byte_rows([g.rows[v] for v in verts], g.n), verts, tol)
             cand = (value, resid, 1, idx, verts, vec)
         if best is None or cand[0] > best[0]:
             best = cand

@@ -248,6 +248,26 @@ class TestThresholdMatchesPredictors:
                 assert (code, out) == (0, _fmt(predict(n, d).bound) + "\n"), (n, d)
 
 
+class TestThresholdAboveTheVertexCap:
+    def test_t32_and_t13_read_the_class_bound(self, capsys):
+        # no graph is built for t32 and t13, so n may exceed the vertex cap;
+        # t33 and t12 still build their maximizers
+        for n in (2049, 100000):
+            for theorem, value in (("t32", ("--beta-star", "3")), ("t13", ("--beta", "3"))):
+                code, out, _ = run_cli(capsys, "threshold", "--theorem", theorem, "--n", str(n), *value)
+                assert (code, out) == (0, _fmt(rho_join_formula(n, 3)) + "\n"), (theorem, n)
+        for theorem, value in (("t33", ("--beta-star", "3")), ("t12", ("--beta", "3"))):
+            code, _, err = run_cli(capsys, "threshold", "--theorem", theorem, "--n", "2049", *value)
+            assert code == 2 and "vertex cap 2048" in err
+        # the argument checks come first, and an order past the float range is
+        # an input error, not a traceback
+        assert run_cli(capsys, "threshold", "--theorem", "t13", "--n", "2049", "--beta", "1025")[0] == 1
+        assert run_cli(capsys, "threshold", "--theorem", "t32", "--n", "2049", "--beta-star", "2050/2")[0] == 1
+        for theorem, value in (("t32", ("--beta-star", "3")), ("t13", ("--beta", "3")), ("t35", ())):
+            code, _, err = run_cli(capsys, "threshold", "--theorem", theorem, "--n", str(10**400), *value)
+            assert code == 1 and err.startswith("input error"), theorem
+
+
 class TestBetaIncrementThreshold:
     def test_applies_the_certificate_range(self, capsys):
         # t37 prints the beta-increment(beta) row of the certificate table for

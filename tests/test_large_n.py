@@ -1,10 +1,11 @@
 """Single-graph queries near the vertex cap: spectral radius, graph6 decoding,
 threshold roots and the matching witnesses at n up to MAX_VERTICES = 2048.
 
-Budget: the whole module runs in about 21 s on 2 cores, most of it in the
+Budget: the whole module runs in about 23 s on 2 cores, most of it in the
 dense eigensolver and the networkx encoder at n = 2048.  The dense solver
 runs there as the reference for the Lanczos route (7 s) and as the fallback
-on paths; Lanczos itself takes under 0.2 s per graph.  The witness tests
+on paths; Lanczos itself takes under 0.2 s per graph, and the checks of its
+byte-table operator against dense products about 1 s.  The witness tests
 take 5.5 s of it: `beta --witness` on theta(2048) reads an edge list of
 2,092,037 lines (about 5 s), and `matching_number` on theta(2048) takes
 20 ms of the rest.
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -41,6 +43,7 @@ from specmatch import (
     wrc_decomposition,
 )
 from specmatch import spectral
+from specmatch.graphs import byte_rows
 from specmatch.cli import main
 from specmatch.extremal import theta_n_coeffs
 
@@ -150,6 +153,42 @@ class TestSpectralRadius:
         spectral_radius(g)
         assert calls.count(g.n) == dense_calls
         assert all(k <= spectral.LANCZOS_STEPS for k in calls if k != g.n)
+
+    @pytest.mark.parametrize("k", [129, 130, 135, 600, 2047, 2048])
+    def test_byte_table_operator_matches_dense(self, k):
+        # sizes around a byte boundary and near the cap, sparse to complete
+        rng = np.random.default_rng(k)
+        x = rng.standard_normal(k)
+        for p in (3 / k, 0.5, 1.0):
+            upper = np.triu(rng.random((k, k)) < p, 1)
+            a = (upper | upper.T).astype(np.uint8)
+            matvec = spectral._byte_table_matvec(np.packbits(a, axis=1, bitorder="little"), np.arange(k))
+            assert np.max(np.abs(matvec(x) - a @ x)) <= 1e-12 * k, p
+
+    def test_byte_table_operator_on_a_proper_component(self):
+        # the even vertices form one component: its rows are packed over all
+        # 1200 columns, and its columns sit at the even bits
+        n = 1200
+        evens = [(2 * u, 2 * v) for u, v in random_edges(n // 2, 0.02, seed=1)]
+        g = Graph(n, evens + [(2 * i + 1, 2 * i + 3) for i in range(n // 2 - 1)])
+        verts = list(range(0, n, 2))
+        packed = byte_rows([g.rows[v] for v in verts], n)
+        a = np.unpackbits(packed, axis=1, count=n, bitorder="little")[:, verts]
+        matvec = spectral._byte_table_matvec(packed, np.asarray(verts))
+        x = np.random.default_rng(0).standard_normal(len(verts))
+        assert np.max(np.abs(matvec(x) - a @ x)) <= 1e-12 * len(verts)
+
+    def test_no_dense_float_matrix_on_lanczos(self):
+        # the float adjacency of 2048 vertices alone is 33.6 MB; Lanczos on
+        # the byte-table operator peaks below half of it
+        for g in (complete(2048), Graph(2048, random_edges(2048, 6 / 2048, seed=2048))):
+            tracemalloc.start()
+            try:
+                spectral_radius(g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 16e6, peak
 
     def test_disconnected_union(self):
         g = union(path(600), star(600))

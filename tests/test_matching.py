@@ -593,12 +593,19 @@ def _find_path_calls(kernel, gs) -> int:
 
 
 class TestPrunedKernels:
-    """The pruned kernels return exactly what the reference kernels return."""
+    """The pruned kernels return exactly what the reference kernels return,
+    and Hopcroft-Karp returns a maximum matching of the double cover with
+    the same size and the same W/R/C cover."""
 
     @staticmethod
     def _assert_same(g):
         assert matching._blossom_max_matching(g.rows, g.n) == reference_blossom_max_matching(g.rows, g.n), g.edges()
-        assert matching._dc_matching(g.rows, g.n) == reference_dc_matching(g.rows, g.n), g.edges()
+        kuhn = matching._dc_matching(g.rows, g.n)
+        assert kuhn == reference_dc_matching(g.rows, g.n), g.edges()
+        match_l, match_r = layered = matching._dc_matching(g.rows, g.n, layered=True)
+        assert all(v < 0 or (match_r[v] == u and g.rows[u] >> v & 1) for u, v in enumerate(match_l)), g.edges()
+        assert match_l.count(-1) == match_r.count(-1) == kuhn[0].count(-1), g.edges()
+        assert matching._transversal_from(g.rows, *layered) == matching._transversal_from(g.rows, *kuhn), g.edges()
 
     def test_every_labeled_graph_up_to_n6(self):
         for n in range(7):

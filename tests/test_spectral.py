@@ -132,6 +132,11 @@ class TestSpectralRadius:
             spectral_radius(path(600), math.nan)
         with pytest.raises(ValueError, match="tolerance must be positive"):
             certify_all(complete(3), tol=math.nan)
+        # before any work: the empty graph has no rho to compute, and its
+        # report would carry the tolerance into JSON
+        for tol in (math.nan, 0.0, -1.0):
+            with pytest.raises(ValueError, match="tolerance must be positive"):
+                certify_all(empty(0), tol=tol)
 
     def test_nonconvergence_carries_estimate(self):
         # 600 vertices are above the Lanczos budget: the dense fallback raises
