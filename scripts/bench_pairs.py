@@ -16,10 +16,14 @@ change won (ties count for neither side), whether that makes a gain (wins in
 at least nine tenths of the pairs, and medians further apart than the
 parent's quartile distance) and whether the metric regressed (the change's
 median worse than the parent's by more than the metric's `bound` in
-`BENCHMARK.json`, a fraction of the parent's median).  Per workload and side
-it tallies the runs, those with `correct: false` and the share of operations
+`BENCHMARK.json`, a fraction of the parent's median) and whether it is
+unresolved (the parent's quartile distance wider than that bound, unless
+every run of the change beats every run of the parent: the runs then spread
+too widely to tell a regression from noise).  Per workload and side it
+tallies the runs, those with `correct: false` and the share of operations
 that failed.  The script exits with status 1 when a metric regressed or the
-change's failed share is higher than the parent's, and says which.
+change's failed share is higher than the parent's, and says which; it names
+the unresolved metrics on stderr too, but they do not set the status.
 
     python scripts/bench_pairs.py --workload query-mix --seeds 1 2 3 4 5 6 7 8 9 10 \\
         --trace --out BENCH_label.json
@@ -80,9 +84,11 @@ def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
         parent = [by_seed[s, "parent"] for s in seeds]
         change = [by_seed[s, "change"] for s in seeds]
         wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+        beats_all = max(change) < min(parent) if lower else min(change) > max(parent)
         p_q, c_q = quartiles(parent), quartiles(change)
         worse_by = (c_q["median"] - p_q["median"]) * (1 if lower else -1)
-        apart = abs(c_q["median"] - p_q["median"]) > p_q["q3"] - p_q["q1"]
+        spread = p_q["q3"] - p_q["q1"]
+        apart = abs(c_q["median"] - p_q["median"]) > spread
         out[name] = {
             "unit": spec["unit"],
             "better": spec["better"],
@@ -94,6 +100,7 @@ def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
             "pairs": len(seeds),
             "gain": worse_by < 0 and apart and wins >= 0.9 * len(seeds),
             "regressed": worse_by > spec["bound"] * abs(p_q["median"]),
+            "unresolved": spread > spec["bound"] * abs(p_q["median"]) and not beats_all,
         }
     return out
 
@@ -120,6 +127,16 @@ def faults(workload: str, entry: dict) -> list[str]:
     if shares["change"] > shares["parent"]:
         out.append(f"{workload}: failed share {shares['change']:.4f} above the parent's {shares['parent']:.4f}")
     return out
+
+
+def unresolved(workload: str, entry: dict) -> list[str]:
+    """The metrics of one workload whose parent runs spread wider than their bound."""
+    return [
+        f"{workload}: {name} unresolved: the parent's quartiles {m['parent']['q1']:.6g}-{m['parent']['q3']:.6g} "
+        f"span more than {m['bound']} of its median {m['parent']['median']:.6g}"
+        for name, m in entry["summary"].items()
+        if m["unresolved"]
+    ]
 
 
 def main() -> int:
@@ -177,7 +194,7 @@ def main() -> int:
             report["workloads"][workload] = entry
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     rejected = [line for workload, entry in report["workloads"].items() for line in faults(workload, entry)]
-    for line in rejected:
+    for line in rejected + [line for w, entry in report["workloads"].items() for line in unresolved(w, entry)]:
         print(line, file=sys.stderr)
     return 1 if rejected else 0
 

@@ -14,8 +14,10 @@ from .extremal import (
     ExtremalSpec,
     _check_beta_args,
     _check_class_args,
+    _t12_regime,
     _t13_regime,
     _t32_regime,
+    _t33_regime,
     build_extremal,
     predicted_maximizer_connected,
 )
@@ -39,7 +41,6 @@ from .spectral import ConvergenceError, DEFAULT_TOL, spectral_radius
 from .verify import (
     THEOREMS,
     _CONNECTED_THEOREMS,
-    _predict,
     audit_structures,
     cross_check_matching_implementations,
     verify_certificates,
@@ -154,19 +155,15 @@ def _cmd_threshold(args) -> int:
         raise _UsageError(f"--theorem {args.theorem} needs --beta-star")
     if args.theorem in ("t12", "t13", "t37") and args.beta is None:
         raise _UsageError(f"--theorem {args.theorem} needs --beta")
-    # t32, t13 and t37 read a class bound with no graph built, so n may
-    # exceed the vertex cap
-    if args.theorem == "t32":
+    # every theorem reads a class bound with no graph built, so n may exceed
+    # the vertex cap
+    if args.theorem in ("t32", "t33"):
         d = HalfIntegral.parse(args.beta_star).doubled
         _check_class_args(n, d)
-        print(_fmt(_t32_regime(n, d)[1]))
-    elif args.theorem == "t33":
-        print(_fmt(_predict(args.theorem, n, HalfIntegral.parse(args.beta_star).doubled).bound))
-    elif args.theorem == "t13":
+        print(_fmt((_t32_regime if args.theorem == "t32" else _t33_regime)(n, d)[1]))
+    elif args.theorem in ("t12", "t13"):
         _check_beta_args(n, args.beta)
-        print(_fmt(_t13_regime(n, args.beta)[1]))
-    elif args.theorem == "t12":
-        print(_fmt(_predict(args.theorem, n, 2 * args.beta).bound))
+        print(_fmt((_t13_regime if args.theorem == "t13" else _t12_regime)(n, args.beta)[1]))
     elif args.theorem == "t35":
         thr = fpm_threshold(n)
         if thr is None:

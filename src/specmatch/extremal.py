@@ -163,18 +163,29 @@ def predicted_maximizer_connected(n: int, beta_star: HalfIntegral) -> RegimePred
     return RegimePrediction(regime, bound, (_g2_split_join(n, d),), attained, notes)
 
 
+def _t33_regime(n: int, d: int) -> tuple[str, float]:
+    """(regime, bound) of t33's class 2*beta_star = d; builds no graph."""
+    if d == n:
+        return "1", float(n - 1)
+    pivot = 3 * ((d + 1) // 2) - 1
+    if n < pivot:
+        return "2", float(d - 1)
+    if n == pivot:
+        return "3", float(d - 1)
+    return "4", rho_join_formula(n, d // 2)
+
+
 def predicted_maximizer_general(n: int, beta_star: HalfIntegral) -> RegimePrediction:
     """Sharp spectral-radius bound over all graphs with this fractional matching number."""
     d = beta_star.doubled
     _check_class_args(n, d)
-    if d == n:
-        return RegimePrediction("1", float(n - 1), (complete(n),), n != 1)
-    ceil_b = (d + 1) // 2
-    pivot = 3 * ceil_b - 1
+    regime, bound = _t33_regime(n, d)
+    if regime == "1":
+        return RegimePrediction(regime, bound, (complete(n),), n != 1)
     clique_note = "stated bound 2*beta_star is not attained; the clique union attains 2*beta_star - 1"
-    if n < pivot:
-        return RegimePrediction("2", float(d - 1), (_g3_clique_union(n, d),), d != 1, (clique_note,))
-    if n == pivot:
+    if regime == "2":
+        return RegimePrediction(regime, bound, (_g3_clique_union(n, d),), d != 1, (clique_note,))
+    if regime == "3":
         g2 = _g2_split_join(n, d)
         g3 = _g3_clique_union(n, d)
         graphs = (g2,) if g2 == g3 else (g2, g3)
@@ -184,7 +195,7 @@ def predicted_maximizer_general(n: int, beta_star: HalfIntegral) -> RegimePredic
                 f"tie partner has fractional matching number {d // 2}, below {beta_star}; "
                 "only the clique union attains the bound inside the class"
             )
-        return RegimePrediction("3", float(d - 1), graphs, d != 1, tuple(notes))
+        return RegimePrediction(regime, bound, graphs, d != 1, tuple(notes))
     b = d // 2
     attained = d % 2 == 0
     notes = ()
@@ -193,7 +204,7 @@ def predicted_maximizer_general(n: int, beta_star: HalfIntegral) -> RegimePredic
             "bound is strict: the split join has fractional matching number "
             f"{b}, below {beta_star}, so no graph in the class attains it",
         )
-    return RegimePrediction("4", rho_join_formula(n, b), (_g2_split_join(n, d),), attained, notes)
+    return RegimePrediction(regime, bound, (_g2_split_join(n, d),), attained, notes)
 
 
 def _check_beta_args(n: int, beta: int) -> None:
@@ -205,19 +216,31 @@ def _check_beta_args(n: int, beta: int) -> None:
         raise ValueError(f"2*beta = {2 * beta} exceeds n = {n}")
 
 
+def _t12_regime(n: int, beta: int) -> tuple[str, float]:
+    """(regime, bound) of t12's class with matching number beta; builds no graph."""
+    if n <= 2 * beta + 1:
+        return "1", float(n - 1)
+    if n < 3 * beta + 2:
+        return "2", float(2 * beta)
+    if n == 3 * beta + 2:
+        return "3", float(2 * beta)
+    return "4", rho_join_formula(n, beta)
+
+
 def matching_bound_general(n: int, beta: int) -> RegimePrediction:
     """Sharp spectral-radius bound over all graphs with matching number beta."""
     _check_beta_args(n, beta)
-    if n <= 2 * beta + 1:
-        return RegimePrediction("1", float(n - 1), (complete(n),), True)
+    regime, bound = _t12_regime(n, beta)
+    if regime == "1":
+        return RegimePrediction(regime, bound, (complete(n),), True)
     clique = _g3_clique_union(n, 2 * beta + 1)
-    if n < 3 * beta + 2:
-        return RegimePrediction("2", float(2 * beta), (clique,), True)
+    if regime == "2":
+        return RegimePrediction(regime, bound, (clique,), True)
     g_join = _g2_split_join(n, 2 * beta)
-    if n == 3 * beta + 2:
+    if regime == "3":
         graphs = (g_join,) if g_join == clique else (g_join, clique)
-        return RegimePrediction("3", float(2 * beta), graphs, True)
-    return RegimePrediction("4", rho_join_formula(n, beta), (g_join,), True)
+        return RegimePrediction(regime, bound, graphs, True)
+    return RegimePrediction(regime, bound, (g_join,), True)
 
 
 def _t13_regime(n: int, beta: int) -> tuple[str, float]:

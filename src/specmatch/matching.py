@@ -40,6 +40,22 @@ def _blossom_max_matching(rows: tuple[int, ...], n: int) -> tuple[int, list[int]
             match[u] = v
             free ^= (1 << u) | (1 << v)
 
+    # Edmonds' lemma: a free vertex with no augmenting path keeps none after
+    # later augmentations.  The free vertices are searched in ascending
+    # order and leave ``free`` when searched, so a path found from v ends at
+    # a free vertex above v; a search from a vertex with no neighbour or no
+    # free vertex above it would fail without touching match, and is skipped.
+    # When that skips every search, the greedy seed is maximum.
+    size = (n - free.bit_count()) // 2
+    rest = free & ~(1 << free.bit_length() >> 1)  # the free vertices below the highest one
+    while rest:
+        low = rest & -rest
+        if rows[low.bit_length() - 1]:
+            break
+        rest ^= low
+    else:
+        return size, match
+
     # Each search keeps, for every contracted base b, the bitmask members[b]
     # of the vertices with base[v] == b; a vertex never contracted stands for
     # itself.  lca and mark_path collect bases in sets, a contraction ORs the
@@ -123,12 +139,6 @@ def _blossom_max_matching(rows: tuple[int, ...], n: int) -> tuple[int, list[int]
                     q.append(match[to])
         return False
 
-    # Edmonds' lemma: a free vertex with no augmenting path keeps none after
-    # later augmentations.  The free vertices are searched in ascending
-    # order and leave ``free`` when searched, so a path found from v ends at
-    # a free vertex above v; a search from a vertex with no neighbour or no
-    # free vertex above it would fail without touching match, and is skipped.
-    size = (n - free.bit_count()) // 2
     while free:
         v = (free & -free).bit_length() - 1
         free ^= 1 << v
@@ -379,6 +389,8 @@ def _fractional_matching_from(rows: tuple[int, ...], match_l: list[int]) -> tupl
             else:
                 half[u] |= 1 << v
                 half[v] |= 1 << u
+    if not any(half):
+        return partner, half, total
     for vertices, closed in _walks(half):
         if closed and len(vertices) % 2:
             continue  # odd cycles are already canonical
@@ -451,6 +463,8 @@ def _odd_cycles(half: list[int]) -> list[tuple[int, ...]]:
     odd cycles, the shape of a canonical witness.
     """
     cycles: list[tuple[int, ...]] = []
+    if not any(half):
+        return cycles
     for vertices, closed in _walks(half):
         if not closed:
             raise GraphError(_NOT_CYCLES)

@@ -95,6 +95,29 @@ def test_bench_pairs_regression(better, parent, change, regressed):
     assert bench_pairs.faults("w", entry) == (["w: m regressed"] if regressed else [])
 
 
+@pytest.mark.parametrize(
+    "better, parent, change, verdict",
+    [
+        ("lower", [8.0, 12.0] * 5, [10.0] * 10, True),  # quartiles 8-12 span 0.4 of the median 10
+        ("lower", [8.0, 12.0] * 5, [7.9] * 10, False),  # every change run beats every parent run
+        ("lower", [8.0, 12.0] * 5, [7.9] * 9 + [8.0], True),  # a tie is not a win
+        ("higher", [8.0, 12.0] * 5, [12.1] * 10, False),
+        ("higher", [8.0, 12.0] * 5, [11.0] * 10, True),
+        ("lower", [9.0, 11.0] * 5, [14.0] * 10, False),  # quartiles 9-11 span 0.2, within the bound
+    ],
+)
+def test_bench_pairs_unresolved(better, parent, change, verdict):
+    bench_pairs = import_bench_pairs()
+    spec = [{"name": "m", "unit": "s", "better": better, "bound": 0.25}]
+    summary = bench_pairs.summarise(synthetic_runs(parent, change, name="m"), spec)
+    assert summary["m"]["unresolved"] is verdict
+    entry = {"summary": summary, "tally": {"parent": {"failed_share": 0.0}, "change": {"failed_share": 0.0}}}
+    lines = bench_pairs.unresolved("w", entry)
+    assert lines == (["w: m unresolved: the parent's quartiles 8-12 span more than 0.25 of its median 10"] if verdict else [])
+    # an unresolved metric is reported, not a fault
+    assert bench_pairs.faults("w", entry) == (["w: m regressed"] if summary["m"]["regressed"] else [])
+
+
 def test_bench_pairs_tally_and_failed_share():
     bench_pairs = import_bench_pairs()
     runs = [

@@ -164,22 +164,24 @@ class TestChunkTable:
         assert _lists(table) == ([0.0], [False], [0], [0], [0], [0], [()], [0])
 
     @pytest.mark.parametrize(
-        "sweep, args",
-        [("verify_theorem", (t, 5)) for t in verify.THEOREMS]
-        + [("verify_certificates", (5,)), ("cross_check_matching_implementations", (5,))]
-        + [("cross_check_matching_implementations", (7, 50))],
+        "sweep, args, kernel_calls",
+        [("verify_theorem", (t, 5), 0) for t in verify.THEOREMS]
+        + [("verify_certificates", (5,), 0), ("cross_check_matching_implementations", (5,), 1024)]
+        + [("cross_check_matching_implementations", (7, 50), 50)],
         ids=[*verify.THEOREMS, "certificates", "cross-check", "sampled-cross-check"],
     )
-    def test_workers_read_the_columns(self, sweep, args):
-        # beta and 2*beta_star come from the table: nothing in verify calls a
-        # matching routine or an oracle per graph
+    def test_workers_read_the_columns(self, sweep, args, kernel_calls):
+        # beta and 2*beta_star come from the table: nothing in verify calls an
+        # oracle per graph, and only the cross-check calls the matching
+        # kernels, once per graph checked, to compare them with the table
         profile = cProfile.Profile()
-        profile.runcall(getattr(verify, sweep), *args)
+        report = profile.runcall(getattr(verify, sweep), *args)
         stats = pstats.Stats(profile).stats
-        per_graph = 0
-        for fn in (matching._dc_matching_size, matching._blossom_max_matching, oracle_beta, oracle_beta_star):
-            per_graph += _verify_calls(stats, fn)
-        assert per_graph == 0
+        assert _verify_calls(stats, oracle_beta) == _verify_calls(stats, oracle_beta_star) == 0
+        if kernel_calls:
+            assert report.graphs_checked == kernel_calls
+        for fn in (matching._dc_matching_size, matching._blossom_max_matching):
+            assert _verify_calls(stats, fn) == kernel_calls, fn.__name__
 
     def test_certificates_decide_on_columns(self):
         # the certificate sweep rules on whole columns: at n = 5 (one chunk)
@@ -588,6 +590,17 @@ class TestCrossCheck:
     def test_exhaustive_n0(self):
         rep = cross_check_matching_implementations(0)
         assert rep.exhaustive and rep.graphs_checked == 1 and rep.passed
+
+    def test_reports_each_mismatch(self, monkeypatch):
+        # kernels that get C_5 wrong, beta* = 5/2 and beta = 2, are named on
+        # two lines, and every other graph at n = 5 still agrees
+        c5 = (0b10010, 0b00101, 0b01010, 0b10100, 0b01001)
+        dc, blossom = verify._dc_matching_size, verify._blossom_max_matching
+        monkeypatch.setattr(verify, "_dc_matching_size", lambda rows, n: 4 if rows == c5 else dc(rows, n))
+        monkeypatch.setattr(verify, "_blossom_max_matching", lambda rows, n: (1, []) if rows == c5 else blossom(rows, n))
+        rep = cross_check_matching_implementations(5)
+        assert rep.passed is False and rep.graphs_checked == 1024
+        assert rep.mismatches == ("Dhc: fractional matching number 2 != oracle 5/2", "Dhc: matching number 1 != oracle 2")
 
     @pytest.mark.parametrize("samples", [0, -1])
     def test_sampled_needs_a_sample(self, samples):
