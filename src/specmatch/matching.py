@@ -2,17 +2,16 @@
 
 The fractional matching number is computed exactly as half the matching
 number of the bipartite double cover, found by Hopcroft-Karp phases.  Both
-half-integral witnesses are built from one double-cover matching by a
+half-integral witnesses are built from that one double-cover matching by a
 bitmask core: the canonical fractional matching is its pull-back as
 partner and half-support rows, normalised so that the half-weight support
 is a disjoint union of odd cycles, and the dual transversal is the W/R/C
-masks of its minimum vertex cover.  The canonical matching is built from the ascending depth-first
-matching, which the golden witnesses pin; the transversal, like the size,
-is the same for every maximum matching, and is built from the
-Hopcroft-Karp one.  Each witness property has one rule on these masks.
-The public constructors wrap the core and validate what they build with
-those rules; the structure audit runs the core and the rules directly,
-with no witness objects.
+masks of its minimum vertex cover.  The size and the W/R/C cover are the
+same for every maximum matching (Dulmage-Mendelsohn); only the canonical
+matching depends on which one is taken.  Each witness property has one
+rule on these masks.  The public constructors wrap the core and validate
+what they build with those rules; the structure audit runs the core and
+the rules directly, with no witness objects.
 """
 
 from __future__ import annotations
@@ -172,20 +171,25 @@ def bipartite_double_cover(g: Graph) -> Graph:
     return Graph.from_rows(2 * n, rows)
 
 
-def _dc_matching(rows: tuple[int, ...], n: int, layered: bool = False) -> tuple[list[int], list[int]]:
-    # Maximum matching on the double cover: left copy u may match any v in
+def _dc_matching(rows: tuple[int, ...], n: int) -> tuple[list[int], list[int]]:
+    # Maximum matching on the double cover by Hopcroft-Karp phases (Hopcroft
+    # and Karp, SIAM J. Comput. 2(4), 1973): left copy u may match any v in
     # N(u) on the right.  A greedy seed gives each u its lowest free right
     # copy.  A path joins a free left copy to a free right copy, both with a
     # neighbour, so only those are kept as free_l and free_r, and the search
     # ends once either is empty.  The rows are symmetric, so the right copy
     # of v has a neighbour iff rows[v] does.
     #
-    # By default the searches are depth-first, one per free left copy in
-    # ascending order: the canonical fractional matching is built from this
-    # matching.  With layered, they are Hopcroft-Karp phases (Hopcroft and
-    # Karp, SIAM J. Comput. 2(4), 1973), far fewer searches on large sparse
-    # graphs.  The two matchings differ, but not their size or their W/R/C
-    # cover, which is the same for every maximum matching (Dulmage-Mendelsohn).
+    # A phase runs one breadth-first search from all of free_l at once:
+    # lefts[k] is the mask of the left copies k steps out (lefts[0] =
+    # free_l, lefts[k + 1] the partners of the right copies first reached
+    # from lefts[k]), up to the first step that reaches a free right copy.
+    # Searches back from each free right copy reached then take a maximal
+    # set of vertex-disjoint shortest augmenting paths: from a right copy
+    # in step k, to a neighbour in lefts[k], then to its partner.  A left
+    # copy leaves its mask once visited, so a phase visits each copy once,
+    # and a search back meets a dead end only where an earlier path took a
+    # copy.  A phase that reaches no free right copy ends the search.
     match_l = [-1] * n
     match_r = [-1] * n
     free_l, free_r = 0, (1 << n) - 1
@@ -200,105 +204,60 @@ def _dc_matching(rows: tuple[int, ...], n: int, layered: bool = False) -> tuple[
             free_l |= 1 << u
         else:
             free_r ^= 1 << u
-    if layered:
-        # A phase runs one breadth-first search from all of free_l at once:
-        # lefts[k] is the mask of the left copies k steps out (lefts[0] =
-        # free_l, lefts[k + 1] the partners of the right copies first reached
-        # from lefts[k]), up to the first step that reaches a free right copy.
-        # Searches back from each free right copy reached then take a maximal
-        # set of vertex-disjoint shortest augmenting paths: from a right copy
-        # in step k, to a neighbour in lefts[k], then to its partner.  A left
-        # copy leaves its mask once visited, so a phase visits each copy once,
-        # and a search back meets a dead end only where an earlier path took a
-        # copy.  A phase that reaches no free right copy ends the search.
-        while free_l and free_r:
-            lefts = []
-            seen = 0
-            front = free_l
-            while True:
-                lefts.append(front)
-                reach = 0
-                while front:
-                    low = front & -front
-                    reach |= rows[low.bit_length() - 1]
-                    front ^= low
-                reach &= ~seen
-                if not reach or reach & free_r:
-                    break
-                seen |= reach
-                while reach:
-                    low = reach & -reach
-                    front |= 1 << match_r[low.bit_length() - 1]
-                    reach ^= low
-            ends = reach & free_r
-            if not ends:
-                break
-            last = len(lefts) - 1
-            while ends and lefts[0]:
-                end = ends & -ends
-                ends ^= end
-                path = [end.bit_length() - 1]  # v_last, u_last, v_last-1, ..., u_0: u_k in lefts[k] takes v_k
-                k = last
-                while True:
-                    nb = rows[path[-1]] & lefts[k]
-                    if not nb:  # a dead end: back one step towards the free copy
-                        if k == last:
-                            break
-                        del path[-2:]
-                        k += 1
-                        continue
-                    low = nb & -nb
-                    lefts[k] ^= low
-                    u = low.bit_length() - 1
-                    path.append(u)
-                    if not k:
-                        for i in range(0, len(path), 2):
-                            match_r[path[i]] = path[i + 1]
-                            match_l[path[i + 1]] = path[i]
-                        free_l ^= low
-                        free_r ^= end
-                        break
-                    path.append(match_l[u])
-                    k -= 1
-        return match_l, match_r
     while free_l and free_r:
-        u0 = (free_l & -free_l).bit_length() - 1
-        free_l ^= 1 << u0
+        lefts = []
         seen = 0
-        parent: dict[int, int] = {}
-        stack = [(u0, rows[u0])]
-        found = -1
-        while stack:
-            u, nb = stack[-1]
-            nb &= ~seen
-            if not nb:
-                stack.pop()
-                continue
-            v = (nb & -nb).bit_length() - 1
-            stack[-1] = (u, nb & (nb - 1))
-            seen |= 1 << v
-            parent[v] = u
-            w = match_r[v]
-            if w < 0:
-                found = v
+        front = free_l
+        while True:
+            lefts.append(front)
+            reach = 0
+            while front:
+                low = front & -front
+                reach |= rows[low.bit_length() - 1]
+                front ^= low
+            reach &= ~seen
+            if not reach or reach & free_r:
                 break
-            stack.append((w, rows[w]))
-        if found >= 0:
-            free_r ^= 1 << found
-            v = found
+            seen |= reach
+            while reach:
+                low = reach & -reach
+                front |= 1 << match_r[low.bit_length() - 1]
+                reach ^= low
+        ends = reach & free_r
+        if not ends:
+            break
+        last = len(lefts) - 1
+        while ends and lefts[0]:
+            end = ends & -ends
+            ends ^= end
+            path = [end.bit_length() - 1]  # v_last, u_last, v_last-1, ..., u_0: u_k in lefts[k] takes v_k
+            k = last
             while True:
-                u = parent[v]
-                nxt = match_l[u]
-                match_r[v] = u
-                match_l[u] = v
-                if nxt < 0:
+                nb = rows[path[-1]] & lefts[k]
+                if not nb:  # a dead end: back one step towards the free copy
+                    if k == last:
+                        break
+                    del path[-2:]
+                    k += 1
+                    continue
+                low = nb & -nb
+                lefts[k] ^= low
+                u = low.bit_length() - 1
+                path.append(u)
+                if not k:
+                    for i in range(0, len(path), 2):
+                        match_r[path[i]] = path[i + 1]
+                        match_l[path[i + 1]] = path[i]
+                    free_l ^= low
+                    free_r ^= end
                     break
-                v = nxt
+                path.append(match_l[u])
+                k -= 1
     return match_l, match_r
 
 
 def _dc_matching_size(rows: tuple[int, ...], n: int) -> int:
-    return n - _dc_matching(rows, n, True)[0].count(-1)
+    return n - _dc_matching(rows, n)[0].count(-1)
 
 
 def fractional_matching_number(g: Graph) -> HalfIntegral:
@@ -635,7 +594,7 @@ def fractional_transversal(g: Graph) -> Transversal:
     The witness core's W/R/C masks (``_transversal_from``, the builder the
     structure audit checks) as an object, validated.
     """
-    w_bits, _, c_bits = dense_rows(_transversal_from(g.rows, *_dc_matching(g.rows, g.n, layered=True)), g.n)
+    w_bits, _, c_bits = dense_rows(_transversal_from(g.rows, *_dc_matching(g.rows, g.n)), g.n)
     dwv = tuple((2 * w_bits + c_bits).tolist())
     t = Transversal(g.n, dwv, HalfIntegral(sum(dwv)))
     t.validate(g)

@@ -8,7 +8,8 @@ on paths; Lanczos itself takes under 0.2 s per graph, and the checks of its
 byte-table operator against dense products about 1 s.  The witness tests
 take 5.5 s of it: `beta --witness` on theta(2048) reads an edge list of
 2,092,037 lines (about 5 s), and `matching_number` on theta(2048) takes
-20 ms of the rest.
+20 ms of the rest.  The random-graph witnesses, checked against the HiGHS
+LP solver, take about 0.4 s at n <= 2048.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import tracemalloc
 import networkx as nx
 import numpy as np
 import pytest
+from scipy.optimize import linprog
+from scipy.sparse import coo_array
 
 from specmatch import (
     Graph,
@@ -338,3 +341,39 @@ class TestWitnesses:
         g = theta_graph(n)
         assert tuple(witness) == matching_number(g).edges
         assert_matching_of(g, witness)
+
+
+def lp_fractional_matching_number(n, edges):
+    """max sum x_e subject to sum_{e at v} x_e <= 1 and x >= 0, by HiGHS."""
+    m = len(edges)
+    ends = np.array(edges).T.ravel()
+    a = coo_array((np.ones(2 * m), (ends, np.tile(np.arange(m), 2))), shape=(n, m))
+    res = linprog(-np.ones(m), A_ub=a.tocsr(), b_ub=np.ones(n), bounds=(0, None), method="highs")
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+class TestRandomWitnesses:
+    """Both witnesses on sparse random graphs (average degree 4, so some
+    components need the half-weight odd cycles) against an LP solver, and
+    their W/R/C classes under a relabelling."""
+
+    @pytest.mark.parametrize("n", [129, 257, 700, 2048])
+    def test_witnesses_are_optimal(self, n):
+        edges = random_edges(n, 4 / n, seed=n)
+        g = Graph(n, edges)
+        bsd = fractional_matching_number(g).doubled
+        fm = optimal_fractional_matching(g)
+        t = fractional_transversal(g)
+        assert fm.total.doubled == t.total.doubled == bsd
+        assert bsd == pytest.approx(2 * lp_fractional_matching_number(n, edges), abs=1e-6)
+        cycles = fm.half_cycles()
+        assert cycles and all(len(c) % 2 for c in cycles)
+        assert all(g.has_edge(u, v) for c in cycles for u, v in zip(c, c[1:] + c[:1]))
+
+        perm = np.random.default_rng(n + 1).permutation(n).tolist()
+        h = Graph(n, [(perm[u], perm[v]) for u, v in edges])
+        th = fractional_transversal(h)
+        assert fractional_matching_number(h).doubled == th.total.doubled == bsd
+        for cls in ("W", "R", "C"):
+            assert getattr(th, cls) == {perm[v] for v in getattr(t, cls)}, cls

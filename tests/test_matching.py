@@ -439,8 +439,9 @@ def test_validation_messages(check, message):
 
 
 # ---------------------------------------------------------------------------
-# the matching kernels before their searches were pruned, kept verbatim as
-# the reference the pruned kernels must reproduce exactly
+# the matching kernels before their searches were pruned, kept verbatim: the
+# pruned blossom kernel must reproduce its reference exactly, and the
+# Hopcroft-Karp kernel must match the depth-first reference's size and cover
 
 
 def reference_blossom_max_matching(rows: tuple[int, ...], n: int) -> tuple[int, list[int]]:
@@ -593,19 +594,18 @@ def _find_path_calls(kernel, gs) -> int:
 
 
 class TestPrunedKernels:
-    """The pruned kernels return exactly what the reference kernels return,
-    and Hopcroft-Karp returns a maximum matching of the double cover with
-    the same size and the same W/R/C cover."""
+    """The pruned blossom kernel returns exactly what the reference kernel
+    returns, and Hopcroft-Karp returns a matching of the double cover with
+    the size and the W/R/C cover of the reference depth-first matching."""
 
     @staticmethod
     def _assert_same(g):
         assert matching._blossom_max_matching(g.rows, g.n) == reference_blossom_max_matching(g.rows, g.n), g.edges()
-        kuhn = matching._dc_matching(g.rows, g.n)
-        assert kuhn == reference_dc_matching(g.rows, g.n), g.edges()
-        match_l, match_r = layered = matching._dc_matching(g.rows, g.n, layered=True)
+        reference = reference_dc_matching(g.rows, g.n)
+        match_l, match_r = hk = matching._dc_matching(g.rows, g.n)
         assert all(v < 0 or (match_r[v] == u and g.rows[u] >> v & 1) for u, v in enumerate(match_l)), g.edges()
-        assert match_l.count(-1) == match_r.count(-1) == kuhn[0].count(-1), g.edges()
-        assert matching._transversal_from(g.rows, *layered) == matching._transversal_from(g.rows, *kuhn), g.edges()
+        assert match_l.count(-1) == match_r.count(-1) == reference[0].count(-1), g.edges()
+        assert matching._transversal_from(g.rows, *hk) == matching._transversal_from(g.rows, *reference), g.edges()
 
     def test_every_labeled_graph_up_to_n6(self):
         for n in range(7):
