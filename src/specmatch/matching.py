@@ -6,12 +6,14 @@ half-integral witnesses are built from that one double-cover matching by a
 bitmask core: the canonical fractional matching is its pull-back as
 partner and half-support rows, normalised so that the half-weight support
 is a disjoint union of odd cycles, and the dual transversal is the W/R/C
-masks of its minimum vertex cover.  The size and the W/R/C cover are the
-same for every maximum matching (Dulmage-Mendelsohn); only the canonical
-matching depends on which one is taken.  Each witness property has one
-rule on these masks.  The public constructors wrap the core and validate
-what they build with those rules; the structure audit runs the core and
-the rules directly, with no witness objects.
+masks of its minimum vertex cover, which the matcher reads off its last,
+failing search (the alternating reachability from the unmatched left
+copies).  The size and the W/R/C cover are the same for every maximum
+matching (Dulmage-Mendelsohn); only the canonical matching depends on
+which one is taken.  Each witness property has one rule on these masks.
+The public constructors wrap the core and validate what they build with
+those rules; the structure audit runs the core and the rules directly,
+with no witness objects.
 """
 
 from __future__ import annotations
@@ -171,14 +173,14 @@ def bipartite_double_cover(g: Graph) -> Graph:
     return Graph.from_rows(2 * n, rows)
 
 
-def _dc_matching(rows: tuple[int, ...], n: int) -> tuple[list[int], list[int]]:
+def _dc_matching(rows: tuple[int, ...], n: int) -> tuple[list[int], int, int, int]:
     # Maximum matching on the double cover by Hopcroft-Karp phases (Hopcroft
     # and Karp, SIAM J. Comput. 2(4), 1973): left copy u may match any v in
     # N(u) on the right.  A greedy seed gives each u its lowest free right
     # copy.  A path joins a free left copy to a free right copy, both with a
-    # neighbour, so only those are kept as free_l and free_r, and the search
-    # ends once either is empty.  The rows are symmetric, so the right copy
-    # of v has a neighbour iff rows[v] does.
+    # neighbour, so only those are kept as free_l and free_r; the rows are
+    # symmetric, so the right copy of v has a neighbour iff rows[v] does,
+    # and free_l and free_r are always the same size.
     #
     # A phase runs one breadth-first search from all of free_l at once:
     # lefts[k] is the mask of the left copies k steps out (lefts[0] =
@@ -190,9 +192,17 @@ def _dc_matching(rows: tuple[int, ...], n: int) -> tuple[list[int], list[int]]:
     # copy leaves its mask once visited, so a phase visits each copy once,
     # and a search back meets a dead end only where an earlier path took a
     # copy.  A phase that reaches no free right copy ends the search.
+    #
+    # That last search is the alternating reachability from the unmatched
+    # left copies (free_l and the isolated vertices): the left copies in
+    # lefts and the right copies in seen.  Returns the matching's match_l
+    # and the W, R, C masks of the minimum vertex cover it gives: g(v) is
+    # half the number of covered copies of v, 1 on W (only the right copy
+    # reached), 0 on R (only the left copy) and 1/2 on C.  The cover is the
+    # same for every maximum matching (Dulmage-Mendelsohn).
     match_l = [-1] * n
     match_r = [-1] * n
-    free_l, free_r = 0, (1 << n) - 1
+    free_l, free_r, isolated = 0, (1 << n) - 1, 0
     for u in range(n):
         nb = rows[u] & free_r
         if nb:
@@ -204,7 +214,8 @@ def _dc_matching(rows: tuple[int, ...], n: int) -> tuple[list[int], list[int]]:
             free_l |= 1 << u
         else:
             free_r ^= 1 << u
-    while free_l and free_r:
+            isolated |= 1 << u
+    while True:
         lefts = []
         seen = 0
         front = free_l
@@ -253,7 +264,10 @@ def _dc_matching(rows: tuple[int, ...], n: int) -> tuple[list[int], list[int]]:
                     break
                 path.append(match_l[u])
                 k -= 1
-    return match_l, match_r
+    left = isolated
+    for front in lefts:
+        left |= front
+    return match_l, seen & ~left, left & ~seen, ((1 << n) - 1) & ~(left ^ seen)
 
 
 def _dc_matching_size(rows: tuple[int, ...], n: int) -> int:
@@ -361,35 +375,6 @@ def _fractional_matching_from(rows: tuple[int, ...], match_l: list[int]) -> tupl
             partner[a] = 1 << b
             partner[b] = 1 << a
     return partner, half, total
-
-
-def _transversal_from(rows: tuple[int, ...], match_l: list[int], match_r: list[int]) -> tuple[int, int, int]:
-    """The W, R, C masks of a maximum double-cover matching's vertex cover.
-
-    The cover comes from the matching by alternating reachability from the
-    unmatched left copies, so the construction is deterministic; g(v) is
-    half the number of covered copies of v: 1 on W (only the right copy
-    reached), 0 on R (only the left copy) and 1/2 on C.  The result is not
-    checked.
-    """
-    seen_l = 0
-    for u, v in enumerate(match_l):
-        if v < 0:
-            seen_l |= 1 << u
-    seen_r = 0
-    todo = seen_l
-    while todo:
-        u = (todo & -todo).bit_length() - 1
-        todo &= todo - 1
-        reached = rows[u] & ~seen_r
-        seen_r |= reached
-        while reached:
-            w = match_r[(reached & -reached).bit_length() - 1]
-            reached &= reached - 1
-            if w >= 0 and not seen_l >> w & 1:
-                seen_l |= 1 << w
-                todo |= 1 << w
-    return seen_r & ~seen_l, seen_l & ~seen_r, ((1 << len(rows)) - 1) & ~(seen_l ^ seen_r)
 
 
 def _check_matching(rows: tuple[int, ...], partner: list[int], half: list[int], total: int) -> None:
@@ -591,10 +576,11 @@ class Transversal:
 def fractional_transversal(g: Graph) -> Transversal:
     """Optimal half-integral transversal from the double cover's vertex cover.
 
-    The witness core's W/R/C masks (``_transversal_from``, the builder the
-    structure audit checks) as an object, validated.
+    The W/R/C masks that ``_dc_matching`` reads off its last, failing
+    breadth-first search (the cover the structure audit checks) as an
+    object, validated.
     """
-    w_bits, _, c_bits = dense_rows(_transversal_from(g.rows, *_dc_matching(g.rows, g.n)), g.n)
+    w_bits, _, c_bits = dense_rows(_dc_matching(g.rows, g.n)[1:], g.n)
     dwv = tuple((2 * w_bits + c_bits).tolist())
     t = Transversal(g.n, dwv, HalfIntegral(sum(dwv)))
     t.validate(g)

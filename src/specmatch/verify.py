@@ -58,7 +58,6 @@ from .matching import (
     _dc_matching_size,
     _fractional_matching_from,
     _odd_cycles,
-    _transversal_from,
     _wrc_rules,
     fractional_matching_number,
     matching_number,
@@ -130,13 +129,12 @@ def _subset_columns(rows: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     |I| - |N(I)| >= |S| - |N(S)|.
     """
     count = len(rows)
-    rows = rows.astype(np.uint16)
-    size = np.array([s.bit_count() for s in range(1 << n)], dtype=np.int8)
+    rows = rows.astype(np.uint16, copy=False)
     nbhd = np.zeros((1 << n, count), dtype=np.uint16)
     beta = np.zeros((1 << n, count), dtype=np.int8)
     for v in range(n):
         old, new = beta[: 1 << v], beta[1 << v : 2 << v]
-        nbhd[1 << v : 2 << v] = nbhd[: 1 << v] | rows[:, v]
+        np.bitwise_or(nbhd[: 1 << v], rows[:, v], out=nbhd[1 << v : 2 << v])
         new[:] = old
         for u in range(v):
             # axis 1 splits the subsets of {0..v-1} on u: [:, 1] holds S, [:, 0] holds S - u
@@ -147,9 +145,12 @@ def _subset_columns(rows: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     graphs = np.arange(count)
     for _ in range(n - 1):
         reach |= nbhd[reach, graphs]
-    surplus = (size[:, None] - size[nbhd]).max(axis=0, initial=0)
-    degrees, connected = size[rows], reach == (1 << n) - 1
-    return connected, degrees.min(axis=1, initial=n), degrees.sum(axis=1) // 2, beta[-1], n - surplus.astype(np.int64)
+    # every bit count is at most 16 and reads as int8
+    surplus = np.bitwise_count(nbhd).view(np.int8)  # |N(S)|, then |S| - |N(S)|
+    size = np.bitwise_count(np.arange(1 << n, dtype=np.uint16)).view(np.int8)
+    np.subtract(size[:, None], surplus, out=surplus)
+    degrees, connected = np.bitwise_count(rows).view(np.int8), reach == (1 << n) - 1
+    return connected, degrees.min(axis=1, initial=n), degrees.sum(axis=1) // 2, beta[-1], n - surplus.max(axis=0, initial=0).astype(np.int64)
 
 
 def _oracle_columns(g: Graph, what: str) -> tuple[np.ndarray, ...]:
@@ -208,15 +209,21 @@ def _batch_arrays(n: int, lo: int, hi: int, *, masks: np.ndarray | None = None) 
     draw or enumerate, repeats and any order allowed.  The invariants come
     from the oracles' subset tables (``_subset_columns``); rho is left to
     the workers that read it (``_rho_column``)."""
-    masks = np.arange(lo, hi, dtype=np.int64) if masks is None else np.asarray(masks[lo:hi], dtype=np.int64)
-    rows = np.zeros((len(masks), n), dtype=np.int64)
+    masks = np.arange(lo, hi, dtype=np.int64) if masks is None else np.ascontiguousarray(masks[lo:hi], dtype=np.int64)
+    # byte_rows[k][b]: the bits of the rows that value b of a mask's byte k sets
+    width = (n * (n - 1) // 2 + 7) // 8
+    byte_rows = np.zeros((width, 256, n), dtype=np.uint16)
+    values = np.arange(256, dtype=np.uint16)
     for j, (u, v) in enumerate(pairs_colex(n)):
-        bit = (masks >> j) & 1
-        rows[:, u] |= bit << v
-        rows[:, v] |= bit << u
+        bit = (values >> j % 8) & 1
+        byte_rows[j // 8, :, u] |= bit << v
+        byte_rows[j // 8, :, v] |= bit << u
+    rows = np.zeros((len(masks), n), dtype=np.uint16)
+    for table, byte in zip(byte_rows, masks.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8).T):
+        rows |= table[byte]
     step = _TABLE_CELLS >> n
     columns = [_subset_columns(rows[start : start + step], n) for start in range(0, len(masks), step)]
-    return (*(np.concatenate(c) for c in zip(*columns)), rows, masks)
+    return (*(np.concatenate(c) for c in zip(*columns)), rows.astype(np.int64), masks)
 
 
 def _sweep(worker: Callable, n: int, jobs: int, masks: np.ndarray | None = None, *extra) -> list:
@@ -595,9 +602,8 @@ def _audit_chunk(args: tuple) -> tuple:
     for connected, bsd, rows in zip(conn_col.tolist(), bsd_col.tolist(), map(tuple, rows_col.tolist())):
         # one double-cover matching gives both witnesses as bitmasks; their
         # totals must equal 2*beta_star from the subset tables, which never see them
-        match_l, match_r = _dc_matching(rows, n)
+        match_l, w, r, c = _dc_matching(rows, n)
         partner, half, fm_total = _fractional_matching_from(rows, match_l)
-        w, r, c = _transversal_from(rows, match_l, match_r)
         t_total = 2 * w.bit_count() + c.bit_count()
         faults: list[str] = []
         if fm_total != bsd or t_total != bsd:
@@ -680,16 +686,19 @@ class CrossCheckReport:
         return not self.mismatches
 
 
-def _cross_check_one(g: Graph, beta: int, bsd: int) -> list[str]:
+def _cross_check_one(n: int, rows: tuple[int, ...], beta: int, bsd: int) -> list[str]:
     # the kernels that fractional_matching_number and matching_number wrap,
-    # so no result object is built for a graph that agrees
+    # on the table's rows; a graph is built only to name a mismatch
     out = []
-    fast = _dc_matching_size(g.rows, g.n)
+    fast = _dc_matching_size(rows, n)
     if fast != bsd:
-        out.append(f"{to_graph6(g)}: fractional matching number {HalfIntegral(fast)} != oracle {HalfIntegral(bsd)}")
-    bfast = _blossom_max_matching(g.rows, g.n)[0]
+        out.append(f"fractional matching number {HalfIntegral(fast)} != oracle {HalfIntegral(bsd)}")
+    bfast = _blossom_max_matching(rows, n)[0]
     if bfast != beta:
-        out.append(f"{to_graph6(g)}: matching number {bfast} != oracle {beta}")
+        out.append(f"matching number {bfast} != oracle {beta}")
+    if out:
+        g6 = to_graph6(Graph._from_rows_unchecked(n, rows))
+        out = [f"{g6}: {line}" for line in out]
     return out
 
 
@@ -698,7 +707,7 @@ def _cross_chunk(args: tuple) -> list[str]:
     _, _, _, beta_col, bsd_col, rows_col, _ = _batch_arrays(n, lo, hi, masks=masks)
     out: list[str] = []
     for beta, bsd, rows in zip(beta_col.tolist(), bsd_col.tolist(), map(tuple, rows_col.tolist())):
-        out.extend(_cross_check_one(Graph._from_rows_unchecked(n, rows), beta, bsd))
+        out.extend(_cross_check_one(n, rows, beta, bsd))
     return out
 
 

@@ -33,6 +33,7 @@ from specmatch import (
     optimal_fractional_matching,
     oracle_beta,
     oracle_beta_star,
+    to_graph6,
     union,
     wrc_decomposition,
 )
@@ -387,7 +388,7 @@ class TestOracles:
         assert any(g.edge_count() > 24 for g in dense)
         for g in small + dense:
             beta, bsd = nx_references(g)
-            assert (oracle_beta(g), oracle_beta_star(g).doubled) == (beta, bsd), g.edges()
+            assert (oracle_beta(g), oracle_beta_star(g).doubled) == (beta, bsd), _name(g)
 
 
 def _fm(n, weights, total):
@@ -581,6 +582,36 @@ def reference_dc_matching(rows: tuple[int, ...], n: int) -> tuple[list[int], lis
     return match_l, match_r
 
 
+def reference_dc_cover(rows: tuple[int, ...], match_l: list[int], match_r: list[int]) -> tuple[int, int, int]:
+    """The W, R, C masks of the vertex cover of a maximum double-cover
+    matching, by alternating reachability from the unmatched left copies:
+    W holds the vertices whose right copy alone is reached, R those whose
+    left copy alone is, C the rest."""
+    seen_l = 0
+    for u, v in enumerate(match_l):
+        if v < 0:
+            seen_l |= 1 << u
+    seen_r = 0
+    todo = seen_l
+    while todo:
+        u = (todo & -todo).bit_length() - 1
+        todo &= todo - 1
+        reached = rows[u] & ~seen_r
+        seen_r |= reached
+        while reached:
+            w = match_r[(reached & -reached).bit_length() - 1]
+            reached &= reached - 1
+            if w >= 0 and not seen_l >> w & 1:
+                seen_l |= 1 << w
+                todo |= 1 << w
+    return seen_r & ~seen_l, seen_l & ~seen_r, ((1 << len(rows)) - 1) & ~(seen_l ^ seen_r)
+
+
+def _name(g: Graph):
+    """A graph as a failure message names it: graph6, or the edge list above 62 vertices."""
+    return to_graph6(g) if g.n <= 62 else list(g.edges())
+
+
 def _find_path_calls(kernel, gs) -> int:
     """Calls of the blossom search ``find_path`` nested in ``kernel`` while it
     runs on each graph of gs, by cProfile."""
@@ -600,12 +631,18 @@ class TestPrunedKernels:
 
     @staticmethod
     def _assert_same(g):
-        assert matching._blossom_max_matching(g.rows, g.n) == reference_blossom_max_matching(g.rows, g.n), g.edges()
+        name = _name(g)
+        assert matching._blossom_max_matching(g.rows, g.n) == reference_blossom_max_matching(g.rows, g.n), name
         reference = reference_dc_matching(g.rows, g.n)
-        match_l, match_r = hk = matching._dc_matching(g.rows, g.n)
-        assert all(v < 0 or (match_r[v] == u and g.rows[u] >> v & 1) for u, v in enumerate(match_l)), g.edges()
-        assert match_l.count(-1) == match_r.count(-1) == reference[0].count(-1), g.edges()
-        assert matching._transversal_from(g.rows, *hk) == matching._transversal_from(g.rows, *reference), g.edges()
+        match_l, *cover = matching._dc_matching(g.rows, g.n)
+        match_r = [-1] * g.n
+        for u, v in enumerate(match_l):
+            if v >= 0:
+                assert match_r[v] < 0 and g.rows[u] >> v & 1, name
+                match_r[v] = u
+        assert match_l.count(-1) == reference[0].count(-1), name
+        # the cover of the last search is the reachability of its own matching and of the reference matching
+        assert tuple(cover) == reference_dc_cover(g.rows, match_l, match_r) == reference_dc_cover(g.rows, *reference), name
 
     def test_every_labeled_graph_up_to_n6(self):
         for n in range(7):

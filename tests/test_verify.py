@@ -137,16 +137,20 @@ class TestChunkTable:
 
     def test_mask_array_with_repeats(self):
         # any masks, unsorted and repeated, read through the window lo..hi:
-        # n = 8 shape subsets as the tie class enumerates them, and n = 6 draws
+        # n = 8 shape subsets as the tie class enumerates them, n = 6 draws,
+        # and n = 9 and 10 draws, whose 36 and 45 mask bits reach past 32
         rng = np.random.default_rng(7)
         hub = join(complete(1), union(complete(3), empty(4)))  # K_1 v (K_3 u 4K_1)
         subsets = verify._subset_masks(hub)
         assert len(set(subsets.tolist())) == 1 << 10 and subsets[-1] == sum(1 << pairs_colex(8).index(e) for e in hub.edges())
-        for n, masks in [(8, subsets), (6, rng.integers(0, 1 << 15, 150))]:
+        draws = [(6, rng.integers(0, 1 << 15, 150)), (9, rng.integers(0, 1 << 36, 40)), (10, rng.integers(0, 1 << 45, 40))]
+        for n, masks in [(8, subsets), *draws]:
             masks = np.tile(masks, 2)[rng.permutation(2 * len(masks))]
             lo, hi = 3, len(masks) - 2
             graphs = [verify._graph_from_mask(n, mask, pairs_colex(n)) for mask in masks[lo:hi].tolist()]
-            rho, conn, delta, edges, beta, bsd, rows, picked = _lists(verify._batch_arrays(n, lo, hi, masks=masks))
+            table = verify._batch_arrays(n, lo, hi, masks=masks)
+            assert [col.dtype for col in table] == [np.bool_, np.int8, np.int64, np.int8, np.int64, np.int64, np.int64]
+            rho, conn, delta, edges, beta, bsd, rows, picked = _lists(table)
             assert picked == masks[lo:hi].tolist() and len(set(picked)) < len(picked)
             assert rows == [g.rows for g in graphs]
             assert conn == [is_connected(g) for g in graphs]
@@ -532,8 +536,8 @@ class TestAudits:
         # K2 u K1: weight 1/2 everywhere covers the edge but totals 3/2 > beta* = 1
         target = union(complete(2), empty(1))
         loose = (0, 0, 0b111)  # W, R, C masks
-        real = verify._transversal_from
-        monkeypatch.setattr(verify, "_transversal_from", lambda rows, *m: loose if rows == target.rows else real(rows, *m))
+        real = verify._dc_matching
+        monkeypatch.setattr(verify, "_dc_matching", lambda rows, n: (real(rows, n)[0], *loose) if rows == target.rows else real(rows, n))
         rep = audit_structures(3)
         assert rep.violations == (f"{to_graph6(target)}: primal 1 / dual 3/2 / matching 1 differ",)
 
@@ -564,8 +568,8 @@ class TestAudits:
         # K2 u K1 with weight 0 everywhere leaves the edge uncovered
         target = union(complete(2), empty(1))
         zero = (0, 0b111, 0)  # W, R, C masks
-        real = verify._transversal_from
-        monkeypatch.setattr(verify, "_transversal_from", lambda rows, *m: zero if rows == target.rows else real(rows, *m))
+        real = verify._dc_matching
+        monkeypatch.setattr(verify, "_dc_matching", lambda rows, n: (real(rows, n)[0], *zero) if rows == target.rows else real(rows, n))
         rep = audit_structures(3)
         assert rep.violations == (
             f"{to_graph6(target)}: primal 1 / dual 0 / matching 1 differ",
@@ -622,7 +626,11 @@ class TestCrossCheck:
         # the 1,000 draws, in order, with their oracle columns: "graph6 beta 2*beta_star" per line
         seen = []
         real = verify._cross_check_one
-        monkeypatch.setattr(verify, "_cross_check_one", lambda g, b, d: seen.append(f"{to_graph6(g)} {b} {d}") or real(g, b, d))
+        monkeypatch.setattr(
+            verify,
+            "_cross_check_one",
+            lambda n, rows, b, d: seen.append(f"{to_graph6(Graph.from_rows(n, rows))} {b} {d}") or real(n, rows, b, d),
+        )
         rep = cross_check_matching_implementations(n, seed=seed)
         assert (rep.n, rep.exhaustive, rep.graphs_checked, rep.mismatches) == (n, False, 1000, ())
         assert hashlib.sha256("\n".join(seen).encode()).hexdigest() == digest
@@ -632,7 +640,9 @@ class TestCrossCheck:
         edge_counts = []
         real = verify._cross_check_one
         monkeypatch.setattr(
-            verify, "_cross_check_one", lambda g, *oracle: edge_counts.append(g.edge_count()) or real(g, *oracle)
+            verify,
+            "_cross_check_one",
+            lambda n, rows, *oracle: edge_counts.append(Graph.from_rows(n, rows).edge_count()) or real(n, rows, *oracle),
         )
         rep = cross_check_matching_implementations(9, samples=60, seed=1)
         assert rep.passed and rep.graphs_checked == len(edge_counts) == 60
