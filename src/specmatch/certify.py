@@ -9,8 +9,8 @@ to one graph, the exhaustive sweep in ``verify`` to whole numpy columns.
 Each spectral threshold is the largest rho of the connected class one step
 below its guarantee, read from the class bounds in ``extremal``: fpm is the
 t32 bound at 2*beta_star = n - 1, ``beta-star-increment(k/2)`` the t32
-bound at 2*beta_star = k, pm the t13 bound at beta = n/2 - 1 and
-``beta-increment(b)`` the t13 bound at beta = b.  Comparisons use a guard
+bound at 2*beta_star = k, pm the t13 bound at 2*beta = n - 2 and
+``beta-increment(b)`` the t13 bound at 2*beta = 2b.  Comparisons use a guard
 band of 1e-9: values inside the band count as "at threshold" and never
 fire, since the hypotheses are strict inequalities.
 """
@@ -78,17 +78,7 @@ def pm_threshold(n: int) -> float | None:
     perfect matching; None for odd or tiny n."""
     if n % 2 or n < 4:
         return None
-    return _t13_regime(n, n // 2 - 1)[1]
-
-
-def beta_star_increment_case(n: int, target_doubled: int) -> tuple[str, float]:
-    """Case and threshold of the beta* increment certificate: the t32 bound
-    of the class 2*beta_star = target_doubled, tagged by its regime (the
-    hub-family cubic, by the target's parity, or the split join)."""
-    regime, bound = _t32_regime(n, target_doubled)
-    if regime == "ii":
-        return ("cubic-odd" if target_doubled % 2 else "cubic-even", bound)
-    return ("join", bound)
+    return _t13_regime(n, n - 2)[1]
 
 
 @dataclass(frozen=True)
@@ -130,13 +120,13 @@ def _pm_row(n: int, connected: bool) -> Certificate:
 
 def _beta_star_row(n: int, connected: bool, k: int) -> Certificate:
     # the beta* increment certificate is stated for n >= 3 only
-    thr = beta_star_increment_case(n, k)[1] if n >= 3 and connected else None
+    thr = _t32_regime(n, k)[1] if n >= 3 and connected else None
     name, guarantee = intern(f"beta-star-increment({HalfIntegral(k)})"), intern(f"2*beta_star >= {k + 1}")
     return Certificate(name, "beta_star_geq", k + 1, guarantee, thr)
 
 
 def _beta_row(n: int, connected: bool, beta: int) -> Certificate:
-    thr = _t13_regime(n, beta)[1] if connected else None
+    thr = _t13_regime(n, 2 * beta)[1] if connected else None
     name, guarantee = intern(f"beta-increment({beta})"), intern(f"beta >= {beta + 1}")
     return Certificate(name, "beta_geq", beta + 1, guarantee, thr)
 

@@ -11,13 +11,10 @@ import sys
 
 from .certify import SoundnessError, certify_all, fpm_threshold
 from .extremal import (
+    THEOREMS,
     ExtremalSpec,
-    _check_beta_args,
     _check_class_args,
-    _t12_regime,
     _t13_regime,
-    _t32_regime,
-    _t33_regime,
     build_extremal,
     predicted_maximizer_connected,
 )
@@ -39,8 +36,6 @@ from .matching import (
 )
 from .spectral import ConvergenceError, DEFAULT_TOL, spectral_radius
 from .verify import (
-    THEOREMS,
-    _CONNECTED_THEOREMS,
     audit_structures,
     cross_check_matching_implementations,
     verify_certificates,
@@ -150,20 +145,18 @@ def _cmd_extremal(args) -> int:
 
 
 def _cmd_threshold(args) -> int:
-    n = args.n
-    if args.theorem in ("t32", "t33") and args.beta_star is None:
+    n, theorem = args.n, THEOREMS.get(args.theorem)
+    star = theorem is not None and theorem.fractional  # t32 and t33 key their classes by 2*beta_star
+    if star and args.beta_star is None:
         raise _UsageError(f"--theorem {args.theorem} needs --beta-star")
-    if args.theorem in ("t12", "t13", "t37") and args.beta is None:
+    if not star and args.theorem != "t35" and args.beta is None:
         raise _UsageError(f"--theorem {args.theorem} needs --beta")
     # every theorem reads a class bound with no graph built, so n may exceed
     # the vertex cap
-    if args.theorem in ("t32", "t33"):
-        d = HalfIntegral.parse(args.beta_star).doubled
-        _check_class_args(n, d)
-        print(_fmt((_t32_regime if args.theorem == "t32" else _t33_regime)(n, d)[1]))
-    elif args.theorem in ("t12", "t13"):
-        _check_beta_args(n, args.beta)
-        print(_fmt((_t13_regime if args.theorem == "t13" else _t12_regime)(n, args.beta)[1]))
+    if theorem is not None:
+        d = HalfIntegral.parse(args.beta_star).doubled if theorem.fractional else 2 * args.beta
+        _check_class_args(n, d, theorem.fractional)
+        print(_fmt(theorem.rule(n, d)[1]))
     elif args.theorem == "t35":
         thr = fpm_threshold(n)
         if thr is None:
@@ -173,7 +166,7 @@ def _cmd_threshold(args) -> int:
         # the beta-increment certificate's range; its threshold is the t13 class bound
         if not 1 <= args.beta <= (n - 2) / 2:
             raise _UsageError(f"no matching-increment threshold for n={n}, beta={args.beta}")
-        print(_fmt(_t13_regime(n, args.beta)[1]))
+        print(_fmt(_t13_regime(n, 2 * args.beta)[1]))
     else:  # pragma: no cover - argparse choices guard this
         raise _UsageError(f"unknown theorem {args.theorem}")
     return EXIT_OK
@@ -201,7 +194,7 @@ def _cmd_verify(args) -> int:
             print(f"VIOLATION {v}")
         print("result: " + ("PASS" if report.passed else "FAIL"))
         return EXIT_OK if report.passed else EXIT_VERIFY
-    if args.connected and not _CONNECTED_THEOREMS[args.theorem]:
+    if args.connected and not THEOREMS[args.theorem].connected:
         raise _UsageError(
             f"--connected contradicts {args.theorem}, which quantifies over all graphs; "
             "use t32/t13 for the connected classes"

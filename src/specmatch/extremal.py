@@ -1,14 +1,22 @@
-"""Extremal join families, threshold roots, and regime selectors.
+"""Extremal join families, threshold roots, and the theorem table.
 
-The family K_s v (K_{2b-2s} u tK_1), with b the fractional matching number
-and t = n + s - 2b, maximises the spectral radius at fixed b.  The selectors
-return, per (n, b) regime, the sharp bound and the graphs attaining it.
+Every extremal graph of the paper's four theorems has the shape
+K_s v (K_c u tK_1), built by ``_shape``; the family K_s v (K_{2b-2s} u tK_1),
+with b the fractional matching number and t = n + s - 2b, maximises the
+spectral radius at fixed b.  ``THEOREMS`` holds what a theorem is: whether
+its classes are keyed by d = 2*beta_star (t32, t33) or d = 2*beta (t12,
+t13), whether only connected graphs count (t32, t13), and its rule, which
+gives a class's regime, bound, extremal shapes (s, c) and whether the bound
+is attained inside the class, with no graph built.  ``predict`` builds the
+shapes and adds notes; ``predicted_maximizer_*`` and ``matching_bound_*``
+are its views by theorem.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 from .graphs import Graph, complete, empty, join, to_graph6, union
 from .halfint import HalfIntegral
@@ -18,8 +26,9 @@ from .spectral import char_poly_f_coeffs
 __all__ = [
     "ExtremalSpec",
     "RegimePrediction",
+    "THEOREMS",
     "build_extremal",
-    "largest_real_root",
+    "predict",
     "theta_cubic",
     "theta_cubic_coeffs",
     "rho_join_formula",
@@ -64,10 +73,15 @@ class ExtremalSpec:
             raise ValueError("middle clique of size 1 collapses the fractional matching number to s")
 
 
+def _shape(n: int, s: int, c: int) -> Graph:
+    """K_s v (K_c u (n-s-c)K_1); hub first, clique next, isolates last."""
+    return join(complete(s), union(complete(c), empty(n - s - c)))
+
+
 def build_extremal(spec: ExtremalSpec) -> Graph:
     """Build K_s v (K_{2b-2s} u tK_1); hub first, clique next, isolates last."""
     spec.validate()
-    return join(complete(spec.s), union(complete(spec.middle), empty(spec.t)))
+    return _shape(spec.n, spec.s, spec.middle)
 
 
 def theta_cubic_coeffs(n: int, beta_star: HalfIntegral) -> tuple[int, int, int, int]:
@@ -113,161 +127,135 @@ class RegimePrediction:
         return f"{self.regime} {self.bound:.12g} {codes}"
 
 
-def _g1_hub(n: int, d: int) -> Graph:
-    return join(complete(1), union(complete(d - 2), empty(n - d + 1)))
-
-
-def _g2_split_join(n: int, d: int) -> Graph:
-    return join(complete(d // 2), empty(n - d // 2))
-
-
-def _g3_clique_union(n: int, d: int) -> Graph:
-    return union(complete(d), empty(n - d))
-
-
-def _check_class_args(n: int, d: int) -> None:
+def _check_class_args(n: int, d: int, fractional: bool) -> None:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if d < 0:
-        raise ValueError("2*beta_star must be non-negative")
+        raise ValueError("2*beta_star must be non-negative" if fractional else "matching number must be non-negative")
     if d > n:
-        raise ValueError(f"2*beta_star = {d} exceeds n = {n}")
+        raise ValueError(f"{'2*beta_star' if fractional else '2*beta'} = {d} exceeds n = {n}")
+    if d % 2 and not fractional:
+        raise ValueError(f"2*beta = {d} is odd")
 
 
-def _t32_regime(n: int, d: int) -> tuple[str, float]:
-    """(regime, bound) of t32's connected class 2*beta_star = d; builds no graph."""
+# One class of a theorem, graph-free: its regime, its bound, the (s, c) of
+# each extremal graph K_s v (K_c u (n-s-c)K_1) in report order, and whether
+# one of them lies in the class.  (0, n) is K_n, (1, c) the hub, (0, c) the
+# clique union and (d // 2, 0) the split join.
+ClassRule = tuple[str, float, list[tuple[int, int]], bool]
+
+
+def _t32_regime(n: int, d: int) -> ClassRule:
+    """t32's connected class 2*beta_star = d; builds no graph."""
     if d == n:
-        return "i", float(n - 1)
+        return "i", float(n - 1), [(0, n)], n != 1  # K_1 has 2*beta_star 0
     if n < 3 * ((d + 1) // 2) - 3:
-        return "ii", theta_cubic(n, HalfIntegral(d))
-    return "iii", rho_join_formula(n, d // 2)
+        return "ii", theta_cubic(n, HalfIntegral(d)), [(1, d - 2)], True
+    # the split join has 2*beta_star d - 1 at odd d; at d = 0 it is edgeless, so disconnected unless n = 1
+    return "iii", rho_join_formula(n, d // 2), [(d // 2, 0)], d % 2 == 0 and (d >= 2 or n == 1)
+
+
+def _t33_regime(n: int, d: int) -> ClassRule:
+    """t33's class 2*beta_star = d; builds no graph."""
+    if d == n:
+        return "1", float(n - 1), [(0, n)], n != 1
+    pivot = 3 * ((d + 1) // 2) - 1
+    if n < pivot:
+        return "2", float(d - 1), [(0, d)], d != 1  # K_1 u tK_1 is edgeless
+    if n == pivot:
+        return "3", float(d - 1), [(d // 2, 0), (0, d)], d != 1
+    return "4", rho_join_formula(n, d // 2), [(d // 2, 0)], d % 2 == 0
+
+
+def _t12_regime(n: int, d: int) -> ClassRule:
+    """t12's class 2*beta = d; builds no graph."""
+    if n <= d + 1:
+        return "1", float(n - 1), [(0, n)], True
+    pivot = 3 * d // 2 + 2
+    if n < pivot:
+        return "2", float(d), [(0, d + 1)], True
+    if n == pivot:
+        return "3", float(d), [(d // 2, 0), (0, d + 1)], True
+    return "4", rho_join_formula(n, d // 2), [(d // 2, 0)], True
+
+
+def _t13_regime(n: int, d: int) -> ClassRule:
+    """t13's connected class 2*beta = d; builds no graph."""
+    if n <= d + 1:
+        return "1", float(n - 1), [(0, n)], True
+    if n <= 3 * d // 2 - 1:  # the hub family's quotient cubic
+        return "2", theta_cubic(n, HalfIntegral(d + 1)), [(1, d - 1)], True
+    return "3", rho_join_formula(n, d // 2), [(d // 2, 0)], True
+
+
+class Theorem(NamedTuple):
+    fractional: bool  # classes keyed by d = 2*beta_star; else by d = 2*beta
+    connected: bool  # only connected graphs count
+    rule: Callable[[int, int], ClassRule]  # (n, d) -> the class
+
+
+THEOREMS = {
+    "t32": Theorem(True, True, _t32_regime),
+    "t33": Theorem(True, False, _t33_regime),
+    "t12": Theorem(False, False, _t12_regime),
+    "t13": Theorem(False, True, _t13_regime),
+}
+
+
+def _notes(theorem: str, regime: str, n: int, d: int, bound: float, attained: bool) -> tuple[str, ...]:
+    if regime in ("iii", "4") and not attained:
+        return (
+            "bound is strict: the split join has fractional matching number "
+            f"{d // 2}, below {HalfIntegral(d)}, so no graph in the class attains it",
+        )
+    if theorem == "t33" and regime in ("2", "3"):
+        notes = ("stated bound 2*beta_star is not attained; the clique union attains 2*beta_star - 1",)
+        if regime == "3" and d % 2:
+            notes += (
+                f"tie partner has fractional matching number {d // 2}, below {HalfIntegral(d)}; "
+                "only the clique union attains the bound inside the class",
+            )
+        return notes
+    if (theorem, regime) == ("t13", "2"):
+        # the stated cubic has two degree-one terms; its literal largest root is
+        # logged here as a diagnostic rather than used
+        literal = largest_real_root((1, 0, 3 - d - n, (d - 2) * (n - d)))
+        return (
+            f"stated cubic read literally has largest root {literal:.12g}; "
+            f"the hub-family quotient gives {bound:.12g}, which is used",
+        )
+    return ()
+
+
+def predict(theorem: str, n: int, d: int) -> RegimePrediction:
+    """Sharp spectral-radius bound of a theorem's class with key d on n
+    vertices (``THEOREMS``), with the class's extremal graphs, whether one
+    of them lies in the class, and notes."""
+    entry = THEOREMS[theorem]
+    _check_class_args(n, d, entry.fractional)
+    regime, bound, shapes, attained = entry.rule(n, d)
+    graphs = tuple(dict.fromkeys(_shape(n, s, c) for s, c in shapes))
+    return RegimePrediction(regime, bound, graphs, attained, _notes(theorem, regime, n, d, bound, attained))
 
 
 def predicted_maximizer_connected(n: int, beta_star: HalfIntegral) -> RegimePrediction:
-    """Sharp spectral-radius bound over connected graphs with this fractional matching number."""
-    d = beta_star.doubled
-    _check_class_args(n, d)
-    regime, bound = _t32_regime(n, d)
-    if regime == "i":
-        return RegimePrediction(regime, bound, (complete(n),), n != 1)
-    if regime == "ii":
-        return RegimePrediction(regime, bound, (_g1_hub(n, d),), True)
-    b = d // 2
-    attained = d % 2 == 0 and (d >= 2 or n == 1)
-    notes = ()
-    if not attained:
-        notes = (
-            "bound is strict: the split join has fractional matching number "
-            f"{b}, below {beta_star}, so no graph in the class attains it",
-        )
-    return RegimePrediction(regime, bound, (_g2_split_join(n, d),), attained, notes)
-
-
-def _t33_regime(n: int, d: int) -> tuple[str, float]:
-    """(regime, bound) of t33's class 2*beta_star = d; builds no graph."""
-    if d == n:
-        return "1", float(n - 1)
-    pivot = 3 * ((d + 1) // 2) - 1
-    if n < pivot:
-        return "2", float(d - 1)
-    if n == pivot:
-        return "3", float(d - 1)
-    return "4", rho_join_formula(n, d // 2)
+    """Sharp spectral-radius bound over connected graphs with this fractional matching number (t32)."""
+    return predict("t32", n, beta_star.doubled)
 
 
 def predicted_maximizer_general(n: int, beta_star: HalfIntegral) -> RegimePrediction:
-    """Sharp spectral-radius bound over all graphs with this fractional matching number."""
-    d = beta_star.doubled
-    _check_class_args(n, d)
-    regime, bound = _t33_regime(n, d)
-    if regime == "1":
-        return RegimePrediction(regime, bound, (complete(n),), n != 1)
-    clique_note = "stated bound 2*beta_star is not attained; the clique union attains 2*beta_star - 1"
-    if regime == "2":
-        return RegimePrediction(regime, bound, (_g3_clique_union(n, d),), d != 1, (clique_note,))
-    if regime == "3":
-        g2 = _g2_split_join(n, d)
-        g3 = _g3_clique_union(n, d)
-        graphs = (g2,) if g2 == g3 else (g2, g3)
-        notes = [clique_note]
-        if d % 2:
-            notes.append(
-                f"tie partner has fractional matching number {d // 2}, below {beta_star}; "
-                "only the clique union attains the bound inside the class"
-            )
-        return RegimePrediction(regime, bound, graphs, d != 1, tuple(notes))
-    b = d // 2
-    attained = d % 2 == 0
-    notes = ()
-    if not attained:
-        notes = (
-            "bound is strict: the split join has fractional matching number "
-            f"{b}, below {beta_star}, so no graph in the class attains it",
-        )
-    return RegimePrediction(regime, bound, (_g2_split_join(n, d),), attained, notes)
-
-
-def _check_beta_args(n: int, beta: int) -> None:
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    if beta < 0:
-        raise ValueError("matching number must be non-negative")
-    if 2 * beta > n:
-        raise ValueError(f"2*beta = {2 * beta} exceeds n = {n}")
-
-
-def _t12_regime(n: int, beta: int) -> tuple[str, float]:
-    """(regime, bound) of t12's class with matching number beta; builds no graph."""
-    if n <= 2 * beta + 1:
-        return "1", float(n - 1)
-    if n < 3 * beta + 2:
-        return "2", float(2 * beta)
-    if n == 3 * beta + 2:
-        return "3", float(2 * beta)
-    return "4", rho_join_formula(n, beta)
+    """Sharp spectral-radius bound over all graphs with this fractional matching number (t33)."""
+    return predict("t33", n, beta_star.doubled)
 
 
 def matching_bound_general(n: int, beta: int) -> RegimePrediction:
-    """Sharp spectral-radius bound over all graphs with matching number beta."""
-    _check_beta_args(n, beta)
-    regime, bound = _t12_regime(n, beta)
-    if regime == "1":
-        return RegimePrediction(regime, bound, (complete(n),), True)
-    clique = _g3_clique_union(n, 2 * beta + 1)
-    if regime == "2":
-        return RegimePrediction(regime, bound, (clique,), True)
-    g_join = _g2_split_join(n, 2 * beta)
-    if regime == "3":
-        graphs = (g_join,) if g_join == clique else (g_join, clique)
-        return RegimePrediction(regime, bound, graphs, True)
-    return RegimePrediction(regime, bound, (g_join,), True)
-
-
-def _t13_regime(n: int, beta: int) -> tuple[str, float]:
-    """(regime, bound) of t13's connected class with matching number beta; builds no graph."""
-    if n <= 2 * beta + 1:
-        return "1", float(n - 1)
-    if n <= 3 * beta - 1:  # the hub family's quotient cubic
-        return "2", theta_cubic(n, HalfIntegral(2 * beta + 1))
-    return "3", rho_join_formula(n, beta)
+    """Sharp spectral-radius bound over all graphs with matching number beta (t12)."""
+    return predict("t12", n, 2 * beta)
 
 
 def matching_bound_connected(n: int, beta: int) -> RegimePrediction:
-    """Sharp spectral-radius bound over connected graphs with matching number beta."""
-    _check_beta_args(n, beta)
-    regime, bound = _t13_regime(n, beta)
-    if regime == "1":
-        return RegimePrediction(regime, bound, (complete(n),), True)
-    if regime == "3":
-        return RegimePrediction(regime, bound, (_g2_split_join(n, 2 * beta),), True)
-    # the stated cubic has two degree-one terms; its literal largest root is
-    # logged here as a diagnostic rather than used
-    literal = largest_real_root((1, 0, 3 - 2 * beta - n, 2 * (beta - 1) * (n - 2 * beta)))
-    notes = (
-        f"stated cubic read literally has largest root {literal:.12g}; "
-        f"the hub-family quotient gives {bound:.12g}, which is used",
-    )
-    return RegimePrediction(regime, bound, (_g1_hub(n, 2 * beta + 1),), True, notes)
+    """Sharp spectral-radius bound over connected graphs with matching number beta (t13)."""
+    return predict("t13", n, 2 * beta)
 
 
 def quotient_cubic_matches_family(n: int, beta_star: HalfIntegral) -> bool:

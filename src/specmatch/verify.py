@@ -32,13 +32,11 @@ import numpy as np
 
 from .certify import _guarantee_holds, certificate_table, certify_all, decide
 from .extremal import (
+    THEOREMS,
     ExtremalSpec,
     RegimePrediction,
     build_extremal,
-    matching_bound_connected,
-    matching_bound_general,
-    predicted_maximizer_connected,
-    predicted_maximizer_general,
+    predict,
 )
 from .graphs import (
     Graph,
@@ -69,9 +67,6 @@ ORACLE_N_CAP = 10  # the brute-force oracles enumerate vertex subsets: 2^n state
 RHO_TOL = 1e-8
 _TABLE_CELLS = 1 << 21  # subset-table cells per batch: 32,768 graphs at n = 6
 CERTIFY_STRIDE = 4096  # every CERTIFY_STRIDE-th connected graph of a chunk is reconciled with certify_all
-
-THEOREMS = ("t32", "t33", "t12", "t13")
-_CONNECTED_THEOREMS = {"t32": True, "t33": False, "t12": False, "t13": True}
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +189,9 @@ def _rho_column(rows: np.ndarray, n: int) -> np.ndarray:
     computed in."""
     if not n:
         return np.zeros(len(rows))
-    a = ((rows[:, :, None] >> np.arange(n)) & 1).astype(np.float64)
+    # bit v of row u, read from the row's two little-endian bytes, is a[u, v]
+    row_bytes = rows.astype("<u2").view(np.uint8).reshape(len(rows), n, 2)
+    a = np.unpackbits(row_bytes, axis=-1, count=n, bitorder="little").astype(np.float64)
     return np.linalg.eigvalsh(a)[:, -1]
 
 
@@ -289,18 +286,6 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-def _predict(theorem: str, n: int, class_doubled: int) -> RegimePrediction:
-    if theorem == "t32":
-        return predicted_maximizer_connected(n, HalfIntegral(class_doubled))
-    if theorem == "t33":
-        return predicted_maximizer_general(n, HalfIntegral(class_doubled))
-    if theorem == "t12":
-        return matching_bound_general(n, class_doubled // 2)
-    if theorem == "t13":
-        return matching_bound_connected(n, class_doubled // 2)
-    raise ValueError(f"unknown theorem {theorem!r}; expected one of {THEOREMS}")
-
-
 def _rho_cap(edges: np.ndarray) -> np.ndarray:
     """Stanley's bound rho <= (sqrt(1 + 8m) - 1)/2 on a graph with m edges
     (R. P. Stanley, *Linear Algebra Appl.* 87, 1987), raised by ``RHO_TOL``
@@ -324,8 +309,8 @@ def _theorem_chunk(args: tuple) -> tuple:
     those of a full rho column, bit for bit."""
     n, lo, hi, masks, theorem, bounds = args
     connected, _, edges, beta, bsd, rows, masks = _batch_arrays(n, lo, hi, masks=masks)
-    keys = bsd if theorem in ("t32", "t33") else 2 * beta
-    if _CONNECTED_THEOREMS[theorem]:
+    keys = bsd if THEOREMS[theorem].fractional else 2 * beta
+    if THEOREMS[theorem].connected:
         keys = np.where(connected, keys, -1)  # -1: no class
     cap = _rho_cap(edges)
     rho = np.full(len(masks), -np.inf)  # -inf: not computed, below every threshold
@@ -354,7 +339,7 @@ def _check_class(theorem: str, n: int, key: int, pred: RegimePrediction, cands: 
     ``spectral_radius`` and matched by isomorphism to a predicted graph of
     the class, each of which must attain it; with no predicted graph in the
     class, nothing may reach the bound."""
-    fractional = theorem in ("t32", "t33")
+    fractional = THEOREMS[theorem].fractional
     label = "2beta*" if fractional else "2beta"
     pairs = pairs_colex(n)
     discrepancies: list[str] = []
@@ -370,7 +355,7 @@ def _check_class(theorem: str, n: int, key: int, pred: RegimePrediction, cands: 
 
     # predicted graphs that genuinely belong to this class
     members = tuple(
-        (not _CONNECTED_THEOREMS[theorem] or is_connected(pg))
+        (not THEOREMS[theorem].connected or is_connected(pg))
         and (fractional_matching_number(pg).doubled if fractional else 2 * matching_number(pg).size) == key
         for pg in pred.extremal_graphs
     )
@@ -429,7 +414,7 @@ def verify_theorem(theorem: str, n: int, jobs: int = 1, long_run: bool = False) 
     """Bucket all (connected, for the connected theorems) labeled graphs on n
     vertices by class, then check bounds, maximizers, and predictions."""
     if theorem not in THEOREMS:
-        raise ValueError(f"unknown theorem {theorem!r}; expected one of {THEOREMS}")
+        raise ValueError(f"unknown theorem {theorem!r}; expected one of {tuple(THEOREMS)}")
     if n < 1:
         raise GraphError("verification needs n >= 1")
     if n > 7 and not long_run:
@@ -437,8 +422,8 @@ def verify_theorem(theorem: str, n: int, jobs: int = 1, long_run: bool = False) 
     if n > ENUM_CAP:
         raise GraphError(f"full sweep capped at n <= {ENUM_CAP}")
 
-    keys = range(0, n + 1) if theorem in ("t32", "t33") else range(0, n + 1, 2)
-    predictions = {key: _predict(theorem, n, key) for key in keys}
+    keys = range(0, n + 1, 1 if THEOREMS[theorem].fractional else 2)
+    predictions = {key: predict(theorem, n, key) for key in keys}
     bounds = {key: pred.bound for key, pred in predictions.items()}
 
     connected_count = 0
@@ -450,37 +435,30 @@ def verify_theorem(theorem: str, n: int, jobs: int = 1, long_run: bool = False) 
 
     records: list[ClassRecord] = []
     discrepancies: list[str] = []
-    regime2_maxima: dict[int, float] = {}
+    resolutions: list[str] = []
     for key in sorted(merged):
         record, _, found = _check_class(theorem, n, key, predictions[key], merged[key])
         records.append(record)
         discrepancies += found
-        if record.regime in ("2", "3") and theorem == "t33":
-            regime2_maxima[key] = record.max_rho
-
-    resolutions: list[str] = []
-    if theorem == "t33":
-        for key, mx in sorted(regime2_maxima.items()):
+        # the sweeps resolve two stated bounds: t33's clique-union constant and t13's cubic
+        if theorem == "t33" and record.regime in ("2", "3"):
             resolutions.append(
-                f"class 2beta*={key}: empirical max rho = {mx:.12g} = 2beta*-1 = {key - 1}; "
+                f"class 2beta*={key}: empirical max rho = {record.max_rho:.12g} = 2beta*-1 = {key - 1}; "
                 f"the stated bound 2beta* = {key} is not attained"
             )
-        if regime2_maxima:
-            resolutions.append("bound constant for the clique-union regimes resolves to 2beta*-1")
-    if theorem == "t13":
-        for rec in records:
-            pred = predictions[rec.class_doubled]
-            if pred.regime == "2":
-                resolutions.append(
-                    f"class 2beta={rec.class_doubled}: empirical max rho = {rec.max_rho:.12g} matches the "
-                    f"hub-family quotient threshold {pred.bound:.12g}; {pred.notes[0]}"
-                )
+        if theorem == "t13" and record.regime == "2":
+            resolutions.append(
+                f"class 2beta={key}: empirical max rho = {record.max_rho:.12g} matches the "
+                f"hub-family quotient threshold {record.bound:.12g}; {predictions[key].notes[0]}"
+            )
+    if theorem == "t33" and resolutions:
+        resolutions.append("bound constant for the clique-union regimes resolves to 2beta*-1")
 
     labeled = 1 << (n * (n - 1) // 2)
     return VerificationReport(
         theorem,
         n,
-        _CONNECTED_THEOREMS[theorem],
+        THEOREMS[theorem].connected,
         labeled,
         connected_count,
         tuple(records),
@@ -794,7 +772,7 @@ def verify_tie_class_n8(samples: int = 4000, seed: int = 2024) -> TieCaseReport:
     if samples < 0:
         raise GraphError(f"samples must be non-negative, got {samples}")
     n, d = 8, 5
-    pred = _predict("t33", n, d)
+    pred = predict("t33", n, d)
     predicted_rho = tuple(spectral_radius(g).value for g in pred.extremal_graphs)
     violations = [
         f"predicted graph {to_graph6(g)} has rho {r:.12g}, bound {pred.bound:.12g}"

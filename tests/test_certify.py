@@ -23,8 +23,8 @@ from specmatch import (
     union,
     verify_certificates,
 )
-from specmatch.certify import beta_star_increment_case, certificate_table, fpm_threshold, pm_threshold
-from specmatch.extremal import rho_join_formula, theta_cubic, theta_n
+from specmatch.certify import certificate_table, fpm_threshold, pm_threshold
+from specmatch.extremal import _t32_regime, rho_join_formula, theta_cubic, theta_n
 from conftest import random_connected_graph
 
 
@@ -136,18 +136,16 @@ class TestBetaStarIncrement:
             cert_beta_star_increment(complete(5), HalfIntegral(5))
 
     def test_case_selection_matches_structure(self):
-        # even targets above (n+3)/3 need n >= 11 and use the cubic
-        tag, _ = beta_star_increment_case(11, 10)
-        assert tag == "cubic-even"
-        tag, _ = beta_star_increment_case(8, 7)
-        assert tag == "cubic-odd"
-        tag, _ = beta_star_increment_case(7, 5)
-        assert tag == "join"
+        # the threshold is the t32 bound at 2*beta_star = k: even targets above
+        # (n+3)/3 need n >= 11 and use the cubic (regime ii), as odd ones do
+        assert _t32_regime(11, 10)[0] == "ii"
+        assert _t32_regime(8, 7)[0] == "ii"
+        assert _t32_regime(7, 5)[0] == "iii"  # the split join
 
     def test_cases_cover_all_valid_targets(self):
         for n in range(3, 40):
             for k in range(1, n):
-                assert beta_star_increment_case(n, k) is not None, (n, k)
+                assert _t32_regime(n, k)[0] in ("ii", "iii"), (n, k)
 
 
 class TestBetaIncrement:
@@ -257,10 +255,10 @@ class TestCertifyAll:
                 for k in range(1, n):
                     if k % 2 != parity:
                         continue
-                    case = beta_star_increment_case(n, k)
-                    if case is None or case[0] != "join":
+                    regime, bound, _, _ = _t32_regime(n, k)
+                    if regime != "iii":
                         continue
-                    fired_ks.append((k, rho > case[1] + GUARD))
+                    fired_ks.append((k, rho > bound + GUARD))
                 for (k1, f1), (k2, f2) in zip(fired_ks, fired_ks[1:]):
                     if f2:
                         assert f1, (n, k1, k2)
@@ -275,9 +273,6 @@ class TestExtremalTightnessSweep:
         for n in range(4, 13):
             for d in range(2, n):
                 pred = predicted_maximizer_connected(n, HalfIntegral(d))
-                case = beta_star_increment_case(n, d)
-                if case is None:
-                    continue
                 for g in pred.extremal_graphs:
                     rec = cert_beta_star_increment(g, HalfIntegral(d))
                     if not rec.applicable:

@@ -119,8 +119,8 @@ class TestVerifyCommands:
 
     def test_verify_injected_bound_failure_exit3(self, capsys, monkeypatch):
         # every class bound lowered by 0.5
-        predict = verify._predict
-        monkeypatch.setattr(verify, "_predict", lambda *a: dataclasses.replace(predict(*a), bound=predict(*a).bound - 0.5))
+        predict = verify.predict
+        monkeypatch.setattr(verify, "predict", lambda *a: dataclasses.replace(predict(*a), bound=predict(*a).bound - 0.5))
         code, out, _ = run_cli(capsys, "verify", "--theorem", "t33", "--n", "4")
         assert code == 3
         assert "DISCREPANCY" in out

@@ -26,7 +26,7 @@ from specmatch import (
     theta_n,
     union,
 )
-from specmatch.extremal import quotient_cubic_matches_family
+from specmatch.extremal import predict, quotient_cubic_matches_family
 
 
 def valid_specs(max_n):
@@ -255,6 +255,13 @@ class TestMatchingBounds:
             for b in range(1, n // 2 + 1):
                 assert matching_bound_general(n, b).regime in ("1", "2", "3", "4")
                 assert matching_bound_connected(n, b).regime in ("1", "2", "3")
+
+    def test_predict_rejects_an_odd_matching_key(self):
+        # t12 and t13 key their classes by 2*beta; the views pass it even
+        for theorem in ("t12", "t13"):
+            with pytest.raises(ValueError, match=r"^2\*beta = 3 is odd$"):
+                predict(theorem, 8, 3)
+            assert predict(theorem, 8, 4) == (matching_bound_general if theorem == "t12" else matching_bound_connected)(8, 2)
 
 
 class TestStrictnessInsideFamily:

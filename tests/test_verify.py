@@ -69,8 +69,8 @@ def _full_rho_candidates(n, lo, hi, theorem, bounds):
     """What ``_theorem_chunk`` returns, computed from rho on every graph of the chunk table."""
     connected, _, _, beta, bsd, rows, _ = verify._batch_arrays(n, lo, hi)
     rho = verify._rho_column(rows, n)
-    keys = bsd if theorem in ("t32", "t33") else 2 * beta
-    if verify._CONNECTED_THEOREMS[theorem]:
+    keys = bsd if verify.THEOREMS[theorem].fractional else 2 * beta
+    if verify.THEOREMS[theorem].connected:
         keys = np.where(connected, keys, -1)
     sizes, candidates = {}, {}
     for key in np.unique(keys[keys >= 0]).tolist():
@@ -84,9 +84,9 @@ def _full_rho_candidates(n, lo, hi, theorem, bounds):
 def _screened_chunks(theorem, lower=0.0):
     """(chunk, pruned output, full-rho output) on every chunk at n <= 6 and
     on the first and a middle chunk at n = 7, each class bound lowered by lower."""
-    step = 1 if theorem in ("t32", "t33") else 2  # the classes: 2*beta_star, or 2*beta
+    step = 1 if verify.THEOREMS[theorem].fractional else 2  # the classes: 2*beta_star, or 2*beta
     for n in range(1, 8):
-        bounds = {key: verify._predict(theorem, n, key).bound - lower for key in range(0, n + 1, step)}
+        bounds = {key: verify.predict(theorem, n, key).bound - lower for key in range(0, n + 1, step)}
         chunks = verify._chunk_ranges(n)
         for lo, hi in chunks if n < 7 else (chunks[0], chunks[len(chunks) // 2]):
             pruned = verify._theorem_chunk((n, lo, hi, None, theorem, bounds))
@@ -315,8 +315,8 @@ class TestTheoremSweeps:
 
     def test_bound_offset_detects_failures(self, monkeypatch):
         # every class bound lowered by 0.5
-        predict = verify._predict
-        monkeypatch.setattr(verify, "_predict", lambda *a: dataclasses.replace(predict(*a), bound=predict(*a).bound - 0.5))
+        predict = verify.predict
+        monkeypatch.setattr(verify, "predict", lambda *a: dataclasses.replace(predict(*a), bound=predict(*a).bound - 0.5))
         rep = verify_theorem("t33", 4)
         assert not rep.passed
         assert rep.discrepancies
@@ -711,13 +711,13 @@ class TestTieClass:
 
     def test_a_lowered_bound_fails(self, monkeypatch):
         # the (t33, 8, 5) bound lowered by 0.5: the clique union and its class now exceed it
-        real = verify.predicted_maximizer_general
+        real = verify.predict
 
-        def lowered(n, beta_star):
-            pred = real(n, beta_star)
-            return dataclasses.replace(pred, bound=pred.bound - 0.5) if (n, beta_star.doubled) == (8, 5) else pred
+        def lowered(theorem, n, d):
+            pred = real(theorem, n, d)
+            return dataclasses.replace(pred, bound=pred.bound - 0.5) if (theorem, n, d) == ("t33", 8, 5) else pred
 
-        monkeypatch.setattr(verify, "predicted_maximizer_general", lowered)
+        monkeypatch.setattr(verify, "predict", lowered)
         rep = verify_tie_class_n8(samples=0)
         assert rep.bound == 3.5 and not rep.passed
         # the theorem sweep's wording: K_5 u 3K_1 on vertices 0..4 is the smallest mask at rho 4
