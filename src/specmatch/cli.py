@@ -139,7 +139,12 @@ def _cmd_extremal(args) -> int:
     if args.s is not None:
         g = build_extremal(ExtremalSpec(args.n, beta_star, args.s))
     else:
-        g = predicted_maximizer_connected(args.n, beta_star).extremal_graphs[0]
+        pred = predicted_maximizer_connected(args.n, beta_star)
+        if not pred.bound_is_attained:
+            raise ValueError(
+                f"no graph in the class (connected, n = {args.n}, beta_star = {beta_star}) attains the bound"
+            )
+        g = pred.extremal_graphs[pred.in_class.index(True)]
     print(to_graph6(g))
     return EXIT_OK
 
@@ -173,8 +178,8 @@ def _cmd_threshold(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if not args.theorem and (args.connected or args.out or args.long_run):
-        raise _UsageError("--connected, --out and --long-run apply to --theorem only")
+    if not args.theorem and (args.out or args.long_run):
+        raise _UsageError("--out and --long-run apply to --theorem only")
     if args.certificates:
         report = verify_certificates(args.n, jobs=args.jobs)
         print(f"connected graphs examined: {report.connected_examined}")
@@ -194,11 +199,6 @@ def _cmd_verify(args) -> int:
             print(f"VIOLATION {v}")
         print("result: " + ("PASS" if report.passed else "FAIL"))
         return EXIT_OK if report.passed else EXIT_VERIFY
-    if args.connected and not THEOREMS[args.theorem].connected:
-        raise _UsageError(
-            f"--connected contradicts {args.theorem}, which quantifies over all graphs; "
-            "use t32/t13 for the connected classes"
-        )
     report = verify_theorem(args.theorem, args.n, jobs=args.jobs, long_run=args.long_run)
     print(
         f"{report.theorem} n={report.n}: {report.labeled_examined} labeled graphs, "
@@ -284,11 +284,6 @@ def _build_parser() -> _Parser:
     mode.add_argument("--certificates", action="store_true")
     mode.add_argument("--audit", action="store_true")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument(
-        "--connected",
-        action="store_true",
-        help="restrict to connected graphs (implied by t32/t13; rejected for t33/t12)",
-    )
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="write the CSV report here")
     p.add_argument("--long-run", action="store_true")

@@ -6,8 +6,8 @@ with b the fractional matching number and t = n + s - 2b, maximises the
 spectral radius at fixed b.  ``THEOREMS`` holds what a theorem is: whether
 its classes are keyed by d = 2*beta_star (t32, t33) or d = 2*beta (t12,
 t13), whether only connected graphs count (t32, t13), and its rule, which
-gives a class's regime, bound, extremal shapes (s, c) and whether the bound
-is attained inside the class, with no graph built.  ``predict`` builds the
+gives a class's regime, bound and extremal shapes (s, c), each marked with
+whether it lies in the class, with no graph built.  ``predict`` builds the
 shapes and adds notes; ``predicted_maximizer_*`` and ``matching_bound_*``
 are its views by theorem.
 """
@@ -15,7 +15,7 @@ are its views by theorem.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 from .graphs import Graph, complete, empty, join, to_graph6, union
@@ -119,8 +119,12 @@ class RegimePrediction:
     regime: str
     bound: float
     extremal_graphs: tuple[Graph, ...]
-    bound_is_attained: bool
+    in_class: tuple[bool, ...]  # per extremal graph: does it lie in the class
     notes: tuple[str, ...] = ()
+
+    @property
+    def bound_is_attained(self) -> bool:
+        return any(self.in_class)
 
     def serialize(self) -> str:
         codes = ",".join(to_graph6(g) for g in self.extremal_graphs)
@@ -138,54 +142,54 @@ def _check_class_args(n: int, d: int, fractional: bool) -> None:
         raise ValueError(f"2*beta = {d} is odd")
 
 
-# One class of a theorem, graph-free: its regime, its bound, the (s, c) of
-# each extremal graph K_s v (K_c u (n-s-c)K_1) in report order, and whether
-# one of them lies in the class.  (0, n) is K_n, (1, c) the hub, (0, c) the
+# One class of a theorem, graph-free: its regime, its bound, and the (s, c) of
+# each extremal graph K_s v (K_c u (n-s-c)K_1) in report order, with whether
+# that graph lies in the class.  (0, n) is K_n, (1, c) the hub, (0, c) the
 # clique union and (d // 2, 0) the split join.
-ClassRule = tuple[str, float, list[tuple[int, int]], bool]
+ClassRule = tuple[str, float, list[tuple[int, int, bool]]]
 
 
 def _t32_regime(n: int, d: int) -> ClassRule:
     """t32's connected class 2*beta_star = d; builds no graph."""
     if d == n:
-        return "i", float(n - 1), [(0, n)], n != 1  # K_1 has 2*beta_star 0
+        return "i", float(n - 1), [(0, n, n != 1)]  # K_1 has 2*beta_star 0
     if n < 3 * ((d + 1) // 2) - 3:
-        return "ii", theta_cubic(n, HalfIntegral(d)), [(1, d - 2)], True
+        return "ii", theta_cubic(n, HalfIntegral(d)), [(1, d - 2, True)]
     # the split join has 2*beta_star d - 1 at odd d; at d = 0 it is edgeless, so disconnected unless n = 1
-    return "iii", rho_join_formula(n, d // 2), [(d // 2, 0)], d % 2 == 0 and (d >= 2 or n == 1)
+    return "iii", rho_join_formula(n, d // 2), [(d // 2, 0, d % 2 == 0 and (d >= 2 or n == 1))]
 
 
 def _t33_regime(n: int, d: int) -> ClassRule:
     """t33's class 2*beta_star = d; builds no graph."""
     if d == n:
-        return "1", float(n - 1), [(0, n)], n != 1
+        return "1", float(n - 1), [(0, n, n != 1)]
     pivot = 3 * ((d + 1) // 2) - 1
     if n < pivot:
-        return "2", float(d - 1), [(0, d)], d != 1  # K_1 u tK_1 is edgeless
+        return "2", float(d - 1), [(0, d, d != 1)]  # K_1 u tK_1 is edgeless
     if n == pivot:
-        return "3", float(d - 1), [(d // 2, 0), (0, d)], d != 1
-    return "4", rho_join_formula(n, d // 2), [(d // 2, 0)], d % 2 == 0
+        return "3", float(d - 1), [(d // 2, 0, d % 2 == 0), (0, d, d != 1)]
+    return "4", rho_join_formula(n, d // 2), [(d // 2, 0, d % 2 == 0)]
 
 
 def _t12_regime(n: int, d: int) -> ClassRule:
     """t12's class 2*beta = d; builds no graph."""
     if n <= d + 1:
-        return "1", float(n - 1), [(0, n)], True
+        return "1", float(n - 1), [(0, n, True)]
     pivot = 3 * d // 2 + 2
     if n < pivot:
-        return "2", float(d), [(0, d + 1)], True
+        return "2", float(d), [(0, d + 1, True)]
     if n == pivot:
-        return "3", float(d), [(d // 2, 0), (0, d + 1)], True
-    return "4", rho_join_formula(n, d // 2), [(d // 2, 0)], True
+        return "3", float(d), [(d // 2, 0, True), (0, d + 1, True)]
+    return "4", rho_join_formula(n, d // 2), [(d // 2, 0, True)]
 
 
 def _t13_regime(n: int, d: int) -> ClassRule:
     """t13's connected class 2*beta = d; builds no graph."""
     if n <= d + 1:
-        return "1", float(n - 1), [(0, n)], True
+        return "1", float(n - 1), [(0, n, True)]
     if n <= 3 * d // 2 - 1:  # the hub family's quotient cubic
-        return "2", theta_cubic(n, HalfIntegral(d + 1)), [(1, d - 1)], True
-    return "3", rho_join_formula(n, d // 2), [(d // 2, 0)], True
+        return "2", theta_cubic(n, HalfIntegral(d + 1)), [(1, d - 1, True)]
+    return "3", rho_join_formula(n, d // 2), [(d // 2, 0, d >= 2 or n == 1)]
 
 
 class Theorem(NamedTuple):
@@ -202,8 +206,14 @@ THEOREMS = {
 }
 
 
-def _notes(theorem: str, regime: str, n: int, d: int, bound: float, attained: bool) -> tuple[str, ...]:
-    if regime in ("iii", "4") and not attained:
+def _notes(theorem: str, n: int, d: int, pred: RegimePrediction) -> tuple[str, ...]:
+    regime = pred.regime
+    if not pred.bound_is_attained and (regime in ("iii", "4") or (theorem, regime) == ("t13", "3")):
+        if d == 0:  # t32 and t13 on n >= 2 vertices, which count connected graphs only
+            return (
+                "bound is strict: the split join is the edgeless graph, which is disconnected, "
+                "so no graph in the class attains it",
+            )
         return (
             "bound is strict: the split join has fractional matching number "
             f"{d // 2}, below {HalfIntegral(d)}, so no graph in the class attains it",
@@ -222,20 +232,25 @@ def _notes(theorem: str, regime: str, n: int, d: int, bound: float, attained: bo
         literal = largest_real_root((1, 0, 3 - d - n, (d - 2) * (n - d)))
         return (
             f"stated cubic read literally has largest root {literal:.12g}; "
-            f"the hub-family quotient gives {bound:.12g}, which is used",
+            f"the hub-family quotient gives {pred.bound:.12g}, which is used",
         )
     return ()
 
 
 def predict(theorem: str, n: int, d: int) -> RegimePrediction:
     """Sharp spectral-radius bound of a theorem's class with key d on n
-    vertices (``THEOREMS``), with the class's extremal graphs, whether one
-    of them lies in the class, and notes."""
+    vertices (``THEOREMS``), with the class's extremal graphs, which of
+    them lie in the class, and notes."""
     entry = THEOREMS[theorem]
     _check_class_args(n, d, entry.fractional)
-    regime, bound, shapes, attained = entry.rule(n, d)
-    graphs = tuple(dict.fromkeys(_shape(n, s, c) for s, c in shapes))
-    return RegimePrediction(regime, bound, graphs, attained, _notes(theorem, regime, n, d, bound, attained))
+    regime, bound, shapes = entry.rule(n, d)
+    # two shapes may build one graph (t33 at d = 1 and t12 at d = 0, both at
+    # n = 2); it keeps its first place and its membership
+    members: dict[Graph, bool] = {}
+    for s, c, member in shapes:
+        members.setdefault(_shape(n, s, c), member)
+    pred = RegimePrediction(regime, bound, tuple(members), tuple(members.values()))
+    return replace(pred, notes=_notes(theorem, n, d, pred))
 
 
 def predicted_maximizer_connected(n: int, beta_star: HalfIntegral) -> RegimePrediction:

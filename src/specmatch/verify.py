@@ -33,9 +33,8 @@ import numpy as np
 from .certify import _guarantee_holds, certificate_table, certify_all, decide
 from .extremal import (
     THEOREMS,
-    ExtremalSpec,
     RegimePrediction,
-    build_extremal,
+    _shape,
     predict,
 )
 from .graphs import (
@@ -57,8 +56,6 @@ from .matching import (
     _fractional_matching_from,
     _odd_cycles,
     _wrc_rules,
-    fractional_matching_number,
-    matching_number,
 )
 from .spectral import spectral_radius
 
@@ -264,7 +261,6 @@ class ClassRecord:
 class VerificationReport:
     theorem: str
     n: int
-    connected_only: bool
     labeled_examined: int
     connected_count: int
     classes: tuple[ClassRecord, ...]
@@ -333,14 +329,13 @@ def _theorem_chunk(args: tuple) -> tuple:
 
 
 def _check_class(theorem: str, n: int, key: int, pred: RegimePrediction, cands: list[tuple[float, int]]) -> tuple:
-    """The record of one class from its candidates (``_theorem_chunk``), which
-    predicted graphs lie in the class, and the discrepancies: the class
-    maximum against the bound; every candidate at the bound confirmed by
-    ``spectral_radius`` and matched by isomorphism to a predicted graph of
-    the class, each of which must attain it; with no predicted graph in the
-    class, nothing may reach the bound."""
-    fractional = THEOREMS[theorem].fractional
-    label = "2beta*" if fractional else "2beta"
+    """The record of one class from its candidates (``_theorem_chunk``), and
+    the discrepancies: the class maximum against the bound; every candidate
+    at the bound confirmed by ``spectral_radius`` and matched by isomorphism
+    to a predicted graph that lies in the class (``pred.in_class``), each of
+    which must attain it; with none in the class, nothing may reach the
+    bound."""
+    label = "2beta*" if THEOREMS[theorem].fractional else "2beta"
     pairs = pairs_colex(n)
     discrepancies: list[str] = []
     max_rho = max(r for r, _ in cands)
@@ -353,48 +348,32 @@ def _check_class(theorem: str, n: int, key: int, pred: RegimePrediction, cands: 
     maximizer_masks = sorted(mk for r, mk in cands if r >= max_rho - RHO_TOL)
     argmax_g6 = to_graph6(_graph_from_mask(n, maximizer_masks[0], pairs))
 
-    # predicted graphs that genuinely belong to this class
-    members = tuple(
-        (not THEOREMS[theorem].connected or is_connected(pg))
-        and (fractional_matching_number(pg).doubled if fractional else 2 * matching_number(pg).size) == key
-        for pg in pred.extremal_graphs
-    )
-    in_class = [pg for pg, member in zip(pred.extremal_graphs, members) if member]
-
-    at_bound = sorted((mk, r) for r, mk in cands if r >= pred.bound - RHO_TOL)
+    members = [pg for pg, member in zip(pred.extremal_graphs, pred.in_class) if member]
+    unhit = set(range(len(members)))
     argmax_matches = True
-    if in_class:
-        hit = [False] * len(in_class)
-        for mk, screened in at_bound:
-            cand = _graph_from_mask(n, mk, pairs)
-            # confirm the batched screen with the residual-checked spectral_radius
-            rho = spectral_radius(cand).value
-            if abs(rho - screened) > 1e-6:
-                discrepancies.append(
-                    f"class {label}={key}: batched screen and spectral_radius disagree on {to_graph6(cand)}"
-                )
-            matched = False
-            for idx, pg in enumerate(in_class):
-                if is_isomorphic(cand, pg):
-                    hit[idx] = True
-                    matched = True
-                    break
-            if not matched:
-                argmax_matches = False
-                discrepancies.append(
-                    f"class {label}={key}: graph {to_graph6(cand)} attains the bound but is not a predicted extremal graph"
-                )
-        for idx, pg in enumerate(in_class):
-            if not hit[idx]:
-                argmax_matches = False
-                discrepancies.append(
-                    f"class {label}={key}: predicted extremal graph {to_graph6(pg)} does not attain the class maximum"
-                )
-    elif at_bound:
-        # the bound is strict for this class; nothing may reach it
+    for mk, screened in sorted((mk, r) for r, mk in cands if r >= pred.bound - RHO_TOL):
+        cand = _graph_from_mask(n, mk, pairs)
+        # confirm the batched screen with the residual-checked spectral_radius
+        if abs(spectral_radius(cand).value - screened) > 1e-6:
+            discrepancies.append(
+                f"class {label}={key}: batched screen and spectral_radius disagree on {to_graph6(cand)}"
+            )
+        idx = next((i for i, pg in enumerate(members) if is_isomorphic(cand, pg)), None)
+        if idx is not None:
+            unhit.discard(idx)
+            continue
         argmax_matches = False
-        cand = _graph_from_mask(n, at_bound[0][0], pairs)
-        discrepancies.append(f"class {label}={key}: bound expected strict but {to_graph6(cand)} attains it")
+        if members:
+            discrepancies.append(
+                f"class {label}={key}: graph {to_graph6(cand)} attains the bound but is not a predicted extremal graph"
+            )
+        else:  # the bound is strict for this class
+            discrepancies.append(f"class {label}={key}: bound expected strict but {to_graph6(cand)} attains it")
+    for idx in sorted(unhit):
+        argmax_matches = False
+        discrepancies.append(
+            f"class {label}={key}: predicted extremal graph {to_graph6(members[idx])} does not attain the class maximum"
+        )
     record = ClassRecord(
         n,
         key,
@@ -407,7 +386,7 @@ def _check_class(theorem: str, n: int, key: int, pred: RegimePrediction, cands: 
         bound_holds,
         argmax_matches,
     )
-    return record, members, discrepancies
+    return record, discrepancies
 
 
 def verify_theorem(theorem: str, n: int, jobs: int = 1, long_run: bool = False) -> VerificationReport:
@@ -437,7 +416,7 @@ def verify_theorem(theorem: str, n: int, jobs: int = 1, long_run: bool = False) 
     discrepancies: list[str] = []
     resolutions: list[str] = []
     for key in sorted(merged):
-        record, _, found = _check_class(theorem, n, key, predictions[key], merged[key])
+        record, found = _check_class(theorem, n, key, predictions[key], merged[key])
         records.append(record)
         discrepancies += found
         # the sweeps resolve two stated bounds: t33's clique-union constant and t13's cubic
@@ -458,7 +437,6 @@ def verify_theorem(theorem: str, n: int, jobs: int = 1, long_run: bool = False) 
     return VerificationReport(
         theorem,
         n,
-        THEOREMS[theorem].connected,
         labeled,
         connected_count,
         tuple(records),
@@ -779,13 +757,13 @@ def verify_tie_class_n8(samples: int = 4000, seed: int = 2024) -> TieCaseReport:
         for g, r in zip(pred.extremal_graphs, predicted_rho)
         if abs(r - pred.bound) > RHO_TOL
     ]
-    shapes = [build_extremal(ExtremalSpec(n, HalfIntegral(d), s)) for s in (0, 1)]
+    shapes = [_shape(n, s, d - 2 * s) for s in (0, 1)]
     masks = np.concatenate([*map(_subset_masks, shapes), _random_masks(n, samples, seed, 0.1, 0.5)])
     checked, cands = 0, []
     for _, sizes, candidates in _sweep(_theorem_chunk, n, 1, masks, "t33", {d: pred.bound}):
         checked += sizes.get(d, 0)
         cands += candidates.get(d, [])
-    record, in_class, found = _check_class("t33", n, d, pred, cands)
+    record, found = _check_class("t33", n, d, pred, cands)
     notes = (
         *pred.notes,
         "class maximum equals 2beta*-1 = 4, attained only by the clique union; "
@@ -795,7 +773,7 @@ def verify_tie_class_n8(samples: int = 4000, seed: int = 2024) -> TieCaseReport:
         pred.bound,
         tuple(to_graph6(g) for g in pred.extremal_graphs),
         predicted_rho,
-        in_class,
+        pred.in_class,
         checked,
         record.max_rho,
         record.argmax_matches,

@@ -255,7 +255,7 @@ class TestCertifyAll:
                 for k in range(1, n):
                     if k % 2 != parity:
                         continue
-                    regime, bound, _, _ = _t32_regime(n, k)
+                    regime, bound, _ = _t32_regime(n, k)
                     if regime != "iii":
                         continue
                     fired_ks.append((k, rho > bound + GUARD))

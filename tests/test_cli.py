@@ -9,7 +9,9 @@ import pytest
 
 from specmatch import (
     HalfIntegral,
+    fractional_matching_number,
     from_graph6,
+    is_connected,
     matching_bound_connected,
     matching_bound_general,
     predicted_maximizer_connected,
@@ -56,6 +58,29 @@ class TestBasicCommands:
         assert code == 0
         expect = predicted_maximizer_connected(10, HalfIntegral(6)).extremal_graphs[0]
         assert out.strip() == to_graph6(expect)
+
+    @pytest.mark.parametrize("n, beta_star", [("6", "5/2"), ("3", "1/2"), ("8", "0"), ("1", "1/2")])
+    def test_extremal_default_refuses_a_strict_class(self, capsys, n, beta_star):
+        # no connected graph with this beta_star attains the bound: K_2 v 4K_1 has beta_star 2,
+        # the edgeless graph is disconnected, K_1 has beta_star 0
+        code, out, err = run_cli(capsys, "extremal", "--n", n, "--beta-star", beta_star)
+        assert (code, out) == (1, "")
+        assert err == f"input error: no graph in the class (connected, n = {n}, beta_star = {beta_star}) attains the bound\n"
+
+    def test_extremal_default_stays_in_its_class(self, capsys):
+        # every request with n < 40 prints a connected graph of the class, or is refused where the bound is strict
+        refused = 0
+        for n in range(1, 40):
+            for d in range(n + 1):
+                code, out, _ = run_cli(capsys, "extremal", "--n", str(n), "--beta-star", f"{d}/2")
+                pred = predicted_maximizer_connected(n, HalfIntegral(d))
+                if code:
+                    assert code == 1 and not pred.bound_is_attained
+                    refused += 1
+                    continue
+                g = from_graph6(out.strip())
+                assert is_connected(g) and fractional_matching_number(g).doubled == d, (n, d)
+        assert refused == 323
 
     def test_rho_graph6(self, capsys):
         code, out, _ = run_cli(capsys, "rho", "--graph6", "Bw")
@@ -148,10 +173,10 @@ class TestVerifyCommands:
         assert code == 2 and "samples >= 1" in err and "PASS" not in out
 
     def test_connected_flag_consistency(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "--theorem", "t33", "--n", "4", "--connected")
-        assert code == 1 and "--connected contradicts" in err
-        code, out, _ = run_cli(capsys, "verify", "--theorem", "t32", "--n", "4", "--connected")
-        assert code == 0 and "result: PASS" in out
+        # connectivity belongs to the theorem (t32/t13), so verify has no --connected
+        for theorem in ("t33", "t32"):
+            code, out, err = run_cli(capsys, "verify", "--theorem", theorem, "--n", "4", "--connected")
+            assert (code, out) == (1, "") and err == "usage error: unrecognized arguments: --connected\n"
 
     @pytest.mark.parametrize(
         "argv",

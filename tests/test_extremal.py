@@ -26,7 +26,8 @@ from specmatch import (
     theta_n,
     union,
 )
-from specmatch.extremal import predict, quotient_cubic_matches_family
+from specmatch.extremal import THEOREMS, predict, quotient_cubic_matches_family
+from specmatch.verify import oracle_beta, oracle_beta_star
 
 
 def valid_specs(max_n):
@@ -262,6 +263,63 @@ class TestMatchingBounds:
             with pytest.raises(ValueError, match=r"^2\*beta = 3 is odd$"):
                 predict(theorem, 8, 3)
             assert predict(theorem, 8, 4) == (matching_bound_general if theorem == "t12" else matching_bound_connected)(8, 2)
+
+
+def _classify(theorem, g, oracle):
+    """The class key of g under a theorem, or None when g lies in no class (a
+    disconnected graph under t32/t13), from the oracles or the kernels."""
+    entry = THEOREMS[theorem]
+    if entry.connected and not is_connected(g):
+        return None
+    if entry.fractional:
+        return oracle_beta_star(g).doubled if oracle else fractional_matching_number(g).doubled
+    return 2 * (oracle_beta(g) if oracle else matching_number(g).size)
+
+
+class TestMembership:
+    # in_class must equal the classification both ways: a shape marked in
+    # the class has the class key (and is connected where that counts), and
+    # a shape with them is marked in the class; every key, 0 included
+
+    @pytest.mark.parametrize("theorem", list(THEOREMS))
+    @pytest.mark.parametrize("oracle, max_n", [(True, 10), (False, 40)])
+    def test_in_class_equals_the_classification(self, theorem, oracle, max_n):
+        step = 1 if THEOREMS[theorem].fractional else 2
+        for n in range(1, max_n + 1):
+            for d in range(0, n + 1, step):
+                pred = predict(theorem, n, d)
+                truth = tuple(_classify(theorem, g, oracle) == d for g in pred.extremal_graphs)
+                assert pred.in_class == truth, (theorem, n, d)
+                assert pred.bound_is_attained == any(truth)
+
+    def test_connected_key_zero_is_strict(self):
+        # beta = 0 or beta_star = 0 leaves only the edgeless graph, disconnected for n >= 2
+        note = (
+            "bound is strict: the split join is the edgeless graph, which is disconnected, "
+            "so no graph in the class attains it"
+        )
+        for n in range(2, 12):
+            for pred in (matching_bound_connected(n, 0), predicted_maximizer_connected(n, HalfIntegral(0))):
+                assert (pred.extremal_graphs, pred.in_class, pred.notes) == ((empty(n),), (False,), (note,))
+            assert matching_bound_general(n, 0).in_class == (True,)
+        # K_1 is connected
+        assert matching_bound_connected(1, 0).in_class == (True,)
+        assert predicted_maximizer_connected(1, HalfIntegral(0)).in_class == (True,)
+
+    def test_odd_key_strict_note(self):
+        pred = predicted_maximizer_connected(6, HalfIntegral(5))
+        assert pred.in_class == (False,)
+        assert pred.notes == (
+            "bound is strict: the split join has fractional matching number 2, below 5/2, so no graph in the class attains it",
+        )
+
+    def test_one_membership_per_graph(self):
+        # two shapes build the same graph at n = 2; it keeps one entry and its membership
+        for theorem, d, member in [("t33", 1, False), ("t12", 0, True)]:
+            pred = predict(theorem, 2, d)
+            assert (pred.extremal_graphs, pred.in_class) == ((empty(2),), (member,))
+        tie = predicted_maximizer_general(8, HalfIntegral(5))
+        assert tie.in_class == (False, True) and tie.bound_is_attained
 
 
 class TestStrictnessInsideFamily:

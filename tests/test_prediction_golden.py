@@ -2,8 +2,8 @@
 
 For each theorem the digest covers, at every order 0 <= n <= 60 and every
 class key from one below the range to one past it, either the prediction
-(regime, repr of the bound, the extremal graphs' rows, bound_is_attained
-and the notes) or the exact text of the error it raises: n = 0, a negative
+(regime, repr of the bound, the extremal graphs' rows, in_class,
+bound_is_attained and the notes) or the exact text of the error it raises: n = 0, a negative
 key, and 2*beta_star = n + 1 or, for t12 and t13, 2*beta = n + 1 or n + 2.
 Rewrite the stored digests, only after a deliberate change of prediction,
 with
@@ -48,7 +48,7 @@ def prediction_lines(theorem: str, n: int) -> str:
             out.append(f"n={n} key={key}: error {exc}\n")
             continue
         rows = ";".join(str(g.rows) for g in p.extremal_graphs)
-        out.append(f"n={n} key={key}: {p.regime} {p.bound!r} {rows} {p.bound_is_attained} {p.notes}\n")
+        out.append(f"n={n} key={key}: {p.regime} {p.bound!r} {rows} {p.in_class} {p.bound_is_attained} {p.notes}\n")
     return "".join(out)
 
 

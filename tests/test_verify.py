@@ -337,6 +337,68 @@ class TestTheoremSweeps:
         assert verify_theorem(theorem, int(n)).to_csv() == GOLDEN_CSV[key]
 
 
+class TestClassCheckTexts:
+    # each fault injected through verify.predict or verify.spectral_radius
+    # is reported with these exact lines, and the report fails
+
+    @staticmethod
+    def _run(monkeypatch, theorem, n, key, changes):
+        real = verify.predict
+
+        def faulty(th, nn, d):
+            pred = real(th, nn, d)
+            return dataclasses.replace(pred, **changes(pred)) if (th, d) == (theorem, key) else pred
+
+        monkeypatch.setattr(verify, "predict", faulty)
+        rep = verify_theorem(theorem, n)
+        assert not rep.passed
+        return rep.discrepancies
+
+    def test_a_lowered_bound(self, monkeypatch):
+        # K_4's class bound 3 lowered to 2.5: K_4 still matches, the six diamonds reach the bound
+        lines = self._run(monkeypatch, "t32", 4, 4, changes=lambda p: {"bound": p.bound - 0.5})
+        assert lines == (
+            "class 2beta*=4: max rho 3 exceeds bound 2.5 at C~",
+            *(f"class 2beta*=4: graph {g6} attains the bound but is not a predicted extremal graph" for g6 in ("C}", "C|", "Cz", "Cv", "Cn", "C^")),
+        )
+
+    def test_an_in_class_shape_marked_outside(self, monkeypatch):
+        lines = self._run(monkeypatch, "t32", 4, 4, changes=lambda p: {"in_class": (False,)})
+        assert lines == ("class 2beta*=4: bound expected strict but C~ attains it",)
+
+    def test_every_graph_at_a_strict_bound_is_reported(self, monkeypatch):
+        # the star's four labelings, not only the first
+        lines = self._run(monkeypatch, "t32", 4, 2, changes=lambda p: {"in_class": (False,)})
+        assert lines == tuple(f"class 2beta*=2: bound expected strict but {g6} attains it" for g6 in ("Cs", "Ci", "CX", "CF"))
+
+    def test_an_outside_shape_marked_in_class(self, monkeypatch):
+        # the n = 5 tie: the star K_1 v 4K_1 has 2beta* = 2, so no graph of class 3 is isomorphic to it
+        pred = verify.predict("t33", 5, 3)
+        assert pred.in_class == (False, True)
+        lines = self._run(monkeypatch, "t33", 5, 3, changes=lambda p: {"in_class": (True, True)})
+        assert lines == ("class 2beta*=3: predicted extremal graph Ds_ does not attain the class maximum",)
+
+    def test_an_extra_shape_no_graph_attains(self, monkeypatch):
+        star = join(complete(1), empty(3))
+        lines = self._run(
+            monkeypatch, "t33", 4, 4,
+            changes=lambda p: {"extremal_graphs": p.extremal_graphs + (star,), "in_class": p.in_class + (True,)},
+        )
+        assert lines == ("class 2beta*=4: predicted extremal graph Cs does not attain the class maximum",)
+
+    def test_a_screen_disagreement(self, monkeypatch):
+        real = verify.spectral_radius
+
+        def off_on_k4(g, *args):
+            res = real(g, *args)
+            return dataclasses.replace(res, value=res.value + 1e-3) if g.edge_count() == 6 else res
+
+        monkeypatch.setattr(verify, "spectral_radius", off_on_k4)
+        rep = verify_theorem("t32", 4)
+        assert not rep.passed
+        assert rep.discrepancies == ("class 2beta*=4: batched screen and spectral_radius disagree on C~",)
+
+
 class TestCertificateSweep:
     def test_n4_sound_and_exact_fire_set(self):
         rep = verify_certificates(4)
