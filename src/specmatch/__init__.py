@@ -14,7 +14,6 @@ from .graphs import (
     from_graph6,
     induced_subgraph,
     is_connected,
-    is_isomorphic,
     join,
     max_degree,
     min_degree,

@@ -104,9 +104,12 @@ def _cmd_beta(args) -> int:
 
 def _cmd_beta_star(args) -> int:
     g = _read_graph(args)
-    print(str(fractional_matching_number(g)))
-    if args.witness:
-        sys.stdout.write(optimal_fractional_matching(g).to_text())
+    if args.witness:  # the witness carries beta* as its total
+        fm = optimal_fractional_matching(g)
+        print(str(fm.total))
+        sys.stdout.write(fm.to_text())
+    else:
+        print(str(fractional_matching_number(g)))
     return EXIT_OK
 
 
@@ -120,12 +123,11 @@ def _cmd_transversal(args) -> int:
 
 def _cmd_decompose(args) -> int:
     g = _read_graph(args)
-    bsd = fractional_matching_number(g)
-    if bsd.doubled < g.n:
-        print(f"error: no fractional perfect matching (beta* = {bsd}, n/2 = {g.n}/2)", file=sys.stderr)
+    fm = optimal_fractional_matching(g)
+    if fm.total.doubled < g.n:
+        print(f"error: no fractional perfect matching (beta* = {fm.total}, n/2 = {g.n}/2)", file=sys.stderr)
         return EXIT_COMPUTE
-    part = fpm_partition(g, optimal_fractional_matching(g))
-    sys.stdout.write(part.to_text())
+    sys.stdout.write(fpm_partition(g, fm).to_text())
     return EXIT_OK
 
 

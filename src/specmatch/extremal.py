@@ -208,7 +208,9 @@ THEOREMS = {
 
 def _notes(theorem: str, n: int, d: int, pred: RegimePrediction) -> tuple[str, ...]:
     regime = pred.regime
-    if not pred.bound_is_attained and (regime in ("iii", "4") or (theorem, regime) == ("t13", "3")):
+    # an empty class predicts one graph, the split join K_{d // 2} v (n - d // 2)K_1
+    # (at n = 1 and at t33's n = 2, d = 1 its shapes build it too)
+    if not pred.bound_is_attained:
         if d == 0:  # t32 and t13 on n >= 2 vertices, which count connected graphs only
             return (
                 "bound is strict: the split join is the edgeless graph, which is disconnected, "

@@ -12,7 +12,6 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 MAX_VERTICES = 2048
-ISO_CAP = 10
 # 0..MAX_VERTICES as one shared int object each (CPython caches only up to
 # 256): results a caller keeps, such as matching witnesses, refer to these
 # instead of holding ints of their own
@@ -238,79 +237,6 @@ def components(g: Graph) -> list[frozenset[int]]:
         out.append(frozenset(_bits(comp)))
         unseen &= ~comp
     return out
-
-
-# ---------------------------------------------------------------------------
-# isomorphism
-
-
-def _refine_colors(g1: Graph, g2: Graph) -> tuple[list[int], list[int]]:
-    # Joint colour refinement so class ids are comparable across both graphs.
-    n = g1.n
-    cols = [[g.degree(v) for v in range(n)] for g in (g1, g2)]
-    for _ in range(n):
-        table: dict[tuple, int] = {}
-        new = []
-        for g, col in zip((g1, g2), cols):
-            nc = []
-            for v in range(n):
-                sig = (col[v], tuple(sorted(col[u] for u in g.neighbors(v))))
-                nc.append(table.setdefault(sig, len(table)))
-            new.append(nc)
-        if new == cols:
-            break
-        cols = new
-    return cols[0], cols[1]
-
-
-def is_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Exact isomorphism test by pruned permutation search (n <= 10)."""
-    if g1.n != g2.n:
-        return False
-    n = g1.n
-    if n > ISO_CAP:
-        raise GraphError(f"isomorphism search capped at {ISO_CAP} vertices, got {n}")
-    if g1.edge_count() != g2.edge_count():
-        return False
-    if n == 0:
-        return True
-    if g1.degree_sequence() != g2.degree_sequence():
-        return False
-    c1, c2 = _refine_colors(g1, g2)
-    if sorted(c1) != sorted(c2):
-        return False
-
-    by_color: dict[int, list[int]] = {}
-    for w in range(n):
-        by_color.setdefault(c2[w], []).append(w)
-    # map rarest colour classes first
-    order = sorted(range(n), key=lambda v: (len(by_color.get(c1[v], ())), c1[v], v))
-    mapping = [-1] * n
-    used = [False] * n
-
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        for w in by_color.get(c1[v], ()):
-            if used[w]:
-                continue
-            ok = True
-            for j in range(i):
-                u = order[j]
-                if g1.has_edge(v, u) != g2.has_edge(w, mapping[u]):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if extend(i + 1):
-                    return True
-                used[w] = False
-                mapping[v] = -1
-        return False
-
-    return extend(0)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,18 @@ def graphs(draw, min_n=0, max_n=8):
     return Graph(n, picks)
 
 
+def isomorphic(g: Graph, h: Graph) -> bool:
+    """networkx's isomorphism test on two specmatch graphs."""
+    import networkx as nx
+
+    def to_nx(x: Graph) -> nx.Graph:
+        out = nx.Graph(list(x.edges()))
+        out.add_nodes_from(range(x.n))
+        return out
+
+    return nx.is_isomorphic(to_nx(g), to_nx(h))
+
+
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [(i, j) for j in range(1, n) for i in range(j) if rng.random() < p]
     return Graph(n, edges)

@@ -20,10 +20,11 @@ from specmatch import (
     to_graph6,
     Graph,
 )
-from specmatch import verify
+from specmatch import certify, verify
 from specmatch.certify import certificate_table
 from specmatch.extremal import rho_join_formula
 from specmatch.cli import _fmt, main
+from conftest import isomorphic
 
 
 def run_cli(capsys, *argv):
@@ -49,9 +50,9 @@ class TestBasicCommands:
         code, out, _ = run_cli(capsys, "extremal", "--n", "8", "--beta-star", "7/2", "--s", "1")
         assert code == 0
         g = from_graph6(out.strip())
-        from specmatch import complete, empty, is_isomorphic, join, union
+        from specmatch import complete, empty, join, union
 
-        assert is_isomorphic(g, join(complete(1), union(complete(5), empty(2))))
+        assert isomorphic(g, join(complete(1), union(complete(5), empty(2))))
 
     def test_extremal_default_s(self, capsys):
         code, out, _ = run_cli(capsys, "extremal", "--n", "10", "--beta-star", "3")
@@ -153,6 +154,13 @@ class TestVerifyCommands:
     def test_verify_certificates(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--certificates", "--n", "4")
         assert code == 0 and "result: PASS" in out
+
+    def test_verify_certificates_unsound_without_guard_exit3(self, capsys, monkeypatch):
+        # the float ties at n = 3 are reported as unsound, not raised
+        monkeypatch.setattr(certify, "GUARD", 0.0)
+        code, out, _ = run_cli(capsys, "verify", "--certificates", "--n", "3")
+        assert code == 3
+        assert "UNSOUND fpm-spectral on Bg" in out and "result: FAIL" in out
 
     def test_verify_audit(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--audit", "--n", "4")

@@ -3,7 +3,9 @@ from __future__ import annotations
 import cProfile
 import dataclasses
 import hashlib
+import itertools
 import json
+import math
 import multiprocessing
 import pstats
 import types
@@ -27,7 +29,6 @@ from specmatch import (
     enumerate_graphs,
     fractional_matching_number,
     is_connected,
-    is_isomorphic,
     join,
     matching_number,
     min_degree,
@@ -40,11 +41,13 @@ from specmatch import (
     verify_theorem,
     verify_tie_class_n8,
 )
-from specmatch import matching, verify
+from specmatch import certify, matching, verify
 from specmatch.certify import _guarantee_holds, certificate_table, decide
 from specmatch.cli import main
+from specmatch.extremal import THEOREMS, RegimePrediction, _shape, predict
 from specmatch.graphs import pairs_colex
 from specmatch.verify import AuditReport
+from conftest import isomorphic
 
 # every theorem CSV at n <= 6, byte for byte; a deliberate report change updates this file
 GOLDEN_CSV = json.loads((Path(__file__).parent / "golden" / "theorem_csv.json").read_text())
@@ -372,7 +375,7 @@ class TestClassCheckTexts:
         assert lines == tuple(f"class 2beta*=2: bound expected strict but {g6} attains it" for g6 in ("Cs", "Ci", "CX", "CF"))
 
     def test_an_outside_shape_marked_in_class(self, monkeypatch):
-        # the n = 5 tie: the star K_1 v 4K_1 has 2beta* = 2, so no graph of class 3 is isomorphic to it
+        # the n = 5 tie: the star K_1 v 4K_1 has 2beta* = 2, so no graph of class 3 shares its degree sequence
         pred = verify.predict("t33", 5, 3)
         assert pred.in_class == (False, True)
         lines = self._run(monkeypatch, "t33", 5, 3, changes=lambda p: {"in_class": (True, True)})
@@ -397,6 +400,98 @@ class TestClassCheckTexts:
         rep = verify_theorem("t32", 4)
         assert not rep.passed
         assert rep.discrepancies == ("class 2beta*=4: batched screen and spectral_radius disagree on C~",)
+
+
+def _is_threshold(g) -> bool:
+    """Deletes isolated and dominating vertices while it can; a threshold
+    graph is the one that ends empty."""
+    alive = (1 << g.n) - 1
+    while alive:
+        left = alive
+        for v in range(g.n):
+            bit = 1 << v
+            if alive & bit and g.rows[v] & alive in (0, alive ^ bit):
+                alive ^= bit
+        if alive == left:
+            return False
+    return True
+
+
+def _mask(g) -> int:
+    return sum(1 << i for i, (u, v) in enumerate(pairs_colex(g.n)) if g.has_edge(u, v))
+
+
+class TestShapeRecognition:
+    # _check_class recognises a predicted graph by its degree sequence, which
+    # is exact because every predicted graph is a threshold graph
+
+    def test_predicted_graphs_are_threshold(self):
+        assert _is_threshold(Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)]))
+        assert not _is_threshold(Graph(4, [(0, 1), (1, 2), (2, 3)]))  # P_4
+        for theorem, entry in THEOREMS.items():
+            for n in range(1, 61):
+                for key in range(0, n + 1, 1 if entry.fractional else 2):
+                    for g in predict(theorem, n, key).extremal_graphs:
+                        assert _is_threshold(g), (theorem, n, key, to_graph6(g))
+
+    def test_degree_sequence_fixes_the_shape(self):
+        # every labeled graph with the degree sequence of some K_s v (K_c u tK_1)
+        # is that shape under networkx, and there are n!/|Aut| of them
+        for n in range(7):
+            shapes = {}
+            for s in range(n + 1):
+                for c in range(n - s + 1):
+                    g = _shape(n, s, c)
+                    shapes.setdefault(g.degree_sequence(), g)
+            found = dict.fromkeys(shapes, 0)
+            for g in enumerate_graphs(n):
+                shape = shapes.get(g.degree_sequence())
+                if shape is not None:
+                    assert isomorphic(g, shape), (to_graph6(g), to_graph6(shape))
+                    found[g.degree_sequence()] += 1
+            for seq, shape in shapes.items():
+                automorphisms = sum(shape.permuted(p) == shape for p in itertools.permutations(range(n)))
+                assert found[seq] == math.factorial(n) // automorphisms, (n, seq)
+
+    @staticmethod
+    def _check(theorem, n, key, graphs):
+        pred = predict(theorem, n, key)
+        cands = [(spectral_radius(g).value, _mask(g)) for g in graphs]
+        return verify._check_class(theorem, n, key, pred, cands)
+
+    def test_a_relabeled_shape_matches(self, rng):
+        # K_1 v (K_5 u 2K_1), the t32 class 2beta* = 7 at n = 8, in random labelings
+        (shape,) = predict("t32", 8, 7).extremal_graphs
+        for _ in range(20):
+            perm = list(range(8))
+            rng.shuffle(perm)
+            record, lines = self._check("t32", 8, 7, [shape.permuted(perm)])
+            assert lines == [] and record.argmax_matches
+
+    def test_no_order_cap(self, rng):
+        # the recognizer has no vertex cap: relabeled t33 split joins and
+        # cliques well past ten vertices are matched
+        for n, key in ((11, 4), (12, 12), (20, 14), (62, 20)):
+            pred = predict("t33", n, key)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            record, lines = self._check("t33", n, key, [g.permuted(perm) for g in pred.extremal_graphs])
+            assert lines == [] and record.argmax_matches, (n, key)
+
+    def test_edge_count_and_max_degree_do_not_match(self):
+        # the fan K_1 v P_4 shares edge count 7 and max degree 4 with the
+        # split join K_2 v 3K_1, but not its degree sequence
+        fan = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (3, 4)])
+        split = _shape(5, 2, 0)
+        assert (fan.edge_count(), max(fan.degree_sequence())) == (split.edge_count(), max(split.degree_sequence()))
+        rho = spectral_radius(fan).value
+        pred = RegimePrediction("4", rho, (split,), (True,))
+        record, lines = verify._check_class("t33", 5, 4, pred, [(rho, _mask(fan))])
+        assert lines == [
+            f"class 2beta*=4: graph {to_graph6(fan)} attains the bound but is not a predicted extremal graph",
+            f"class 2beta*=4: predicted extremal graph {to_graph6(split)} does not attain the class maximum",
+        ]
+        assert not record.argmax_matches
 
 
 class TestCertificateSweep:
@@ -440,6 +535,21 @@ class TestCertificateSweep:
         assert main(["verify", "--certificates", "--n", "4"]) == 3
         out = capsys.readouterr().out.splitlines()
         assert [line for line in out if line.startswith("UNSOUND")] == [f"UNSOUND {name} on {g6}" for g6, name in expected]
+
+    def test_an_unsound_sampled_graph_is_reported_not_raised(self, monkeypatch):
+        # without the guard band the float ties at n = 3 break soundness; the
+        # sampled certify_all route is compared on (applicable, fired) only,
+        # so the sweep reports them instead of raising SoundnessError
+        monkeypatch.setattr(certify, "GUARD", 0.0)
+        rep = verify_certificates(3)
+        assert rep.passed is False
+        assert rep.unsound == (
+            ("Bo", "fast-path mismatch on min-degree-fpm"),
+            ("Bg", "fpm-spectral"),
+            ("Bg", "beta-star-increment(1)"),
+            ("BW", "fpm-spectral"),
+            ("BW", "beta-star-increment(1)"),
+        )
 
     def test_n3_pm_never_applicable(self):
         rep = verify_certificates(3)
@@ -792,7 +902,7 @@ class TestTieClass:
         profile = cProfile.Profile()
         rep = profile.runcall(verify_tie_class_n8, samples=0)
         stats = pstats.Stats(profile).stats
-        calls = [_verify_calls(stats, fn) for fn in (spectral_radius, fractional_matching_number, is_isomorphic)]
+        calls = [_verify_calls(stats, fn) for fn in (spectral_radius, fractional_matching_number)]
         assert rep.passed and max(calls) <= 2 + 1, calls
 
 
