@@ -12,12 +12,9 @@ from .graphs import (
     from_edge_list,
     from_edge_list_text,
     from_graph6,
-    induced_subgraph,
     is_connected,
     join,
-    max_degree,
     min_degree,
-    to_edge_list_text,
     to_graph6,
     union,
 )
@@ -42,11 +39,9 @@ from .matching import (
     MatchingResult,
     Transversal,
     WrcReport,
-    bipartite_double_cover,
     fpm_partition,
     fractional_matching_number,
     fractional_transversal,
-    has_fractional_perfect_matching,
     matching_number,
     optimal_fractional_matching,
     wrc_decomposition,
@@ -55,10 +50,7 @@ from .extremal import (
     ExtremalSpec,
     RegimePrediction,
     build_extremal,
-    matching_bound_connected,
-    matching_bound_general,
-    predicted_maximizer_connected,
-    predicted_maximizer_general,
+    predict,
     rho_join_formula,
     theta_cubic,
     theta_n,
@@ -67,18 +59,12 @@ from .certify import (
     CertificateRecord,
     CertificateReport,
     SoundnessError,
-    cert_beta_increment,
-    cert_beta_star_increment,
-    cert_fpm_spectral,
-    cert_min_degree_fpm,
-    cert_pm_spectral,
     certify_all,
 )
 from .verify import (
     audit_duality,
     audit_structures,
     cross_check_matching_implementations,
-    enumerate_graphs,
     oracle_beta,
     oracle_beta_star,
     verify_certificates,

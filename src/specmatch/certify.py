@@ -4,8 +4,8 @@ Each certificate checks a strict spectral inequality against an explicit
 threshold and, when it fires, guarantees a matching property.  One table,
 ``certificate_table(n, connected)``, lists every certificate of an order in
 report order, ``decide`` is the one firing rule and ``_guarantee_holds``
-the one guarantee rule: certify_all and the ``cert_*`` functions apply them
-to one graph, the exhaustive sweep in ``verify`` to whole numpy columns.
+the one guarantee rule: certify_all applies them to one graph, the
+exhaustive sweep in ``verify`` to whole numpy columns.
 Each spectral threshold is the largest rho of the connected class one step
 below its guarantee, read from the class bounds in ``extremal``: fpm is the
 t32 bound at 2*beta_star = n - 1, ``beta-star-increment(k/2)`` the t32
@@ -63,8 +63,8 @@ class CertificateRecord:
 
 
 # ---------------------------------------------------------------------------
-# thresholds and the certificate table (single source of truth: certify_all,
-# the cert_* functions and the certificate sweep in verify all read it)
+# thresholds and the certificate table (single source of truth: certify_all
+# and the certificate sweep in verify both read it)
 
 
 def fpm_threshold(n: int) -> float | None:
@@ -160,45 +160,6 @@ def _record(cert: Certificate, rho: float | None, delta: int | None) -> Certific
     return CertificateRecord(
         cert.name, True, fired, cert.guarantee, threshold=thr, at_threshold=at, kind=cert.kind, param=cert.param
     )
-
-
-def _certify_one(g: Graph, cert: Certificate) -> CertificateRecord:
-    if cert.threshold is None:
-        return _record(cert, None, None)
-    return _record(cert, spectral_radius(g).value, min_degree(g))
-
-
-# ---------------------------------------------------------------------------
-# certificates
-
-
-def cert_min_degree_fpm(g: Graph) -> CertificateRecord:
-    """Fires when rho < delta * sqrt((n+1)/(n-1)); guarantees 2*beta_star = n."""
-    return _certify_one(g, _min_degree_row(g.n, is_connected(g)))
-
-
-def cert_fpm_spectral(g: Graph) -> CertificateRecord:
-    """Fires when rho exceeds the n-appropriate threshold; guarantees 2*beta_star = n."""
-    return _certify_one(g, _fpm_row(g.n, is_connected(g)))
-
-
-def cert_pm_spectral(g: Graph) -> CertificateRecord:
-    """Fires when rho exceeds the even-n threshold; guarantees beta = n/2."""
-    return _certify_one(g, _pm_row(g.n, is_connected(g)))
-
-
-def cert_beta_star_increment(g: Graph, target: HalfIntegral) -> CertificateRecord:
-    """Fires when rho exceeds the case threshold; guarantees beta* >= target + 1/2."""
-    if not 1 <= target.doubled <= g.n - 1:
-        raise ValueError(f"target {target} out of range for n={g.n} (need 1 <= 2*target <= n-1)")
-    return _certify_one(g, _beta_star_row(g.n, is_connected(g), target.doubled))
-
-
-def cert_beta_increment(g: Graph, beta: int) -> CertificateRecord:
-    """Fires when rho exceeds the case threshold; guarantees beta(G) >= beta + 1."""
-    if not 1 <= beta <= (g.n - 2) / 2:
-        raise ValueError(f"beta {beta} out of range for n={g.n} (need 1 <= beta <= (n-2)/2)")
-    return _certify_one(g, _beta_row(g.n, is_connected(g), beta))
 
 
 def _guarantee_holds(kind: str, param: int, n: int, beta: int, beta_star_doubled: int) -> bool:

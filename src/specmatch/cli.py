@@ -16,7 +16,7 @@ from .extremal import (
     _check_class_args,
     _t13_regime,
     build_extremal,
-    predicted_maximizer_connected,
+    predict,
 )
 from .graphs import (
     Graph,
@@ -141,7 +141,7 @@ def _cmd_extremal(args) -> int:
     if args.s is not None:
         g = build_extremal(ExtremalSpec(args.n, beta_star, args.s))
     else:
-        pred = predicted_maximizer_connected(args.n, beta_star)
+        pred = predict("t32", args.n, beta_star.doubled)
         if not pred.bound_is_attained:
             raise ValueError(
                 f"no graph in the class (connected, n = {args.n}, beta_star = {beta_star}) attains the bound"

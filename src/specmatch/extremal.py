@@ -8,8 +8,7 @@ its classes are keyed by d = 2*beta_star (t32, t33) or d = 2*beta (t12,
 t13), whether only connected graphs count (t32, t13), and its rule, which
 gives a class's regime, bound and extremal shapes (s, c), each marked with
 whether it lies in the class, with no graph built.  ``predict`` builds the
-shapes and adds notes; ``predicted_maximizer_*`` and ``matching_bound_*``
-are its views by theorem.
+shapes and adds notes; it is the one public route to a class bound.
 """
 
 from __future__ import annotations
@@ -18,10 +17,9 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
-from .graphs import Graph, complete, empty, join, to_graph6, union
+from .graphs import Graph, complete, empty, join, union
 from .halfint import HalfIntegral
 from .roots import largest_real_root
-from .spectral import char_poly_f_coeffs
 
 __all__ = [
     "ExtremalSpec",
@@ -34,10 +32,6 @@ __all__ = [
     "rho_join_formula",
     "theta_n",
     "theta_n_coeffs",
-    "predicted_maximizer_connected",
-    "predicted_maximizer_general",
-    "matching_bound_connected",
-    "matching_bound_general",
 ]
 
 
@@ -125,10 +119,6 @@ class RegimePrediction:
     @property
     def bound_is_attained(self) -> bool:
         return any(self.in_class)
-
-    def serialize(self) -> str:
-        codes = ",".join(to_graph6(g) for g in self.extremal_graphs)
-        return f"{self.regime} {self.bound:.12g} {codes}"
 
 
 def _check_class_args(n: int, d: int, fractional: bool) -> None:
@@ -239,11 +229,20 @@ def _notes(theorem: str, n: int, d: int, pred: RegimePrediction) -> tuple[str, .
     return ()
 
 
+def _theorem_entry(theorem: str) -> Theorem:
+    """The ``THEOREMS`` entry of a theorem name; ValueError for any other name."""
+    try:
+        return THEOREMS[theorem]
+    except KeyError:
+        raise ValueError(f"unknown theorem {theorem!r}; expected one of {tuple(THEOREMS)}") from None
+
+
 def predict(theorem: str, n: int, d: int) -> RegimePrediction:
     """Sharp spectral-radius bound of a theorem's class with key d on n
     vertices (``THEOREMS``), with the class's extremal graphs, which of
-    them lie in the class, and notes."""
-    entry = THEOREMS[theorem]
+    them lie in the class, and notes.  d is 2*beta_star for t32 and t33 and
+    2*beta for t12 and t13."""
+    entry = _theorem_entry(theorem)
     _check_class_args(n, d, entry.fractional)
     regime, bound, shapes = entry.rule(n, d)
     # two shapes may build one graph (t33 at d = 1 and t12 at d = 0, both at
@@ -253,28 +252,3 @@ def predict(theorem: str, n: int, d: int) -> RegimePrediction:
         members.setdefault(_shape(n, s, c), member)
     pred = RegimePrediction(regime, bound, tuple(members), tuple(members.values()))
     return replace(pred, notes=_notes(theorem, n, d, pred))
-
-
-def predicted_maximizer_connected(n: int, beta_star: HalfIntegral) -> RegimePrediction:
-    """Sharp spectral-radius bound over connected graphs with this fractional matching number (t32)."""
-    return predict("t32", n, beta_star.doubled)
-
-
-def predicted_maximizer_general(n: int, beta_star: HalfIntegral) -> RegimePrediction:
-    """Sharp spectral-radius bound over all graphs with this fractional matching number (t33)."""
-    return predict("t33", n, beta_star.doubled)
-
-
-def matching_bound_general(n: int, beta: int) -> RegimePrediction:
-    """Sharp spectral-radius bound over all graphs with matching number beta (t12)."""
-    return predict("t12", n, 2 * beta)
-
-
-def matching_bound_connected(n: int, beta: int) -> RegimePrediction:
-    """Sharp spectral-radius bound over connected graphs with matching number beta (t13)."""
-    return predict("t13", n, 2 * beta)
-
-
-def quotient_cubic_matches_family(n: int, beta_star: HalfIntegral) -> bool:
-    """Coefficient-level identity between the s=1 family cubic and theta_cubic."""
-    return char_poly_f_coeffs(n, beta_star, 1) == theta_cubic_coeffs(n, beta_star)

@@ -93,12 +93,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
 
-    def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(_bits(self.rows[v]))
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges (u, v) with u < v in lexicographic order."""
         for u in range(self.n):
@@ -113,21 +107,6 @@ class Graph:
 
     def degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted((r.bit_count() for r in self.rows), reverse=True))
-
-    def permuted(self, perm: Sequence[int]) -> Graph:
-        """Relabel: vertex v becomes perm[v]."""
-        if sorted(perm) != list(range(self.n)):
-            raise GraphError("perm must be a permutation of 0..n-1")
-        rows = [0] * self.n
-        for v in range(self.n):
-            nb = self.rows[v]
-            acc = 0
-            while nb:
-                u = (nb & -nb).bit_length() - 1
-                nb &= nb - 1
-                acc |= 1 << perm[u]
-            rows[perm[v]] = acc
-        return Graph._from_rows_unchecked(self.n, tuple(rows))
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -174,36 +153,10 @@ def join(g1: Graph, g2: Graph) -> Graph:
     return Graph._from_rows_unchecked(n, tuple(rows))
 
 
-def induced_subgraph(g: Graph, members: Iterable[int]) -> Graph:
-    """Subgraph on ``members``, relabelled by their sorted order."""
-    verts = sorted(set(members))
-    for v in verts:
-        if not 0 <= v < g.n:
-            raise GraphError(f"vertex {v} out of range for n={g.n}")
-    index = {v: i for i, v in enumerate(verts)}
-    rows = [0] * len(verts)
-    for v in verts:
-        nb = g.rows[v]
-        acc = 0
-        while nb:
-            u = (nb & -nb).bit_length() - 1
-            nb &= nb - 1
-            if u in index:
-                acc |= 1 << index[u]
-        rows[index[v]] = acc
-    return Graph._from_rows_unchecked(len(verts), tuple(rows))
-
-
 def min_degree(g: Graph) -> int:
     if g.n == 0:
         raise GraphError("minimum degree undefined for the empty graph")
     return min(r.bit_count() for r in g.rows)
-
-
-def max_degree(g: Graph) -> int:
-    if g.n == 0:
-        raise GraphError("maximum degree undefined for the empty graph")
-    return max(r.bit_count() for r in g.rows)
 
 
 def _closure_mask(rows: Sequence[int], start: int) -> int:
@@ -360,12 +313,6 @@ def pairs_colex(n: int) -> list[tuple[int, int]]:
 
 # ---------------------------------------------------------------------------
 # edge-list text format: first line "n m", then m lines "u v"
-
-
-def to_edge_list_text(g: Graph) -> str:
-    lines = [f"{g.n} {g.edge_count()}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
 
 
 def from_edge_list_text(text: str) -> Graph:

@@ -19,6 +19,12 @@ class HalfIntegral:
 
     doubled: int
 
+    def __post_init__(self):
+        # a float or bool numerator would print as a non-half-integer and
+        # fail later, far from its source
+        if not isinstance(self.doubled, int) or isinstance(self.doubled, bool):
+            raise TypeError(f"HalfIntegral needs an int numerator, got {type(self.doubled).__name__} {self.doubled!r}")
+
     @classmethod
     def parse(cls, text: str) -> HalfIntegral:
         """Parse 'k/2', 'x.0', 'x.5' or a bare integer; reject other decimals."""
@@ -32,14 +38,6 @@ class HalfIntegral:
     @property
     def value(self) -> float:
         return self.doubled / 2.0
-
-    @property
-    def floor(self) -> int:
-        return self.doubled // 2
-
-    @property
-    def ceil(self) -> int:
-        return -((-self.doubled) // 2)
 
     def __str__(self) -> str:
         if self.doubled % 2 == 0:

@@ -166,13 +166,6 @@ def matching_number(g: Graph) -> MatchingResult:
 # bipartite double cover and its matching
 
 
-def bipartite_double_cover(g: Graph) -> Graph:
-    """Graph on copies {v, v+n} with edges u~(v+n) and v~(u+n) per edge uv."""
-    n = g.n
-    rows = [r << n for r in g.rows] + list(g.rows)
-    return Graph.from_rows(2 * n, rows)
-
-
 def _dc_matching(rows: tuple[int, ...], n: int) -> tuple[list[int], int, int, int]:
     # Maximum matching on the double cover by Hopcroft-Karp phases (Hopcroft
     # and Karp, SIAM J. Comput. 2(4), 1973): left copy u may match any v in
@@ -277,10 +270,6 @@ def _dc_matching_size(rows: tuple[int, ...], n: int) -> int:
 def fractional_matching_number(g: Graph) -> HalfIntegral:
     """Exact fractional matching number, half the double cover's matching number."""
     return HalfIntegral(_dc_matching_size(g.rows, g.n))
-
-
-def has_fractional_perfect_matching(g: Graph) -> bool:
-    return fractional_matching_number(g).doubled == g.n
 
 
 # ---------------------------------------------------------------------------

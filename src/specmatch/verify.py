@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -37,12 +37,12 @@ from .extremal import (
     THEOREMS,
     RegimePrediction,
     _shape,
+    _theorem_entry,
     predict,
 )
 from .graphs import (
     Graph,
     GraphError,
-    is_connected,
     pairs_colex,
     to_graph6,
 )
@@ -81,20 +81,6 @@ def _graph_from_mask(n: int, mask: int, pairs: list[tuple[int, int]]) -> Graph:
         rows[v] |= 1 << u
         k ^= b
     return Graph._from_rows_unchecked(n, tuple(rows))
-
-
-def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
-    """Yield every labeled graph on n vertices once, edge-bit masks ascending."""
-    if n < 0:
-        raise GraphError("vertex count must be non-negative")
-    if n > ENUM_CAP:
-        raise GraphError(f"exhaustive enumeration capped at n <= {ENUM_CAP}, got {n}")
-    pairs = pairs_colex(n)
-    for mask in range(1 << len(pairs)):
-        g = _graph_from_mask(n, mask, pairs)
-        if connected_only and not is_connected(g):
-            continue
-        yield g
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +384,7 @@ def _check_class(theorem: str, n: int, key: int, pred: RegimePrediction, cands: 
 def verify_theorem(theorem: str, n: int, jobs: int = 1, long_run: bool = False) -> VerificationReport:
     """Bucket all (connected, for the connected theorems) labeled graphs on n
     vertices by class, then check bounds, maximizers, and predictions."""
-    if theorem not in THEOREMS:
-        raise ValueError(f"unknown theorem {theorem!r}; expected one of {tuple(THEOREMS)}")
+    entry = _theorem_entry(theorem)
     if n < 1:
         raise GraphError("verification needs n >= 1")
     if n > 7 and not long_run:
@@ -407,7 +392,7 @@ def verify_theorem(theorem: str, n: int, jobs: int = 1, long_run: bool = False) 
     if n > ENUM_CAP:
         raise GraphError(f"full sweep capped at n <= {ENUM_CAP}")
 
-    keys = range(0, n + 1, 1 if THEOREMS[theorem].fractional else 2)
+    keys = range(0, n + 1, 1 if entry.fractional else 2)
     predictions = {key: predict(theorem, n, key) for key in keys}
     bounds = {key: pred.bound for key, pred in predictions.items()}
 

@@ -13,8 +13,6 @@ import math
 import os
 import random
 
-import pytest
-
 from specmatch import (
     ExtremalSpec,
     Graph,

@@ -8,17 +8,13 @@ import pytest
 from specmatch import (
     Graph,
     HalfIntegral,
-    cert_beta_increment,
-    cert_beta_star_increment,
-    cert_fpm_spectral,
-    cert_min_degree_fpm,
-    cert_pm_spectral,
     certify_all,
     complete,
     empty,
     fractional_matching_number,
     join,
     matching_number,
+    predict,
     spectral_radius,
     union,
     verify_certificates,
@@ -40,45 +36,50 @@ def hub_family_8():
     return join(complete(1), union(complete(5), empty(2)))
 
 
+def row(g, name):
+    """The record of the certificate called name in g's report."""
+    return next(rec for rec in certify_all(g).certificates if rec.name == name)
+
+
 class TestMinDegreeFpm:
     def test_c4_fires(self):
-        rec = cert_min_degree_fpm(cycle(4))
+        rec = row(cycle(4), "min-degree-fpm")
         assert rec.applicable and rec.fired
         assert fractional_matching_number(cycle(4)).doubled == 4
 
     def test_star_does_not_fire(self):
-        rec = cert_min_degree_fpm(star(3))
+        rec = row(star(3), "min-degree-fpm")
         # rho = sqrt(3) > sqrt(5/3) * 1
         assert rec.applicable and not rec.fired
 
     def test_k2_fires(self):
-        rec = cert_min_degree_fpm(complete(2))
+        rec = row(complete(2), "min-degree-fpm")
         assert rec.fired
         assert fractional_matching_number(complete(2)).doubled == 2
 
     def test_p3_at_threshold(self):
         # rho(P_3) = sqrt(2) = 1 * sqrt((3+1)/(3-1)) exactly
-        rec = cert_min_degree_fpm(Graph(3, [(0, 1), (1, 2)]))
+        rec = row(Graph(3, [(0, 1), (1, 2)]), "min-degree-fpm")
         assert rec.applicable and not rec.fired and rec.at_threshold
 
     def test_disconnected_not_applicable(self):
-        rec = cert_min_degree_fpm(union(complete(2), complete(2)))
+        rec = row(union(complete(2), complete(2)), "min-degree-fpm")
         assert not rec.applicable and not rec.fired
 
 
 class TestFpmSpectral:
     def test_k8_fires(self):
-        rec = cert_fpm_spectral(complete(8))
+        rec = row(complete(8), "fpm-spectral")
         assert rec.fired
         assert rec.threshold == pytest.approx(5.07, abs=0.01)
 
     def test_extremal_at_threshold(self):
-        rec = cert_fpm_spectral(hub_family_8())
+        rec = row(hub_family_8(), "fpm-spectral")
         assert rec.applicable and not rec.fired and rec.at_threshold
         assert fractional_matching_number(hub_family_8()).doubled == 7 < 8
 
     def test_k5_small_n_threshold(self):
-        rec = cert_fpm_spectral(complete(5))
+        rec = row(complete(5), "fpm-spectral")
         assert rec.threshold == pytest.approx(3.0, abs=1e-12)
         assert rec.fired
         assert fractional_matching_number(complete(5)).doubled == 5
@@ -87,53 +88,49 @@ class TestFpmSpectral:
         assert fpm_threshold(9) == pytest.approx((3 + math.sqrt(9 + 16 * 5)) / 2, abs=1e-12)
 
     def test_too_small_not_applicable(self):
-        assert not cert_fpm_spectral(complete(2)).applicable
+        assert not row(complete(2), "fpm-spectral").applicable
 
 
 class TestPmSpectral:
     def test_k4(self):
-        rec = cert_pm_spectral(complete(4))
+        rec = row(complete(4), "pm-spectral")
         assert rec.threshold == pytest.approx(math.sqrt(3), abs=1e-12)
         assert rec.fired
         assert matching_number(complete(4)).size == 2
 
     def test_k6(self):
-        rec = cert_pm_spectral(complete(6))
+        rec = row(complete(6), "pm-spectral")
         assert rec.threshold == pytest.approx((1 + math.sqrt(33)) / 2, abs=1e-12)
         assert rec.fired
 
     def test_star_at_threshold_no_pm(self):
-        rec = cert_pm_spectral(star(3))
+        rec = row(star(3), "pm-spectral")
         assert rec.applicable and not rec.fired and rec.at_threshold
         assert matching_number(star(3)).size == 1
 
     def test_odd_n_not_applicable(self):
-        assert not cert_pm_spectral(complete(5)).applicable
+        assert not row(complete(5), "pm-spectral").applicable
         assert pm_threshold(5) is None
 
     def test_even_n8_uses_theta(self):
-        rec = cert_pm_spectral(complete(8))
+        rec = row(complete(8), "pm-spectral")
         assert rec.threshold == pytest.approx(5.07, abs=0.01)
 
 
 class TestBetaStarIncrement:
     def test_k7_target_five_halves(self):
-        rec = cert_beta_star_increment(complete(7), HalfIntegral(5))
+        rec = row(complete(7), "beta-star-increment(5/2)")
         assert rec.threshold == pytest.approx((1 + math.sqrt(41)) / 2, abs=1e-12)
         assert rec.fired
         assert fractional_matching_number(complete(7)).doubled == 7 >= 6
 
     def test_extremal_tightness(self):
-        rec = cert_beta_star_increment(hub_family_8(), HalfIntegral(7))
+        rec = row(hub_family_8(), "beta-star-increment(7/2)")
         assert rec.applicable and not rec.fired and rec.at_threshold
 
     def test_below_threshold_no_claim(self):
-        rec = cert_beta_star_increment(star(4), HalfIntegral(3))
+        rec = row(star(4), "beta-star-increment(3/2)")
         assert rec.applicable and not rec.fired
-
-    def test_target_out_of_range(self):
-        with pytest.raises(ValueError):
-            cert_beta_star_increment(complete(5), HalfIntegral(5))
 
     def test_case_selection_matches_structure(self):
         # the threshold is the t32 bound at 2*beta_star = k: even targets above
@@ -150,27 +147,23 @@ class TestBetaStarIncrement:
 
 class TestBetaIncrement:
     def test_k10_beta3(self):
-        rec = cert_beta_increment(complete(10), 3)
+        rec = row(complete(10), "beta-increment(3)")
         assert rec.threshold == pytest.approx((2 + math.sqrt(88)) / 2, abs=1e-12)
         assert rec.fired
         assert matching_number(complete(10)).size == 5 >= 4
 
     def test_join_equality_not_strict(self):
         g = join(complete(3), empty(7))
-        rec = cert_beta_increment(g, 3)
+        rec = row(g, "beta-increment(3)")
         assert rec.applicable and not rec.fired and rec.at_threshold
         assert matching_number(g).size == 3
 
     def test_kn_even_rederives_pm_threshold(self):
         for n in (8, 10, 12):
-            rec = cert_beta_increment(complete(n), (n - 2) // 2)
+            rec = row(complete(n), f"beta-increment({(n - 2) // 2})")
             assert rec.fired
             assert rec.threshold == pytest.approx(pm_threshold(n), abs=1e-9)
             assert matching_number(complete(n)).size == n // 2
-
-    def test_beta_out_of_range(self):
-        with pytest.raises(ValueError):
-            cert_beta_increment(complete(5), 2)
 
 
 class TestCertifyAll:
@@ -268,13 +261,11 @@ class TestExtremalTightnessSweep:
     def test_predicted_graphs_sit_at_threshold(self):
         # connected predicted extremal graphs never fire the increment
         # certificate at their own class value, and the claim is false there
-        from specmatch import predicted_maximizer_connected
-
         for n in range(4, 13):
             for d in range(2, n):
-                pred = predicted_maximizer_connected(n, HalfIntegral(d))
+                pred = predict("t32", n, d)
                 for g in pred.extremal_graphs:
-                    rec = cert_beta_star_increment(g, HalfIntegral(d))
+                    rec = row(g, f"beta-star-increment({HalfIntegral(d)})")
                     if not rec.applicable:
                         continue
                     if abs(pred.bound - rec.threshold) > 1e-9:

@@ -8,15 +8,10 @@ import sys
 import pytest
 
 from specmatch import (
-    HalfIntegral,
     fractional_matching_number,
     from_graph6,
     is_connected,
-    matching_bound_connected,
-    matching_bound_general,
-    predicted_maximizer_connected,
-    predicted_maximizer_general,
-    to_edge_list_text,
+    predict,
     to_graph6,
     Graph,
 )
@@ -57,7 +52,7 @@ class TestBasicCommands:
     def test_extremal_default_s(self, capsys):
         code, out, _ = run_cli(capsys, "extremal", "--n", "10", "--beta-star", "3")
         assert code == 0
-        expect = predicted_maximizer_connected(10, HalfIntegral(6)).extremal_graphs[0]
+        expect = predict("t32", 10, 6).extremal_graphs[0]
         assert out.strip() == to_graph6(expect)
 
     @pytest.mark.parametrize("n, beta_star", [("6", "5/2"), ("3", "1/2"), ("8", "0"), ("1", "1/2")])
@@ -74,7 +69,7 @@ class TestBasicCommands:
         for n in range(1, 40):
             for d in range(n + 1):
                 code, out, _ = run_cli(capsys, "extremal", "--n", str(n), "--beta-star", f"{d}/2")
-                pred = predicted_maximizer_connected(n, HalfIntegral(d))
+                pred = predict("t32", n, d)
                 if code:
                     assert code == 1 and not pred.bound_is_attained
                     refused += 1
@@ -261,24 +256,15 @@ class TestRoundTripGrid:
 
 
 class TestThresholdMatchesPredictors:
-    @pytest.mark.parametrize(
-        "theorem, predict",
-        [
-            ("t32", lambda n, d: predicted_maximizer_connected(n, HalfIntegral(d))),
-            ("t33", lambda n, d: predicted_maximizer_general(n, HalfIntegral(d))),
-            ("t12", lambda n, d: matching_bound_general(n, d // 2)),
-            ("t13", lambda n, d: matching_bound_connected(n, d // 2)),
-        ],
-        ids=["t32", "t33", "t12", "t13"],
-    )
-    def test_every_class(self, capsys, theorem, predict):
+    @pytest.mark.parametrize("theorem", ["t32", "t33", "t12", "t13"])
+    def test_every_class(self, capsys, theorem):
         # every class the sweeps check at n <= 10: 2*beta_star, or 2*beta
         fractional = theorem in ("t32", "t33")
         for n in range(1, 11):
             for d in range(0, n + 1, 1 if fractional else 2):
                 value = ("--beta-star", f"{d}/2") if fractional else ("--beta", str(d // 2))
                 code, out, _ = run_cli(capsys, "threshold", "--theorem", theorem, "--n", str(n), *value)
-                assert (code, out) == (0, _fmt(predict(n, d).bound) + "\n"), (n, d)
+                assert (code, out) == (0, _fmt(predict(theorem, n, d).bound) + "\n"), (n, d)
 
 
 class TestThresholdAboveTheVertexCap:
@@ -303,7 +289,7 @@ class TestThresholdAboveTheVertexCap:
 class TestBetaIncrementThreshold:
     def test_applies_the_certificate_range(self, capsys):
         # t37 prints the beta-increment(beta) row of the certificate table for
-        # 1 <= beta <= (n-2)/2 and rejects every other beta, as cert_beta_increment does
+        # 1 <= beta <= (n-2)/2 and rejects every other beta, for which the table has no row
         for n in range(0, 25):
             rows = {c.name: c.threshold for c in certificate_table(n, connected=True)}
             for beta in range(-1, n + 2):

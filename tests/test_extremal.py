@@ -6,7 +6,6 @@ import pytest
 
 from specmatch import (
     ExtremalSpec,
-    Graph,
     HalfIntegral,
     build_extremal,
     complete,
@@ -14,18 +13,17 @@ from specmatch import (
     fractional_matching_number,
     is_connected,
     join,
-    matching_bound_connected,
-    matching_bound_general,
     matching_number,
-    predicted_maximizer_connected,
-    predicted_maximizer_general,
+    predict,
     rho_join_formula,
     spectral_radius,
     theta_cubic,
     theta_n,
+    to_graph6,
     union,
 )
-from specmatch.extremal import THEOREMS, predict, quotient_cubic_matches_family
+from specmatch.extremal import THEOREMS, theta_cubic_coeffs
+from specmatch.spectral import char_poly_f_coeffs
 from specmatch.verify import oracle_beta, oracle_beta_star
 from conftest import isomorphic
 
@@ -108,18 +106,18 @@ class TestThresholds:
     def test_cubic_coefficient_identity(self):
         for n in range(4, 60):
             for d in range(2, n):
-                assert quotient_cubic_matches_family(n, HalfIntegral(d))
+                assert char_poly_f_coeffs(n, HalfIntegral(d), 1) == theta_cubic_coeffs(n, HalfIntegral(d))
 
 
 class TestConnectedSelector:
     def test_complete_regime(self):
-        pred = predicted_maximizer_connected(6, HalfIntegral(6))
+        pred = predict("t32", 6, 6)
         assert pred.regime == "i" and pred.bound == 5.0
         assert pred.extremal_graphs == (complete(6),)
         assert pred.bound_is_attained
 
     def test_hub_regime(self):
-        pred = predicted_maximizer_connected(10, HalfIntegral(9))
+        pred = predict("t32", 10, 9)
         assert pred.regime == "ii"
         expect = join(complete(1), union(complete(7), empty(2)))
         assert isomorphic(pred.extremal_graphs[0], expect)
@@ -127,21 +125,21 @@ class TestConnectedSelector:
         assert pred.bound_is_attained
 
     def test_join_regime(self):
-        pred = predicted_maximizer_connected(10, HalfIntegral(6))
+        pred = predict("t32", 10, 6)
         assert pred.regime == "iii"
         assert pred.bound == pytest.approx((2 + math.sqrt(88)) / 2, abs=1e-12)
         assert isomorphic(pred.extremal_graphs[0], join(complete(3), empty(7)))
         assert pred.bound_is_attained
 
     def test_half_odd_join_regime_not_attained(self):
-        pred = predicted_maximizer_connected(6, HalfIntegral(5))
+        pred = predict("t32", 6, 5)
         assert pred.regime == "iii" and not pred.bound_is_attained
         assert fractional_matching_number(pred.extremal_graphs[0]).doubled == 4
 
     def test_attainment_to_40(self):
         for n in range(1, 41):
             for d in range(0, n + 1):
-                pred = predicted_maximizer_connected(n, HalfIntegral(d))
+                pred = predict("t32", n, d)
                 for g in pred.extremal_graphs:
                     if g.n:
                         assert spectral_radius(g).value == pytest.approx(pred.bound, abs=1e-8)
@@ -155,17 +153,17 @@ class TestConnectedSelector:
     def test_regime_totality(self):
         for n in range(2, 61):
             for d in range(2, n + 1):
-                pred = predicted_maximizer_connected(n, HalfIntegral(d))
+                pred = predict("t32", n, d)
                 assert pred.regime in ("i", "ii", "iii")
 
     def test_rejects_overfull(self):
         with pytest.raises(ValueError):
-            predicted_maximizer_connected(5, HalfIntegral(6))
+            predict("t32", 5, 6)
 
 
 class TestGeneralSelector:
     def test_tie_case(self):
-        pred = predicted_maximizer_general(8, HalfIntegral(5))
+        pred = predict("t33", 8, 5)
         assert pred.regime == "3" and pred.bound == 4.0
         expected = [join(complete(2), empty(6)), union(complete(5), empty(3))]
         assert all(isomorphic(a, b) for a, b in zip(pred.extremal_graphs, expected))
@@ -173,16 +171,16 @@ class TestGeneralSelector:
             assert spectral_radius(g).value == pytest.approx(4.0, abs=1e-8)
 
     def test_clique_regime(self):
-        pred = predicted_maximizer_general(7, HalfIntegral(5))
+        pred = predict("t33", 7, 5)
         assert pred.regime == "2" and pred.bound == 4.0
         assert isomorphic(pred.extremal_graphs[0], union(complete(5), empty(2)))
 
     def test_complete_regime(self):
-        pred = predicted_maximizer_general(4, HalfIntegral(4))
+        pred = predict("t33", 4, 4)
         assert pred.regime == "1" and pred.bound == 3.0
 
     def test_integer_tie_both_in_class(self):
-        pred = predicted_maximizer_general(8, HalfIntegral(6))
+        pred = predict("t33", 8, 6)
         assert pred.regime == "3"
         assert len(pred.extremal_graphs) == 2
         for g in pred.extremal_graphs:
@@ -191,7 +189,7 @@ class TestGeneralSelector:
     def test_attainment_to_40(self):
         for n in range(1, 41):
             for d in range(0, n + 1):
-                pred = predicted_maximizer_general(n, HalfIntegral(d))
+                pred = predict("t33", n, d)
                 for g in pred.extremal_graphs:
                     if g.n:
                         assert spectral_radius(g).value == pytest.approx(pred.bound, abs=1e-8)
@@ -201,13 +199,13 @@ class TestGeneralSelector:
     def test_regime_totality(self):
         for n in range(2, 61):
             for d in range(2, n + 1):
-                pred = predicted_maximizer_general(n, HalfIntegral(d))
+                pred = predict("t33", n, d)
                 assert pred.regime in ("1", "2", "3", "4")
 
 
 class TestMatchingBounds:
     def test_general_tie(self):
-        pred = matching_bound_general(8, 2)
+        pred = predict("t12", 8, 4)
         assert pred.regime == "3" and pred.bound == 4.0
         expected = [join(complete(2), empty(6)), union(complete(5), empty(3))]
         assert all(isomorphic(a, b) for a, b in zip(pred.extremal_graphs, expected))
@@ -216,16 +214,16 @@ class TestMatchingBounds:
 
     def test_connected_join_regime(self):
         for n, b in [(9, 3), (12, 4), (15, 5)]:
-            pred = matching_bound_connected(n, b)
+            pred = predict("t13", n, 2 * b)
             assert pred.regime == "3"
             assert pred.bound == pytest.approx((b - 1 + math.sqrt((b - 1) ** 2 + 4 * b * (n - b))) / 2, abs=1e-12)
 
     def test_general_complete_regime(self):
-        pred = matching_bound_general(4, 2)
+        pred = predict("t12", 4, 4)
         assert pred.regime == "1" and pred.bound == 3.0
 
     def test_connected_hub_regime_via_quotient(self):
-        pred = matching_bound_connected(8, 3)
+        pred = predict("t13", 8, 6)
         assert pred.regime == "2"
         hub = join(complete(1), union(complete(5), empty(2)))
         assert isomorphic(pred.extremal_graphs[0], hub)
@@ -236,7 +234,7 @@ class TestMatchingBounds:
     def test_attainment_to_40(self):
         for n in range(1, 41):
             for b in range(0, n // 2 + 1):
-                for pred in (matching_bound_general(n, b), matching_bound_connected(n, b)):
+                for pred in (predict("t12", n, 2 * b), predict("t13", n, 2 * b)):
                     for g in pred.extremal_graphs:
                         if g.n:
                             assert spectral_radius(g).value == pytest.approx(pred.bound, abs=1e-8)
@@ -244,9 +242,9 @@ class TestMatchingBounds:
     def test_membership_small(self):
         for n in range(2, 20):
             for b in range(1, n // 2 + 1):
-                gen = matching_bound_general(n, b)
+                gen = predict("t12", n, 2 * b)
                 assert any(matching_number(g).size == b for g in gen.extremal_graphs)
-                con = matching_bound_connected(n, b)
+                con = predict("t13", n, 2 * b)
                 assert any(
                     is_connected(g) and matching_number(g).size == b for g in con.extremal_graphs
                 )
@@ -254,15 +252,15 @@ class TestMatchingBounds:
     def test_regime_totality(self):
         for n in range(2, 61):
             for b in range(1, n // 2 + 1):
-                assert matching_bound_general(n, b).regime in ("1", "2", "3", "4")
-                assert matching_bound_connected(n, b).regime in ("1", "2", "3")
+                assert predict("t12", n, 2 * b).regime in ("1", "2", "3", "4")
+                assert predict("t13", n, 2 * b).regime in ("1", "2", "3")
 
     def test_predict_rejects_an_odd_matching_key(self):
-        # t12 and t13 key their classes by 2*beta; the views pass it even
+        # t12 and t13 key their classes by 2*beta, which is even
         for theorem in ("t12", "t13"):
             with pytest.raises(ValueError, match=r"^2\*beta = 3 is odd$"):
                 predict(theorem, 8, 3)
-            assert predict(theorem, 8, 4) == (matching_bound_general if theorem == "t12" else matching_bound_connected)(8, 2)
+            assert predict(theorem, 8, 4).bound == 4.0
 
 
 def _classify(theorem, g, oracle):
@@ -299,15 +297,15 @@ class TestMembership:
             "so no graph in the class attains it"
         )
         for n in range(2, 12):
-            for pred in (matching_bound_connected(n, 0), predicted_maximizer_connected(n, HalfIntegral(0))):
+            for pred in (predict("t13", n, 0), predict("t32", n, 0)):
                 assert (pred.extremal_graphs, pred.in_class, pred.notes) == ((empty(n),), (False,), (note,))
-            assert matching_bound_general(n, 0).in_class == (True,)
+            assert predict("t12", n, 0).in_class == (True,)
         # K_1 is connected
-        assert matching_bound_connected(1, 0).in_class == (True,)
-        assert predicted_maximizer_connected(1, HalfIntegral(0)).in_class == (True,)
+        assert predict("t13", 1, 0).in_class == (True,)
+        assert predict("t32", 1, 0).in_class == (True,)
 
     def test_odd_key_strict_note(self):
-        pred = predicted_maximizer_connected(6, HalfIntegral(5))
+        pred = predict("t32", 6, 5)
         assert pred.in_class == (False,)
         assert pred.notes == (
             "bound is strict: the split join has fractional matching number 2, below 5/2, so no graph in the class attains it",
@@ -318,7 +316,7 @@ class TestMembership:
         for theorem, d, member in [("t33", 1, False), ("t12", 0, True)]:
             pred = predict(theorem, 2, d)
             assert (pred.extremal_graphs, pred.in_class) == ((empty(2),), (member,))
-        tie = predicted_maximizer_general(8, HalfIntegral(5))
+        tie = predict("t33", 8, 5)
         assert tie.in_class == (False, True) and tie.bound_is_attained
 
 
@@ -339,7 +337,6 @@ class TestStrictnessInsideFamily:
                     assert rho < bound - 1e-9, (n, d, s)
 
     def test_serialization(self):
-        pred = predicted_maximizer_general(8, HalfIntegral(5))
-        text = pred.serialize()
-        assert text.startswith("3 4")
-        assert "G~{???" in text
+        pred = predict("t33", 8, 5)
+        assert (pred.regime, pred.bound) == ("3", 4.0)
+        assert [to_graph6(g) for g in pred.extremal_graphs] == ["G}rEE?", "G~{???"]

@@ -17,16 +17,11 @@ from specmatch import (
     GraphError,
     HalfIntegral,
     Transversal,
-    bipartite_double_cover,
     complete,
-    components,
     empty,
-    enumerate_graphs,
     fpm_partition,
     fractional_matching_number,
     fractional_transversal,
-    has_fractional_perfect_matching,
-    is_connected,
     join,
     matching_number,
     optimal_fractional_matching,
@@ -37,7 +32,9 @@ from specmatch import (
     wrc_decomposition,
 )
 from specmatch import matching
-from conftest import graphs, isomorphic, random_graph
+from specmatch.graphs import pairs_colex
+from specmatch.verify import _graph_from_mask
+from conftest import graphs, random_graph
 
 
 def cycle(n):
@@ -72,12 +69,13 @@ class TestHalfIntegral:
         assert str(HalfIntegral(7)) == "7/2"
         assert str(HalfIntegral(6)) == "3"
 
-    def test_floor_ceil(self):
-        assert HalfIntegral(7).floor == 3 and HalfIntegral(7).ceil == 4
-        assert HalfIntegral(6).floor == 3 and HalfIntegral(6).ceil == 3
-
     def test_order(self):
         assert HalfIntegral(5) < HalfIntegral(6)
+
+    @pytest.mark.parametrize("doubled", [6.5, 7.0, True, "7", None])
+    def test_rejects_a_numerator_that_is_not_an_int(self, doubled):
+        with pytest.raises(TypeError, match="int numerator"):
+            HalfIntegral(doubled)
 
 
 class TestMatchingNumber:
@@ -115,29 +113,28 @@ class TestMatchingNumber:
 
 
 class TestDoubleCover:
+    # 2*beta_star is the matching number of the bipartite double cover
+    # G x K_2, which networkx builds as a tensor product
+
+    @staticmethod
+    def _cover_matching_size(g):
+        g_nx = nx.Graph()
+        g_nx.add_nodes_from(range(g.n))
+        g_nx.add_edges_from(g.edges())
+        return len(nx.max_weight_matching(nx.tensor_product(g_nx, nx.complete_graph(2)), maxcardinality=True))
+
     def test_c5_gives_c10(self):
-        dc = bipartite_double_cover(cycle(5))
-        assert dc.n == 10 and dc.edge_count() == 10
-        assert all(dc.degree(v) == 2 for v in range(10))
-        assert is_connected(dc)
-        assert isomorphic(dc, cycle(10))
+        assert self._cover_matching_size(cycle(5)) == fractional_matching_number(cycle(5)).doubled == 5
 
     def test_k2_gives_2k2(self):
-        dc = bipartite_double_cover(complete(2))
-        assert dc.n == 4 and dc.edge_count() == 2
-        assert len(components(dc)) == 2
+        assert self._cover_matching_size(complete(2)) == fractional_matching_number(complete(2)).doubled == 2
 
     def test_k3_gives_c6(self):
-        dc = bipartite_double_cover(complete(3))
-        assert dc.n == 6 and all(dc.degree(v) == 2 for v in range(6))
-        assert is_connected(dc)
-        assert isomorphic(dc, cycle(6))
+        assert self._cover_matching_size(complete(3)) == fractional_matching_number(complete(3)).doubled == 3
 
     def test_bipartite_by_construction(self, rng):
         g = random_graph(rng, 7, 0.5)
-        dc = bipartite_double_cover(g)
-        for u, v in dc.edges():
-            assert (u < g.n) != (v < g.n)
+        assert self._cover_matching_size(g) == fractional_matching_number(g).doubled
 
 
 class TestFractionalMatchingNumber:
@@ -282,12 +279,12 @@ class TestWrc:
 
 class TestFpm:
     def test_has_fpm(self):
-        assert has_fractional_perfect_matching(cycle(5))
-        assert not has_fractional_perfect_matching(star(3))
+        assert fractional_matching_number(cycle(5)).doubled == 5
+        assert fractional_matching_number(star(3)).doubled < 4
 
     def test_two_triangles_pendant(self):
         g = join(complete(1), union(union(complete(3), complete(3)), complete(1)))
-        assert has_fractional_perfect_matching(g)
+        assert fractional_matching_number(g).doubled == g.n
 
     def test_c5_partition(self):
         g = cycle(5)
@@ -341,7 +338,7 @@ class TestFpm:
     def test_equivalence_small(self, rng):
         for _ in range(300):
             g = random_graph(rng, rng.randrange(1, 9), rng.random())
-            fpm = has_fractional_perfect_matching(g)
+            fpm = fractional_matching_number(g).doubled == g.n
             if fpm:
                 part = fpm_partition(g, optimal_fractional_matching(g))
                 covered = sorted(v for p in part.parts for v in p.vertices)
@@ -383,7 +380,7 @@ class TestOracles:
 
         rng = random.Random(8)
         dense = [random_graph(rng, n, p) for n in range(7, 11) for p in (0.3, 0.6, 0.8, 0.95) for _ in range(3)]
-        small = [g for n in range(6) for g in enumerate_graphs(n)]
+        small = [_graph_from_mask(n, mask, pairs_colex(n)) for n in range(6) for mask in range(1 << n * (n - 1) // 2)]
         assert any(g.edge_count() > 24 for g in dense)
         for g in small + dense:
             beta, bsd = nx_references(g)
@@ -645,8 +642,9 @@ class TestPrunedKernels:
 
     def test_every_labeled_graph_up_to_n6(self):
         for n in range(7):
-            for g in enumerate_graphs(n):
-                self._assert_same(g)
+            pairs = pairs_colex(n)
+            for mask in range(1 << len(pairs)):
+                self._assert_same(_graph_from_mask(n, mask, pairs))
 
     def test_random_graphs(self):
         rng = random.Random(15)
@@ -660,13 +658,13 @@ class TestPrunedKernels:
             self._assert_same(g)
 
     def test_fewer_searches(self):
-        every_n5 = list(enumerate_graphs(5))
+        every_n5 = [_graph_from_mask(5, mask, pairs_colex(5)) for mask in range(1 << 10)]
         assert _find_path_calls(reference_blossom_max_matching, every_n5) == 1258
         assert _find_path_calls(matching._blossom_max_matching, every_n5) == 134
 
     def test_no_search_from_an_isolated_vertex(self):
         # an isolated vertex 0 in front of G changes no other search
-        every_n4 = list(enumerate_graphs(4))
+        every_n4 = [_graph_from_mask(4, mask, pairs_colex(4)) for mask in range(1 << 6)]
         with_k1 = [union(empty(1), g) for g in every_n4]
         pruned, reference = matching._blossom_max_matching, reference_blossom_max_matching
         assert _find_path_calls(pruned, with_k1) == _find_path_calls(pruned, every_n4)

@@ -19,31 +19,25 @@ from pathlib import Path
 
 import pytest
 
-from specmatch import (
-    HalfIntegral,
-    matching_bound_connected,
-    matching_bound_general,
-    predicted_maximizer_connected,
-    predicted_maximizer_general,
-)
+from specmatch import HalfIntegral, predict
 
 GOLDEN = Path(__file__).parent / "golden" / "predictions.json"
 ORDERS = range(61)
-# theorem: (public predictor, its class keys at order n)
-PREDICTORS = {
-    "t32": (predicted_maximizer_connected, lambda n: [HalfIntegral(d) for d in range(-1, n + 2)]),
-    "t33": (predicted_maximizer_general, lambda n: [HalfIntegral(d) for d in range(-1, n + 2)]),
-    "t12": (matching_bound_general, lambda n: range(-1, n // 2 + 2)),
-    "t13": (matching_bound_connected, lambda n: range(-1, n // 2 + 2)),
+# theorem: its class keys d at order n, each with the label that the digest
+# prints, beta_star for t32 and t33 and beta for t12 and t13
+KEYS = {
+    "t32": lambda n: [(HalfIntegral(d), d) for d in range(-1, n + 2)],
+    "t33": lambda n: [(HalfIntegral(d), d) for d in range(-1, n + 2)],
+    "t12": lambda n: [(b, 2 * b) for b in range(-1, n // 2 + 2)],
+    "t13": lambda n: [(b, 2 * b) for b in range(-1, n // 2 + 2)],
 }
 
 
 def prediction_lines(theorem: str, n: int) -> str:
-    predictor, keys = PREDICTORS[theorem]
     out = []
-    for key in keys(n):
+    for key, d in KEYS[theorem](n):
         try:
-            p = predictor(n, key)
+            p = predict(theorem, n, d)
         except ValueError as exc:
             out.append(f"n={n} key={key}: error {exc}\n")
             continue
@@ -55,7 +49,7 @@ def prediction_lines(theorem: str, n: int) -> str:
 def digests() -> dict[str, str]:
     return {
         theorem: hashlib.sha256("".join(prediction_lines(theorem, n) for n in ORDERS).encode()).hexdigest()
-        for theorem in PREDICTORS
+        for theorem in KEYS
     }
 
 
@@ -69,7 +63,7 @@ def golden():
     return json.loads(GOLDEN.read_text())
 
 
-@pytest.mark.parametrize("theorem", list(PREDICTORS))
+@pytest.mark.parametrize("theorem", list(KEYS))
 def test_predictions_match_golden(current, golden, theorem):
     assert current[theorem] == golden[theorem]
 
@@ -78,22 +72,39 @@ def test_golden_covers_every_theorem(current, golden):
     assert sorted(current) == sorted(golden)
 
 
+# the ids are these cases' names from when each theorem had its own predictor
+# of (n, beta) or (n, beta_star); they keep the suite's test names stable
 @pytest.mark.parametrize(
-    "predictor, n, key, message",
+    "theorem, n, d, message",
     [
-        (predicted_maximizer_connected, 0, HalfIntegral(0), "n must be positive, got 0"),
-        (predicted_maximizer_general, 5, HalfIntegral(-1), "2*beta_star must be non-negative"),
-        (predicted_maximizer_connected, 5, HalfIntegral(6), "2*beta_star = 6 exceeds n = 5"),
-        (matching_bound_general, 0, 0, "n must be positive, got 0"),
-        (matching_bound_connected, 5, -1, "matching number must be non-negative"),
-        (matching_bound_general, 5, 3, "2*beta = 6 exceeds n = 5"),
-        (matching_bound_connected, 6, 4, "2*beta = 8 exceeds n = 6"),
+        ("t32", 0, 0, "n must be positive, got 0"),
+        ("t33", 5, -1, "2*beta_star must be non-negative"),
+        ("t32", 5, 6, "2*beta_star = 6 exceeds n = 5"),
+        ("t12", 0, 0, "n must be positive, got 0"),
+        ("t13", 5, -2, "matching number must be non-negative"),
+        ("t12", 5, 6, "2*beta = 6 exceeds n = 5"),
+        ("t13", 6, 8, "2*beta = 8 exceeds n = 6"),
+    ],
+    ids=[
+        "predicted_maximizer_connected-0-key0-n must be positive, got 0",
+        "predicted_maximizer_general-5-key1-2*beta_star must be non-negative",
+        "predicted_maximizer_connected-5-key2-2*beta_star = 6 exceeds n = 5",
+        "matching_bound_general-0-0-n must be positive, got 0",
+        "matching_bound_connected-5--1-matching number must be non-negative",
+        "matching_bound_general-5-3-2*beta = 6 exceeds n = 5",
+        "matching_bound_connected-6-4-2*beta = 8 exceeds n = 6",
     ],
 )
-def test_out_of_range_error_texts(predictor, n, key, message):
+def test_out_of_range_error_texts(theorem, n, d, message):
     with pytest.raises(ValueError) as exc:
-        predictor(n, key)
+        predict(theorem, n, d)
     assert str(exc.value) == message
+
+
+def test_unknown_theorem_is_a_value_error():
+    with pytest.raises(ValueError) as exc:
+        predict("t99", 5, 2)
+    assert str(exc.value) == "unknown theorem 't99'; expected one of ('t32', 't33', 't12', 't13')"
 
 
 if __name__ == "__main__":
