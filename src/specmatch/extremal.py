@@ -45,10 +45,6 @@ class ExtremalSpec:
     def middle(self) -> int:
         return self.beta_star.doubled - 2 * self.s
 
-    @property
-    def t(self) -> int:
-        return self.n + self.s - self.beta_star.doubled
-
     def validate(self) -> None:
         d = self.beta_star.doubled
         if self.n < 0:

@@ -534,15 +534,6 @@ class AuditReport:
         return not self.violations
 
 
-def _fault(rule: Callable, *args) -> str | None:
-    """The message of a witness rule that fails, or None."""
-    try:
-        rule(*args)
-    except GraphError as exc:
-        return str(exc)
-    return None
-
-
 def _audit_chunk(args: tuple) -> tuple:
     n, lo, hi, masks = args
     conn_col, _, _, _, bsd_col, rows_col, _ = _batch_arrays(n, lo, hi, masks=masks)
@@ -559,24 +550,37 @@ def _audit_chunk(args: tuple) -> tuple:
             faults.append(f"primal {HalfIntegral(fm_total)} / dual {HalfIntegral(t_total)} / matching {HalfIntegral(bsd)} differ")
         # each rule runs once per witness: one walk of the half-weight
         # support, one feasibility check and one coverage check
-        walk_fault = _fault(_odd_cycles, half)
-        if walk_fault:
+        walk_fault = fm_fault = None
+        try:
+            _odd_cycles(half)
+        except GraphError as exc:
+            walk_fault = str(exc)
             faults.append("half-weight support is not a disjoint union of odd cycles")
-        fm_fault = _fault(_check_matching, rows, partner, half, fm_total)
+        try:
+            _check_matching(rows, partner, half, fm_total)
+        except GraphError as exc:
+            fm_fault = str(exc)
         if bsd == n:
             fpm_graphs += 1
-            support = 0
-            for row in half:
-                support |= row
             # the partition fails on the first of: feasibility, coverage, the walk
-            fault = fm_fault or _fault(_check_perfect, n, fm_total, partner, support) or walk_fault
+            fault = fm_fault
+            if not fault:
+                support = 0
+                for row in half:
+                    support |= row
+                try:
+                    _check_perfect(n, fm_total, partner, support)
+                except GraphError as exc:
+                    fault = str(exc)
+            fault = fault or walk_fault
             if fault:
                 faults.append(f"fractional perfect matching partition failed: {fault}")
         elif fm_fault:
             faults.append(f"fractional matching is infeasible: {fm_fault}")
-        t_fault = _fault(_check_cover, rows, r, c)
-        if t_fault:
-            faults.append(f"transversal is infeasible: {t_fault}")
+        try:
+            _check_cover(rows, r, c)
+        except GraphError as exc:
+            faults.append(f"transversal is infeasible: {exc}")
         if connected:
             connected_rule_ok, _, eq1, r_geq_w = _wrc_rules(n, True, w, r, t_total, bsd)
             if not connected_rule_ok:

@@ -68,7 +68,7 @@ class TestBuildExtremal:
             assert fractional_matching_number(g) == spec.beta_star, spec
             if spec.s >= 1:
                 assert is_connected(g) or g.n <= 1
-            elif spec.t > 0 and spec.middle > 0:
+            elif spec.n + spec.s - spec.beta_star.doubled > 0 and spec.middle > 0:
                 assert not is_connected(g)
 
 

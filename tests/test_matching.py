@@ -403,6 +403,17 @@ _MALFORMED = [
     ("t-weight", lambda: Transversal(3, (1, 3, 1), HalfIntegral(5)).validate(path(3)), "vertex 1 has doubled weight 3, expected 0, 1 or 2"),
     ("t-uncovered-rr", lambda: Transversal(3, (0, 0, 2), HalfIntegral(2)).validate(path(3)), "edge (0,1) not covered: weights sum below 1"),
     ("t-uncovered-cr", lambda: Transversal(3, (2, 1, 0), HalfIntegral(3)).validate(path(3)), "edge (1,2) not covered: weights sum below 1"),
+    # the lowest R vertex has no uncovered edge, a later one has
+    (
+        "t-uncovered-later-r",
+        lambda: Transversal(4, (0, 2, 0, 0), HalfIntegral(2)).validate(Graph(4, [(1, 2), (2, 3)])),
+        "edge (2,3) not covered: weights sum below 1",
+    ),
+    (
+        "t-uncovered-later-r-n130",
+        lambda: Transversal(130, (0, 2) + (0,) * 128, HalfIntegral(2)).validate(Graph(130, [(0, 1), (1, 2), (100, 129)])),
+        "edge (100,129) not covered: weights sum below 1",
+    ),
     ("t-total", lambda: Transversal(3, (2, 2, 2), HalfIntegral(5)).validate(path(3)), "stored total does not match the weights"),
     ("fpm-not-perfect", lambda: fpm_partition(star(3), optimal_fractional_matching(star(3))), "matching is not perfect: total 1 < n/2 = 4/2"),
     (
@@ -608,16 +619,21 @@ def _name(g: Graph):
     return to_graph6(g) if g.n <= 62 else list(g.edges())
 
 
+# each blossom kernel's augmenting-path search, by name in the kernel's source
+# file: the reference nests ``find_path``, the pruned kernel calls ``_augment``
+_SEARCHES = {reference_blossom_max_matching: "find_path", matching._blossom_max_matching: "_augment"}
+
+
 def _find_path_calls(kernel, gs) -> int:
-    """Calls of the blossom search ``find_path`` nested in ``kernel`` while it
+    """Calls of ``kernel``'s augmenting-path search (``_SEARCHES``) while it
     runs on each graph of gs, by cProfile."""
     profiler = cProfile.Profile()
     profiler.enable()
     for g in gs:
         kernel(g.rows, g.n)
     profiler.disable()
-    source = kernel.__code__.co_filename
-    return sum(calls for (file, _, name), (calls, *_) in pstats.Stats(profiler).stats.items() if (file, name) == (source, "find_path"))
+    search = (kernel.__code__.co_filename, _SEARCHES[kernel])
+    return sum(calls for (file, _, name), (calls, *_) in pstats.Stats(profiler).stats.items() if (file, name) == search)
 
 
 class TestPrunedKernels:
@@ -656,6 +672,36 @@ class TestPrunedKernels:
         theta = join(complete(1), union(complete(n - 3), empty(2)))
         for g in (path(n), complete(n), theta, random_graph(random.Random(500), n, 6 / n)):
             self._assert_same(g)
+
+    @pytest.mark.parametrize(
+        "g, saturating",
+        [
+            (complete(2048), True),
+            (union(complete(2046), empty(2)), True),
+            (Graph(2048, [(2 * i, 2 * i + 1) for i in range(1024)]), True),  # 1024 K_2
+            (union(complete(1000), empty(48)), True),
+            # the seed pairs 0-1, 2-3, ... of an odd clique and leaves the
+            # left copy of its last vertex free, so one phase still runs
+            (union(complete(2047), empty(1)), False),
+        ],
+        ids=["K2048", "K2046+2K1", "1024K2", "K1000+48K1", "K2047+K1"],
+    )
+    def test_saturating_seed_at_large_n(self, g, saturating):
+        # when the greedy seed leaves no free left copy with a neighbour, the
+        # matcher returns it with the cover of a search that reaches nothing
+        seed, free = [], (1 << g.n) - 1
+        for row in g.rows:
+            nb = row & free
+            seed.append((nb & -nb).bit_length() - 1)
+            free &= ~(nb & -nb)
+        assert all(v >= 0 or not row for v, row in zip(seed, g.rows)) == saturating
+        match_l, *cover = matching._dc_matching(g.rows, g.n)
+        assert (match_l == seed) == saturating
+        match_r = [-1] * g.n
+        for u, v in enumerate(match_l):
+            if v >= 0:
+                match_r[v] = u
+        assert tuple(cover) == reference_dc_cover(g.rows, match_l, match_r)
 
     def test_fewer_searches(self):
         every_n5 = [_graph_from_mask(5, mask, pairs_colex(5)) for mask in range(1 << 10)]
