@@ -153,6 +153,16 @@ def decide(cert: Certificate, rho: float, delta: int) -> tuple[float, bool, bool
     return thr, rho > thr + GUARD, abs(rho - thr) <= GUARD
 
 
+def meets_band(cert: Certificate, lo: float, hi: float, delta: int) -> bool:
+    """Whether the guard band of an applicable certificate meets [lo, hi].
+    lo, hi and delta may be numpy columns of equal length, as in ``decide``.
+    The band's edges are the values decide compares rho with, and decide is
+    monotone in rho, so where the band misses [lo, hi] every rho in it gets
+    one decision."""
+    thr = delta * cert.threshold if cert.below else cert.threshold
+    return (lo <= thr + GUARD) & (hi >= thr - GUARD)
+
+
 def _record(cert: Certificate, rho: float | None, delta: int | None) -> CertificateRecord:
     if cert.threshold is None:
         return CertificateRecord(cert.name, False, False, cert.guarantee, kind=cert.kind, param=cert.param)

@@ -52,26 +52,6 @@ class Graph:
         object.__setattr__(self, "rows", tuple(rows))
 
     @classmethod
-    def from_rows(cls, n: int, rows: Sequence[int]) -> Graph:
-        """Build from per-vertex neighbour masks, validating the relation."""
-        if n < 0 or n > MAX_VERTICES or len(rows) != n:
-            raise GraphError(f"bad row container for n={n}")
-        full = (1 << n) - 1
-        for v, row in enumerate(rows):
-            if row & ~full:
-                raise GraphError(f"row {v} has neighbour bits outside 0..{n - 1}")
-            if row >> v & 1:
-                raise GraphError(f"row {v} has a loop bit")
-        for v, row in enumerate(rows):
-            nb = row
-            while nb:
-                u = (nb & -nb).bit_length() - 1
-                nb &= nb - 1
-                if not rows[u] >> v & 1:
-                    raise GraphError(f"adjacency not symmetric at ({v},{u})")
-        return cls._from_rows_unchecked(n, tuple(rows))
-
-    @classmethod
     def _from_rows_unchecked(cls, n: int, rows: tuple[int, ...]) -> Graph:
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)

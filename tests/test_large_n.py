@@ -76,7 +76,7 @@ def barbell(n):
     rows = list(union(complete(m), complete(n - m)).rows)
     rows[m - 1] |= 1 << m
     rows[m] |= 1 << (m - 1)
-    return Graph.from_rows(n, rows)
+    return Graph._from_rows_unchecked(n, tuple(rows))
 
 
 def random_edges(n, p, seed):

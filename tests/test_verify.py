@@ -263,6 +263,71 @@ class TestPrunedScreen:
                 assert np.array_equal(verify._rho_column(rows[pick], n).view(np.int64), full[pick].view(np.int64))
 
 
+def _cert_chunks():
+    """(n, lo, hi) of the chunks the certificate screen is compared on: the
+    one chunk at n = 5 and 6, the first and a middle chunk at n = 7, and
+    n = 8 chunk 2000."""
+    chunks7 = verify._chunk_ranges(7)
+    return [(5, 0, 1 << 10), (6, 0, 1 << 15), (7, *chunks7[0]), (7, *chunks7[32]), (8, *verify._chunk_ranges(8)[2000])]
+
+
+def _screened_and_full_fired(monkeypatch, n, lo, hi):
+    """The (applicable rows, connected graphs) fired matrix of ``_cert_chunk``
+    on a chunk, from the rho column it hands ``decide``, and the one from
+    rho computed by ``_rho_column`` on every connected graph."""
+    calls = []
+    monkeypatch.setattr(verify, "decide", lambda c, rho, delta: calls.append((c, rho, delta)) or decide(c, rho, delta))
+    verify._cert_chunk((n, lo, hi, None))
+    connected, *_, rows, _ = verify._batch_arrays(n, lo, hi)
+    full = verify._rho_column(rows[connected], n)
+    screened = np.array([decide(c, rho, delta)[1] for c, rho, delta in calls])
+    return screened, np.array([decide(c, full, delta)[1] for c, _, delta in calls])
+
+
+class TestCertificateScreen:
+    def test_enclosure_holds_the_rho_column(self):
+        # every connected labeled graph at n = 1..6, and n = 8 chunk 2000
+        tables = [(n, 0, 1 << n * (n - 1) // 2) for n in range(1, 7)] + [(8, *verify._chunk_ranges(8)[2000])]
+        for n, lo, hi in tables:
+            connected, *_, rows, _ = verify._batch_arrays(n, lo, hi)
+            rows = rows[connected]
+            low, high = verify._rho_enclosure(rows, n)
+            rho = verify._rho_column(rows, n)
+            assert np.all(low <= rho) and np.all(rho <= high), (n, lo)
+
+    @pytest.mark.parametrize("guard", [certify.GUARD, 0.0])
+    def test_fires_as_the_full_rho_column(self, monkeypatch, guard):
+        # rho from the enclosure on the graphs that are not open decides
+        # every row as the exact rho does, also without the guard band
+        monkeypatch.setattr(certify, "GUARD", guard)
+        for chunk in _cert_chunks():
+            screened, full = _screened_and_full_fired(monkeypatch, *chunk)
+            assert len(screened) >= 3 and np.array_equal(screened, full), chunk
+
+    def test_catches_an_enclosure_that_is_too_tight(self, monkeypatch):
+        # each end moved 1e-6 toward the midpoint: C_5, regular, has the
+        # exact enclosure 2 +- RHO_TOL and sits on the threshold 2 of three
+        # rows at n = 5; moved, both ends pass it, and the rows fire
+        enclosure = verify._rho_enclosure
+
+        def shrunk(rows, n):
+            lo, hi = enclosure(rows, n)
+            return lo + 1e-6, hi - 1e-6
+
+        monkeypatch.setattr(verify, "_rho_enclosure", shrunk)
+        assert any(not np.array_equal(*_screened_and_full_fired(monkeypatch, *chunk)) for chunk in _cert_chunks())
+
+    def test_eigensolves_only_open_graphs(self, monkeypatch):
+        # graphs that reach eigvalsh over n = 1..6, one nonempty batch per
+        # order from n = 3; no row of n = 1 and no graph of n = 2 is open
+        batches = []
+        rho_column = verify._rho_column
+        monkeypatch.setattr(verify, "_rho_column", lambda rows, n: batches.append((n, len(rows))) or rho_column(rows, n))
+        for n in range(1, 7):
+            verify_certificates(n)
+        assert batches == [(3, 3), (4, 4), (5, 37), (6, 606)]
+
+
 class TestTheoremSweeps:
     def test_t33_n6_classes(self):
         rep = verify_theorem("t33", 6)
@@ -804,7 +869,7 @@ class TestCrossCheck:
         monkeypatch.setattr(
             verify,
             "_cross_check_one",
-            lambda n, rows, b, d: seen.append(f"{to_graph6(Graph.from_rows(n, rows))} {b} {d}") or real(n, rows, b, d),
+            lambda n, rows, b, d: seen.append(f"{to_graph6(Graph._from_rows_unchecked(n, rows))} {b} {d}") or real(n, rows, b, d),
         )
         rep = cross_check_matching_implementations(n, seed=seed)
         assert (rep.n, rep.exhaustive, rep.graphs_checked, rep.mismatches) == (n, False, 1000, ())
@@ -817,7 +882,7 @@ class TestCrossCheck:
         monkeypatch.setattr(
             verify,
             "_cross_check_one",
-            lambda n, rows, *oracle: edge_counts.append(Graph.from_rows(n, rows).edge_count()) or real(n, rows, *oracle),
+            lambda n, rows, *oracle: edge_counts.append(Graph._from_rows_unchecked(n, rows).edge_count()) or real(n, rows, *oracle),
         )
         rep = cross_check_matching_implementations(9, samples=60, seed=1)
         assert rep.passed and rep.graphs_checked == len(edge_counts) == 60
