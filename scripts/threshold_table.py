@@ -9,9 +9,8 @@ from __future__ import annotations
 
 import argparse
 
-from specmatch import HalfIntegral, spectral_radius, theta_n
+from specmatch import predict, spectral_radius, theta_n
 from specmatch.certify import fpm_threshold, pm_threshold
-from specmatch.extremal import build_extremal, ExtremalSpec
 
 
 def main() -> None:
@@ -23,14 +22,14 @@ def main() -> None:
     for n in range(3, args.n_max + 1):
         fpm = fpm_threshold(n)
         pm = pm_threshold(n)
-        if n >= 8 and n != 9:
-            witness = build_extremal(ExtremalSpec(n, HalfIntegral(n - 1), 1))
-            rho = spectral_radius(witness).value
-        else:
-            rho = fpm
+        # t32's class 2*beta_star = n - 1: in its hub regime the witness is
+        # K_1 v (K_{n-3} u 2K_1), whose rho is theta(n)
+        pred = predict("t32", n, n - 1)
+        hub = pred.regime == "ii"
+        rho = spectral_radius(pred.extremal_graphs[0]).value if hub else fpm
         pm_text = f"{pm:16.10f}" if pm is not None else " " * 16
         print(f"{n:>4} {fpm:16.10f} {pm_text} {rho:16.10f}")
-        if n >= 8 and n != 9:
+        if hub:
             assert abs(rho - theta_n(n)) < 1e-8
 
 

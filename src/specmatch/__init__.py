@@ -47,9 +47,7 @@ from .matching import (
     wrc_decomposition,
 )
 from .extremal import (
-    ExtremalSpec,
     RegimePrediction,
-    build_extremal,
     predict,
     rho_join_formula,
     theta_cubic,

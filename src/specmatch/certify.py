@@ -142,15 +142,19 @@ def certificate_table(n: int, connected: bool) -> list[Certificate]:
     )
 
 
+def _scaled_threshold(cert: Certificate, delta: int) -> float:
+    """The value an applicable certificate compares rho with: its threshold,
+    times the minimum degree delta for a row that fires below it."""
+    return delta * cert.threshold if cert.below else cert.threshold
+
+
 def decide(cert: Certificate, rho: float, delta: int) -> tuple[float, bool, bool]:
     """(threshold, fired, at_threshold) of an applicable certificate.  rho and
     delta are scalars or numpy columns of equal length; the results are then
     columns too (threshold only where it scales with delta)."""
-    if cert.below:
-        thr = delta * cert.threshold
-        return thr, rho < thr - GUARD, abs(rho - thr) <= GUARD
-    thr = cert.threshold
-    return thr, rho > thr + GUARD, abs(rho - thr) <= GUARD
+    thr = _scaled_threshold(cert, delta)
+    fired = rho < thr - GUARD if cert.below else rho > thr + GUARD
+    return thr, fired, abs(rho - thr) <= GUARD
 
 
 def meets_band(cert: Certificate, lo: float, hi: float, delta: int) -> bool:
@@ -159,7 +163,7 @@ def meets_band(cert: Certificate, lo: float, hi: float, delta: int) -> bool:
     The band's edges are the values decide compares rho with, and decide is
     monotone in rho, so where the band misses [lo, hi] every rho in it gets
     one decision."""
-    thr = delta * cert.threshold if cert.below else cert.threshold
+    thr = _scaled_threshold(cert, delta)
     return (lo <= thr + GUARD) & (hi >= thr - GUARD)
 
 

@@ -12,10 +12,9 @@ import sys
 from .certify import SoundnessError, certify_all, fpm_threshold
 from .extremal import (
     THEOREMS,
-    ExtremalSpec,
     _check_class_args,
+    _shape,
     _t13_regime,
-    build_extremal,
     predict,
 )
 from .graphs import (
@@ -139,7 +138,18 @@ def _cmd_certify(args) -> int:
 def _cmd_extremal(args) -> int:
     beta_star = HalfIntegral.parse(args.beta_star)
     if args.s is not None:
-        g = build_extremal(ExtremalSpec(args.n, beta_star, args.s))
+        # the class check predict runs, then the family's own rule on s
+        _check_class_args(args.n, beta_star.doubled, True)
+        s, middle = args.s, beta_star.doubled - 2 * args.s
+        if s < 0:
+            raise ValueError(f"s must be non-negative, got {s}")
+        if middle < 0:
+            raise ValueError(f"s = {s} exceeds beta_star = {beta_star}")
+        if middle == 1:
+            # every edge of K_s v (K_1 u tK_1) meets the hub, so the
+            # fractional matching number collapses to s, not beta_star
+            raise ValueError("middle clique of size 1 collapses the fractional matching number to s")
+        g = _shape(args.n, s, middle)
     else:
         pred = predict("t32", args.n, beta_star.doubled)
         if not pred.bound_is_attained:

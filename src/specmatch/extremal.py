@@ -22,10 +22,8 @@ from .halfint import HalfIntegral
 from .roots import largest_real_root
 
 __all__ = [
-    "ExtremalSpec",
     "RegimePrediction",
     "THEOREMS",
-    "build_extremal",
     "predict",
     "theta_cubic",
     "theta_cubic_coeffs",
@@ -35,43 +33,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ExtremalSpec:
-    n: int
-    beta_star: HalfIntegral
-    s: int
-
-    @property
-    def middle(self) -> int:
-        return self.beta_star.doubled - 2 * self.s
-
-    def validate(self) -> None:
-        d = self.beta_star.doubled
-        if self.n < 0:
-            raise ValueError(f"n must be non-negative, got {self.n}")
-        if d < 0:
-            raise ValueError("fractional matching number must be non-negative")
-        if d > self.n:
-            raise ValueError(f"2*beta_star = {d} exceeds n = {self.n}")
-        if self.s < 0:
-            raise ValueError(f"s must be non-negative, got {self.s}")
-        if self.middle < 0:
-            raise ValueError(f"s = {self.s} exceeds beta_star = {self.beta_star}")
-        if self.middle == 1:
-            # every edge of K_s v (K_1 u tK_1) meets the hub, so the
-            # fractional matching number collapses to s, not beta_star
-            raise ValueError("middle clique of size 1 collapses the fractional matching number to s")
-
-
 def _shape(n: int, s: int, c: int) -> Graph:
     """K_s v (K_c u (n-s-c)K_1); hub first, clique next, isolates last."""
     return join(complete(s), union(complete(c), empty(n - s - c)))
-
-
-def build_extremal(spec: ExtremalSpec) -> Graph:
-    """Build K_s v (K_{2b-2s} u tK_1); hub first, clique next, isolates last."""
-    spec.validate()
-    return _shape(spec.n, spec.s, spec.middle)
 
 
 def theta_cubic_coeffs(n: int, beta_star: HalfIntegral) -> tuple[int, int, int, int]:

@@ -497,10 +497,6 @@ class FractionalMatching:
     def validate(self, g: Graph) -> None:
         self._valid_rows(g)
 
-    def half_cycles(self) -> list[tuple[int, ...]]:
-        """The half-weight support as odd cycles (see ``_odd_cycles``)."""
-        return _odd_cycles(self._rows(self.n)[1])
-
     def to_text(self) -> str:
         names = {1: "1/2", 2: "1"}
         lines = [f"edge {u} {v} {names[w]}" for (u, v), w in sorted(self.doubled_weights)]

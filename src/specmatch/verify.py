@@ -28,6 +28,7 @@ witness constructors wrap.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass
 from typing import Callable
@@ -241,7 +242,7 @@ def _sweep(worker: Callable, n: int, jobs: int, masks: np.ndarray | None = None,
     """Run worker((n, lo, hi, masks, *extra)) on every chunk of the labeled
     graphs on n vertices, or given masks, on every window of at most
     ``_TABLE_CELLS >> n`` of them, passed as its own array; in at most
-    min(jobs, windows) processes, the results in window order."""
+    min(jobs, windows, usable CPUs) processes, the results in window order."""
     if masks is None:
         chunk_args = [(n, lo, hi, None, *extra) for lo, hi in _chunk_ranges(n)]
     else:
@@ -251,8 +252,9 @@ def _sweep(worker: Callable, n: int, jobs: int, masks: np.ndarray | None = None,
         return [worker(a) for a in chunk_args]
     import multiprocessing as mp
 
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     ctx = mp.get_context("fork")
-    with ctx.Pool(min(jobs, len(chunk_args))) as pool:
+    with ctx.Pool(min(jobs, len(chunk_args), cpus)) as pool:
         return pool.map(worker, chunk_args)
 
 

@@ -14,12 +14,10 @@ import os
 import random
 
 from specmatch import (
-    ExtremalSpec,
     Graph,
     HalfIntegral,
     adjacency_quotient,
     audit_structures,
-    build_extremal,
     charpoly_int,
     complete,
     cross_check_matching_implementations,
@@ -35,7 +33,7 @@ from specmatch import (
     verify_theorem,
     verify_tie_class_n8,
 )
-from specmatch.extremal import theta_cubic_coeffs
+from specmatch.extremal import _shape, theta_cubic_coeffs
 from specmatch.spectral import char_poly_f_coeffs
 from conftest import random_connected_graph
 
@@ -168,16 +166,16 @@ class TestAcceptance:
         for n in range(1, 15):
             for d in range(0, n + 1):
                 for s in range(0, d // 2 + 1):
-                    spec = ExtremalSpec(n, HalfIntegral(d), s)
-                    if spec.middle == 1:
+                    middle = d - 2 * s
+                    if middle == 1:
                         continue
-                    g = build_extremal(spec)
+                    g = _shape(n, s, middle)
                     if g.n == 0:
                         continue
                     cells = [
-                        set(range(spec.s)),
-                        set(range(spec.s, spec.s + spec.middle)),
-                        set(range(spec.s + spec.middle, n)),
+                        set(range(s)),
+                        set(range(s, s + middle)),
+                        set(range(s + middle, n)),
                     ]
                     q = adjacency_quotient(g, cells)
                     quotient_poly = charpoly_int([list(r) for r in q.entries])

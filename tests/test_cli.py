@@ -224,6 +224,23 @@ class TestExitCodes:
     def test_bad_half_integer(self, capsys):
         assert run_cli(capsys, "extremal", "--n", "6", "--beta-star", "2.25")[0] == 1
 
+    def test_extremal_s_invalid_specs_rejected(self, capsys):
+        cases = [
+            (("5", "3", "1"), "2*beta_star = 6 exceeds n = 5"),
+            (("8", "3", "4"), "s = 4 exceeds beta_star = 3"),
+            (("8", "7/2", "3"), "middle clique of size 1 collapses the fractional matching number to s"),
+            (("8", "3", "-1"), "s must be non-negative, got -1"),
+        ]
+        for (n, beta_star, s), message in cases:
+            code, out, err = run_cli(capsys, "extremal", "--n", n, "--beta-star", beta_star, "--s", s)
+            assert (code, out, err) == (1, "", f"input error: {message}\n"), (n, beta_star, s)
+
+    @pytest.mark.parametrize("n, beta_star", [("0", "0"), ("-1", "0"), ("4", "-1/2")])
+    def test_extremal_s_checks_the_class_as_the_default_does(self, capsys, n, beta_star):
+        expect = run_cli(capsys, "extremal", "--n", n, "--beta-star=" + beta_star)
+        assert expect[0] == 1 and expect[1] == ""
+        assert run_cli(capsys, "extremal", "--n", n, "--beta-star=" + beta_star, "--s", "0") == expect
+
     def test_computation_error_exit2(self, capsys):
         # enumeration cap produces a computation error
         code, _, err = run_cli(capsys, "verify", "--theorem", "t33", "--n", "8")

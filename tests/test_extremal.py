@@ -5,9 +5,7 @@ import math
 import pytest
 
 from specmatch import (
-    ExtremalSpec,
     HalfIntegral,
-    build_extremal,
     complete,
     empty,
     fractional_matching_number,
@@ -22,53 +20,43 @@ from specmatch import (
     to_graph6,
     union,
 )
-from specmatch.extremal import THEOREMS, theta_cubic_coeffs
+from specmatch.extremal import THEOREMS, _shape, theta_cubic_coeffs
 from specmatch.spectral import char_poly_f_coeffs
 from specmatch.verify import oracle_beta, oracle_beta_star
 from conftest import isomorphic
 
 
-def valid_specs(max_n):
+def family_members(max_n):
+    """(n, d, s) of each K_s v (K_{d-2s} u (n+s-d)K_1) with n <= max_n whose
+    fractional matching number is d/2: a middle clique of size 1 collapses it."""
     for n in range(1, max_n + 1):
         for d in range(0, n + 1):
             for s in range(0, d // 2 + 1):
-                spec = ExtremalSpec(n, HalfIntegral(d), s)
-                if spec.middle == 1:
-                    continue
-                yield spec
+                if d - 2 * s != 1:
+                    yield n, d, s
 
 
 class TestBuildExtremal:
     def test_hub_instance(self):
-        g = build_extremal(ExtremalSpec(8, HalfIntegral(7), 1))
+        g = _shape(8, 1, 5)
         assert isomorphic(g, join(complete(1), union(complete(5), empty(2))))
 
     def test_clique_union_instance(self):
-        g = build_extremal(ExtremalSpec(6, HalfIntegral(4), 0))
+        g = _shape(6, 0, 4)
         assert isomorphic(g, union(complete(4), empty(2)))
 
     def test_split_join_instance(self):
-        g = build_extremal(ExtremalSpec(7, HalfIntegral(4), 2))
+        g = _shape(7, 2, 0)
         assert isomorphic(g, join(complete(2), empty(5)))
-
-    def test_invalid_specs_rejected(self):
-        with pytest.raises(ValueError):
-            build_extremal(ExtremalSpec(5, HalfIntegral(6), 1))  # 2b > n
-        with pytest.raises(ValueError):
-            build_extremal(ExtremalSpec(8, HalfIntegral(6), 4))  # s > beta*
-        with pytest.raises(ValueError):
-            build_extremal(ExtremalSpec(8, HalfIntegral(7), 3))  # middle clique 1
-        with pytest.raises(ValueError):
-            build_extremal(ExtremalSpec(8, HalfIntegral(6), -1))
 
     def test_family_fractional_matching_number(self):
         # every valid instance realises its fractional matching number
-        for spec in valid_specs(14):
-            g = build_extremal(spec)
-            assert fractional_matching_number(g) == spec.beta_star, spec
-            if spec.s >= 1:
+        for n, d, s in family_members(14):
+            g = _shape(n, s, d - 2 * s)
+            assert fractional_matching_number(g) == HalfIntegral(d), (n, d, s)
+            if s >= 1:
                 assert is_connected(g) or g.n <= 1
-            elif spec.n + spec.s - spec.beta_star.doubled > 0 and spec.middle > 0:
+            elif n + s - d > 0 and d - 2 * s > 0:
                 assert not is_connected(g)
 
 
@@ -78,7 +66,7 @@ class TestThresholds:
 
     def test_theta_cubic_matches_family_rho(self):
         for n, d in [(10, 9), (12, 9), (14, 11), (20, 13)]:
-            g = build_extremal(ExtremalSpec(n, HalfIntegral(d), 1))
+            g = _shape(n, 1, d - 2)
             assert theta_cubic(n, HalfIntegral(d)) == pytest.approx(spectral_radius(g).value, abs=1e-8)
 
     def test_theta_cubic_precondition(self):
@@ -330,10 +318,9 @@ class TestStrictnessInsideFamily:
                     continue
                 bound = rho_join_formula(n, d // 2)
                 for s in range(1, d // 2):
-                    spec = ExtremalSpec(n, HalfIntegral(d), s)
-                    if spec.middle == 1:
+                    if d - 2 * s == 1:
                         continue
-                    rho = spectral_radius(build_extremal(spec)).value
+                    rho = spectral_radius(_shape(n, s, d - 2 * s)).value
                     assert rho < bound - 1e-9, (n, d, s)
 
     def test_serialization(self):

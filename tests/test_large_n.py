@@ -47,6 +47,7 @@ from specmatch import (
 )
 from specmatch import spectral
 from specmatch.graphs import byte_rows
+from specmatch.matching import _odd_cycles
 from specmatch.cli import main
 from specmatch.extremal import theta_n_coeffs
 
@@ -296,7 +297,7 @@ class TestWitnesses:
         assert t.doubled_weights == (1,) * n and t.total == HalfIntegral(n)
         fm = optimal_fractional_matching(g)
         assert fm.doubled_weights == tuple((e, 2) for e in pairs)
-        assert fm.half_cycles() == []
+        assert _odd_cycles(fm._rows(fm.n)[1]) == []
         part = fpm_partition(g, fm)
         assert [(p.kind, p.vertices) for p in part.parts] == [("K2", e) for e in pairs]
         m = matching_number(g)
@@ -314,7 +315,7 @@ class TestWitnesses:
         assert (rep.s, rep.t, rep.c) == (1, 2, n - 3) and rep.eq1_holds and rep.r_geq_w
         fm = optimal_fractional_matching(g)
         assert fm.total == HalfIntegral(n - 1)
-        assert fm.half_cycles() == [(1, 2, 3)]
+        assert _odd_cycles(fm._rows(fm.n)[1]) == [(1, 2, 3)]
         full = [((0, n - 2), 2)] + [((v, v + 1), 2) for v in range(4, n - 2, 2)]
         assert sorted(fm.doubled_weights) == sorted(full + [((1, 2), 1), ((1, 3), 1), ((2, 3), 1)])
         with pytest.raises(GraphError, match="not perfect"):
@@ -367,7 +368,7 @@ class TestRandomWitnesses:
         t = fractional_transversal(g)
         assert fm.total.doubled == t.total.doubled == bsd
         assert bsd == pytest.approx(2 * lp_fractional_matching_number(n, edges), abs=1e-6)
-        cycles = fm.half_cycles()
+        cycles = _odd_cycles(fm._rows(fm.n)[1])
         assert cycles and all(len(c) % 2 for c in cycles)
         assert all(g.has_edge(u, v) for c in cycles for u, v in zip(c, c[1:] + c[:1]))
 

@@ -321,10 +321,11 @@ class TestFpm:
         # degree check would circle 1-2-3 forever, so run it under a timeout
         code = (
             "from specmatch import FractionalMatching, GraphError, HalfIntegral\n"
+            "from specmatch.matching import _odd_cycles\n"
             "edges = [(0, 6), (0, 7), (1, 6), (1, 2), (2, 3), (1, 3)]\n"
             "fm = FractionalMatching(8, tuple((e, 1) for e in edges), HalfIntegral(6))\n"
             "try:\n"
-            "    fm.half_cycles()\n"
+            "    _odd_cycles(fm._rows(fm.n)[1])\n"
             "except GraphError:\n"
             "    print('GraphError')\n"
         )
@@ -391,6 +392,10 @@ def _fm(n, weights, total):
     return FractionalMatching(n, tuple(weights), HalfIntegral(total))
 
 
+def _half_cycles(fm):
+    return matching._odd_cycles(fm._rows(fm.n)[1])
+
+
 # every message the witness checks raise, one malformed witness each
 _MALFORMED = [
     ("fm-range", lambda: _fm(3, [((0, 3), 2)], 2).validate(path(3)), "weighted pair (0,3) out of range"),
@@ -423,17 +428,17 @@ _MALFORMED = [
     ),
     (
         "cycles-path",
-        lambda: _fm(3, [((0, 1), 1), ((1, 2), 1)], 2).half_cycles(),
+        lambda: _half_cycles(_fm(3, [((0, 1), 1), ((1, 2), 1)], 2)),
         "non-canonical matching: half-weight support is not a union of cycles",
     ),
     (
         "cycles-branching",
-        lambda: _fm(4, [((0, 1), 1), ((0, 2), 1), ((0, 3), 1)], 3).half_cycles(),
+        lambda: _half_cycles(_fm(4, [((0, 1), 1), ((0, 2), 1), ((0, 3), 1)], 3)),
         "non-canonical matching: half-weight support is not a union of cycles",
     ),
     (
         "cycles-even",
-        lambda: _fm(4, [(e, 1) for e in cycle(4).edges()], 4).half_cycles(),
+        lambda: _half_cycles(_fm(4, [(e, 1) for e in cycle(4).edges()], 4)),
         "non-canonical matching: even cycle in the half-weight support",
     ),
 ]

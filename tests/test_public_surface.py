@@ -1,7 +1,8 @@
 """The package's public surface, checked with ``ast`` in place of a linter.
 
-Every function that ``specmatch/__init__.py`` re-exports has a caller
-outside the tests, and no module imports a name that it never uses.
+Every function and class that ``specmatch/__init__.py`` re-exports, and
+every public method or property of those classes, has a caller outside the
+tests, and no module imports a name that it never uses.
 """
 
 from __future__ import annotations
@@ -22,16 +23,20 @@ AWAITING_CALLERS = (
     "char_poly_f_coeffs",
     "char_poly_g_coeffs",
 )
+# public members kept for readers of the README, whose library sketch reads
+# a transversal's vertex classes through ``.W``
+DOCUMENTED_MEMBERS = ("Transversal.W", "Transversal.R", "Transversal.C")
 
 
 def _sources(*dirs: str) -> dict[Path, ast.Module]:
     return {p: ast.parse(p.read_text(), str(p)) for d in dirs for p in sorted((ROOT / d).rglob("*.py"))}
 
 
-def _exported_functions() -> dict[str, str]:
-    """name -> defining module of each function ``__init__.py`` re-exports."""
+def _exported() -> tuple[set[str], list[ast.ClassDef]]:
+    """The names of the functions and the definitions of the classes that
+    ``__init__.py`` re-exports."""
     init = ast.parse((PACKAGE / "__init__.py").read_text())
-    out = {}
+    exported_functions, exported_classes = set(), []
     for node in init.body:
         if not isinstance(node, ast.ImportFrom):
             continue
@@ -45,20 +50,23 @@ def _exported_functions() -> dict[str, str]:
             for t in n.targets
             if isinstance(t, ast.Name)
         }
-        out.update((alias.name, node.module) for alias in node.names if alias.name in functions)
-    return out
+        names = {alias.name for alias in node.names}
+        exported_functions |= functions & names
+        exported_classes += [n for n in module.body if isinstance(n, ast.ClassDef) and n.name in names]
+    return exported_functions, exported_classes
 
 
 def _references(tree: ast.AST) -> set[str]:
     """Names that tree refers to: identifiers, attributes, and strings that
     name a function (``getattr`` names, or ``module.function`` span names);
-    not a function's name inside its own def, nor the names in ``__all__``."""
+    not a function's or a class's name inside its own definition, nor the
+    names in ``__all__``."""
     found: set[str] = set()
 
     def visit(node: ast.AST, own: frozenset[str]) -> None:
         if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             return
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             own |= {node.name}
         name = None
         if isinstance(node, ast.Name):
@@ -76,15 +84,34 @@ def _references(tree: ast.AST) -> set[str]:
     return found
 
 
-def test_every_exported_function_has_a_caller_outside_the_tests():
-    exported = _exported_functions()
+def _referenced_outside_the_tests() -> set[str]:
     referenced: set[str] = set()
     for path, tree in _sources("src", "scripts", "bench").items():
         if path != PACKAGE / "__init__.py":
             referenced |= _references(tree)
-    uncalled = sorted(set(exported) - referenced - set(AWAITING_CALLERS))
+    return referenced
+
+
+def test_every_exported_function_has_a_caller_outside_the_tests():
+    exported = _exported()[0]
+    uncalled = sorted(exported - _referenced_outside_the_tests() - set(AWAITING_CALLERS))
     assert uncalled == [], f"exported but called only by the tests: {uncalled}"
-    assert set(AWAITING_CALLERS) <= set(exported)
+    assert set(AWAITING_CALLERS) <= exported
+
+
+def test_every_exported_class_and_public_member_has_a_caller_outside_the_tests():
+    classes = _exported()[1]
+    referenced = _referenced_outside_the_tests()
+    members = {
+        f"{cls.name}.{node.name}": node.name
+        for cls in classes
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    uncalled = [cls.name for cls in classes if cls.name not in referenced]
+    uncalled += sorted(m for m, name in members.items() if name not in referenced and m not in DOCUMENTED_MEMBERS)
+    assert uncalled == [], f"exported but called only by the tests: {uncalled}"
+    assert set(DOCUMENTED_MEMBERS) <= set(members)
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:

@@ -26,7 +26,7 @@ from specmatch import (
     spectral_radius,
     union,
 )
-from specmatch.extremal import ExtremalSpec, build_extremal, theta_cubic_coeffs
+from specmatch.extremal import _shape, theta_cubic_coeffs
 from specmatch.roots import _eval
 from conftest import graphs, random_connected_graph, random_graph
 
@@ -156,8 +156,8 @@ class TestQuotient:
     def test_three_cell_family_quotient(self):
         # K_s v (K_{2b-2s} u tK_1) with cells hub / clique / isolates
         for n, d, s in [(8, 7, 1), (10, 8, 2), (12, 9, 3)]:
-            g = build_extremal(ExtremalSpec(n, HalfIntegral(d), s))
             mid = d - 2 * s
+            g = _shape(n, s, mid)
             cells = [set(range(s)), set(range(s, s + mid)), set(range(s + mid, n))]
             q = adjacency_quotient(g, cells)
             assert q.entries == (
@@ -194,8 +194,8 @@ class TestQuotient:
 
     def test_quotient_radius_matches_power_iteration(self, rng):
         for n, d, s in [(8, 7, 1), (9, 7, 2), (12, 10, 3), (14, 11, 2)]:
-            g = build_extremal(ExtremalSpec(n, HalfIntegral(d), s))
             mid = d - 2 * s
+            g = _shape(n, s, mid)
             cells = [set(range(s)), set(range(s, s + mid)), set(range(s + mid, n))]
             q = adjacency_quotient(g, cells)
             assert quotient_spectral_radius(q) == pytest.approx(spectral_radius(g).value, abs=1e-9)
@@ -246,7 +246,7 @@ class TestCharPolyF:
 
     def test_annihilates_family_rho(self, rng):
         for n, d, s in [(8, 7, 1), (10, 9, 2), (14, 10, 3), (20, 13, 4)]:
-            g = build_extremal(ExtremalSpec(n, HalfIntegral(d), s))
+            g = _shape(n, s, d - 2 * s)
             rho = spectral_radius(g).value
             assert abs(_eval(char_poly_f_coeffs(n, HalfIntegral(d), s), rho)) < 1e-6 * n**3
 

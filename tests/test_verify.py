@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import multiprocessing
+import os
 import pstats
 import types
 from pathlib import Path
@@ -194,9 +195,10 @@ class TestChunkTable:
         assert 0 < _verify_calls(stats, decide) <= rows
         assert 0 < _verify_calls(stats, _guarantee_holds) <= rows
 
-    @pytest.mark.parametrize("jobs, size", [(1000, 64), (2, 2)])
-    def test_pool_no_larger_than_the_chunk_count(self, monkeypatch, jobs, size):
-        # n = 7 has 64 chunks; the fake pool maps serially and starts no process
+    @staticmethod
+    def _fake_pool_sizes(monkeypatch, cpus):
+        """The sizes of the pools _sweep asks for on a machine of cpus CPUs;
+        the fake pool maps serially and starts no process."""
         asked = []
 
         class Pool:
@@ -213,9 +215,23 @@ class TestChunkTable:
                 return list(map(fn, args))
 
         monkeypatch.setattr(multiprocessing, "get_context", lambda method: types.SimpleNamespace(Pool=Pool))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        return asked
+
+    @pytest.mark.parametrize("jobs, size", [(1000, 64), (2, 2)])
+    def test_pool_no_larger_than_the_chunk_count(self, monkeypatch, jobs, size):
+        # n = 7 has 64 chunks
+        asked = self._fake_pool_sizes(monkeypatch, cpus=256)
         chunk = lambda args: args[1:3]  # noqa: E731
         assert verify._sweep(chunk, 7, jobs) == verify._chunk_ranges(7)
         assert asked == [size]
+
+    def test_pool_no_larger_than_the_usable_cpus(self, monkeypatch):
+        # n = 8 has 4,096 chunks; a pool of 5,000 processes would be one per chunk
+        asked = self._fake_pool_sizes(monkeypatch, cpus=3)
+        chunk = lambda args: args[1:3]  # noqa: E731
+        assert verify._sweep(chunk, 8, 5000) == verify._chunk_ranges(8)
+        assert asked == [3]
 
 
 class TestPrunedScreen:

@@ -29,6 +29,7 @@ from specmatch import (
     to_graph6,
 )
 from specmatch.graphs import pairs_colex
+from specmatch.matching import _odd_cycles
 from specmatch.verify import _graph_from_mask
 
 GOLDEN = Path(__file__).parent / "golden" / "witnesses.json"
@@ -57,7 +58,7 @@ def witness_lines(g: Graph) -> str:
     return (
         f"graph {to_graph6(g)}\n"
         + fm.to_text()
-        + f"cycles {fm.half_cycles()}\n"
+        + f"cycles {_odd_cycles(fm._rows(fm.n)[1])}\n"
         + fractional_transversal(g).to_text()
         + f"matching {matching_number(g).edges}\n"
         + fpm
