@@ -111,30 +111,39 @@ def _subset_columns(rows: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     not, with the same value: I = S - N(S) is independent, and N(I) misses
     S & N(S) (a neighbour of I inside S would put I's vertex in N(S)), so
     |I| - |N(I)| >= |S| - |N(S)|.
+
+    The tables are (2^n, graphs) arrays and the rows are transposed to
+    (n, graphs), so every step is one contiguous vector operation over all
+    the graphs.  The rows and the N table are one byte wide at n <= 8 and
+    two bytes above.  The beta step adds 1 + beta(S - u) only for a
+    neighbour u, but takes the maximum with beta(S - u) + adjacent for
+    every u in S: for a non-neighbour that is beta(S - u) <= beta(S), which
+    cannot raise it.
     """
     count = len(rows)
-    rows = rows.astype(np.uint16, copy=False)
-    nbhd = np.zeros((1 << n, count), dtype=np.uint16)
+    width = np.uint8 if n <= 8 else np.uint16
+    row = np.ascontiguousarray(rows.T, dtype=width)  # row[v]: N(v) of every graph
+    nbhd = np.zeros((1 << n, count), dtype=width)
     beta = np.zeros((1 << n, count), dtype=np.int8)
     for v in range(n):
         old, new = beta[: 1 << v], beta[1 << v : 2 << v]
-        np.bitwise_or(nbhd[: 1 << v], rows[:, v], out=nbhd[1 << v : 2 << v])
+        np.bitwise_or(nbhd[: 1 << v], row[v], out=nbhd[1 << v : 2 << v])
         new[:] = old
         for u in range(v):
             # axis 1 splits the subsets of {0..v-1} on u: [:, 1] holds S, [:, 0] holds S - u
-            adjacent = ((rows[:, v] >> u) & 1).astype(np.int8)
+            adjacent = ((row[v] >> u) & 1).astype(np.int8)
             src, dst = old.reshape(-1, 2, 1 << u, count), new.reshape(-1, 2, 1 << u, count)
-            np.maximum(dst[:, 1], (src[:, 0] + 1) * adjacent, out=dst[:, 1])
-    reach = np.ones(count, dtype=np.intp)
-    graphs = np.arange(count)
+            np.maximum(dst[:, 1], src[:, 0] + adjacent, out=dst[:, 1])
+    # graph g's cell of subset S sits at S * count + g of the flat N table
+    reach, graphs = np.ones(count, dtype=np.intp), np.arange(count)
     for _ in range(n - 1):
-        reach |= nbhd[reach, graphs]
+        reach |= nbhd.reshape(-1).take(reach * count + graphs)
     # every bit count is at most 16 and reads as int8
     surplus = np.bitwise_count(nbhd).view(np.int8)  # |N(S)|, then |S| - |N(S)|
     size = np.bitwise_count(np.arange(1 << n, dtype=np.uint16)).view(np.int8)
     np.subtract(size[:, None], surplus, out=surplus)
-    degrees, connected = np.bitwise_count(rows).view(np.int8), reach == (1 << n) - 1
-    return connected, degrees.min(axis=1, initial=n), degrees.sum(axis=1) // 2, beta[-1], n - surplus.max(axis=0, initial=0).astype(np.int64)
+    degrees, connected = np.bitwise_count(row).view(np.int8), reach == (1 << n) - 1
+    return connected, degrees.min(axis=0, initial=n), degrees.sum(axis=0) // 2, beta[-1], n - surplus.max(axis=0, initial=0).astype(np.int64)
 
 
 def _oracle_columns(g: Graph, what: str) -> tuple[np.ndarray, ...]:
@@ -232,7 +241,7 @@ def _batch_arrays(n: int, lo: int, hi: int, *, masks: np.ndarray | None = None) 
         byte_rows[j // 8, :, v] |= bit << u
     rows = np.zeros((len(masks), n), dtype=np.uint16)
     for table, byte in zip(byte_rows, masks.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8).T):
-        rows |= table[byte]
+        rows |= table.take(byte, axis=0)
     step = _TABLE_CELLS >> n
     columns = [_subset_columns(rows[start : start + step], n) for start in range(0, len(masks), step)]
     return (*(np.concatenate(c) for c in zip(*columns)), rows.astype(np.int64), masks)
@@ -711,12 +720,26 @@ def _cross_chunk(args: tuple) -> list[str]:
 def _random_masks(n: int, samples: int, seed: int, p_lo: float, p_hi: float) -> np.ndarray:
     """Edge masks of ``samples`` random graphs on n vertices from
     ``random.Random(seed)``: each draws p uniformly from [p_lo, p_hi], then
-    keeps each vertex pair, in graph6 bit order, when its draw falls below p."""
+    keeps each vertex pair, in graph6 bit order, when its draw falls below p.
+
+    The draws are the generator's own stream, read in blocks of 32-bit words
+    (``getrandbits``, first word least significant) and formed as ``random``
+    and ``uniform`` form them: a double from two words a, b is
+    ((a >> 5) * 2^26 + (b >> 6)) / 2^53.  A block holds at most
+    ``_TABLE_CELLS >> n`` samples, so memory beyond the masks stays bounded."""
+    m, step = n * (n - 1) // 2, _TABLE_CELLS >> n
     rng = random.Random(seed)
     masks = np.zeros(samples, dtype=np.int64)
-    for i in range(samples):
-        p = rng.uniform(p_lo, p_hi)
-        masks[i] = sum(1 << j for j in range(n * (n - 1) // 2) if rng.random() < p)
+    packed = np.zeros((min(samples, step), 8), dtype=np.uint8)
+    for start in range(0, samples, step):
+        block = min(samples - start, step)
+        words = 2 * (m + 1) * block  # two per double: p, then one per vertex pair
+        raw = np.frombuffer(rng.getrandbits(32 * words).to_bytes(4 * words, "little"), dtype="<u4")
+        a, b = raw.reshape(block, m + 1, 2).transpose(2, 0, 1)
+        u = ((a >> 5) * 67108864.0 + (b >> 6)) / 9007199254740992.0
+        p = p_lo + (p_hi - p_lo) * u[:, 0]
+        packed[:block, : (m + 7) // 8] = np.packbits(u[:, 1:] < p[:, None], axis=1, bitorder="little")
+        masks[start : start + block] = packed[:block].view("<i8")[:, 0]
     return masks
 
 

@@ -38,6 +38,21 @@ def test_threshold_table():
     assert len(proc.stdout.splitlines()) == 1 + 8  # header, then n = 3..10
 
 
+def test_chunk_costs():
+    proc = run_script("chunk_costs.py", "5:0", "--repeat", "1")
+    assert proc.returncode == 0, proc.stderr
+    header, rule, *rows = proc.stdout.splitlines()
+    assert header == "| step | n = 5, chunk 0 (1,024 graphs) |" and rule == "|---|---|"
+    steps = ["_batch_arrays", "_theorem_chunk t32", "_theorem_chunk t33", "_theorem_chunk t12", "_theorem_chunk t13"]
+    assert [row.split(" | ")[0] for row in rows] == [f"| `{step}`" for step in [*steps, "_cert_chunk", "_audit_chunk"]]
+    assert all(float(row.split(" | ")[1].rstrip(" |")) >= 0 for row in rows)
+    # n = 5 has one chunk, and a chunk at n = 9 would hold 2^24 graphs
+    proc = run_script("chunk_costs.py", "5:1")
+    assert proc.returncode == 2 and "n = 5 has 1 chunks, not a chunk 1" in proc.stderr
+    proc = run_script("chunk_costs.py", "9:0")
+    assert proc.returncode == 2 and "the sweeps enumerate 1 <= n <= 8, not n = 9" in proc.stderr
+
+
 def import_bench_pairs():
     sys.path.insert(0, str(ROOT / "scripts"))
     try:

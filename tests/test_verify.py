@@ -9,9 +9,14 @@ import math
 import multiprocessing
 import os
 import pstats
+import random
+import subprocess
+import sys
+import tracemalloc
 import types
 from pathlib import Path
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -157,6 +162,43 @@ class TestChunkTable:
             assert beta == [matching_number(g).size for g in graphs]
             assert bsd == [fractional_matching_number(g).doubled for g in graphs]
             assert rho == pytest.approx([spectral_radius(g).value for g in graphs], abs=1e-9)
+
+    @staticmethod
+    def _networkx_columns(n, mask):
+        """Connectivity, minimum degree, edge count, beta and 2*beta_star of
+        one mask's graph from networkx: beta by maximum-cardinality matching,
+        2*beta_star as the matching number of the bipartite double cover."""
+        edges = [e for j, e in enumerate(pairs_colex(n)) if mask >> j & 1]
+        gx = nx.Graph(edges)
+        gx.add_nodes_from(range(n))
+        cover = nx.Graph([((u, 0), (v, 1)) for u, v in edges] + [((v, 0), (u, 1)) for u, v in edges])
+        cover.add_nodes_from((v, side) for v in range(n) for side in (0, 1))
+        dc = nx.bipartite.maximum_matching(cover, top_nodes=[(v, 0) for v in range(n)])
+        beta = len(nx.max_weight_matching(gx, maxcardinality=True))
+        return nx.is_connected(gx), min(d for _, d in gx.degree()), len(edges), beta, len(dc) // 2
+
+    @pytest.mark.parametrize("n, window", [(8, True), (8, False), (9, False)], ids=["n8-window", "n8-repeats", "n9-repeats"])
+    def test_columns_against_networkx(self, n, window):
+        # one full table window at n = 8, where the rows and N tables are one
+        # byte wide (8,192 graphs of chunk 2000), and shuffled mask arrays with
+        # every mask twice at n = 8 and at n = 9, where they are two bytes;
+        # 300 graphs of each against networkx, and repeats read alike
+        rng = random.Random(30)
+        if window:
+            lo = verify._chunk_ranges(8)[2000][0]
+            masks = np.arange(lo, lo + (verify._TABLE_CELLS >> 8), dtype=np.int64)
+        else:
+            drawn = [rng.getrandbits(n * (n - 1) // 2) for _ in range(1500)] + [0, (1 << n * (n - 1) // 2) - 1]
+            masks = np.array(rng.sample(drawn * 2, 2 * len(drawn)), dtype=np.int64)
+        *columns, _, picked = verify._batch_arrays(n, 0, len(masks), masks=masks)
+        assert picked.tolist() == masks.tolist()
+        table = list(zip(*(col.tolist() for col in columns)))
+        first = {}
+        for mask, row in zip(masks.tolist(), table):
+            assert first.setdefault(mask, row) == row
+        for i in rng.sample(range(len(masks)), 300):
+            assert table[i] == self._networkx_columns(n, int(masks[i])), int(masks[i])
+        assert len({row[3] for row in table}) > 1 and len({row[4] for row in table}) > 1
 
     def test_n0(self):
         # the one graph on no vertices is empty and not connected; its
@@ -921,6 +963,56 @@ class TestCrossCheck:
             cross_check_matching_implementations(11)
         assert main(["cross-check", "--n", "11"]) == 2
         assert "capped at n <= 10" in capsys.readouterr().err
+
+
+def _reference_masks(n, samples, seed, p_lo, p_hi):
+    """The sampler's definition, one generator call per draw: each graph
+    draws p = uniform(p_lo, p_hi), then keeps each vertex pair, in graph6
+    bit order, when random() falls below p."""
+    rng = random.Random(seed)
+    masks = np.zeros(samples, dtype=np.int64)
+    for i in range(samples):
+        p = rng.uniform(p_lo, p_hi)
+        masks[i] = sum(1 << j for j in range(n * (n - 1) // 2) if rng.random() < p)
+    return masks
+
+
+class TestSampler:
+    @pytest.mark.parametrize("p_range", [(0.05, 0.95), (0.1, 0.5)], ids=["cross-check", "tie-class"])
+    @pytest.mark.parametrize("seed", [1, 2024])
+    @pytest.mark.parametrize("n", [7, 8, 9, 10])
+    def test_matches_the_per_draw_definition(self, n, seed, p_range):
+        # the last count spans two blocks of _TABLE_CELLS >> n draws
+        for samples in (0, 1, 1000, (verify._TABLE_CELLS >> n) + 3):
+            masks = verify._random_masks(n, samples, seed, *p_range)
+            assert masks.dtype == np.int64
+            assert masks.tolist() == _reference_masks(n, samples, seed, *p_range).tolist(), samples
+
+    def test_memory_bounded_by_a_block(self):
+        # 100,000 masks at n = 10 are 0.8 MB; the draws go in blocks of 2,048
+        # graphs (about 3 MB of words and doubles), not all at once (110 MB)
+        tracemalloc.start()
+        try:
+            masks = verify._random_masks(10, 100_000, 2024, 0.05, 0.95)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert masks.nbytes == 800_000
+        assert peak <= masks.nbytes + 4e6, peak
+
+    def test_sweeps_do_not_import_numpy_random(self):
+        # importing numpy.random costs a fresh interpreter about 6 ms
+        code = (
+            "import sys, specmatch, specmatch.cli\n"
+            "specmatch.cross_check_matching_implementations(7, samples=1)\n"
+            "specmatch.verify_tie_class_n8(samples=1)\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 class TestTieClass:
