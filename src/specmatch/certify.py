@@ -5,7 +5,9 @@ threshold and, when it fires, guarantees a matching property.  One table,
 ``certificate_table(n, connected)``, lists every certificate of an order in
 report order, ``decide`` is the one firing rule and ``_guarantee_holds``
 the one guarantee rule: certify_all applies them to one graph, the
-exhaustive sweep in ``verify`` to whole numpy columns.
+exhaustive sweep in ``verify`` to whole numpy columns, which take the
+exact rho only where decide fires differently at the two ends of a rho
+enclosure (``is_open``).
 Each spectral threshold is the largest rho of the connected class one step
 below its guarantee, read from the class bounds in ``extremal``: fpm is the
 t32 bound at 2*beta_star = n - 1, ``beta-star-increment(k/2)`` the t32
@@ -142,35 +144,26 @@ def certificate_table(n: int, connected: bool) -> list[Certificate]:
     )
 
 
-def _scaled_threshold(cert: Certificate, delta: int) -> float:
-    """The value an applicable certificate compares rho with: its threshold,
-    times the minimum degree delta for a row that fires below it."""
-    return delta * cert.threshold if cert.below else cert.threshold
+def decide(cert: Certificate, rho: float, delta: int) -> tuple[float, bool]:
+    """(threshold, fired) of an applicable certificate: the threshold, times
+    delta for a row that fires below it, and whether rho passes it by more
+    than ``GUARD``.  rho and delta may be numpy columns of equal length."""
+    thr = delta * cert.threshold if cert.below else cert.threshold
+    return thr, rho < thr - GUARD if cert.below else rho > thr + GUARD
 
 
-def decide(cert: Certificate, rho: float, delta: int) -> tuple[float, bool, bool]:
-    """(threshold, fired, at_threshold) of an applicable certificate.  rho and
-    delta are scalars or numpy columns of equal length; the results are then
-    columns too (threshold only where it scales with delta)."""
-    thr = _scaled_threshold(cert, delta)
-    fired = rho < thr - GUARD if cert.below else rho > thr + GUARD
-    return thr, fired, abs(rho - thr) <= GUARD
-
-
-def meets_band(cert: Certificate, lo: float, hi: float, delta: int) -> bool:
-    """Whether the guard band of an applicable certificate meets [lo, hi].
-    lo, hi and delta may be numpy columns of equal length, as in ``decide``.
-    The band's edges are the values decide compares rho with, and decide is
-    monotone in rho, so where the band misses [lo, hi] every rho in it gets
-    one decision."""
-    thr = _scaled_threshold(cert, delta)
-    return (lo <= thr + GUARD) & (hi >= thr - GUARD)
+def is_open(cert: Certificate, lo: float, hi: float, delta: int) -> bool:
+    """Whether ``decide`` fires an applicable certificate differently at lo
+    and at hi (columns as in decide).  decide is monotone in rho, so where
+    it does not, every rho in [lo, hi] gets the decision of lo."""
+    return decide(cert, lo, delta)[1] != decide(cert, hi, delta)[1]
 
 
 def _record(cert: Certificate, rho: float | None, delta: int | None) -> CertificateRecord:
     if cert.threshold is None:
         return CertificateRecord(cert.name, False, False, cert.guarantee, kind=cert.kind, param=cert.param)
-    thr, fired, at = decide(cert, rho, delta)
+    thr, fired = decide(cert, rho, delta)
+    at = abs(rho - thr) <= GUARD  # inside the guard band: never fires
     return CertificateRecord(
         cert.name, True, fired, cert.guarantee, threshold=thr, at_threshold=at, kind=cert.kind, param=cert.param
     )

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
-from .graphs import Graph, complete, empty, join, union
+from .graphs import Graph, _check_order, complete, empty, join, union
 from .halfint import HalfIntegral
 from .roots import largest_real_root
 
@@ -204,6 +204,7 @@ def predict(theorem: str, n: int, d: int) -> RegimePrediction:
     2*beta for t12 and t13."""
     entry = _theorem_entry(theorem)
     _check_class_args(n, d, entry.fractional)
+    _check_order(n)  # the shapes are graphs; the rule alone takes any n
     regime, bound, shapes = entry.rule(n, d)
     # two shapes may build one graph (t33 at d = 1 and t12 at d = 0, both at
     # n = 2); it keeps its first place and its membership

@@ -30,16 +30,21 @@ class Graph6Error(GraphError):
         self.offset = offset
 
 
+def _check_order(n: int) -> None:
+    """GraphError unless a graph may have n vertices: 0 <= n <= MAX_VERTICES."""
+    if n < 0:
+        raise GraphError(f"vertex count must be non-negative, got {n}")
+    if n > MAX_VERTICES:
+        raise GraphError(f"vertex count {n} exceeds the supported cap {MAX_VERTICES}")
+
+
 class Graph:
     """Immutable simple graph; adjacency kept as one int bitmask per vertex."""
 
     __slots__ = ("n", "rows")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
-        if n < 0:
-            raise GraphError(f"vertex count must be non-negative, got {n}")
-        if n > MAX_VERTICES:
-            raise GraphError(f"vertex count {n} exceeds the supported cap {MAX_VERTICES}")
+        _check_order(n)
         rows = [0] * n
         for u, v in edges:
             if u == v:
@@ -102,21 +107,19 @@ def from_edge_list(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 
 def complete(n: int) -> Graph:
+    _check_order(n)
     full = (1 << n) - 1
     return Graph._from_rows_unchecked(n, tuple(full ^ (1 << v) for v in range(n)))
 
 
 def empty(n: int) -> Graph:
-    if n < 0:
-        raise GraphError(f"vertex count must be non-negative, got {n}")
-    return Graph._from_rows_unchecked(n, (0,) * n)
+    return Graph(n)
 
 
 def union(g1: Graph, g2: Graph) -> Graph:
     """Disjoint union; vertices of g2 are relabelled by offset g1.n."""
     n = g1.n + g2.n
-    if n > MAX_VERTICES:
-        raise GraphError(f"union would exceed the vertex cap {MAX_VERTICES}")
+    _check_order(n)
     rows = list(g1.rows) + [r << g1.n for r in g2.rows]
     return Graph._from_rows_unchecked(n, tuple(rows))
 
@@ -124,8 +127,7 @@ def union(g1: Graph, g2: Graph) -> Graph:
 def join(g1: Graph, g2: Graph) -> Graph:
     """Disjoint union plus all g1.n * g2.n cross edges."""
     n = g1.n + g2.n
-    if n > MAX_VERTICES:
-        raise GraphError(f"join would exceed the vertex cap {MAX_VERTICES}")
+    _check_order(n)
     left_mask = (1 << g1.n) - 1
     right_mask = ((1 << g2.n) - 1) << g1.n
     rows = [r | right_mask for r in g1.rows]

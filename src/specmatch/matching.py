@@ -41,22 +41,10 @@ def _blossom_max_matching(rows: tuple[int, ...], n: int) -> tuple[int, list[int]
             match[u] = v
             free ^= (1 << u) | (1 << v)
 
-    # Edmonds' lemma: a free vertex with no augmenting path keeps none after
-    # later augmentations.  The free vertices are searched in ascending
-    # order and leave ``free`` when searched, so a path found from v ends at
-    # a free vertex above v; a search from a vertex with no neighbour or no
-    # free vertex above it would fail without touching match, and is skipped.
-    # When that skips every search, the greedy seed is maximum.
+    # Edmonds' lemma: a free vertex with no augmenting path keeps none later,
+    # so each is searched once, in ascending order.  A path from v ends at a
+    # free vertex above v: with no neighbour or no such vertex, v is skipped.
     size = (n - free.bit_count()) // 2
-    rest = free & ~(1 << free.bit_length() >> 1)  # the free vertices below the highest one
-    while rest:
-        low = rest & -rest
-        if rows[low.bit_length() - 1]:
-            break
-        rest ^= low
-    else:
-        return size, match
-
     while free:
         v = (free & -free).bit_length() - 1
         free ^= 1 << v
@@ -194,11 +182,6 @@ def _dc_matching(rows: tuple[int, ...], n: int) -> tuple[list[int], int, int, in
     # half the number of covered copies of v, 1 on W (only the right copy
     # reached), 0 on R (only the left copy) and 1/2 on C.  The cover is the
     # same for every maximum matching (Dulmage-Mendelsohn).
-    #
-    # When the seed leaves no free left copy with a neighbour, it is
-    # maximum, and that last search starts from the isolated vertices alone
-    # and reaches no right copy: W is empty, R the isolated vertices and C
-    # the rest.  The matcher then returns at once, with no search.
     match_l = [-1] * n
     match_r = [-1] * n
     free_l, free_r, isolated = 0, (1 << n) - 1, 0
@@ -214,8 +197,6 @@ def _dc_matching(rows: tuple[int, ...], n: int) -> tuple[list[int], int, int, in
         else:
             free_r ^= 1 << u
             isolated |= 1 << u
-    if not free_l:
-        return match_l, 0, isolated, ((1 << n) - 1) ^ isolated
     while True:
         lefts = []
         seen = 0

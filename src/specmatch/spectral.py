@@ -14,6 +14,7 @@ eigenvectors to keep one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -156,8 +157,8 @@ def _perron_pair(packed: np.ndarray, verts: list[int], tol: float) -> tuple[floa
 
 
 def _check_tol(tol: float) -> None:
-    if not tol > 0:  # NaN too
-        raise ValueError("tolerance must be positive")
+    if not (tol > 0 and math.isfinite(tol)):  # NaN too
+        raise ValueError("tolerance must be positive and finite")
 
 
 def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> RhoResult:

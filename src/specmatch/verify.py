@@ -15,12 +15,12 @@ check recognises a predicted shape K_s v (K_c u tK_1) by its degree
 sequence, which fixes such a threshold graph up to isomorphism.  rho is not
 a table column: the workers that read it call one batched eigensolver,
 ``_rho_column``.  The certificate sweep computes it only for the graphs
-whose Collatz-Wielandt enclosure (``_rho_enclosure``) meets the guard band
-of a threshold, 2.3 % of the connected graphs at n = 6 and 1.0 % at n = 7,
-and the enclosure decides the rest; the theorem screen, densest edge count
-first, only while Stanley's bound can reach a class maximum or bound,
-0.1-1.5 % of the graphs at n = 6 and 7; the audit and the cross-check never
-read it.  The theorem and certificate sweeps work on whole columns; the
+where ``decide`` fires a row differently at the two ends of their
+Collatz-Wielandt enclosure (``_rho_enclosure``), 2.3 % of the connected
+graphs at n = 6 and 1.0 % at n = 7, and the lower end decides the rest;
+the theorem screen, densest edge count first, only while Stanley's bound
+can reach a class maximum or bound, 0.1-1.5 % of the graphs at n = 6 and
+7; the audit and the cross-check never read it.  The theorem and certificate sweeps work on whole columns; the
 audit and the cross-check, which build witnesses, go graph by graph.  The audit runs on the bitmask
 witness core of ``matching`` and its rules, the same code the public
 witness constructors wrap.
@@ -28,6 +28,7 @@ witness constructors wrap.
 
 from __future__ import annotations
 
+import operator
 import os
 import random
 from dataclasses import dataclass
@@ -35,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .certify import _guarantee_holds, certificate_table, certify_all, decide, meets_band
+from .certify import _guarantee_holds, certificate_table, certify_all, decide, is_open
 from .extremal import (
     THEOREMS,
     RegimePrediction,
@@ -425,7 +426,7 @@ def _check_class(theorem: str, n: int, key: int, pred: RegimePrediction, cands: 
 def verify_theorem(theorem: str, n: int, jobs: int = 1, long_run: bool = False) -> VerificationReport:
     """Bucket all (connected, for the connected theorems) labeled graphs on n
     vertices by class, then check bounds, maximizers, and predictions."""
-    entry = _theorem_entry(theorem)
+    entry, n = _theorem_entry(theorem), operator.index(n)
     if n < 1:
         raise GraphError("verification needs n >= 1")
     if n > 7 and not long_run:
@@ -500,19 +501,16 @@ def _cert_chunk(args: tuple) -> tuple:
     delta, beta, bsd, rows = (col[connected] for col in (delta, beta, bsd, rows))
     table = certificate_table(n, connected=True)
     applicable = [cert.threshold is not None for cert in table]
-    # eigvalsh runs only on the open graphs, whose enclosure meets the guard
-    # band of an applicable row; any other graph keeps the lower end of its
-    # enclosure, which every row decides as it would decide the exact rho
+    # eigvalsh runs only on the open graphs, where decide fires an applicable
+    # row differently at the two ends of the enclosure; any other graph keeps
+    # the lower end, which every row decides as it would decide the exact rho
     rho, top = _rho_enclosure(rows, n)
-    is_open = np.zeros(len(rho), dtype=bool)
-    for c, app in zip(table, applicable):
-        if app:
-            is_open |= meets_band(c, rho, top, delta)
-    if is_open.any():
-        rho[is_open] = _rho_column(rows[is_open], n)
+    never = np.zeros(len(rho), dtype=bool)
+    open_graphs = np.any([never] + [is_open(c, rho, top, delta) for c, app in zip(table, applicable) if app], axis=0)
+    if open_graphs.any():
+        rho[open_graphs] = _rho_column(rows[open_graphs], n)
     # (table rows, graphs) matrices, the table having 3 rows or more; a row
     # that does not apply never fires
-    never = np.zeros(len(rho), dtype=bool)
     fired = np.array([decide(c, rho, delta)[1] if app else never for c, app in zip(table, applicable)], dtype=bool)
     holds = np.array([_guarantee_holds(c.kind, c.param, n, beta, bsd) for c in table], dtype=bool)
     counts = {c.name: (len(rho), int(f.sum())) for c, app, f in zip(table, applicable, fired) if app}
@@ -537,14 +535,15 @@ def verify_certificates(n: int, jobs: int = 1) -> CertSweepReport:
 
     Each chunk builds the certificate table of certify_all once and decides
     every applicable row with the same rule, from rho, beta and beta*.  rho
-    comes from the batched eigensolver only for the graphs whose enclosure
-    (``_rho_enclosure``) meets the guard band of an applicable row; the
-    enclosure decides the rest, as the exact rho would.  Every
-    ``CERTIFY_STRIDE``-th connected graph of a chunk also goes through
-    certify_all itself, and any difference in (applicable, fired) is
-    reported as a fast-path mismatch.  Any fired-but-false certificate is
-    reported.
+    comes from the batched eigensolver only for the graphs where ``decide``
+    fires an applicable row differently at the two ends of their enclosure
+    (``_rho_enclosure``); the lower end decides the rest, as the exact rho
+    would.  Every ``CERTIFY_STRIDE``-th connected graph of a chunk also
+    goes through certify_all itself, and any difference in (applicable,
+    fired) is reported as a fast-path mismatch.  Any fired-but-false
+    certificate is reported.
     """
+    n = operator.index(n)
     if n < 1:
         raise GraphError("verification needs n >= 1")
     if n > 7:
@@ -661,6 +660,7 @@ def audit_structures(n: int, jobs: int = 1) -> AuditReport:
     once per witness on its masks; no witness object is built.  A rule that
     fails is reported as a violation with its own message.
     """
+    n = operator.index(n)
     if n < 0:
         raise GraphError("audit needs n >= 0")
     if n > 7:
@@ -725,9 +725,9 @@ def _random_masks(n: int, samples: int, seed: int, p_lo: float, p_hi: float) -> 
     The draws are the generator's own stream, read in blocks of 32-bit words
     (``getrandbits``, first word least significant) and formed as ``random``
     and ``uniform`` form them: a double from two words a, b is
-    ((a >> 5) * 2^26 + (b >> 6)) / 2^53.  A block holds at most
-    ``_TABLE_CELLS >> n`` samples, so memory beyond the masks stays bounded."""
-    m, step = n * (n - 1) // 2, _TABLE_CELLS >> n
+    ((a >> 5) * 2^26 + (b >> 6)) / 2^53.  A block holds ``_TABLE_CELLS >> n >> 2``
+    samples, at most 2.1 MB of words and as much of doubles at any order."""
+    m, step = n * (n - 1) // 2, _TABLE_CELLS >> n >> 2
     rng = random.Random(seed)
     masks = np.zeros(samples, dtype=np.int64)
     packed = np.zeros((min(samples, step), 8), dtype=np.uint8)
@@ -753,6 +753,7 @@ def cross_check_matching_implementations(
     and 2*beta_star columns of the subset tables.  The samples are checked in windows of
     at most ``_TABLE_CELLS >> n`` graphs in up to jobs processes, so memory
     beyond their masks does not grow with their number."""
+    n, samples = operator.index(n), operator.index(samples)
     if n < 0:
         raise GraphError("n must be non-negative")
     if n <= 6:
@@ -811,6 +812,7 @@ def verify_tie_class_n8(samples: int = 4000, seed: int = 2024) -> TieCaseReport:
     them.  This is the theorem check of ``verify_theorem`` on that mask
     set, so its violations read like the sweep's discrepancies.
     """
+    samples = operator.index(samples)
     if samples < 0:
         raise GraphError(f"samples must be non-negative, got {samples}")
     n, d = 8, 5

@@ -221,6 +221,11 @@ class TestExitCodes:
         assert code == 1
         assert "byte offset 1" in err
 
+    @pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "0"])
+    def test_tolerance_must_be_positive_and_finite(self, capsys, tol):
+        code, out, err = run_cli(capsys, "rho", "--graph6", "Bw", f"--tol={tol}")
+        assert (code, out) == (1, "") and err.startswith("input error: tolerance must be positive"), err
+
     def test_bad_half_integer(self, capsys):
         assert run_cli(capsys, "extremal", "--n", "6", "--beta-star", "2.25")[0] == 1
 

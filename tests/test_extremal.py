@@ -5,6 +5,7 @@ import math
 import pytest
 
 from specmatch import (
+    GraphError,
     HalfIntegral,
     complete,
     empty,
@@ -48,6 +49,13 @@ class TestBuildExtremal:
     def test_split_join_instance(self):
         g = _shape(7, 2, 0)
         assert isomorphic(g, join(complete(2), empty(5)))
+
+    @pytest.mark.parametrize("n", [2049, 2**40, 10**30])
+    def test_predict_checks_the_vertex_cap_first(self, n):
+        # before any shape is built: 2^40 vertices would exhaust memory and
+        # 10^30 overflow a tuple's length
+        with pytest.raises(GraphError, match=f"^vertex count {n} exceeds the supported cap 2048$"):
+            predict("t32", n, 3)
 
     def test_family_fractional_matching_number(self):
         # every valid instance realises its fractional matching number

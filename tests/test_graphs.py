@@ -52,6 +52,14 @@ class TestConstructors:
         assert complete(1).edge_count() == 0
         assert empty(5).edge_count() == 0
 
+    @pytest.mark.parametrize("build", [complete, empty])
+    def test_constructors_enforce_the_vertex_cap(self, build):
+        # as Graph itself does: a larger graph would fail later, in the
+        # per-vertex label table of the matching code
+        assert build(2048).n == 2048
+        with pytest.raises(GraphError, match="^vertex count 2049 exceeds the supported cap 2048$"):
+            build(2049)
+
     def test_union_counts(self):
         g = union(complete(3), complete(2))
         assert g.n == 5 and g.edge_count() == 4

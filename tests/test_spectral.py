@@ -126,14 +126,18 @@ class TestSpectralRadius:
 
     def test_rejects_nan_tolerance(self):
         # NaN fails every comparison, so no pair would meet it; the call must
-        # not fall back to the dense solver unchecked, nor write NaN into JSON
-        with pytest.raises(ValueError, match="tolerance must be positive"):
-            spectral_radius(path(600), math.nan)
-        with pytest.raises(ValueError, match="tolerance must be positive"):
-            certify_all(complete(3), tol=math.nan)
+        # not fall back to the dense solver unchecked, nor write NaN into JSON.
+        # inf would let any vector pass the residual check, and is not JSON either
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="tolerance must be positive"):
+                spectral_radius(path(600), bad)
+            with pytest.raises(ValueError, match="tolerance must be positive"):
+                spectral_radius(complete(3), bad)
+            with pytest.raises(ValueError, match="tolerance must be positive"):
+                certify_all(complete(3), tol=bad)
         # before any work: the empty graph has no rho to compute, and its
         # report would carry the tolerance into JSON
-        for tol in (math.nan, 0.0, -1.0):
+        for tol in (math.nan, math.inf, -math.inf, 0.0, -1.0):
             with pytest.raises(ValueError, match="tolerance must be positive"):
                 certify_all(empty(0), tol=tol)
 

@@ -362,17 +362,19 @@ class TestCertificateScreen:
             screened, full = _screened_and_full_fired(monkeypatch, *chunk)
             assert len(screened) >= 3 and np.array_equal(screened, full), chunk
 
-    def test_catches_an_enclosure_that_is_too_tight(self, monkeypatch):
-        # each end moved 1e-6 toward the midpoint: C_5, regular, has the
-        # exact enclosure 2 +- RHO_TOL and sits on the threshold 2 of three
-        # rows at n = 5; moved, both ends pass it, and the rows fire
+    def test_catches_an_enclosure_that_misses_rho(self, monkeypatch):
+        # both ends moved up 1e-6: C_5, regular, has the exact enclosure
+        # 2 +- RHO_TOL and sits on the threshold 2 of three rows at n = 5;
+        # moved, both ends pass it, so C_5 is not open and the rows fire.
+        # (An interval shrunk past its midpoint fires differently at its
+        # ends, so the graph is open and eigvalsh decides it.)
         enclosure = verify._rho_enclosure
 
-        def shrunk(rows, n):
+        def shifted(rows, n):
             lo, hi = enclosure(rows, n)
-            return lo + 1e-6, hi - 1e-6
+            return lo + 1e-6, hi + 1e-6
 
-        monkeypatch.setattr(verify, "_rho_enclosure", shrunk)
+        monkeypatch.setattr(verify, "_rho_enclosure", shifted)
         assert any(not np.array_equal(*_screened_and_full_fired(monkeypatch, *chunk)) for chunk in _cert_chunks())
 
     def test_eigensolves_only_open_graphs(self, monkeypatch):
@@ -982,18 +984,20 @@ class TestSampler:
     @pytest.mark.parametrize("seed", [1, 2024])
     @pytest.mark.parametrize("n", [7, 8, 9, 10])
     def test_matches_the_per_draw_definition(self, n, seed, p_range):
-        # the last count spans two blocks of _TABLE_CELLS >> n draws
+        # the last count spans several blocks of draws
         for samples in (0, 1, 1000, (verify._TABLE_CELLS >> n) + 3):
             masks = verify._random_masks(n, samples, seed, *p_range)
             assert masks.dtype == np.int64
             assert masks.tolist() == _reference_masks(n, samples, seed, *p_range).tolist(), samples
 
-    def test_memory_bounded_by_a_block(self):
-        # 100,000 masks at n = 10 are 0.8 MB; the draws go in blocks of 2,048
-        # graphs (about 3 MB of words and doubles), not all at once (110 MB)
+    @pytest.mark.parametrize("n", [7, 8, 10])
+    def test_memory_bounded_by_a_block(self, n):
+        # 100,000 masks are 0.8 MB; the draws go in blocks of a few thousand
+        # graphs (under 1.5 MB of words and doubles at these orders), not all
+        # at once (110 MB at n = 10)
         tracemalloc.start()
         try:
-            masks = verify._random_masks(10, 100_000, 2024, 0.05, 0.95)
+            masks = verify._random_masks(n, 100_000, 2024, 0.05, 0.95)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1095,3 +1099,27 @@ class TestOracleEdgeCases:
         g = join(empty(2), empty(3))
         assert oracle_beta(g) == 2
         assert oracle_beta_star(g) == HalfIntegral(4)
+
+
+class TestIntegerOrders:
+    @pytest.mark.parametrize(
+        "driver, args, kwargs",
+        [
+            (verify_theorem, ("t33", 4), {}),
+            (verify_theorem, ("t13", 4), {}),
+            (verify_certificates, (4,), {}),
+            (audit_structures, (4,), {}),
+            (cross_check_matching_implementations, (4,), {}),
+            (cross_check_matching_implementations, (7,), {"samples": 5}),
+            (verify_tie_class_n8, (), {"samples": 5}),
+        ],
+        ids=["theorem-t33", "theorem-t13", "certificates", "audit", "cross-check", "sampled-cross-check", "tie-class"],
+    )
+    def test_numpy_integers_give_the_same_report(self, driver, args, kwargs):
+        # an order or a sample count read from a numpy array is an integer
+        # like any other: the report is the one the int gives, with no numpy
+        # scalar in it
+        expect = driver(*args, **kwargs)
+        wide = tuple(np.int64(a) if isinstance(a, int) else a for a in args)
+        got = driver(*wide, **{k: np.int64(v) for k, v in kwargs.items()})
+        assert got == expect and repr(got) == repr(expect)
