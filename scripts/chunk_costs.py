@@ -3,10 +3,12 @@
 
 For each (n, chunk) pair, time one chunk of the labeled graphs on n vertices
 (``verify._chunk_ranges``) through each sweep step: the chunk table
-(``_batch_arrays``), the theorem screen of each theorem (``_theorem_chunk``),
-the certificate sweep (``_cert_chunk``) and the structure audit
-(``_audit_chunk``).  Each cell is the best of --repeat runs in seconds, in
-this one process (jobs = 1) with one BLAS thread.
+(``_batch_arrays``), then each worker on that table, built once outside the
+timed calls: the theorem screen of each theorem (``_theorem_chunk``), the
+certificate sweep (``_cert_chunk``) and the structure audit
+(``_audit_chunk``).  A sweep's chunk costs the table row plus its worker's
+row.  Each cell is the best of --repeat runs in seconds, in this one process
+(jobs = 1) with one BLAS thread.
 
     PYTHONPATH=src python scripts/chunk_costs.py 7:37 8:2000
 """
@@ -44,12 +46,13 @@ def best(call, repeat: int) -> float:
 
 
 def steps(n: int, lo: int, hi: int) -> list[tuple[str, Callable[[], object]]]:
+    table = verify._batch_arrays(n, lo, hi)
     out = [("_batch_arrays", lambda: verify._batch_arrays(n, lo, hi))]
     for theorem, entry in verify.THEOREMS.items():
         bounds = {key: predict(theorem, n, key).bound for key in range(0, n + 1, 1 if entry.fractional else 2)}
-        out.append((f"_theorem_chunk {theorem}", lambda t=theorem, b=bounds: verify._theorem_chunk((n, lo, hi, None, t, b))))
-    out.append(("_cert_chunk", lambda: verify._cert_chunk((n, lo, hi, None))))
-    out.append(("_audit_chunk", lambda: verify._audit_chunk((n, lo, hi, None))))
+        out.append((f"_theorem_chunk {theorem}", lambda t=theorem, b=bounds: verify._theorem_chunk(n, table, t, b)))
+    out.append(("_cert_chunk", lambda: verify._cert_chunk(n, table)))
+    out.append(("_audit_chunk", lambda: verify._audit_chunk(n, table)))
     return out
 
 

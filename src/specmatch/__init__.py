@@ -38,13 +38,11 @@ from .matching import (
     FractionalMatching,
     MatchingResult,
     Transversal,
-    WrcReport,
     fpm_partition,
     fractional_matching_number,
     fractional_transversal,
     matching_number,
     optimal_fractional_matching,
-    wrc_decomposition,
 )
 from .extremal import (
     RegimePrediction,
@@ -63,8 +61,6 @@ from .verify import (
     audit_duality,
     audit_structures,
     cross_check_matching_implementations,
-    oracle_beta,
-    oracle_beta_star,
     verify_certificates,
     verify_theorem,
     verify_tie_class_n8,

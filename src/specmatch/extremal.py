@@ -14,6 +14,7 @@ shapes and adds notes; it is the one public route to a class bound.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
@@ -54,7 +55,10 @@ def rho_join_formula(n: int, b: int) -> float:
     """Spectral radius of K_b v (n-b)K_1, the larger root of x^2-(b-1)x-b(n-b)."""
     if not 0 <= b <= n:
         raise ValueError(f"requires 0 <= b <= n, got b={b}, n={n}")
-    return (b - 1 + math.sqrt((b - 1) ** 2 + 4 * b * (n - b))) / 2.0
+    disc = (b - 1) ** 2 + 4 * b * (n - b)
+    if disc > sys.float_info.max:
+        raise ValueError("the discriminant (b-1)^2 + 4b(n-b) lies beyond the float range")
+    return (b - 1 + math.sqrt(disc)) / 2.0
 
 
 def theta_n_coeffs(n: int) -> tuple[int, int, int, int]:

@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graphs import _LABELS, Graph, GraphError, dense_rows, is_connected
+from .graphs import _LABELS, Graph, GraphError, dense_rows
 from .halfint import HalfIntegral
 
 
@@ -565,37 +565,6 @@ def fractional_transversal(g: Graph) -> Transversal:
     t = Transversal(g.n, dwv, HalfIntegral(sum(dwv)))
     t.validate(g)
     return t
-
-
-@dataclass(frozen=True)
-class WrcReport:
-    s: int
-    t: int
-    c: int
-    r_independent: bool
-    no_rc_edges: bool
-    connected_rule_ok: bool
-    is_optimal: bool
-    eq1_holds: bool | None
-    r_geq_w: bool | None
-
-
-def wrc_decomposition(g: Graph, t: Transversal, beta_star_doubled: int | None = None) -> WrcReport:
-    """Check the structural properties of a transversal's weight classes.
-
-    (a) the zero-weight class is independent, (b) it has no edges into the
-    half-weight class, (c) on a connected graph the full- and zero-weight
-    classes are empty or non-empty together (vacuous on a single vertex),
-    and, when the transversal is optimal, total = (n - (|R|-|W|))/2 with
-    |R| >= |W|.  (a) and (b) are the coverage rule, so an infeasible
-    transversal raises GraphError; the rest are ``_wrc_rules``.
-    """
-    t.validate(g)
-    w_mask, r_mask, c_mask = t._class_masks()
-    if beta_star_doubled is None:
-        beta_star_doubled = _dc_matching_size(g.rows, g.n)
-    rules = _wrc_rules(g.n, is_connected(g), w_mask, r_mask, t.total.doubled, beta_star_doubled)
-    return WrcReport(w_mask.bit_count(), r_mask.bit_count(), c_mask.bit_count(), True, True, *rules)
 
 
 # ---------------------------------------------------------------------------

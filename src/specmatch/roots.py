@@ -23,9 +23,20 @@ def largest_real_root(coeffs) -> float:
 
     Brackets the root (critical points isolate the rightmost sign change),
     bisects to width 1e-13 or to adjacent floats, whichever comes first, and
-    applies one Newton polish.  Deterministic.
+    applies one Newton polish.  Deterministic.  A coefficient or a root
+    beyond the float range raises ValueError, as does a bracketing step
+    that overflows.
     """
-    c = [float(v) for v in coeffs]
+    try:
+        x = _largest_root([float(v) for v in coeffs])
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValueError("the polynomial's coefficients or root lie beyond the float range")
+    return x
+
+
+def _largest_root(c: list[float]) -> float:
     if not c or c[0] == 0.0:
         raise ValueError("leading coefficient must be non-zero")
     if c[0] < 0:

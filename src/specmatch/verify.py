@@ -4,13 +4,15 @@ Labeled graphs on n vertices are edge-bit masks in graph6 column order.
 Every sweep reads its graphs from one table of numpy columns built from an
 array of masks (``_batch_arrays``): connectivity, minimum degree, edge
 count, beta and 2*beta_star from the brute-force oracles' subset tables,
-and the neighbour rows.  The exhaustive sweeps are sharded into fixed
-chunks of the mask range (independent of the worker count) and merged in
-chunk order, so reports are byte-identical across runs and across --jobs
-settings.  The sampled cross-check reads the masks it draws, and the n = 8
-tie class every edge subset of its two shape closures and its samples, on
-which it runs the theorem sweep's screen and class check; ``_sweep`` runs
-such a mask set in windows of bounded table size, like chunks.  The class
+and the neighbour rows.  One driver, ``_sweep``, runs every sweep: it
+splits the mask range into fixed chunks (independent of the worker count),
+or a given mask set into windows of bounded table size, builds each one's
+table in the process that reads it, passes it to the sweep's worker, and
+merges the workers' partials in chunk order by one rule (``_merge``), so
+reports are byte-identical across runs and across --jobs settings.  The
+sampled cross-check reads the masks it draws, and the n = 8 tie class
+every edge subset of its two shape closures and its samples, on which it
+runs the theorem sweep's screen and class check.  The class
 check recognises a predicted shape K_s v (K_c u tK_1) by its degree
 sequence, which fixes such a threshold graph up to isomorphism.  rho is not
 a table column: the workers that read it call one batched eigensolver,
@@ -28,6 +30,7 @@ witness constructors wrap.
 
 from __future__ import annotations
 
+import functools
 import operator
 import os
 import random
@@ -181,6 +184,14 @@ def _chunk_ranges(n: int) -> list[tuple[int, int]]:
     return [(i * step, (i + 1) * step if i < chunks - 1 else total) for i in range(chunks)]
 
 
+def _matrices(rows: np.ndarray, n: int) -> np.ndarray:
+    """The (graphs, n, n) float matrices of a (graphs, n) array of neighbour
+    rows: bit v of row u, read from the row's two little-endian bytes, is
+    entry (u, v)."""
+    row_bytes = rows.astype("<u2").view(np.uint8).reshape(len(rows), n, 2)
+    return np.unpackbits(row_bytes, axis=-1, count=n, bitorder="little").astype(np.float64)
+
+
 def _rho_column(rows: np.ndarray, n: int) -> np.ndarray:
     """Spectral radius of each graph of a (graphs, n) array of neighbour
     rows, from one batched ``eigvalsh`` (K_0 reads 0).  The solver works
@@ -188,10 +199,7 @@ def _rho_column(rows: np.ndarray, n: int) -> np.ndarray:
     computed in."""
     if not n:
         return np.zeros(len(rows))
-    # bit v of row u, read from the row's two little-endian bytes, is a[u, v]
-    row_bytes = rows.astype("<u2").view(np.uint8).reshape(len(rows), n, 2)
-    a = np.unpackbits(row_bytes, axis=-1, count=n, bitorder="little").astype(np.float64)
-    return np.linalg.eigvalsh(a)[:, -1]
+    return np.linalg.eigvalsh(_matrices(rows, n))[:, -1]
 
 
 def _rho_enclosure(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -207,11 +215,8 @@ def _rho_enclosure(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     lo, hi = np.empty(len(rows)), np.empty(len(rows))
     loops = 1 << np.arange(n)
     for start in range(0, len(rows), _ENCLOSURE_WINDOW):
-        window = rows[start : start + _ENCLOSURE_WINDOW] | loops
-        # the rows read as in _rho_column, each with its own bit: B = A + I
-        row_bytes = window.astype("<u2").view(np.uint8).reshape(len(window), n, 2)
-        b = np.unpackbits(row_bytes, axis=-1, count=n, bitorder="little").astype(np.float64)
-        x = np.ones((len(window), n))
+        b = _matrices(rows[start : start + _ENCLOSURE_WINDOW] | loops, n)  # each row with its own bit: B = A + I
+        x = np.ones((len(b), n))
         for _ in range(_WALK):
             x = np.einsum("gij,gj->gi", b, x)
         ratio = np.einsum("gij,gj->gi", b, x) / x
@@ -226,9 +231,10 @@ def _batch_arrays(n: int, lo: int, hi: int, *, masks: np.ndarray | None = None) 
     None; one numpy array per column: connectivity flag, minimum degree,
     edge count, beta, 2*beta_star, the (graphs, n) array of neighbour rows
     and the masks (K_0 reads not connected, degree 0).  Every sweep reads
-    its graphs and their invariants from here: the chunk workers a range of
-    masks, the sampled cross-check and the n = 8 tie class the masks they
-    draw or enumerate, repeats and any order allowed.  The invariants come
+    its graphs and their invariants from here, through ``_sweep``: a range
+    of masks per chunk, or a window of the masks that the sampled
+    cross-check and the n = 8 tie class draw or enumerate, repeats and any
+    order allowed.  The invariants come
     from the oracles' subset tables (``_subset_columns``); rho is left to
     the workers that read it (``_rho_column``)."""
     masks = np.arange(lo, hi, dtype=np.int64) if masks is None else np.ascontiguousarray(masks[lo:hi], dtype=np.int64)
@@ -248,24 +254,47 @@ def _batch_arrays(n: int, lo: int, hi: int, *, masks: np.ndarray | None = None) 
     return (*(np.concatenate(c) for c in zip(*columns)), rows.astype(np.int64), masks)
 
 
-def _sweep(worker: Callable, n: int, jobs: int, masks: np.ndarray | None = None, *extra) -> list:
-    """Run worker((n, lo, hi, masks, *extra)) on every chunk of the labeled
-    graphs on n vertices, or given masks, on every window of at most
-    ``_TABLE_CELLS >> n`` of them, passed as its own array; in at most
-    min(jobs, windows, usable CPUs) processes, the results in window order."""
+def _merge(acc, part):
+    """Merge the partial part into acc, the two of one shape, and return it:
+    counts add, lists extend, dicts merge key by key in first-seen order,
+    tuples field by field.  Lists and dicts grow in place, so merging a
+    sweep's partials one after another takes time linear in their size."""
+    if isinstance(acc, list):
+        acc.extend(part)
+    elif isinstance(acc, dict):
+        for key, value in part.items():
+            acc[key] = _merge(acc[key], value) if key in acc else value
+    elif isinstance(acc, tuple):
+        return tuple(map(_merge, acc, part))
+    else:
+        return acc + part
+    return acc
+
+
+def _partial(task: tuple):
+    worker, n, lo, hi, masks, extra = task
+    return worker(n, _batch_arrays(n, lo, hi, masks=masks), *extra)
+
+
+def _sweep(worker: Callable, n: int, jobs: int, masks: np.ndarray | None = None, *extra):
+    """worker(n, table, *extra) on the table (``_batch_arrays``) of every
+    chunk of the labeled graphs on n vertices, or of given masks, of every
+    window of at most ``_TABLE_CELLS >> n`` of them, each table built in the
+    process that reads it; in at most min(jobs, windows, usable CPUs)
+    processes.  The partials are merged in window order (``_merge``)."""
     if masks is None:
-        chunk_args = [(n, lo, hi, None, *extra) for lo, hi in _chunk_ranges(n)]
+        tasks = [(worker, n, lo, hi, None, extra) for lo, hi in _chunk_ranges(n)]
     else:
         step = _TABLE_CELLS >> n
-        chunk_args = [(n, 0, len(w), w, *extra) for w in (masks[lo : lo + step] for lo in range(0, len(masks), step))]
-    if jobs <= 1 or len(chunk_args) == 1:
-        return [worker(a) for a in chunk_args]
+        tasks = [(worker, n, 0, len(w), w, extra) for w in (masks[lo : lo + step] for lo in range(0, len(masks), step))]
+    if jobs <= 1 or len(tasks) == 1:
+        return functools.reduce(_merge, map(_partial, tasks))
     import multiprocessing as mp
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     ctx = mp.get_context("fork")
-    with ctx.Pool(min(jobs, len(chunk_args), cpus)) as pool:
-        return pool.map(worker, chunk_args)
+    with ctx.Pool(min(jobs, len(tasks), cpus)) as pool:
+        return functools.reduce(_merge, pool.map(_partial, tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +347,9 @@ def _rho_cap(edges: np.ndarray) -> np.ndarray:
     return (np.sqrt(1 + 8 * edges) - 1) / 2 + RHO_TOL
 
 
-def _theorem_chunk(args: tuple) -> tuple:
-    """Per class named in bounds that has graphs in the table of
-    masks[lo:hi] (``_batch_arrays``): its size, and its candidates, the
+def _theorem_chunk(n: int, table: tuple, theorem: str, bounds: dict[int, float]) -> tuple:
+    """The connected count of a table (``_batch_arrays``) and, per class
+    named in bounds that has graphs in it: its size, and its candidates, the
     (rho, mask) pairs with rho >= min(class maximum in the table, class
     bound) - ``RHO_TOL``.  So every maximizer of a class and every graph at
     or above its bound, over a whole sweep, is a candidate of its chunk.
@@ -332,8 +361,7 @@ def _theorem_chunk(args: tuple) -> tuple:
     bound) - ``RHO_TOL``.  The cap grows with the edge count, so every
     graph left out has rho below that threshold, and the candidates are
     those of a full rho column, bit for bit."""
-    n, lo, hi, masks, theorem, bounds = args
-    connected, _, edges, beta, bsd, rows, masks = _batch_arrays(n, lo, hi, masks=masks)
+    connected, _, edges, beta, bsd, rows, masks = table
     keys = bsd if THEOREMS[theorem].fractional else 2 * beta
     if THEOREMS[theorem].connected:
         keys = np.where(connected, keys, -1)  # -1: no class
@@ -438,18 +466,12 @@ def verify_theorem(theorem: str, n: int, jobs: int = 1, long_run: bool = False) 
     predictions = {key: predict(theorem, n, key) for key in keys}
     bounds = {key: pred.bound for key, pred in predictions.items()}
 
-    connected_count = 0
-    merged: dict[int, list[tuple[float, int]]] = {}
-    for cc, _, candidates in _sweep(_theorem_chunk, n, jobs, None, theorem, bounds):
-        connected_count += cc
-        for key, cands in candidates.items():
-            merged.setdefault(key, []).extend(cands)
-
+    connected_count, _, candidates = _sweep(_theorem_chunk, n, jobs, None, theorem, bounds)
     records: list[ClassRecord] = []
     discrepancies: list[str] = []
     resolutions: list[str] = []
-    for key in sorted(merged):
-        record, found = _check_class(theorem, n, key, predictions[key], merged[key])
+    for key in sorted(candidates):
+        record, found = _check_class(theorem, n, key, predictions[key], candidates[key])
         records.append(record)
         discrepancies += found
         # the sweeps resolve two stated bounds: t33's clique-union constant and t13's cubic
@@ -495,27 +517,26 @@ class CertSweepReport:
         return not self.unsound
 
 
-def _cert_chunk(args: tuple) -> tuple:
-    n, lo, hi, masks = args
-    connected, delta, _, beta, bsd, rows, _ = _batch_arrays(n, lo, hi, masks=masks)
+def _cert_chunk(n: int, table: tuple) -> tuple:
+    connected, delta, _, beta, bsd, rows, _ = table
     delta, beta, bsd, rows = (col[connected] for col in (delta, beta, bsd, rows))
-    table = certificate_table(n, connected=True)
-    applicable = [cert.threshold is not None for cert in table]
+    certs = certificate_table(n, connected=True)
+    applicable = [cert.threshold is not None for cert in certs]
     # eigvalsh runs only on the open graphs, where decide fires an applicable
     # row differently at the two ends of the enclosure; any other graph keeps
     # the lower end, which every row decides as it would decide the exact rho
     rho, top = _rho_enclosure(rows, n)
     never = np.zeros(len(rho), dtype=bool)
-    open_graphs = np.any([never] + [is_open(c, rho, top, delta) for c, app in zip(table, applicable) if app], axis=0)
+    open_graphs = np.any([never] + [is_open(c, rho, top, delta) for c, app in zip(certs, applicable) if app], axis=0)
     if open_graphs.any():
         rho[open_graphs] = _rho_column(rows[open_graphs], n)
-    # (table rows, graphs) matrices, the table having 3 rows or more; a row
-    # that does not apply never fires
-    fired = np.array([decide(c, rho, delta)[1] if app else never for c, app in zip(table, applicable)], dtype=bool)
-    holds = np.array([_guarantee_holds(c.kind, c.param, n, beta, bsd) for c in table], dtype=bool)
-    counts = {c.name: (len(rho), int(f.sum())) for c, app, f in zip(table, applicable, fired) if app}
-    # graph by graph: its unsound rows in table order, then its fast-path mismatches
-    lines = [(i, table[row].name) for i, row in zip(*np.nonzero((fired & ~holds).T))]
+    # (certificate rows, graphs) matrices, the table having 3 rows or more; a
+    # row that does not apply never fires
+    fired = np.array([decide(c, rho, delta)[1] if app else never for c, app in zip(certs, applicable)], dtype=bool)
+    holds = np.array([_guarantee_holds(c.kind, c.param, n, beta, bsd) for c in certs], dtype=bool)
+    counts = {c.name: (len(rho), int(f.sum())) for c, app, f in zip(certs, applicable, fired) if app}
+    # graph by graph: its unsound rows in certificate order, then its fast-path mismatches
+    lines = [(i, certs[row].name) for i, row in zip(*np.nonzero((fired & ~holds).T))]
     samples = range(0, len(rho), CERTIFY_STRIDE)
     for i in samples:
         # reconcile the batched screen with the full certify_all route; the
@@ -548,22 +569,11 @@ def verify_certificates(n: int, jobs: int = 1) -> CertSweepReport:
         raise GraphError("verification needs n >= 1")
     if n > 7:
         raise GraphError("certificate sweep capped at n <= 7")
-    counts: dict[str, list[int]] = {}
-    unsound: list[tuple[str, str]] = []
-    samples = 0
-    examined = 0
-    for ex, c, u, s in _sweep(_cert_chunk, n, jobs):
-        examined += ex
-        for name, (app, fired) in c.items():
-            tgt = counts.setdefault(name, [0, 0])
-            tgt[0] += app
-            tgt[1] += fired
-        unsound.extend(u)
-        samples += s
+    examined, counts, unsound, samples = _sweep(_cert_chunk, n, jobs)
     return CertSweepReport(
         n,
         examined,
-        tuple((name, c[0], c[1]) for name, c in sorted(counts.items())),
+        tuple((name, app, fired) for name, (app, fired) in sorted(counts.items())),
         tuple(unsound),
         samples,
     )
@@ -586,9 +596,8 @@ class AuditReport:
         return not self.violations
 
 
-def _audit_chunk(args: tuple) -> tuple:
-    n, lo, hi, masks = args
-    conn_col, _, _, _, bsd_col, rows_col, _ = _batch_arrays(n, lo, hi, masks=masks)
+def _audit_chunk(n: int, table: tuple) -> tuple:
+    conn_col, _, _, _, bsd_col, rows_col, _ = table
     violations: list[str] = []
     fpm_graphs = 0
     for connected, bsd, rows in zip(conn_col.tolist(), bsd_col.tolist(), map(tuple, rows_col.tolist())):
@@ -665,11 +674,8 @@ def audit_structures(n: int, jobs: int = 1) -> AuditReport:
         raise GraphError("audit needs n >= 0")
     if n > 7:
         raise GraphError("structure audit capped at n <= 7")
-    partials = _sweep(_audit_chunk, n, jobs)
-    connected_graphs = sum(p[0] for p in partials)
-    fpm_graphs = sum(p[1] for p in partials)
-    violations = tuple(v for p in partials for v in p[2])
-    return AuditReport(n, 1 << (n * (n - 1) // 2), connected_graphs, fpm_graphs, violations)
+    connected_graphs, fpm_graphs, violations = _sweep(_audit_chunk, n, jobs)
+    return AuditReport(n, 1 << (n * (n - 1) // 2), connected_graphs, fpm_graphs, tuple(violations))
 
 
 # the duality audit is part of the structure audit; the old name stays for callers
@@ -708,9 +714,8 @@ def _cross_check_one(n: int, rows: tuple[int, ...], beta: int, bsd: int) -> list
     return out
 
 
-def _cross_chunk(args: tuple) -> list[str]:
-    n, lo, hi, masks = args
-    _, _, _, beta_col, bsd_col, rows_col, _ = _batch_arrays(n, lo, hi, masks=masks)
+def _cross_chunk(n: int, table: tuple) -> list[str]:
+    _, _, _, beta_col, bsd_col, rows_col, _ = table
     out: list[str] = []
     for beta, bsd, rows in zip(beta_col.tolist(), bsd_col.tolist(), map(tuple, rows_col.tolist())):
         out.extend(_cross_check_one(n, rows, beta, bsd))
@@ -757,15 +762,13 @@ def cross_check_matching_implementations(
     if n < 0:
         raise GraphError("n must be non-negative")
     if n <= 6:
-        mism = [line for p in _sweep(_cross_chunk, n, jobs) for line in p]
-        return CrossCheckReport(n, True, 1 << (n * (n - 1) // 2), tuple(mism))
+        return CrossCheckReport(n, True, 1 << (n * (n - 1) // 2), tuple(_sweep(_cross_chunk, n, jobs)))
     if n > ORACLE_N_CAP:
         raise GraphError(f"sampled cross-check capped at n <= {ORACLE_N_CAP}")
     if samples < 1:
         raise GraphError(f"sampled cross-check needs samples >= 1, got {samples}")
     masks = _random_masks(n, samples, seed, 0.05, 0.95)
-    mism = [line for p in _sweep(_cross_chunk, n, jobs, masks) for line in p]
-    return CrossCheckReport(n, False, samples, tuple(mism))
+    return CrossCheckReport(n, False, samples, tuple(_sweep(_cross_chunk, n, jobs, masks)))
 
 
 # ---------------------------------------------------------------------------
@@ -825,11 +828,8 @@ def verify_tie_class_n8(samples: int = 4000, seed: int = 2024) -> TieCaseReport:
     ]
     shapes = [_shape(n, s, d - 2 * s) for s in (0, 1)]
     masks = np.concatenate([*map(_subset_masks, shapes), _random_masks(n, samples, seed, 0.1, 0.5)])
-    checked, cands = 0, []
-    for _, sizes, candidates in _sweep(_theorem_chunk, n, 1, masks, "t33", {d: pred.bound}):
-        checked += sizes.get(d, 0)
-        cands += candidates.get(d, [])
-    record, found = _check_class("t33", n, d, pred, cands)
+    _, sizes, candidates = _sweep(_theorem_chunk, n, 1, masks, "t33", {d: pred.bound})
+    record, found = _check_class("t33", n, d, pred, candidates.get(d, []))
     notes = (
         *pred.notes,
         "class maximum equals 2beta*-1 = 4, attained only by the clique union; "
@@ -840,7 +840,7 @@ def verify_tie_class_n8(samples: int = 4000, seed: int = 2024) -> TieCaseReport:
         tuple(to_graph6(g) for g in pred.extremal_graphs),
         predicted_rho,
         pred.in_class,
-        checked,
+        sizes.get(d, 0),
         record.max_rho,
         record.argmax_matches,
         notes,

@@ -43,6 +43,23 @@ N7_CSV_SHA256 = {
     "t32": "749b0d85ee4d6599f1fb793b021aff22f53da3a5cddd8e8a7f76602c333f6761",
     "t33": "3d6ff7f887008f2b9fa8f65ba31546fd27c6ea816305a2c399658d26d8f717d7",
 }
+# the n = 7 sweeps merge 64 chunks: the certificate counts (name, applicable,
+# fired) and the audit's connected (A001187(7)) and fpm counts they add up to
+CONNECTED_N7 = 1_866_256
+N7_CERT_COUNTS = (
+    ("beta-increment(1)", CONNECTED_N7, 1_780_209),
+    ("beta-increment(2)", CONNECTED_N7, 529_498),
+    ("beta-star-increment(1)", CONNECTED_N7, 1_780_209),
+    ("beta-star-increment(1/2)", CONNECTED_N7, CONNECTED_N7),
+    ("beta-star-increment(2)", CONNECTED_N7, 529_498),
+    ("beta-star-increment(3)", CONNECTED_N7, 29_681),
+    ("beta-star-increment(3/2)", CONNECTED_N7, 1_780_209),
+    ("beta-star-increment(5/2)", CONNECTED_N7, 529_498),
+    ("fpm-spectral", CONNECTED_N7, 29_681),
+    ("min-degree-fpm", CONNECTED_N7, 12_089),
+)
+N7_CERTIFY_SAMPLES = 483
+N7_FPM_GRAPHS = 1_444_415
 
 
 def csv_sha256(rep) -> str:
@@ -132,6 +149,8 @@ class TestAcceptance:
             rep = verify_certificates(n, jobs=JOBS)
             ok = ok and rep.passed
             total += rep.connected_examined
+            if n == 7:
+                assert (rep.connected_examined, rep.counts, rep.certify_samples) == (CONNECTED_N7, N7_CERT_COUNTS, N7_CERTIFY_SAMPLES)
         report(6, ok, f"zero unsound certificates over {total} connected labeled graphs, n <= 7")
 
     def test_c07_duality_and_structure_audits(self):
@@ -139,6 +158,8 @@ class TestAcceptance:
         for n in range(0, 8):
             rep = audit_structures(n, jobs=JOBS)
             ok = ok and rep.passed
+            if n == 7:
+                assert (rep.connected_graphs, rep.fpm_graphs) == (CONNECTED_N7, N7_FPM_GRAPHS)
         details = [
             "duality + canonical odd-cycle support, all graphs n <= 7",
             "W/R/C properties and Eq-audit on connected n <= 7",

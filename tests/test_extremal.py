@@ -91,6 +91,23 @@ class TestThresholds:
             g = join(complete(b), empty(n - b))
             assert rho_join_formula(n, b) == pytest.approx(spectral_radius(g).value, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "fn, args",
+        [
+            (theta_n, (10**400,)),
+            (theta_cubic, (10**400, HalfIntegral(3))),
+            (theta_cubic, (10**308, HalfIntegral(3))),
+            (rho_join_formula, (10**400, 3)),
+            (rho_join_formula, (10**200, 10**200 // 2)),
+        ],
+        ids=["theta_n", "theta_cubic", "theta_cubic-was-minus-inf", "rho_join_formula", "rho_join_formula-disc"],
+    )
+    def test_orders_beyond_the_float_range(self, fn, args):
+        # a typed error, as for any argument out of range, not OverflowError;
+        # theta_cubic at n = 10^308 used to return -inf
+        with pytest.raises(ValueError, match="beyond the float range"):
+            fn(*args)
+
     def test_theta_n_values(self):
         assert theta_n(8) == pytest.approx(5.07, abs=0.01)
         assert theta_n(4) == pytest.approx(math.sqrt(3), abs=1e-9)

@@ -43,11 +43,10 @@ from specmatch import (
     spectral_radius,
     theta_n,
     union,
-    wrc_decomposition,
 )
 from specmatch import spectral
 from specmatch.graphs import byte_rows
-from specmatch.matching import _odd_cycles
+from specmatch.matching import _odd_cycles, _wrc_rules
 from specmatch.cli import main
 from specmatch.extremal import theta_n_coeffs
 
@@ -311,8 +310,10 @@ class TestWitnesses:
         assert fractional_matching_number(g) == HalfIntegral(n - 1)
         t = fractional_transversal(g)
         assert t.doubled_weights == (2,) + (1,) * (n - 3) + (0, 0)
-        rep = wrc_decomposition(g, t, beta_star_doubled=n - 1)
-        assert (rep.s, rep.t, rep.c) == (1, 2, n - 3) and rep.eq1_holds and rep.r_geq_w
+        t.validate(g)
+        w, r, c = t._class_masks()
+        assert (w.bit_count(), r.bit_count(), c.bit_count()) == (1, 2, n - 3)
+        assert _wrc_rules(n, True, w, r, t.total.doubled, n - 1) == (True, True, True, True)
         fm = optimal_fractional_matching(g)
         assert fm.total == HalfIntegral(n - 1)
         assert _odd_cycles(fm._rows(fm.n)[1]) == [(1, 2, 3)]

@@ -22,18 +22,16 @@ from specmatch import (
     fpm_partition,
     fractional_matching_number,
     fractional_transversal,
+    is_connected,
     join,
     matching_number,
     optimal_fractional_matching,
-    oracle_beta,
-    oracle_beta_star,
     to_graph6,
     union,
-    wrc_decomposition,
 )
 from specmatch import matching
 from specmatch.graphs import pairs_colex
-from specmatch.verify import _graph_from_mask
+from specmatch.verify import _graph_from_mask, oracle_beta, oracle_beta_star
 from conftest import graphs, random_graph
 
 
@@ -247,34 +245,44 @@ class TestTransversal:
         assert t.to_text() == "vertex 0 1\nvertex 1 0\nvertex 2 0\n"
 
 
+def wrc(g, t):
+    """The W/R/C check of transversal t on g, as the structure audit makes
+    it: coverage first (``Transversal.validate`` raises GraphError unless R
+    is independent and has no edge into C), then the class sizes (|W|, |R|,
+    |C|) and ``_wrc_rules`` against 2*beta_star of g: (connected rule,
+    optimal, total = (n - (|R|-|W|))/2, |R| >= |W|)."""
+    t.validate(g)
+    w, r, c = t._class_masks()
+    rules = matching._wrc_rules(g.n, is_connected(g), w, r, t.total.doubled, fractional_matching_number(g).doubled)
+    return (w.bit_count(), r.bit_count(), c.bit_count()), rules
+
+
 class TestWrc:
     def test_hub_family(self):
         g = hub_family_8()
-        rep = wrc_decomposition(g, fractional_transversal(g))
-        assert rep.s == 1 and rep.t == 2
-        assert rep.r_independent and rep.no_rc_edges and rep.connected_rule_ok
-        assert rep.is_optimal and rep.eq1_holds and rep.r_geq_w
+        sizes, rules = wrc(g, fractional_transversal(g))
+        assert sizes[:2] == (1, 2)
+        assert rules == (True, True, True, True)
 
     def test_c5_vacuous(self):
-        rep = wrc_decomposition(cycle(5), fractional_transversal(cycle(5)))
-        assert rep.s == 0 and rep.t == 0
-        assert rep.r_independent and rep.no_rc_edges and rep.connected_rule_ok
-        assert rep.eq1_holds
+        sizes, (connected_rule_ok, _, eq1_holds, _) = wrc(cycle(5), fractional_transversal(cycle(5)))
+        assert sizes[:2] == (0, 0)
+        assert connected_rule_ok and eq1_holds
 
     def test_infeasible_rejected(self):
         t = Transversal(2, (0, 0), HalfIntegral(0))
         with pytest.raises(GraphError):
-            wrc_decomposition(complete(2), t)
+            wrc(complete(2), t)
 
     def test_single_vertex_exempt(self):
-        rep = wrc_decomposition(empty(1), fractional_transversal(empty(1)))
-        assert rep.connected_rule_ok
+        _, (connected_rule_ok, *_) = wrc(empty(1), fractional_transversal(empty(1)))
+        assert connected_rule_ok
 
     def test_suboptimal_transversal_reported(self):
         g = complete(2)
         t = Transversal(2, (2, 2), HalfIntegral(4))
-        rep = wrc_decomposition(g, t)
-        assert not rep.is_optimal and rep.eq1_holds is None
+        _, (_, is_optimal, eq1_holds, _) = wrc(g, t)
+        assert not is_optimal and eq1_holds is None
 
 
 class TestFpm:

@@ -58,9 +58,9 @@ def _exported() -> tuple[set[str], list[ast.ClassDef]]:
 
 def _references(tree: ast.AST) -> set[str]:
     """Names that tree refers to: identifiers, attributes, and strings that
-    name a function (``getattr`` names, or ``module.function`` span names);
-    not a function's or a class's name inside its own definition, nor the
-    names in ``__all__``."""
+    are a bare name (``getattr`` names), but not a dotted ``module.function``
+    span name, which calls nothing; not a function's or a class's name
+    inside its own definition, nor the names in ``__all__``."""
     found: set[str] = set()
 
     def visit(node: ast.AST, own: frozenset[str]) -> None:
@@ -73,8 +73,8 @@ def _references(tree: ast.AST) -> set[str]:
             name = node.id
         elif isinstance(node, ast.Attribute):
             name = node.attr
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            name = node.value.rsplit(".", 1)[-1]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            name = node.value
         if name is not None and name not in own:
             found.add(name)
         for child in ast.iter_child_nodes(node):

@@ -325,6 +325,17 @@ class TestLargestRealRoot:
     def test_negative_leading(self):
         assert largest_real_root((-1, 0, 3, 0)) == pytest.approx(math.sqrt(3), abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "coeffs",
+        [(1, -(10**400)), (1, math.inf), (1, math.nan, 1), (1, -(10**150), -(10**150), 2 * 10**150), (1e-300, 1e300)],
+        ids=["int-past-float", "inf", "nan", "cube-overflows", "root-overflows"],
+    )
+    def test_beyond_the_float_range(self, coeffs):
+        # a coefficient, a value the search reaches (here the cube of a
+        # critical point near 10^150) or the root past the float range
+        with pytest.raises(ValueError, match="beyond the float range"):
+            largest_real_root(coeffs)
+
     def test_residual_bound(self, rng):
         for _ in range(300):
             deg = rng.choice([2, 3])

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import cProfile
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -36,8 +37,6 @@ from specmatch import (
     join,
     matching_number,
     min_degree,
-    oracle_beta,
-    oracle_beta_star,
     spectral_radius,
     to_graph6,
     union,
@@ -50,7 +49,7 @@ from specmatch.certify import _guarantee_holds, certificate_table, decide
 from specmatch.cli import main
 from specmatch.extremal import THEOREMS, RegimePrediction, _shape, predict
 from specmatch.graphs import pairs_colex
-from specmatch.verify import AuditReport
+from specmatch.verify import AuditReport, oracle_beta, oracle_beta_star
 from conftest import isomorphic
 
 # every theorem CSV at n <= 6, byte for byte; a deliberate report change updates this file
@@ -96,7 +95,7 @@ def _screened_chunks(theorem, lower=0.0):
         bounds = {key: verify.predict(theorem, n, key).bound - lower for key in range(0, n + 1, step)}
         chunks = verify._chunk_ranges(n)
         for lo, hi in chunks if n < 7 else (chunks[0], chunks[len(chunks) // 2]):
-            pruned = verify._theorem_chunk((n, lo, hi, None, theorem, bounds))
+            pruned = verify._theorem_chunk(n, verify._batch_arrays(n, lo, hi), theorem, bounds)
             yield (n, lo, hi), pruned, _full_rho_candidates(n, lo, hi, theorem, bounds)
 
 
@@ -240,7 +239,8 @@ class TestChunkTable:
     @staticmethod
     def _fake_pool_sizes(monkeypatch, cpus):
         """The sizes of the pools _sweep asks for on a machine of cpus CPUs;
-        the fake pool maps serially and starts no process."""
+        the fake pool maps serially and starts no process, and a chunk's
+        table is its (lo, hi), so no real table is built."""
         asked = []
 
         class Pool:
@@ -258,22 +258,48 @@ class TestChunkTable:
 
         monkeypatch.setattr(multiprocessing, "get_context", lambda method: types.SimpleNamespace(Pool=Pool))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(verify, "_batch_arrays", lambda n, lo, hi, masks=None: (lo, hi))
         return asked
 
     @pytest.mark.parametrize("jobs, size", [(1000, 64), (2, 2)])
     def test_pool_no_larger_than_the_chunk_count(self, monkeypatch, jobs, size):
         # n = 7 has 64 chunks
         asked = self._fake_pool_sizes(monkeypatch, cpus=256)
-        chunk = lambda args: args[1:3]  # noqa: E731
-        assert verify._sweep(chunk, 7, jobs) == verify._chunk_ranges(7)
+        assert verify._sweep(lambda n, table: [table], 7, jobs) == verify._chunk_ranges(7)
         assert asked == [size]
 
     def test_pool_no_larger_than_the_usable_cpus(self, monkeypatch):
         # n = 8 has 4,096 chunks; a pool of 5,000 processes would be one per chunk
         asked = self._fake_pool_sizes(monkeypatch, cpus=3)
-        chunk = lambda args: args[1:3]  # noqa: E731
-        assert verify._sweep(chunk, 8, 5000) == verify._chunk_ranges(8)
+        assert verify._sweep(lambda n, table: [table], 8, 5000) == verify._chunk_ranges(8)
         assert asked == [3]
+
+    def test_merge_of_each_worker_shape(self):
+        # partials shaped like the outputs of _theorem_chunk, _cert_chunk,
+        # _audit_chunk and _cross_chunk, merged in order: counts add, lists
+        # extend, dicts keep their first-seen key order, tuples merge field by field
+        theorem = [
+            (3, {4: 2, 2: 1}, {4: [(2.0, 6), (2.0, 9)], 2: [(1.0, 5)]}),
+            (0, {}, {}),
+            (4, {6: 1, 2: 3}, {6: [(3.0, 40)], 2: [(1.5, 33)]}),
+        ]
+        merged = (7, {4: 2, 2: 4, 6: 1}, {4: [(2.0, 6), (2.0, 9)], 2: [(1.0, 5), (1.5, 33)], 6: [(3.0, 40)]})
+        cert = [(10, {"a": (10, 2), "b": (10, 0)}, [("Bw", "a")], 1), (5, {"a": (5, 1), "b": (5, 5)}, [], 1)]
+        audit = [(1, 0, []), (2, 1, ["Bw: x"]), (0, 0, ["Cw: y", "Cw: z"])]
+        cross = [["Bw: x"], [], ["Cw: y"]]
+        cases = [
+            (theorem, merged),
+            (cert, (15, {"a": (15, 3), "b": (15, 5)}, [("Bw", "a")], 2)),
+            (audit, (3, 1, ["Bw: x", "Cw: y", "Cw: z"])),
+            (cross, ["Bw: x", "Cw: y"]),
+        ]
+        for partials, expected in cases:
+            out = functools.reduce(verify._merge, partials)
+            assert out == expected
+            assert [list(d) for d in out if isinstance(d, dict)] == [list(d) for d in expected if isinstance(d, dict)]
+        # the first partial's lists and dicts are the merged ones, grown in place
+        acc = ([1], {"k": [2]})
+        assert verify._merge(acc, ([3], {"k": [4], "j": [5]})) == acc == ([1, 3], {"k": [2, 4], "j": [5]})
 
 
 class TestPrunedScreen:
@@ -335,8 +361,9 @@ def _screened_and_full_fired(monkeypatch, n, lo, hi):
     rho computed by ``_rho_column`` on every connected graph."""
     calls = []
     monkeypatch.setattr(verify, "decide", lambda c, rho, delta: calls.append((c, rho, delta)) or decide(c, rho, delta))
-    verify._cert_chunk((n, lo, hi, None))
-    connected, *_, rows, _ = verify._batch_arrays(n, lo, hi)
+    table = verify._batch_arrays(n, lo, hi)
+    verify._cert_chunk(n, table)
+    connected, *_, rows, _ = table
     full = verify._rho_column(rows[connected], n)
     screened = np.array([decide(c, rho, delta)[1] for c, rho, delta in calls])
     return screened, np.array([decide(c, full, delta)[1] for c, _, delta in calls])
