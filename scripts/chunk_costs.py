@@ -5,10 +5,10 @@ For each (n, chunk) pair, time one chunk of the labeled graphs on n vertices
 (``verify._chunk_ranges``) through each sweep step: the chunk table
 (``_batch_arrays``), then each worker on that table, built once outside the
 timed calls: the theorem screen of each theorem (``_theorem_chunk``), the
-certificate sweep (``_cert_chunk``) and the structure audit
-(``_audit_chunk``).  A sweep's chunk costs the table row plus its worker's
-row.  Each cell is the best of --repeat runs in seconds, in this one process
-(jobs = 1) with one BLAS thread.
+certificate sweep (``_cert_chunk``), the structure audit (``_audit_chunk``)
+and the cross-check (``_cross_chunk``).  A sweep's chunk costs the table
+row plus its worker's row.  Each cell is the best of --repeat runs in
+seconds, in this one process (jobs = 1) with one BLAS thread.
 
     PYTHONPATH=src python scripts/chunk_costs.py 7:37 8:2000
 """
@@ -53,6 +53,7 @@ def steps(n: int, lo: int, hi: int) -> list[tuple[str, Callable[[], object]]]:
         out.append((f"_theorem_chunk {theorem}", lambda t=theorem, b=bounds: verify._theorem_chunk(n, table, t, b)))
     out.append(("_cert_chunk", lambda: verify._cert_chunk(n, table)))
     out.append(("_audit_chunk", lambda: verify._audit_chunk(n, table)))
+    out.append(("_cross_chunk", lambda: verify._cross_chunk(n, table)))
     return out
 
 

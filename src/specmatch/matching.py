@@ -147,7 +147,8 @@ def matching_number(g: Graph) -> MatchingResult:
     """Exact maximum matching size with a witness edge set."""
     size, match = _blossom_max_matching(g.rows, g.n)
     edges = tuple((_LABELS[v], _LABELS[w]) for v, w in enumerate(match) if w > v)
-    assert len(edges) == size
+    if len(edges) != size:
+        raise GraphError(f"blossom matching lists {len(edges)} edges for size {size}")
     return MatchingResult(size, edges)
 
 
@@ -346,7 +347,8 @@ def _fractional_matching_from(rows: tuple[int, ...], match_l: list[int]) -> tupl
         if closed and len(vertices) % 2:
             continue  # odd cycles are already canonical
         # an optimal matching never leaves an odd half-path (it could be improved)
-        assert closed or len(vertices) % 2, "half-weight support had an augmentable odd path"
+        if not closed and not len(vertices) % 2:
+            raise GraphError("half-weight support had an augmentable odd path")
         for x in vertices:
             half[x] = 0
         for a, b in zip(vertices[::2], vertices[1::2]):

@@ -10,9 +10,9 @@ or a given mask set into windows of bounded table size, builds each one's
 table in the process that reads it, passes it to the sweep's worker, and
 merges the workers' partials in chunk order by one rule (``_merge``), so
 reports are byte-identical across runs and across --jobs settings.  The
-sampled cross-check reads the masks it draws, and the n = 8 tie class
-every edge subset of its two shape closures and its samples, on which it
-runs the theorem sweep's screen and class check.  The class
+sampled audit and cross-check read the masks they draw, and the n = 8 tie
+class every edge subset of its two shape closures and its samples, on
+which it runs the theorem sweep's screen and class check.  The class
 check recognises a predicted shape K_s v (K_c u tK_1) by its degree
 sequence, which fixes such a threshold graph up to isomorphism.  rho is not
 a table column: the workers that read it call one batched eigensolver,
@@ -22,10 +22,13 @@ Collatz-Wielandt enclosure (``_rho_enclosure``), 2.3 % of the connected
 graphs at n = 6 and 1.0 % at n = 7, and the lower end decides the rest;
 the theorem screen, densest edge count first, only while Stanley's bound
 can reach a class maximum or bound, 0.1-1.5 % of the graphs at n = 6 and
-7; the audit and the cross-check never read it.  The theorem and certificate sweeps work on whole columns; the
-audit and the cross-check, which build witnesses, go graph by graph.  The audit runs on the bitmask
-witness core of ``matching`` and its rules, the same code the public
-witness constructors wrap.
+7; the audit and the cross-check never read it.  The theorem and
+certificate sweeps work on whole columns; the audit and the cross-check go
+graph by graph, each checking one matching kernel against the oracles'
+columns.  The audit runs the double-cover matching, the bitmask witness
+core of ``matching`` and its rules, the same code the public witness
+constructors wrap, against 2*beta_star; the cross-check runs the blossom
+matching against beta.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import operator
 import os
 import random
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -60,7 +63,6 @@ from .matching import (
     _check_matching,
     _check_perfect,
     _dc_matching,
-    _dc_matching_size,
     _fractional_matching_from,
     _odd_cycles,
     _wrc_rules,
@@ -74,6 +76,7 @@ _TABLE_CELLS = 1 << 21  # subset-table cells per batch: 32,768 graphs at n = 6
 CERTIFY_STRIDE = 4096  # every CERTIFY_STRIDE-th connected graph of a chunk is reconciled with certify_all
 _WALK = 8  # the enclosure's test vector counts the walks of this length
 _ENCLOSURE_WINDOW = 4096  # graphs per enclosure batch: its matrices stay far smaller than a chunk's
+SAMPLES, SEED = 1000, 2024  # the default draws of the sampled cross-check, and the sampled audit's draws
 
 
 # ---------------------------------------------------------------------------
@@ -225,18 +228,28 @@ def _rho_enclosure(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return lo - 1 - RHO_TOL, hi - 1 + RHO_TOL
 
 
-def _batch_arrays(n: int, lo: int, hi: int, *, masks: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+class ChunkTable(NamedTuple):
+    """One numpy array per column, a row per graph (``_batch_arrays``)."""
+
+    connected: np.ndarray  # bool
+    delta: np.ndarray  # minimum degree, int8
+    edges: np.ndarray  # edge count, int64
+    beta: np.ndarray  # int8
+    bsd: np.ndarray  # 2*beta_star, int64
+    rows: np.ndarray  # (graphs, n) neighbour rows, int64
+    masks: np.ndarray  # edge masks in graph6 bit order, int64
+
+
+def _batch_arrays(n: int, lo: int, hi: int, *, masks: np.ndarray | None = None) -> ChunkTable:
     """The table of the graphs on n vertices whose edge masks, in graph6 bit
     order (``pairs_colex``), are masks[lo:hi], or lo..hi-1 when masks is
-    None; one numpy array per column: connectivity flag, minimum degree,
-    edge count, beta, 2*beta_star, the (graphs, n) array of neighbour rows
-    and the masks (K_0 reads not connected, degree 0).  Every sweep reads
-    its graphs and their invariants from here, through ``_sweep``: a range
-    of masks per chunk, or a window of the masks that the sampled
+    None (K_0 reads not connected, degree 0).  Every sweep reads its graphs
+    and their invariants from here, through ``_sweep``: a range of masks
+    per chunk, or a window of the masks that the sampled audit and
     cross-check and the n = 8 tie class draw or enumerate, repeats and any
-    order allowed.  The invariants come
-    from the oracles' subset tables (``_subset_columns``); rho is left to
-    the workers that read it (``_rho_column``)."""
+    order allowed.  The invariants come from the oracles' subset tables
+    (``_subset_columns``); rho is left to the workers that read it
+    (``_rho_column``)."""
     masks = np.arange(lo, hi, dtype=np.int64) if masks is None else np.ascontiguousarray(masks[lo:hi], dtype=np.int64)
     # byte_rows[k][b]: the bits of the rows that value b of a mask's byte k sets
     width = (n * (n - 1) // 2 + 7) // 8
@@ -251,7 +264,7 @@ def _batch_arrays(n: int, lo: int, hi: int, *, masks: np.ndarray | None = None) 
         rows |= table.take(byte, axis=0)
     step = _TABLE_CELLS >> n
     columns = [_subset_columns(rows[start : start + step], n) for start in range(0, len(masks), step)]
-    return (*(np.concatenate(c) for c in zip(*columns)), rows.astype(np.int64), masks)
+    return ChunkTable(*(np.concatenate(c) for c in zip(*columns)), rows.astype(np.int64), masks)
 
 
 def _merge(acc, part):
@@ -347,7 +360,7 @@ def _rho_cap(edges: np.ndarray) -> np.ndarray:
     return (np.sqrt(1 + 8 * edges) - 1) / 2 + RHO_TOL
 
 
-def _theorem_chunk(n: int, table: tuple, theorem: str, bounds: dict[int, float]) -> tuple:
+def _theorem_chunk(n: int, table: ChunkTable, theorem: str, bounds: dict[int, float]) -> tuple:
     """The connected count of a table (``_batch_arrays``) and, per class
     named in bounds that has graphs in it: its size, and its candidates, the
     (rho, mask) pairs with rho >= min(class maximum in the table, class
@@ -361,10 +374,10 @@ def _theorem_chunk(n: int, table: tuple, theorem: str, bounds: dict[int, float])
     bound) - ``RHO_TOL``.  The cap grows with the edge count, so every
     graph left out has rho below that threshold, and the candidates are
     those of a full rho column, bit for bit."""
-    connected, _, edges, beta, bsd, rows, masks = table
-    keys = bsd if THEOREMS[theorem].fractional else 2 * beta
+    edges, rows, masks = table.edges, table.rows, table.masks
+    keys = table.bsd if THEOREMS[theorem].fractional else 2 * table.beta
     if THEOREMS[theorem].connected:
-        keys = np.where(connected, keys, -1)  # -1: no class
+        keys = np.where(table.connected, keys, -1)  # -1: no class
     cap = _rho_cap(edges)
     rho = np.full(len(masks), -np.inf)  # -inf: not computed, below every threshold
     sizes, candidates = {}, {}
@@ -382,7 +395,7 @@ def _theorem_chunk(n: int, table: tuple, theorem: str, bounds: dict[int, float])
         sizes[key] = len(idx)
         idx = idx[rho[idx] >= min(top, bound) - RHO_TOL]
         candidates[key] = list(zip(rho[idx].tolist(), masks[idx].tolist()))
-    return int(connected.sum()), sizes, candidates
+    return int(table.connected.sum()), sizes, candidates
 
 
 def _check_class(theorem: str, n: int, key: int, pred: RegimePrediction, cands: list[tuple[float, int]]) -> tuple:
@@ -517,9 +530,8 @@ class CertSweepReport:
         return not self.unsound
 
 
-def _cert_chunk(n: int, table: tuple) -> tuple:
-    connected, delta, _, beta, bsd, rows, _ = table
-    delta, beta, bsd, rows = (col[connected] for col in (delta, beta, bsd, rows))
+def _cert_chunk(n: int, table: ChunkTable) -> tuple:
+    delta, beta, bsd, rows = (col[table.connected] for col in (table.delta, table.beta, table.bsd, table.rows))
     certs = certificate_table(n, connected=True)
     applicable = [cert.threshold is not None for cert in certs]
     # eigvalsh runs only on the open graphs, where decide fires an applicable
@@ -596,15 +608,17 @@ class AuditReport:
         return not self.violations
 
 
-def _audit_chunk(n: int, table: tuple) -> tuple:
-    conn_col, _, _, _, bsd_col, rows_col, _ = table
+def _audit_chunk(n: int, table: ChunkTable) -> tuple:
     violations: list[str] = []
-    fpm_graphs = 0
-    for connected, bsd, rows in zip(conn_col.tolist(), bsd_col.tolist(), map(tuple, rows_col.tolist())):
+    for connected, bsd, rows in zip(table.connected.tolist(), table.bsd.tolist(), map(tuple, table.rows.tolist())):
         # one double-cover matching gives both witnesses as bitmasks; their
         # totals must equal 2*beta_star from the subset tables, which never see them
         match_l, w, r, c = _dc_matching(rows, n)
-        partner, half, fm_total = _fractional_matching_from(rows, match_l)
+        try:
+            partner, half, fm_total = _fractional_matching_from(rows, match_l)
+        except GraphError as exc:  # a half-weight path that an augmenting path would fill
+            violations.append(f"{to_graph6(Graph._from_rows_unchecked(n, rows))}: double-cover matching is not maximum: {exc}")
+            continue
         t_total = 2 * w.bit_count() + c.bit_count()
         faults: list[str] = []
         if fm_total != bsd or t_total != bsd:
@@ -622,7 +636,6 @@ def _audit_chunk(n: int, table: tuple) -> tuple:
         except GraphError as exc:
             fm_fault = str(exc)
         if bsd == n:
-            fpm_graphs += 1
             # the partition fails on the first of: feasibility, coverage, the walk
             fault = fm_fault
             if not fault:
@@ -653,29 +666,36 @@ def _audit_chunk(n: int, table: tuple) -> tuple:
         if faults:
             g6 = to_graph6(Graph._from_rows_unchecked(n, rows))
             violations.extend(f"{g6}: {f}" for f in faults)
-    return int(conn_col.sum()), fpm_graphs, violations
+    return int(table.connected.sum()), int(np.count_nonzero(table.bsd == n)), violations
 
 
 def audit_structures(n: int, jobs: int = 1) -> AuditReport:
-    """Audit the half-integral witnesses of every labeled graph on n vertices.
+    """Audit the half-integral witnesses of every labeled graph on n <= 7
+    vertices, or of ``SAMPLES`` random ones for 8 <= n <= ``ORACLE_N_CAP``:
+    the draws that ``cross_check_matching_implementations`` checks by
+    default.
 
     Per graph: the canonical fractional matching, the optimal transversal
-    and 2*beta_star have one total (duality); the matching's half-weight
-    support is a disjoint union of odd cycles; the perfect-matching
-    partition succeeds when 2*beta_star = n; and, on connected graphs, the
-    transversal's W/R/C classes satisfy the structure rules.  The witnesses
-    come from one double-cover matching per graph through the bitmask core
-    that the public constructors wrap, and each rule of ``matching`` runs
-    once per witness on its masks; no witness object is built.  A rule that
-    fails is reported as a violation with its own message.
+    and 2*beta_star from the subset tables have one total (duality); the
+    matching's half-weight support is a disjoint union of odd cycles; the
+    perfect-matching partition succeeds when 2*beta_star = n; and, on
+    connected graphs, the transversal's W/R/C classes satisfy the structure
+    rules.  The witnesses come from one double-cover matching per graph
+    through the bitmask core that the public constructors wrap, and each
+    rule of ``matching`` runs once per witness on its masks; no witness
+    object is built.  So this is the oracle check of the kernel behind
+    ``fractional_matching_number``, whose size is the primal total.  A rule
+    that fails is reported as a violation with its own message.
     """
     n = operator.index(n)
     if n < 0:
         raise GraphError("audit needs n >= 0")
-    if n > 7:
-        raise GraphError("structure audit capped at n <= 7")
-    connected_graphs, fpm_graphs, violations = _sweep(_audit_chunk, n, jobs)
-    return AuditReport(n, 1 << (n * (n - 1) // 2), connected_graphs, fpm_graphs, tuple(violations))
+    if n > ORACLE_N_CAP:
+        raise GraphError(f"structure audit capped at n <= {ORACLE_N_CAP}")
+    masks = None if n <= 7 else _random_masks(n, SAMPLES, SEED, 0.05, 0.95)
+    connected_graphs, fpm_graphs, violations = _sweep(_audit_chunk, n, jobs, masks)
+    graphs = 1 << (n * (n - 1) // 2) if masks is None else SAMPLES
+    return AuditReport(n, graphs, connected_graphs, fpm_graphs, tuple(violations))
 
 
 # the duality audit is part of the structure audit; the old name stays for callers
@@ -699,25 +719,18 @@ class CrossCheckReport:
 
 
 def _cross_check_one(n: int, rows: tuple[int, ...], beta: int, bsd: int) -> list[str]:
-    # the kernels that fractional_matching_number and matching_number wrap,
-    # on the table's rows; a graph is built only to name a mismatch
-    out = []
-    fast = _dc_matching_size(rows, n)
-    if fast != bsd:
-        out.append(f"fractional matching number {HalfIntegral(fast)} != oracle {HalfIntegral(bsd)}")
-    bfast = _blossom_max_matching(rows, n)[0]
-    if bfast != beta:
-        out.append(f"matching number {bfast} != oracle {beta}")
-    if out:
-        g6 = to_graph6(Graph._from_rows_unchecked(n, rows))
-        out = [f"{g6}: {line}" for line in out]
-    return out
+    # the kernel that matching_number wraps, on the table's rows; bsd, the
+    # double-cover kernel's oracle, is the structure audit's to compare.  A
+    # graph is built only to name a mismatch
+    size = _blossom_max_matching(rows, n)[0]
+    if size == beta:
+        return []
+    return [f"{to_graph6(Graph._from_rows_unchecked(n, rows))}: matching number {size} != oracle {beta}"]
 
 
-def _cross_chunk(n: int, table: tuple) -> list[str]:
-    _, _, _, beta_col, bsd_col, rows_col, _ = table
+def _cross_chunk(n: int, table: ChunkTable) -> list[str]:
     out: list[str] = []
-    for beta, bsd, rows in zip(beta_col.tolist(), bsd_col.tolist(), map(tuple, rows_col.tolist())):
+    for beta, bsd, rows in zip(table.beta.tolist(), table.bsd.tolist(), map(tuple, table.rows.tolist())):
         out.extend(_cross_check_one(n, rows, beta, bsd))
     return out
 
@@ -749,15 +762,16 @@ def _random_masks(n: int, samples: int, seed: int, p_lo: float, p_hi: float) -> 
 
 
 def cross_check_matching_implementations(
-    n: int, samples: int = 1000, seed: int = 2024, jobs: int = 1
+    n: int, samples: int = SAMPLES, seed: int = SEED, jobs: int = 1
 ) -> CrossCheckReport:
-    """Exhaustive (n <= 6) or sampled comparison of both matching numbers
-    against the brute-force oracles: the kernels that
-    ``fractional_matching_number`` and ``matching_number`` wrap (the
-    double-cover matching size and the blossom matching) against the beta
-    and 2*beta_star columns of the subset tables.  The samples are checked in windows of
-    at most ``_TABLE_CELLS >> n`` graphs in up to jobs processes, so memory
-    beyond their masks does not grow with their number."""
+    """Exhaustive (n <= 6) or sampled comparison of the blossom matching
+    that ``matching_number`` wraps against the beta column of the subset
+    tables.  The double-cover kernel behind ``fractional_matching_number``
+    has its own oracle check in ``audit_structures``, exhaustive at n <= 7
+    and on this check's default draws above.  The samples are checked in
+    windows of at most ``_TABLE_CELLS >> n`` graphs in up to jobs
+    processes, so memory beyond their masks does not grow with their
+    number."""
     n, samples = operator.index(n), operator.index(samples)
     if n < 0:
         raise GraphError("n must be non-negative")

@@ -165,6 +165,13 @@ class TestVerifyCommands:
         code, out, _ = run_cli(capsys, "cross-check", "--n", "4")
         assert code == 0 and "64 graphs" in out and "result: PASS" in out
 
+    def test_verify_audit_sampled(self, capsys):
+        # above n = 7 the audit runs on the cross-check's default 1,000 draws, up to the oracle cap
+        code, out, _ = run_cli(capsys, "verify", "--audit", "--n", "8")
+        assert (code, out) == (0, "graphs 1000, connected 689, with fractional perfect matching 662\nresult: PASS\n")
+        code, out, err = run_cli(capsys, "verify", "--audit", "--n", "11")
+        assert (code, out, err) == (2, "", "error: structure audit capped at n <= 10\n")
+
     def test_verify_audit_n0(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--audit", "--n", "0")
         assert code == 0
@@ -324,6 +331,15 @@ class TestBetaIncrementThreshold:
         # far above the vertex cap too: the threshold is a formula, no graph is built
         code, out, _ = run_cli(capsys, "threshold", "--theorem", "t37", "--n", "100000", "--beta", "3")
         assert (code, out) == (0, _fmt(rho_join_formula(100000, 3)) + "\n")
+
+    def test_an_order_past_the_float_range(self, capsys):
+        # the range check compares integers, so the order reaches
+        # rho_join_formula, whose typed error names the float range
+        with pytest.raises(ValueError) as excinfo:
+            rho_join_formula(10**400, 3)
+        code, out, err = run_cli(capsys, "threshold", "--theorem", "t37", "--n", str(10**400), "--beta", "3")
+        assert (code, out, err) == (1, "", f"input error: {excinfo.value}\n")
+        assert "float range" in err
 
 
 class TestConsoleEntry:

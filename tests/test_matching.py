@@ -109,6 +109,12 @@ class TestMatchingNumber:
             expect = len(nx.max_weight_matching(g_nx, maxcardinality=True))
             assert matching_number(g).size == expect
 
+    def test_a_size_its_edges_do_not_reach_is_refused(self, monkeypatch):
+        # a blossom that claims size 2 on P_3 but pairs only 0 and 1
+        monkeypatch.setattr(matching, "_blossom_max_matching", lambda rows, n: (2, [1, 0, -1]))
+        with pytest.raises(GraphError, match="blossom matching lists 1 edges for size 2"):
+            matching_number(path(3))
+
 
 class TestDoubleCover:
     # 2*beta_star is the matching number of the bipartite double cover
@@ -207,6 +213,13 @@ class TestOptimalFractionalMatching:
     def test_witness_text(self):
         fm = optimal_fractional_matching(path(4))
         assert fm.to_text() == "edge 0 1 1\nedge 2 3 1\n"
+
+    def test_a_non_maximum_double_cover_matching_is_refused(self, monkeypatch):
+        # on K_2, only left copy 0 matched to right copy 1: the edge carries
+        # weight 1/2 on a half-path of one edge, which an augmenting path would fill
+        monkeypatch.setattr(matching, "_dc_matching", lambda rows, n: ([1, -1], 0, 0, 0b11))
+        with pytest.raises(GraphError, match="half-weight support had an augmentable odd path"):
+            optimal_fractional_matching(path(2))
 
 
 class TestTransversal:

@@ -44,7 +44,7 @@ def test_chunk_costs():
     header, rule, *rows = proc.stdout.splitlines()
     assert header == "| step | n = 5, chunk 0 (1,024 graphs) |" and rule == "|---|---|"
     steps = ["_batch_arrays", "_theorem_chunk t32", "_theorem_chunk t33", "_theorem_chunk t12", "_theorem_chunk t13"]
-    assert [row.split(" | ")[0] for row in rows] == [f"| `{step}`" for step in [*steps, "_cert_chunk", "_audit_chunk"]]
+    assert [row.split(" | ")[0] for row in rows] == [f"| `{step}`" for step in [*steps, "_cert_chunk", "_audit_chunk", "_cross_chunk"]]
     assert all(float(row.split(" | ")[1].rstrip(" |")) >= 0 for row in rows)
     # n = 5 has one chunk, and a chunk at n = 9 would hold 2^24 graphs
     proc = run_script("chunk_costs.py", "5:1")

@@ -56,6 +56,9 @@ from conftest import isomorphic
 GOLDEN_CSV = json.loads((Path(__file__).parent / "golden" / "theorem_csv.json").read_text())
 
 
+C5 = (0b10010, 0b00101, 0b01010, 0b10100, 0b01001)  # the neighbour rows of C_5, graph6 "Dhc"
+
+
 def _verify_calls(stats, fn) -> int:
     """Calls into fn made from verify.py, in a cProfile stats table."""
     code = fn.__code__
@@ -73,18 +76,18 @@ def _lists(table):
 
 def _full_rho_candidates(n, lo, hi, theorem, bounds):
     """What ``_theorem_chunk`` returns, computed from rho on every graph of the chunk table."""
-    connected, _, _, beta, bsd, rows, _ = verify._batch_arrays(n, lo, hi)
-    rho = verify._rho_column(rows, n)
-    keys = bsd if verify.THEOREMS[theorem].fractional else 2 * beta
+    table = verify._batch_arrays(n, lo, hi)
+    rho = verify._rho_column(table.rows, n)
+    keys = table.bsd if verify.THEOREMS[theorem].fractional else 2 * table.beta
     if verify.THEOREMS[theorem].connected:
-        keys = np.where(connected, keys, -1)
+        keys = np.where(table.connected, keys, -1)
     sizes, candidates = {}, {}
     for key in np.unique(keys[keys >= 0]).tolist():
         idx = np.flatnonzero(keys == key)
         sizes[key] = len(idx)
         idx = idx[rho[idx] >= min(rho[idx].max(), bounds[key]) - verify.RHO_TOL]
         candidates[key] = list(zip(rho[idx].tolist(), (lo + idx).tolist()))
-    return int(connected.sum()), sizes, candidates
+    return int(table.connected.sum()), sizes, candidates
 
 
 def _screened_chunks(theorem, lower=0.0):
@@ -203,7 +206,7 @@ class TestChunkTable:
         # the one graph on no vertices is empty and not connected; its
         # minimum degree, which min_degree refuses, reads 0, and so does its rho
         table = verify._batch_arrays(0, 0, 1)
-        assert len(table) == 7
+        assert table._fields == ("connected", "delta", "edges", "beta", "bsd", "rows", "masks")
         assert _lists(table) == ([0.0], [False], [0], [0], [0], [0], [()], [0])
 
     @pytest.mark.parametrize(
@@ -215,16 +218,17 @@ class TestChunkTable:
     )
     def test_workers_read_the_columns(self, sweep, args, kernel_calls):
         # beta and 2*beta_star come from the table: nothing in verify calls an
-        # oracle per graph, and only the cross-check calls the matching
-        # kernels, once per graph checked, to compare them with the table
+        # oracle per graph, and only the cross-check calls the blossom
+        # kernel, once per graph checked, to compare it with the table
         profile = cProfile.Profile()
         report = profile.runcall(getattr(verify, sweep), *args)
         stats = pstats.Stats(profile).stats
         assert _verify_calls(stats, oracle_beta) == _verify_calls(stats, oracle_beta_star) == 0
         if kernel_calls:
             assert report.graphs_checked == kernel_calls
-        for fn in (matching._dc_matching_size, matching._blossom_max_matching):
-            assert _verify_calls(stats, fn) == kernel_calls, fn.__name__
+        assert _verify_calls(stats, matching._blossom_max_matching) == kernel_calls
+        # the double-cover kernel is the structure audit's alone
+        assert _verify_calls(stats, matching._dc_matching) == _verify_calls(stats, matching._dc_matching_size) == 0
 
     def test_certificates_decide_on_columns(self):
         # the certificate sweep rules on whole columns: at n = 5 (one chunk)
@@ -340,7 +344,7 @@ class TestPrunedScreen:
         # rho computed on the whole table, whatever the batch and the order
         rng = np.random.default_rng(2024)
         for n, lo, hi in [(6, 0, 1 << 15), (7, *verify._chunk_ranges(7)[37])]:
-            *_, rows, _ = verify._batch_arrays(n, lo, hi)
+            rows = verify._batch_arrays(n, lo, hi).rows
             full = verify._rho_column(rows, n)
             for size in (1, 7, 400, 5000):
                 pick = rng.permutation(len(rows))[:size]
@@ -363,8 +367,7 @@ def _screened_and_full_fired(monkeypatch, n, lo, hi):
     monkeypatch.setattr(verify, "decide", lambda c, rho, delta: calls.append((c, rho, delta)) or decide(c, rho, delta))
     table = verify._batch_arrays(n, lo, hi)
     verify._cert_chunk(n, table)
-    connected, *_, rows, _ = table
-    full = verify._rho_column(rows[connected], n)
+    full = verify._rho_column(table.rows[table.connected], n)
     screened = np.array([decide(c, rho, delta)[1] for c, rho, delta in calls])
     return screened, np.array([decide(c, full, delta)[1] for c, _, delta in calls])
 
@@ -374,8 +377,8 @@ class TestCertificateScreen:
         # every connected labeled graph at n = 1..6, and n = 8 chunk 2000
         tables = [(n, 0, 1 << n * (n - 1) // 2) for n in range(1, 7)] + [(8, *verify._chunk_ranges(8)[2000])]
         for n, lo, hi in tables:
-            connected, *_, rows, _ = verify._batch_arrays(n, lo, hi)
-            rows = rows[connected]
+            table = verify._batch_arrays(n, lo, hi)
+            rows = table.rows[table.connected]
             low, high = verify._rho_enclosure(rows, n)
             rho = verify._rho_column(rows, n)
             assert np.all(low <= rho) and np.all(rho <= high), (n, lo)
@@ -810,8 +813,47 @@ class TestAudits:
     def test_limits(self):
         with pytest.raises(GraphError):
             audit_structures(-1)
-        with pytest.raises(GraphError):
-            audit_structures(8)
+        with pytest.raises(GraphError, match="structure audit capped at n <= 10"):
+            audit_structures(11)
+
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    def test_sampled_above_n7(self, n):
+        # the cross-check's default draws; the connected count is networkx's
+        rep = audit_structures(n)
+        assert rep.passed and rep.graphs == 1000
+        draws = verify._random_masks(n, 1000, 2024, 0.05, 0.95).tolist()
+        connected = 0
+        for mask in draws:
+            gx = nx.Graph([e for j, e in enumerate(pairs_colex(n)) if mask >> j & 1])
+            gx.add_nodes_from(range(n))
+            connected += nx.is_connected(gx)
+        assert rep.connected_graphs == connected
+
+    def test_names_a_wrong_double_cover_kernel(self, monkeypatch):
+        # a double-cover matching that leaves C_5's last left copy unmatched:
+        # its total falls to 2, below the oracle's 5/2, and the partition of
+        # a graph with 2beta* = n fails on the matching it gives
+        real = verify._dc_matching
+
+        def short(rows, n):
+            match_l, *cover = real(rows, n)
+            if rows == C5:
+                match_l = match_l[:-1] + [-1]
+            return match_l, *cover
+
+        monkeypatch.setattr(verify, "_dc_matching", short)
+        rep = audit_structures(5)
+        assert rep.passed is False and rep.graphs == 1024
+        assert rep.violations == (
+            "Dhc: primal 2 / dual 5/2 / matching 5/2 differ",
+            "Dhc: fractional perfect matching partition failed: matching is not perfect: total 2 < n/2 = 5/2",
+        )
+        # one that leaves K_2's edge half matched, a path an augmenting path
+        # would fill, is named too, and the sweep goes on
+        monkeypatch.setattr(verify, "_dc_matching", lambda rows, n: ([1, -1], 0, 0, 0b11) if rows == (0b10, 0b01) else real(rows, n))
+        assert audit_structures(2) == AuditReport(
+            2, 2, 1, 1, ("A_: double-cover matching is not maximum: half-weight support had an augmentable odd path",)
+        )
 
     def test_cli_golden(self, capsys):
         assert main(["verify", "--audit", "--n", "5"]) == 0
@@ -923,15 +965,14 @@ class TestCrossCheck:
         assert rep.exhaustive and rep.graphs_checked == 1 and rep.passed
 
     def test_reports_each_mismatch(self, monkeypatch):
-        # kernels that get C_5 wrong, beta* = 5/2 and beta = 2, are named on
-        # two lines, and every other graph at n = 5 still agrees
-        c5 = (0b10010, 0b00101, 0b01010, 0b10100, 0b01001)
-        dc, blossom = verify._dc_matching_size, verify._blossom_max_matching
-        monkeypatch.setattr(verify, "_dc_matching_size", lambda rows, n: 4 if rows == c5 else dc(rows, n))
-        monkeypatch.setattr(verify, "_blossom_max_matching", lambda rows, n: (1, []) if rows == c5 else blossom(rows, n))
+        # a blossom that gets C_5 wrong, beta = 2, is named, and every other
+        # graph at n = 5 still agrees; a wrong double-cover kernel is the
+        # structure audit's to name (TestAudits.test_names_a_wrong_double_cover_kernel)
+        blossom = verify._blossom_max_matching
+        monkeypatch.setattr(verify, "_blossom_max_matching", lambda rows, n: (1, []) if rows == C5 else blossom(rows, n))
         rep = cross_check_matching_implementations(5)
         assert rep.passed is False and rep.graphs_checked == 1024
-        assert rep.mismatches == ("Dhc: fractional matching number 2 != oracle 5/2", "Dhc: matching number 1 != oracle 2")
+        assert rep.mismatches == ("Dhc: matching number 1 != oracle 2",)
 
     @pytest.mark.parametrize("samples", [0, -1])
     def test_sampled_needs_a_sample(self, samples):
