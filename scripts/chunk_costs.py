@@ -36,6 +36,13 @@ def chunk(text: str) -> tuple[int, int]:
     return n, index
 
 
+def repeat(text: str) -> int:
+    runs = int(text)
+    if runs < 1:
+        raise argparse.ArgumentTypeError(f"a cell needs at least one run, not {runs}")
+    return runs
+
+
 def best(call, repeat: int) -> float:
     times = []
     for _ in range(repeat):
@@ -60,7 +67,7 @@ def steps(n: int, lo: int, hi: int) -> list[tuple[str, Callable[[], object]]]:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("chunks", nargs="*", type=chunk, default=[(7, 37), (8, 2000)], metavar="N:CHUNK")
-    parser.add_argument("--repeat", type=int, default=3, help="runs per cell, the best is printed (default 3)")
+    parser.add_argument("--repeat", type=repeat, default=3, help="runs per cell, the best is printed (default 3)")
     args = parser.parse_args()
 
     columns = []

@@ -12,8 +12,9 @@ copies).  The size and the W/R/C cover are the same for every maximum
 matching (Dulmage-Mendelsohn); only the canonical matching depends on
 which one is taken.  Each witness property has one rule on these masks.
 The public constructors wrap the core and validate what they build with
-those rules; the structure audit runs the core and the rules directly,
-with no witness objects.
+those rules.  The structure audit runs the core with no witness objects
+and judges its witnesses by column: ``_witness_faults`` is the rules'
+column form, and the rules run only on the graphs it flags.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
+
+import numpy as np
 
 from .graphs import _LABELS, Graph, GraphError, dense_rows
 from .halfint import HalfIntegral
@@ -439,6 +442,34 @@ def _wrc_rules(n: int, connected: bool, w: int, r: int, total: int, bsd: int) ->
     if total != bsd:
         return connected_rule_ok, False, None, None
     return connected_rule_ok, True, total == n - (t - s), t >= s
+
+
+def _witness_faults(n: int, connected: np.ndarray, bsd: np.ndarray, rows: np.ndarray, partner: np.ndarray, half: np.ndarray,
+                    total: np.ndarray, w: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The rules above in column form: True for each graph whose witnesses
+    break one, of a batch given as (graphs, n) neighbour, partner and
+    half-support rows and columns of doubled totals, W/R/C masks, 2*beta_star
+    (at most n) and connectivity.  A graph is True exactly when one of these
+    fails: duality (both totals equal ``bsd``), ``_check_matching``,
+    ``_check_perfect`` where ``bsd`` = n, ``_check_cover`` and, on connected
+    graphs, ``_wrc_rules``.  The half-weight walk (``_odd_cycles``) has no
+    column form."""
+    load = 2 * np.bitwise_count(partner).astype(np.int64) + np.bitwise_count(half)
+    weighted = partner | half
+    s, t = np.bitwise_count(w).astype(np.int64), np.bitwise_count(r).astype(np.int64)
+    t_total = 2 * s + np.bitwise_count(c)
+    faults = (total != bsd) | (t_total != bsd)
+    # _check_matching: a weight off the row, a load above 2, the doubled total
+    faults |= (weighted & ~rows).any(axis=1) | (load > 2).any(axis=1) | (load.sum(axis=1) != 2 * total)
+    # _check_perfect: every vertex in a weighted edge (a total below n breaks duality)
+    faults |= (bsd == n) & (np.bitwise_or.reduce(weighted, axis=1) != (1 << n) - 1)
+    # _check_cover: a vertex of R with a neighbour in R or C
+    in_r = (r[:, None] >> np.arange(n)) & 1 == 1
+    faults |= (in_r & (rows & (r | c)[:, None] != 0)).any(axis=1)
+    # _wrc_rules where duality holds: with total = n - (|R|-|W|) = bsd <= n,
+    # |R| >= |W| follows
+    faults |= connected & ((n > 1) & ((s == 0) != (t == 0)) | (t_total != n - (t - s)))
+    return faults
 
 
 # ---------------------------------------------------------------------------

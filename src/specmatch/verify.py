@@ -23,12 +23,14 @@ graphs at n = 6 and 1.0 % at n = 7, and the lower end decides the rest;
 the theorem screen, densest edge count first, only while Stanley's bound
 can reach a class maximum or bound, 0.1-1.5 % of the graphs at n = 6 and
 7; the audit and the cross-check never read it.  The theorem and
-certificate sweeps work on whole columns; the audit and the cross-check go
-graph by graph, each checking one matching kernel against the oracles'
-columns.  The audit runs the double-cover matching, the bitmask witness
-core of ``matching`` and its rules, the same code the public witness
-constructors wrap, against 2*beta_star; the cross-check runs the blossom
-matching against beta.
+certificate sweeps work on whole columns.  The audit and the cross-check
+each check one matching kernel against the oracles' columns, running it
+graph by graph.  The audit runs the double-cover matching and the bitmask
+witness core of ``matching``, the same code the public witness
+constructors wrap, and one column screen (``_witness_faults``) judges
+every witness against the rules of ``matching`` and 2*beta_star; the
+rules themselves run only on the graphs the screen flags, to name their
+faults.  The cross-check runs the blossom matching against beta.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ from .matching import (
     _dc_matching,
     _fractional_matching_from,
     _odd_cycles,
+    _witness_faults,
     _wrc_rules,
 )
 from .spectral import spectral_radius
@@ -75,7 +78,7 @@ RHO_TOL = 1e-8
 _TABLE_CELLS = 1 << 21  # subset-table cells per batch: 32,768 graphs at n = 6
 CERTIFY_STRIDE = 4096  # every CERTIFY_STRIDE-th connected graph of a chunk is reconciled with certify_all
 _WALK = 8  # the enclosure's test vector counts the walks of this length
-_ENCLOSURE_WINDOW = 4096  # graphs per enclosure batch: its matrices stay far smaller than a chunk's
+_WINDOW = 4096  # graphs per batch of the enclosure, the audit's screen and the cross-check: far smaller than a chunk
 SAMPLES, SEED = 1000, 2024  # the default draws of the sampled cross-check, and the sampled audit's draws
 
 
@@ -214,17 +217,17 @@ def _rho_enclosure(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     below n^(k+1) <= 2^27 at n <= 8, so float64 holds them exactly and only
     the division rounds; ``RHO_TOL`` widens the bounds far past that and
     past ``eigvalsh``'s own error.  The graphs go in windows of
-    ``_ENCLOSURE_WINDOW``, which bounds the (graphs, n, n) matrices."""
+    ``_WINDOW``, which bounds the (graphs, n, n) matrices."""
     lo, hi = np.empty(len(rows)), np.empty(len(rows))
     loops = 1 << np.arange(n)
-    for start in range(0, len(rows), _ENCLOSURE_WINDOW):
-        b = _matrices(rows[start : start + _ENCLOSURE_WINDOW] | loops, n)  # each row with its own bit: B = A + I
+    for start in range(0, len(rows), _WINDOW):
+        b = _matrices(rows[start : start + _WINDOW] | loops, n)  # each row with its own bit: B = A + I
         x = np.ones((len(b), n))
         for _ in range(_WALK):
             x = np.einsum("gij,gj->gi", b, x)
         ratio = np.einsum("gij,gj->gi", b, x) / x
-        lo[start : start + _ENCLOSURE_WINDOW] = ratio.min(axis=1)
-        hi[start : start + _ENCLOSURE_WINDOW] = ratio.max(axis=1)
+        lo[start : start + _WINDOW] = ratio.min(axis=1)
+        hi[start : start + _WINDOW] = ratio.max(axis=1)
     return lo - 1 - RHO_TOL, hi - 1 + RHO_TOL
 
 
@@ -608,63 +611,104 @@ class AuditReport:
         return not self.violations
 
 
+def _audit_graph(n: int, connected: bool, bsd: int, rows: tuple[int, ...], fm: tuple, cover: list[int]) -> list[str]:
+    """The faults of one graph's witnesses, each rule of ``matching`` run on
+    its masks: the fractional matching fm (partner rows, half-support rows,
+    doubled total) and the transversal's W, R, C masks, against 2*beta_star
+    = ``bsd`` from the subset tables, which never see them.  The reference
+    that names the faults of the graphs ``_witness_faults`` flags."""
+    partner, half, fm_total = fm
+    w, r, c = cover
+    t_total = 2 * w.bit_count() + c.bit_count()
+    faults: list[str] = []
+    if fm_total != bsd or t_total != bsd:
+        faults.append(f"primal {HalfIntegral(fm_total)} / dual {HalfIntegral(t_total)} / matching {HalfIntegral(bsd)} differ")
+    # each rule runs once per witness: one walk of the half-weight
+    # support, one feasibility check and one coverage check
+    walk_fault = fm_fault = None
+    try:
+        _odd_cycles(half)
+    except GraphError as exc:
+        walk_fault = str(exc)
+        faults.append("half-weight support is not a disjoint union of odd cycles")
+    try:
+        _check_matching(rows, partner, half, fm_total)
+    except GraphError as exc:
+        fm_fault = str(exc)
+    if bsd == n:
+        # the partition fails on the first of: feasibility, coverage, the walk
+        fault = fm_fault
+        if not fault:
+            support = 0
+            for row in half:
+                support |= row
+            try:
+                _check_perfect(n, fm_total, partner, support)
+            except GraphError as exc:
+                fault = str(exc)
+        fault = fault or walk_fault
+        if fault:
+            faults.append(f"fractional perfect matching partition failed: {fault}")
+    elif fm_fault:
+        faults.append(f"fractional matching is infeasible: {fm_fault}")
+    try:
+        _check_cover(rows, r, c)
+    except GraphError as exc:
+        faults.append(f"transversal is infeasible: {exc}")
+    if connected:
+        connected_rule_ok, _, eq1, r_geq_w = _wrc_rules(n, True, w, r, t_total, bsd)
+        if not connected_rule_ok:
+            faults.append("connected graph has exactly one of W, R empty")
+        if eq1 is not True:
+            faults.append("optimal transversal violates total = (n - (|R|-|W|))/2")
+        if r_geq_w is not True:
+            faults.append("optimal transversal has |R| < |W|")
+    return faults
+
+
 def _audit_chunk(n: int, table: ChunkTable) -> tuple:
     violations: list[str] = []
-    for connected, bsd, rows in zip(table.connected.tolist(), table.bsd.tolist(), map(tuple, table.rows.tolist())):
-        # one double-cover matching gives both witnesses as bitmasks; their
-        # totals must equal 2*beta_star from the subset tables, which never see them
-        match_l, w, r, c = _dc_matching(rows, n)
-        try:
-            partner, half, fm_total = _fractional_matching_from(rows, match_l)
-        except GraphError as exc:  # a half-weight path that an augmenting path would fill
-            violations.append(f"{to_graph6(Graph._from_rows_unchecked(n, rows))}: double-cover matching is not maximum: {exc}")
-            continue
-        t_total = 2 * w.bit_count() + c.bit_count()
-        faults: list[str] = []
-        if fm_total != bsd or t_total != bsd:
-            faults.append(f"primal {HalfIntegral(fm_total)} / dual {HalfIntegral(t_total)} / matching {HalfIntegral(bsd)} differ")
-        # each rule runs once per witness: one walk of the half-weight
-        # support, one feasibility check and one coverage check
-        walk_fault = fm_fault = None
-        try:
-            _odd_cycles(half)
-        except GraphError as exc:
-            walk_fault = str(exc)
-            faults.append("half-weight support is not a disjoint union of odd cycles")
-        try:
-            _check_matching(rows, partner, half, fm_total)
-        except GraphError as exc:
-            fm_fault = str(exc)
-        if bsd == n:
-            # the partition fails on the first of: feasibility, coverage, the walk
-            fault = fm_fault
-            if not fault:
-                support = 0
-                for row in half:
-                    support |= row
-                try:
-                    _check_perfect(n, fm_total, partner, support)
-                except GraphError as exc:
-                    fault = str(exc)
-            fault = fault or walk_fault
-            if fault:
-                faults.append(f"fractional perfect matching partition failed: {fault}")
-        elif fm_fault:
-            faults.append(f"fractional matching is infeasible: {fm_fault}")
-        try:
-            _check_cover(rows, r, c)
-        except GraphError as exc:
-            faults.append(f"transversal is infeasible: {exc}")
-        if connected:
-            connected_rule_ok, _, eq1, r_geq_w = _wrc_rules(n, True, w, r, t_total, bsd)
-            if not connected_rule_ok:
-                faults.append("connected graph has exactly one of W, R empty")
-            if eq1 is not True:
-                faults.append("optimal transversal violates total = (n - (|R|-|W|))/2")
-            if r_geq_w is not True:
-                faults.append("optimal transversal has |R| < |W|")
-        if faults:
-            g6 = to_graph6(Graph._from_rows_unchecked(n, rows))
+    for start in range(0, len(table.masks), _WINDOW):
+        window = slice(start, start + _WINDOW)
+        graphs = list(map(tuple, table.rows[window].tolist()))
+        # one double-cover matching per graph gives both witnesses as
+        # bitmasks, gathered into the window's columns
+        partners: list[int] = []
+        halves: list[int] = []
+        totals: list[int] = []
+        covers: list[int] = []  # W, R, C of each graph in turn
+        broken: dict[int, str] = {}  # a builder that raised: its message
+        walked: list[int] = []  # a half-weight walk that raised: the reference names it
+        for rows in graphs:
+            match_l, w, r, c = _dc_matching(rows, n)
+            covers += w, r, c
+            try:
+                partner, half, fm_total = _fractional_matching_from(rows, match_l)
+            except GraphError as exc:  # a half-weight path that an augmenting path would fill
+                broken[len(totals)] = f"double-cover matching is not maximum: {exc}"
+                partner = half = [0] * n
+                fm_total = 0
+            else:
+                if any(half):
+                    try:
+                        _odd_cycles(half)
+                    except GraphError:
+                        walked.append(len(totals))
+            partners += partner
+            halves += half
+            totals.append(fm_total)
+        partner_rows = np.array(partners, dtype=np.uint16).reshape(len(graphs), n)
+        half_rows = np.array(halves, dtype=np.uint16).reshape(len(graphs), n)
+        w, r, c = np.array(covers, dtype=np.uint16).reshape(len(graphs), 3).T
+        connected, bsd = table.connected[window], table.bsd[window]
+        flagged = _witness_faults(n, connected, bsd, table.rows[window], partner_rows, half_rows, np.array(totals), w, r, c)
+        for i in sorted({*np.flatnonzero(flagged).tolist(), *broken, *walked}):
+            g6 = to_graph6(Graph._from_rows_unchecked(n, graphs[i]))
+            if i in broken:
+                violations.append(f"{g6}: {broken[i]}")
+                continue
+            fm = (partner_rows[i].tolist(), half_rows[i].tolist(), totals[i])
+            faults = _audit_graph(n, bool(connected[i]), int(bsd[i]), graphs[i], fm, covers[3 * i : 3 * i + 3])
             violations.extend(f"{g6}: {f}" for f in faults)
     return int(table.connected.sum()), int(np.count_nonzero(table.bsd == n)), violations
 
@@ -681,11 +725,14 @@ def audit_structures(n: int, jobs: int = 1) -> AuditReport:
     perfect-matching partition succeeds when 2*beta_star = n; and, on
     connected graphs, the transversal's W/R/C classes satisfy the structure
     rules.  The witnesses come from one double-cover matching per graph
-    through the bitmask core that the public constructors wrap, and each
-    rule of ``matching`` runs once per witness on its masks; no witness
-    object is built.  So this is the oracle check of the kernel behind
-    ``fractional_matching_number``, whose size is the primal total.  A rule
-    that fails is reported as a violation with its own message.
+    through the bitmask core that the public constructors wrap; no witness
+    object is built.  The half-weight support is walked graph by graph, and
+    a column screen (``matching._witness_faults``) judges the rest for a
+    window of graphs at once.  So this is the oracle check of the kernel
+    behind ``fractional_matching_number``, whose size is the primal total.
+    On a graph the screen or the walk flags, each rule of ``matching`` runs
+    on its masks (``_audit_graph``), and a rule that fails is reported as a
+    violation with its own message.
     """
     n = operator.index(n)
     if n < 0:
@@ -718,10 +765,9 @@ class CrossCheckReport:
         return not self.mismatches
 
 
-def _cross_check_one(n: int, rows: tuple[int, ...], beta: int, bsd: int) -> list[str]:
-    # the kernel that matching_number wraps, on the table's rows; bsd, the
-    # double-cover kernel's oracle, is the structure audit's to compare.  A
-    # graph is built only to name a mismatch
+def _cross_check_one(n: int, rows: tuple[int, ...], beta: int) -> list[str]:
+    # the kernel that matching_number wraps, on the table's rows; a graph is
+    # built only to name a mismatch
     size = _blossom_max_matching(rows, n)[0]
     if size == beta:
         return []
@@ -730,8 +776,10 @@ def _cross_check_one(n: int, rows: tuple[int, ...], beta: int, bsd: int) -> list
 
 def _cross_chunk(n: int, table: ChunkTable) -> list[str]:
     out: list[str] = []
-    for beta, bsd, rows in zip(table.beta.tolist(), table.bsd.tolist(), map(tuple, table.rows.tolist())):
-        out.extend(_cross_check_one(n, rows, beta, bsd))
+    for start in range(0, len(table.masks), _WINDOW):  # a window's rows at a time as Python ints
+        window = slice(start, start + _WINDOW)
+        for beta, rows in zip(table.beta[window].tolist(), map(tuple, table.rows[window].tolist())):
+            out.extend(_cross_check_one(n, rows, beta))
     return out
 
 

@@ -51,6 +51,9 @@ def test_chunk_costs():
     assert proc.returncode == 2 and "n = 5 has 1 chunks, not a chunk 1" in proc.stderr
     proc = run_script("chunk_costs.py", "9:0")
     assert proc.returncode == 2 and "the sweeps enumerate 1 <= n <= 8, not n = 9" in proc.stderr
+    # each cell is the best of its runs, so a cell needs one
+    proc = run_script("chunk_costs.py", "5:0", "--repeat", "0")
+    assert proc.returncode == 2 and "a cell needs at least one run, not 0" in proc.stderr
 
 
 def import_bench_pairs():

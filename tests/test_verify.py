@@ -859,19 +859,34 @@ class TestAudits:
         assert main(["verify", "--audit", "--n", "5"]) == 0
         assert capsys.readouterr().out == "graphs 1024, connected 728, with fractional perfect matching 383\nresult: PASS\n"
 
-    def test_one_matching_and_one_validation_per_witness(self):
-        # n = 4 has 64 graphs: each gets one double-cover matching, and each
-        # of its two witnesses is validated exactly once
-        profile = cProfile.Profile()
-        profile.runcall(audit_structures, 4)
-        stats = pstats.Stats(profile).stats
+    def test_one_matching_and_one_validation_per_witness(self, monkeypatch):
+        # n = 4 has 64 graphs: each gets one double-cover matching, and the
+        # column screen validates both witnesses of each once (it is exact:
+        # TestWitnessScreen), so the scalar rules run only to name the faults
+        # of a flagged graph: never on a passing audit, once each on a graph
+        # given an uncovered transversal
+        def counts():
+            profile = cProfile.Profile()
+            report = profile.runcall(audit_structures, 4)
+            stats = pstats.Stats(profile).stats
 
-        def calls(fn):
-            code = fn.__code__
-            return stats.get((code.co_filename, code.co_firstlineno, code.co_name), (0, 0))[1]
+            def calls(fn):
+                code = fn.__code__
+                return stats.get((code.co_filename, code.co_firstlineno, code.co_name), (0, 0))[1]
 
-        counts = [calls(fn) for fn in (matching._dc_matching, matching._check_matching, matching._check_cover)]
-        assert counts == [64, 64, 64]
+            return report, [calls(fn) for fn in (matching._dc_matching, matching._check_matching, matching._check_cover)]
+
+        report, calls = counts()
+        assert report.passed and calls == [64, 0, 0]
+        target = union(complete(2), empty(2))
+        real = verify._dc_matching
+        monkeypatch.setattr(verify, "_dc_matching", lambda rows, n: (real(rows, n)[0], 0, 0b1111, 0) if rows == target.rows else real(rows, n))
+        report, calls = counts()
+        assert calls == [64, 1, 1]
+        assert report.violations == (
+            f"{to_graph6(target)}: primal 1 / dual 0 / matching 1 differ",
+            f"{to_graph6(target)}: transversal is infeasible: edge (0,1) not covered: weights sum below 1",
+        )
 
     def test_one_half_cycle_walk_per_graph(self):
         # the odd-cycle check and the perfect-matching partition share one
@@ -946,6 +961,81 @@ class TestAudits:
         )
 
 
+def _witness_cases(n, table):
+    """(kind, graph index, fractional matching, W/R/C cover) of each graph of
+    a chunk table: its real witnesses, then each corruption that fits it.
+    The half rows stay symmetric, as the builder makes them and the walk
+    needs; the partner rows and the masks need not."""
+    full = (1 << n) - 1
+    for i, rows in enumerate(map(tuple, table.rows.tolist())):
+        match_l, *cover = matching._dc_matching(rows, n)
+        partner, half, total = real = matching._fractional_matching_from(rows, match_l)
+        yield "real", i, real, cover
+        # one matched left copy dropped, where the builder still gives a
+        # matching: with its own total, and with the real one kept
+        u = next((u for u, v in enumerate(match_l) if v >= 0), None)
+        if u is not None:
+            try:
+                dropped = matching._fractional_matching_from(rows, match_l[:u] + [-1] + match_l[u + 1 :])
+            except GraphError:
+                pass
+            else:
+                yield "dropped copy", i, dropped, cover
+                yield "dropped copy, total kept", i, (*dropped[:2], total), cover
+        # a partner bit moved to a non-edge, or to another edge at its vertex
+        for kind, targets in (("moved to a non-edge", lambda u: full & ~rows[u] & ~(1 << u)), ("moved to an edge", lambda u: rows[u] & ~partner[u])):
+            u = next((u for u, p in enumerate(partner) if p and targets(u)), None)
+            if u is not None:
+                yield kind, i, (partner[:u] + [targets(u) & -targets(u)] + partner[u + 1 :], half, total), cover
+        # a vertex overloaded: all the weight on its edges, the total kept
+        u = next((u for u, row in enumerate(rows) if row.bit_count() >= total >= 2), None)
+        if u is not None:
+            edges = [1 << v for v in range(n) if rows[u] >> v & 1][:total]
+            yield "overloaded", i, ([0] * u + [sum(edges)] + [0] * (n - u - 1), [0] * n, total), cover
+        yield "all C", i, real, (0, 0, full)
+        yield "all R", i, real, (0, full, 0)
+        # weight 1/2 on the 4-cycle 0-1-2-3
+        if n >= 4 and rows[0] & 0b1010 == 0b1010 and rows[2] & 0b1010 == 0b1010:
+            yield "even half-cycle", i, ([0] * n, [0b1010, 0b0101, 0b1010, 0b0101] + [0] * (n - 4), 4), cover
+        # every W/R/C assignment, classes overlapping or missing, at n <= 3
+        if n <= 3:
+            for masks in itertools.product(range(1 << n), repeat=3):
+                yield "masks", i, real, masks
+
+
+def _walk_fails(half):
+    try:
+        matching._odd_cycles(half)
+    except GraphError:
+        return True
+    return False
+
+
+class TestWitnessScreen:
+    @pytest.mark.parametrize("n", range(7))
+    def test_flags_exactly_the_graphs_the_rules_fault(self, n):
+        # every labeled graph on n <= 6 vertices, with its real witnesses and
+        # each corruption: the screen, with the half-weight walk that the
+        # audit runs beside it, flags a case exactly when the per-graph
+        # reference reports a fault
+        table = verify._batch_arrays(n, 0, 1 << (n * (n - 1) // 2))
+        kinds, graph, fms, covers = zip(*_witness_cases(n, table))
+        graph = np.array(graph)
+        partner, half = (np.array([fm[k] for fm in fms], dtype=np.uint16).reshape(len(fms), n) for k in (0, 1))
+        w, r, c = np.array(covers, dtype=np.uint16).T
+        total = np.array([fm[2] for fm in fms])
+        screened = matching._witness_faults(
+            n, table.connected[graph], table.bsd[graph], table.rows[graph], partner, half, total, w, r, c
+        ) | np.array([_walk_fails(fm[1]) for fm in fms])
+        connected, bsd, rows = table.connected.tolist(), table.bsd.tolist(), list(map(tuple, table.rows.tolist()))
+        faulted = [bool(verify._audit_graph(n, connected[i], bsd[i], rows[i], fm, list(cover))) for i, fm, cover in zip(graph.tolist(), fms, covers)]
+        assert screened.tolist() == faulted
+        # the real witnesses pass; from n = 4 on every corruption fits and is caught somewhere
+        assert not any(f for kind, f in zip(kinds, faulted) if kind == "real")
+        if n >= 4:
+            assert {kind for kind, f in zip(kinds, faulted) if f} == set(kinds) - {"real"}
+
+
 class TestCrossCheck:
     def test_exhaustive_n5(self):
         rep = cross_check_matching_implementations(5)
@@ -991,17 +1081,20 @@ class TestCrossCheck:
         ],
     )
     def test_sampled_reports_pinned(self, monkeypatch, n, seed, digest):
-        # the 1,000 draws, in order, with their oracle columns: "graph6 beta 2*beta_star" per line
+        # the 1,000 draws, in the order checked, with their oracle columns:
+        # "graph6 beta 2*beta_star" per line, 2*beta_star from the draws' table
         seen = []
         real = verify._cross_check_one
         monkeypatch.setattr(
             verify,
             "_cross_check_one",
-            lambda n, rows, b, d: seen.append(f"{to_graph6(Graph._from_rows_unchecked(n, rows))} {b} {d}") or real(n, rows, b, d),
+            lambda n, rows, b: seen.append(f"{to_graph6(Graph._from_rows_unchecked(n, rows))} {b}") or real(n, rows, b),
         )
         rep = cross_check_matching_implementations(n, seed=seed)
         assert (rep.n, rep.exhaustive, rep.graphs_checked, rep.mismatches) == (n, False, 1000, ())
-        assert hashlib.sha256("\n".join(seen).encode()).hexdigest() == digest
+        bsd = verify._batch_arrays(n, 0, 1000, masks=verify._random_masks(n, 1000, seed, 0.05, 0.95)).bsd.tolist()
+        lines = [f"{line} {d}" for line, d in zip(seen, bsd, strict=True)]
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == digest
 
     def test_sampled_n9_reaches_dense_graphs(self, monkeypatch):
         # every draw is checked, dense ones included: no edge cap rejects a sample
@@ -1010,7 +1103,7 @@ class TestCrossCheck:
         monkeypatch.setattr(
             verify,
             "_cross_check_one",
-            lambda n, rows, *oracle: edge_counts.append(Graph._from_rows_unchecked(n, rows).edge_count()) or real(n, rows, *oracle),
+            lambda n, rows, beta: edge_counts.append(Graph._from_rows_unchecked(n, rows).edge_count()) or real(n, rows, beta),
         )
         rep = cross_check_matching_implementations(9, samples=60, seed=1)
         assert rep.passed and rep.graphs_checked == len(edge_counts) == 60
