@@ -23,6 +23,7 @@ from specmatch import (
     verify_theorem,
     verify_tie_class_n8,
 )
+from specmatch.verify import SAMPLES
 
 
 def main() -> int:
@@ -74,7 +75,7 @@ def main() -> int:
         record(f"oracle cross-check n={n}", rep.passed, time.time() - t0)
     for n in (7, 8, 9):
         t0 = time.time()
-        rep = cross_check_matching_implementations(n, samples=1000)
+        rep = cross_check_matching_implementations(n, samples=SAMPLES)
         record(f"oracle cross-check n={n} (sampled)", rep.passed, time.time() - t0)
 
     t0 = time.time()

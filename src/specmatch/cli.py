@@ -35,6 +35,8 @@ from .matching import (
 )
 from .spectral import ConvergenceError, DEFAULT_TOL, spectral_radius
 from .verify import (
+    SAMPLES,
+    SEED,
     audit_structures,
     cross_check_matching_implementations,
     verify_certificates,
@@ -298,7 +300,7 @@ def _build_parser() -> _Parser:
         "--audit",
         action="store_true",
         help="witness and duality audit of the double-cover matching: every graph at n <= 7, "
-        "the cross-check's default 1000 draws at 8 <= n <= 10",
+        f"the cross-check's default {SAMPLES} draws at 8 <= n <= 10",
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1)
@@ -308,8 +310,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("cross-check", help="the blossom matching number vs the brute-force oracle")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=2024)
+    p.add_argument("--samples", type=int, default=SAMPLES)
+    p.add_argument("--seed", type=int, default=SEED)
     p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_cross_check)
 

@@ -10,11 +10,13 @@ masks of its minimum vertex cover, which the matcher reads off its last,
 failing search (the alternating reachability from the unmatched left
 copies).  The size and the W/R/C cover are the same for every maximum
 matching (Dulmage-Mendelsohn); only the canonical matching depends on
-which one is taken.  Each witness property has one rule on these masks.
-The public constructors wrap the core and validate what they build with
-those rules.  The structure audit runs the core with no witness objects
-and judges its witnesses by column: ``_witness_faults`` is the rules'
-column form, and the rules run only on the graphs it flags.
+which one is taken.  Each witness property has one rule on these masks,
+and the rules of a fractional perfect matching run in one order
+(``_partition``).  The public constructors wrap the core and validate what
+they build with those rules.  The structure audit runs the core with no
+witness objects and judges its witnesses by column: ``_witness_faults`` is
+the rules' column form, and ``_name_witness_faults``, which runs the rules
+themselves, names the faults of the graphs it flags.
 """
 
 from __future__ import annotations
@@ -278,10 +280,14 @@ _NOT_CYCLES = "non-canonical matching: half-weight support is not a union of cyc
 
 def _walk(half: list[int], start: int, cur: int) -> tuple[list[int], bool]:
     # from start through its neighbour cur onwards, until the support ends
-    # (False) or comes back to start (True); every vertex reached is checked
+    # (False) or comes back to start (True); every vertex reached is checked.
+    # A walk on symmetric rows reaches each vertex once, so one that takes
+    # more than len(half) steps has entered a loop that misses start.
     out = [start]
     prev = start
-    while cur != start:
+    for _ in range(len(half)):
+        if cur == start:
+            return out, True
         row = half[cur]
         if row.bit_count() > 2:
             raise GraphError(_NOT_CYCLES)
@@ -290,7 +296,7 @@ def _walk(half: list[int], start: int, cur: int) -> tuple[list[int], bool]:
         if not row:
             return out, False
         prev, cur = cur, (row & -row).bit_length() - 1
-    return out, True
+    raise GraphError(_NOT_CYCLES)
 
 
 def _walks(half: list[int]) -> Iterator[tuple[list[int], bool]]:
@@ -298,10 +304,11 @@ def _walks(half: list[int]) -> Iterator[tuple[list[int], bool]]:
 
     Components come in ascending lowest-vertex order.  A cycle is walked
     from its lowest vertex towards its smaller neighbour, a path from its
-    lower endpoint.  The rows must be symmetric, as every caller builds
-    them; a vertex with more than two half-edges then raises GraphError when
-    the walk reaches it, so the walk ends.  The caller may rewrite the rows
-    of a component once it has been yielded.
+    lower endpoint.  A vertex with more than two half-edges raises
+    GraphError when the walk reaches it, and so does a walk longer than
+    len(half) steps, which only rows that are not symmetric give: the walk
+    ends on any rows.  The caller may rewrite the rows of a component once
+    it has been yielded.
     """
     todo = 0
     for v, row in enumerate(half):
@@ -412,6 +419,19 @@ def _check_perfect(n: int, total: int, partner: list[int], support: int) -> None
         raise GraphError("matching does not saturate every vertex")
 
 
+def _partition(rows: tuple[int, ...], partner: list[int], half: list[int], total: int) -> list[tuple[int, ...]]:
+    """The half-weight cycles of a fractional perfect matching.  Raises
+    GraphError from the first rule that fails: feasibility
+    (``_check_matching``), coverage (``_check_perfect``), then the walk
+    (``_odd_cycles``)."""
+    _check_matching(rows, partner, half, total)
+    support = 0  # the vertices of the half-weight cycles
+    for row in half:
+        support |= row
+    _check_perfect(len(rows), total, partner, support)
+    return _odd_cycles(half)
+
+
 def _check_cover(rows: tuple[int, ...], r: int, c: int) -> None:
     """Transversal coverage: no edge joins R to R or to C (weights sum below 1)."""
     rc = r | c
@@ -429,21 +449,6 @@ def _check_cover(rows: tuple[int, ...], r: int, c: int) -> None:
             raise GraphError(f"edge ({u},{u + (bad & -bad).bit_length()}) not covered: weights sum below 1")
 
 
-def _wrc_rules(n: int, connected: bool, w: int, r: int, total: int, bsd: int) -> tuple[bool, bool, bool | None, bool | None]:
-    """The W/R/C rules of a transversal with doubled total ``total`` against
-    2*beta_star = ``bsd``: (connected rule, optimal, eq1, |R| >= |W|).
-
-    On a connected graph W and R are empty or non-empty together (vacuous
-    on a single vertex); an optimal transversal has total = (n - (|R|-|W|))/2
-    and |R| >= |W|.  The last two are None when it is not optimal.
-    """
-    s, t = w.bit_count(), r.bit_count()
-    connected_rule_ok = n <= 1 or not connected or (s == 0) == (t == 0)
-    if total != bsd:
-        return connected_rule_ok, False, None, None
-    return connected_rule_ok, True, total == n - (t - s), t >= s
-
-
 def _witness_faults(n: int, connected: np.ndarray, bsd: np.ndarray, rows: np.ndarray, partner: np.ndarray, half: np.ndarray,
                     total: np.ndarray, w: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
     """The rules above in column form: True for each graph whose witnesses
@@ -452,8 +457,8 @@ def _witness_faults(n: int, connected: np.ndarray, bsd: np.ndarray, rows: np.nda
     (at most n) and connectivity.  A graph is True exactly when one of these
     fails: duality (both totals equal ``bsd``), ``_check_matching``,
     ``_check_perfect`` where ``bsd`` = n, ``_check_cover`` and, on connected
-    graphs, ``_wrc_rules``.  The half-weight walk (``_odd_cycles``) has no
-    column form."""
+    graphs, the W/R/C rules of ``_name_witness_faults``.  The half-weight
+    walk (``_odd_cycles``) has no column form."""
     load = 2 * np.bitwise_count(partner).astype(np.int64) + np.bitwise_count(half)
     weighted = partner | half
     s, t = np.bitwise_count(w).astype(np.int64), np.bitwise_count(r).astype(np.int64)
@@ -466,9 +471,46 @@ def _witness_faults(n: int, connected: np.ndarray, bsd: np.ndarray, rows: np.nda
     # _check_cover: a vertex of R with a neighbour in R or C
     in_r = (r[:, None] >> np.arange(n)) & 1 == 1
     faults |= (in_r & (rows & (r | c)[:, None] != 0)).any(axis=1)
-    # _wrc_rules where duality holds: with total = n - (|R|-|W|) = bsd <= n,
-    # |R| >= |W| follows
+    # the W/R/C rules where duality holds: with total = n - (|R|-|W|) = bsd
+    # <= n, |R| >= |W| follows
     faults |= connected & ((n > 1) & ((s == 0) != (t == 0)) | (t_total != n - (t - s)))
+    return faults
+
+
+def _name_witness_faults(n: int, connected: bool, bsd: int, rows: tuple[int, ...], partner: list[int], half: list[int],
+                         total: int, w: int, r: int, c: int) -> list[str]:
+    """The faults of one graph's witnesses, given as ``_witness_faults``
+    takes a batch, each named by the rule that finds it.  A transversal is
+    optimal when its total is ``bsd``; on a connected graph W and R are
+    empty or non-empty together (vacuous on a single vertex), and an
+    optimal transversal has total = (n - (|R|-|W|))/2 and |R| >= |W|."""
+    s, t = w.bit_count(), r.bit_count()
+    t_total = 2 * s + c.bit_count()
+    faults: list[str] = []
+    if total != bsd or t_total != bsd:
+        faults.append(f"primal {HalfIntegral(total)} / dual {HalfIntegral(t_total)} / matching {HalfIntegral(bsd)} differ")
+    try:
+        _odd_cycles(half)
+    except GraphError:
+        faults.append("half-weight support is not a disjoint union of odd cycles")
+    check, failed = _check_matching, "fractional matching is infeasible"
+    if bsd == n:
+        check, failed = _partition, "fractional perfect matching partition failed"
+    try:
+        check(rows, partner, half, total)
+    except GraphError as exc:
+        faults.append(f"{failed}: {exc}")
+    try:
+        _check_cover(rows, r, c)
+    except GraphError as exc:
+        faults.append(f"transversal is infeasible: {exc}")
+    if connected:
+        if n > 1 and (s == 0) != (t == 0):
+            faults.append("connected graph has exactly one of W, R empty")
+        if t_total != bsd or t_total != n - (t - s):
+            faults.append("optimal transversal violates total = (n - (|R|-|W|))/2")
+        if t_total != bsd or t < s:
+            faults.append("optimal transversal has |R| < |W|")
     return faults
 
 
@@ -503,13 +545,8 @@ class FractionalMatching:
             masks[v] |= 1 << u
         return partner, half
 
-    def _valid_rows(self, g: Graph) -> tuple[list[int], list[int]]:
-        partner, half = self._rows(g.n)
-        _check_matching(g.rows, partner, half, self.total.doubled)
-        return partner, half
-
     def validate(self, g: Graph) -> None:
-        self._valid_rows(g)
+        _check_matching(g.rows, *self._rows(g.n), self.total.doubled)
 
     def to_text(self) -> str:
         names = {1: "1/2", 2: "1"}
@@ -626,11 +663,8 @@ class FpmPartition:
 
 def fpm_partition(g: Graph, m: FractionalMatching) -> FpmPartition:
     """Split a canonical fractional perfect matching into K2 and odd-cycle parts."""
-    partner, half = m._valid_rows(g)
-    support = 0  # the vertices of the half-weight cycles
-    for row in half:
-        support |= row
-    _check_perfect(g.n, m.total.doubled, partner, support)
+    partner, half = m._rows(g.n)
+    cycles = _partition(g.rows, partner, half, m.total.doubled)
     parts = [FpmPart("K2", (u, p.bit_length() - 1)) for u, p in enumerate(partner) if p >> (u + 1)]
-    parts += [FpmPart("ODD_CYCLE", cycle) for cycle in _odd_cycles(half)]
+    parts += [FpmPart("ODD_CYCLE", cycle) for cycle in cycles]
     return FpmPartition(tuple(sorted(parts, key=lambda p: p.vertices)))

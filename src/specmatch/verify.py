@@ -29,8 +29,10 @@ graph by graph.  The audit runs the double-cover matching and the bitmask
 witness core of ``matching``, the same code the public witness
 constructors wrap, and one column screen (``_witness_faults``) judges
 every witness against the rules of ``matching`` and 2*beta_star; the
-rules themselves run only on the graphs the screen flags, to name their
-faults.  The cross-check runs the blossom matching against beta.
+namer beside it (``_name_witness_faults``) runs the rules themselves only
+on the graphs the screen flags.  Every rule lives in ``matching``, in one
+scalar and one column form.  The cross-check runs the blossom matching
+against beta.
 """
 
 from __future__ import annotations
@@ -61,14 +63,11 @@ from .graphs import (
 from .halfint import HalfIntegral
 from .matching import (
     _blossom_max_matching,
-    _check_cover,
-    _check_matching,
-    _check_perfect,
     _dc_matching,
     _fractional_matching_from,
+    _name_witness_faults,
     _odd_cycles,
     _witness_faults,
-    _wrc_rules,
 )
 from .spectral import spectral_radius
 
@@ -611,61 +610,6 @@ class AuditReport:
         return not self.violations
 
 
-def _audit_graph(n: int, connected: bool, bsd: int, rows: tuple[int, ...], fm: tuple, cover: list[int]) -> list[str]:
-    """The faults of one graph's witnesses, each rule of ``matching`` run on
-    its masks: the fractional matching fm (partner rows, half-support rows,
-    doubled total) and the transversal's W, R, C masks, against 2*beta_star
-    = ``bsd`` from the subset tables, which never see them.  The reference
-    that names the faults of the graphs ``_witness_faults`` flags."""
-    partner, half, fm_total = fm
-    w, r, c = cover
-    t_total = 2 * w.bit_count() + c.bit_count()
-    faults: list[str] = []
-    if fm_total != bsd or t_total != bsd:
-        faults.append(f"primal {HalfIntegral(fm_total)} / dual {HalfIntegral(t_total)} / matching {HalfIntegral(bsd)} differ")
-    # each rule runs once per witness: one walk of the half-weight
-    # support, one feasibility check and one coverage check
-    walk_fault = fm_fault = None
-    try:
-        _odd_cycles(half)
-    except GraphError as exc:
-        walk_fault = str(exc)
-        faults.append("half-weight support is not a disjoint union of odd cycles")
-    try:
-        _check_matching(rows, partner, half, fm_total)
-    except GraphError as exc:
-        fm_fault = str(exc)
-    if bsd == n:
-        # the partition fails on the first of: feasibility, coverage, the walk
-        fault = fm_fault
-        if not fault:
-            support = 0
-            for row in half:
-                support |= row
-            try:
-                _check_perfect(n, fm_total, partner, support)
-            except GraphError as exc:
-                fault = str(exc)
-        fault = fault or walk_fault
-        if fault:
-            faults.append(f"fractional perfect matching partition failed: {fault}")
-    elif fm_fault:
-        faults.append(f"fractional matching is infeasible: {fm_fault}")
-    try:
-        _check_cover(rows, r, c)
-    except GraphError as exc:
-        faults.append(f"transversal is infeasible: {exc}")
-    if connected:
-        connected_rule_ok, _, eq1, r_geq_w = _wrc_rules(n, True, w, r, t_total, bsd)
-        if not connected_rule_ok:
-            faults.append("connected graph has exactly one of W, R empty")
-        if eq1 is not True:
-            faults.append("optimal transversal violates total = (n - (|R|-|W|))/2")
-        if r_geq_w is not True:
-            faults.append("optimal transversal has |R| < |W|")
-    return faults
-
-
 def _audit_chunk(n: int, table: ChunkTable) -> tuple:
     violations: list[str] = []
     for start in range(0, len(table.masks), _WINDOW):
@@ -678,7 +622,7 @@ def _audit_chunk(n: int, table: ChunkTable) -> tuple:
         totals: list[int] = []
         covers: list[int] = []  # W, R, C of each graph in turn
         broken: dict[int, str] = {}  # a builder that raised: its message
-        walked: list[int] = []  # a half-weight walk that raised: the reference names it
+        walked: list[int] = []  # a half-weight walk that raised: the namer names it
         for rows in graphs:
             match_l, w, r, c = _dc_matching(rows, n)
             covers += w, r, c
@@ -707,8 +651,8 @@ def _audit_chunk(n: int, table: ChunkTable) -> tuple:
             if i in broken:
                 violations.append(f"{g6}: {broken[i]}")
                 continue
-            fm = (partner_rows[i].tolist(), half_rows[i].tolist(), totals[i])
-            faults = _audit_graph(n, bool(connected[i]), int(bsd[i]), graphs[i], fm, covers[3 * i : 3 * i + 3])
+            fm = partner_rows[i].tolist(), half_rows[i].tolist(), totals[i]
+            faults = _name_witness_faults(n, bool(connected[i]), int(bsd[i]), graphs[i], *fm, *covers[3 * i : 3 * i + 3])
             violations.extend(f"{g6}: {f}" for f in faults)
     return int(table.connected.sum()), int(np.count_nonzero(table.bsd == n)), violations
 
@@ -731,8 +675,8 @@ def audit_structures(n: int, jobs: int = 1) -> AuditReport:
     window of graphs at once.  So this is the oracle check of the kernel
     behind ``fractional_matching_number``, whose size is the primal total.
     On a graph the screen or the walk flags, each rule of ``matching`` runs
-    on its masks (``_audit_graph``), and a rule that fails is reported as a
-    violation with its own message.
+    on its masks (``matching._name_witness_faults``), and a rule that fails
+    is reported as a violation with its own message.
     """
     n = operator.index(n)
     if n < 0:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import os
 import random
+from pathlib import Path
 
 import hypothesis
 import hypothesis.strategies as st
@@ -22,6 +24,15 @@ def graphs(draw, min_n=0, max_n=8):
         return Graph(n)
     picks = draw(st.lists(st.sampled_from(pairs), max_size=len(pairs)))
     return Graph(n, picks)
+
+
+def src_env() -> dict[str, str]:
+    """The environment for a subprocess that imports specmatch: this
+    checkout's src first on PYTHONPATH, so the suite runs without an
+    install."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")]))
+    return env
 
 
 def isomorphic(g: Graph, h: Graph) -> bool:

@@ -18,8 +18,8 @@ from specmatch import (
 from specmatch import certify, verify
 from specmatch.certify import certificate_table
 from specmatch.extremal import rho_join_formula
-from specmatch.cli import _fmt, main
-from conftest import isomorphic
+from specmatch.cli import _build_parser, _fmt, main
+from conftest import isomorphic, src_env
 
 
 def run_cli(capsys, *argv):
@@ -176,6 +176,11 @@ class TestVerifyCommands:
         code, out, _ = run_cli(capsys, "verify", "--audit", "--n", "0")
         assert code == 0
         assert out == "graphs 1, connected 0, with fractional perfect matching 1\nresult: PASS\n"
+
+    def test_draw_defaults_are_the_sweep_constants(self):
+        # the cross-check's default draws, which the sampled audit also runs
+        args = _build_parser().parse_args(["cross-check", "--n", "7"])
+        assert (args.samples, args.seed) == (verify.SAMPLES, verify.SEED)
 
     @pytest.mark.parametrize("samples", ["0", "-1"])
     def test_sampled_cross_check_without_samples_exit2(self, capsys, samples):
@@ -348,6 +353,7 @@ class TestConsoleEntry:
             [sys.executable, "-m", "specmatch.cli", "threshold", "--theorem", "t35", "--n", "8"],
             capture_output=True,
             text=True,
+            env=src_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("5.0695")
@@ -358,6 +364,7 @@ class TestConsoleEntry:
             input=C5_EDGES,
             capture_output=True,
             text=True,
+            env=src_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "5/2"
@@ -368,6 +375,7 @@ class TestConsoleEntry:
             input="Bw\n",
             capture_output=True,
             text=True,
+            env=src_env(),
         )
         assert proc.returncode == 0
         assert float(proc.stdout) == pytest.approx(2.0, abs=1e-9)

@@ -46,9 +46,10 @@ from specmatch import (
 )
 from specmatch import spectral
 from specmatch.graphs import byte_rows
-from specmatch.matching import _odd_cycles, _wrc_rules
+from specmatch.matching import _name_witness_faults, _odd_cycles
 from specmatch.cli import main
 from specmatch.extremal import theta_n_coeffs
+from conftest import src_env
 
 
 def path(n):
@@ -265,6 +266,7 @@ class TestThresholds:
             [sys.executable, "-m", "specmatch.cli", "threshold", "--theorem", "t35", "--n", "600"],
             capture_output=True,
             text=True,
+            env=src_env(),
             timeout=60,
         )
         assert proc.returncode == 0
@@ -313,9 +315,10 @@ class TestWitnesses:
         t.validate(g)
         w, r, c = t._class_masks()
         assert (w.bit_count(), r.bit_count(), c.bit_count()) == (1, 2, n - 3)
-        assert _wrc_rules(n, True, w, r, t.total.doubled, n - 1) == (True, True, True, True)
         fm = optimal_fractional_matching(g)
         assert fm.total == HalfIntegral(n - 1)
+        # the structure audit names no fault of the pair: the W/R/C rules hold
+        assert _name_witness_faults(n, True, n - 1, g.rows, *fm._rows(n), fm.total.doubled, w, r, c) == []
         assert _odd_cycles(fm._rows(fm.n)[1]) == [(1, 2, 3)]
         full = [((0, n - 2), 2)] + [((v, v + 1), 2) for v in range(4, n - 2, 2)]
         assert sorted(fm.doubled_weights) == sorted(full + [((1, 2), 1), ((1, 3), 1), ((2, 3), 1)])

@@ -32,7 +32,7 @@ from specmatch import (
 from specmatch import matching
 from specmatch.graphs import pairs_colex
 from specmatch.verify import _graph_from_mask, oracle_beta, oracle_beta_star
-from conftest import graphs, random_graph
+from conftest import graphs, random_graph, src_env
 
 
 def cycle(n):
@@ -258,29 +258,40 @@ class TestTransversal:
         assert t.to_text() == "vertex 0 1\nvertex 1 0\nvertex 2 0\n"
 
 
+def named_faults(g, w, r, c):
+    """The faults the structure audit names for the W/R/C masks w, r, c
+    beside g's canonical fractional matching, against 2*beta_star of g."""
+    fm = optimal_fractional_matching(g)
+    bsd = fractional_matching_number(g).doubled
+    return matching._name_witness_faults(g.n, is_connected(g), bsd, g.rows, *fm._rows(g.n), fm.total.doubled, w, r, c)
+
+
 def wrc(g, t):
     """The W/R/C check of transversal t on g, as the structure audit makes
     it: coverage first (``Transversal.validate`` raises GraphError unless R
     is independent and has no edge into C), then the class sizes (|W|, |R|,
-    |C|) and ``_wrc_rules`` against 2*beta_star of g: (connected rule,
-    optimal, total = (n - (|R|-|W|))/2, |R| >= |W|)."""
+    |C|) and the faults named for its masks."""
     t.validate(g)
     w, r, c = t._class_masks()
-    rules = matching._wrc_rules(g.n, is_connected(g), w, r, t.total.doubled, fractional_matching_number(g).doubled)
-    return (w.bit_count(), r.bit_count(), c.bit_count()), rules
+    return (w.bit_count(), r.bit_count(), c.bit_count()), named_faults(g, w, r, c)
+
+
+_EMPTY_CLASS = "connected graph has exactly one of W, R empty"
+_EQ1 = "optimal transversal violates total = (n - (|R|-|W|))/2"
+_R_BELOW_W = "optimal transversal has |R| < |W|"
 
 
 class TestWrc:
     def test_hub_family(self):
         g = hub_family_8()
-        sizes, rules = wrc(g, fractional_transversal(g))
+        sizes, faults = wrc(g, fractional_transversal(g))
         assert sizes[:2] == (1, 2)
-        assert rules == (True, True, True, True)
+        assert faults == []
 
     def test_c5_vacuous(self):
-        sizes, (connected_rule_ok, _, eq1_holds, _) = wrc(cycle(5), fractional_transversal(cycle(5)))
+        sizes, faults = wrc(cycle(5), fractional_transversal(cycle(5)))
         assert sizes[:2] == (0, 0)
-        assert connected_rule_ok and eq1_holds
+        assert faults == []
 
     def test_infeasible_rejected(self):
         t = Transversal(2, (0, 0), HalfIntegral(0))
@@ -288,14 +299,30 @@ class TestWrc:
             wrc(complete(2), t)
 
     def test_single_vertex_exempt(self):
-        _, (connected_rule_ok, *_) = wrc(empty(1), fractional_transversal(empty(1)))
-        assert connected_rule_ok
+        sizes, faults = wrc(empty(1), fractional_transversal(empty(1)))
+        assert sizes[:2] == (0, 1) and faults == []
 
     def test_suboptimal_transversal_reported(self):
+        # total 2 > beta* = 1: both rules of an optimal transversal fail
         g = complete(2)
         t = Transversal(2, (2, 2), HalfIntegral(4))
-        _, (_, is_optimal, eq1_holds, _) = wrc(g, t)
-        assert not is_optimal and eq1_holds is None
+        _, faults = wrc(g, t)
+        assert faults == ["primal 1 / dual 2 / matching 1 differ", _EMPTY_CLASS, _EQ1, _R_BELOW_W]
+
+    @pytest.mark.parametrize(
+        "g, masks, faults",
+        [
+            # R = {0} next to C: optimal and total = n - (|R|-|W|), but W is empty
+            (path(3), (0, 0b001, 0b110), ["transversal is infeasible: edge (0,1) not covered: weights sum below 1", _EMPTY_CLASS]),
+            # vertex 2 in no class: total 1 = beta*, but n - (|R|-|W|) = 3
+            (path(3), (0b010, 0b001, 0), [_EQ1]),
+            # W = {1, 2}, R = {0}, vertex 3 in no class: total 2 = beta*
+            (path(4), (0b0110, 0b0001, 0), [_EQ1, _R_BELOW_W]),
+        ],
+        ids=["one-class-empty", "total", "r-below-w"],
+    )
+    def test_each_rule_named(self, g, masks, faults):
+        assert named_faults(g, *masks) == faults
 
 
 class TestFpm:
@@ -350,8 +377,42 @@ class TestFpm:
             "except GraphError:\n"
             "    print('GraphError')\n"
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=30)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), timeout=30)
         assert proc.stdout == "GraphError\n", proc.stderr
+
+    # half rows that are not symmetric: the walk from 0 goes 0, 1, 2, 3 and
+    # then round 1, 2, 3, a loop that misses its start
+    LOOP = [0b10010, 0b01100, 0b01010, 0b00110, 0]
+
+    def test_half_walk_ends_on_rows_that_are_not_symmetric(self):
+        code = (
+            "from specmatch import GraphError\n"
+            "from specmatch.matching import _odd_cycles\n"
+            "try:\n"
+            f"    _odd_cycles({self.LOOP})\n"
+            "except GraphError as exc:\n"
+            "    print(exc)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), timeout=30)
+        assert proc.stdout == "non-canonical matching: half-weight support is not a union of cycles\n", proc.stderr
+
+    def test_audit_reports_a_looping_half_walk(self):
+        # a builder that gives one graph at n = 5 those rows: the audit ends,
+        # and reports the graph with the walk's violation
+        target = Graph(5, [(0, 1), (0, 4), (1, 2), (1, 3), (2, 3)])
+        code = (
+            "from specmatch import audit_structures, verify\n"
+            "real = verify._fractional_matching_from\n"
+            f"verify._fractional_matching_from = lambda rows, m: ([0] * 5, {self.LOOP}, 4) if rows == {target.rows} else real(rows, m)\n"
+            "print(*audit_structures(5).violations, sep='\\n')\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), timeout=60)
+        g6 = to_graph6(target)
+        assert proc.stdout.splitlines() == [
+            f"{g6}: primal 2 / dual 5/2 / matching 5/2 differ",
+            f"{g6}: half-weight support is not a disjoint union of odd cycles",
+            f"{g6}: fractional perfect matching partition failed: matching is not perfect: total 2 < n/2 = 5/2",
+        ], proc.stderr
 
     def test_partition_text(self):
         part = fpm_partition(path(4), optimal_fractional_matching(path(4)))

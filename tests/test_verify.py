@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from specmatch import (
+    FractionalMatching,
     Graph,
     GraphError,
     HalfIntegral,
@@ -31,6 +32,7 @@ from specmatch import (
     complete,
     cross_check_matching_implementations,
     empty,
+    fpm_partition,
     from_edge_list,
     fractional_matching_number,
     is_connected,
@@ -50,7 +52,7 @@ from specmatch.cli import main
 from specmatch.extremal import THEOREMS, RegimePrediction, _shape, predict
 from specmatch.graphs import pairs_colex
 from specmatch.verify import AuditReport, oracle_beta, oracle_beta_star
-from conftest import isomorphic
+from conftest import isomorphic, src_env
 
 # every theorem CSV at n <= 6, byte for byte; a deliberate report change updates this file
 GOLDEN_CSV = json.loads((Path(__file__).parent / "golden" / "theorem_csv.json").read_text())
@@ -948,6 +950,38 @@ class TestAudits:
         rep = audit_structures(3)
         assert rep.violations == tuple(f"{to_graph6(target)}: {f}" for f in faults)
 
+    @pytest.mark.parametrize(
+        "edges, weights, total, fault",
+        [
+            ([(0, 1), (1, 2), (2, 3)], [((0, 2), 2), ((1, 3), 2)], 4, "weight on non-edge (0,2)"),
+            ([(0, 1), (1, 2), (2, 3)], [((0, 1), 2), ((1, 2), 2)], 4, "vertex 1 is overloaded: incident weight 4/2"),
+            ([(0, 1), (1, 2), (2, 3)], [((0, 1), 2), ((2, 3), 2)], 3, "stored total does not match the weights"),
+            ([(0, 1), (1, 2), (2, 3)], [((0, 1), 2)], 2, "matching is not perfect: total 1 < n/2 = 4/2"),
+            (
+                [(0, 1), (1, 2), (2, 3), (0, 3)],
+                [((0, 1), 1), ((1, 2), 1), ((2, 3), 1), ((0, 3), 1)],
+                4,
+                "non-canonical matching: even cycle in the half-weight support",
+            ),
+        ],
+        ids=["non-edge", "overloaded", "total", "not-perfect", "even-cycle"],
+    )
+    def test_partition_faults_read_as_in_fpm_partition(self, monkeypatch, edges, weights, total, fault):
+        # on P4 or C4 (2beta* = n), fpm_partition and the audit run one rule
+        # order, so each fault reads the same in both.  Once the weights are
+        # feasible with total n/2 every vertex is saturated, and a symmetric
+        # support is a union of cycles: the partition raises no other fault.
+        g = Graph(4, edges)
+        fm = FractionalMatching(4, tuple(weights), HalfIntegral(total))
+        with pytest.raises(GraphError) as excinfo:
+            fpm_partition(g, fm)
+        assert str(excinfo.value) == fault
+        witness = (*fm._rows(4), total)
+        real = verify._fractional_matching_from
+        monkeypatch.setattr(verify, "_fractional_matching_from", lambda rows, *m: witness if rows == g.rows else real(rows, *m))
+        prefix = f"{to_graph6(g)}: fractional perfect matching partition failed: "
+        assert [v[len(prefix) :] for v in audit_structures(4).violations if v.startswith(prefix)] == [fault]
+
     def test_reports_uncovered_transversal(self, monkeypatch):
         # K2 u K1 with weight 0 everywhere leaves the edge uncovered
         target = union(complete(2), empty(1))
@@ -964,8 +998,8 @@ class TestAudits:
 def _witness_cases(n, table):
     """(kind, graph index, fractional matching, W/R/C cover) of each graph of
     a chunk table: its real witnesses, then each corruption that fits it.
-    The half rows stay symmetric, as the builder makes them and the walk
-    needs; the partner rows and the masks need not."""
+    The half rows stay symmetric, as the builder makes them; the partner
+    rows and the masks need not."""
     full = (1 << n) - 1
     for i, rows in enumerate(map(tuple, table.rows.tolist())):
         match_l, *cover = matching._dc_matching(rows, n)
@@ -1028,7 +1062,9 @@ class TestWitnessScreen:
             n, table.connected[graph], table.bsd[graph], table.rows[graph], partner, half, total, w, r, c
         ) | np.array([_walk_fails(fm[1]) for fm in fms])
         connected, bsd, rows = table.connected.tolist(), table.bsd.tolist(), list(map(tuple, table.rows.tolist()))
-        faulted = [bool(verify._audit_graph(n, connected[i], bsd[i], rows[i], fm, list(cover))) for i, fm, cover in zip(graph.tolist(), fms, covers)]
+        faulted = [
+            bool(matching._name_witness_faults(n, connected[i], bsd[i], rows[i], *fm, *cover)) for i, fm, cover in zip(graph.tolist(), fms, covers)
+        ]
         assert screened.tolist() == faulted
         # the real witnesses pass; from n = 4 on every corruption fits and is caught somewhere
         assert not any(f for kind, f in zip(kinds, faulted) if kind == "real")
@@ -1173,9 +1209,7 @@ class TestSampler:
             "specmatch.verify_tie_class_n8(samples=1)\n"
             "print('numpy.random' in sys.modules)\n"
         )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
 
