@@ -16,7 +16,11 @@ and the rules of a fractional perfect matching run in one order
 they build with those rules.  The structure audit runs the core with no
 witness objects and judges its witnesses by column: ``_witness_faults`` is
 the rules' column form, and ``_name_witness_faults``, which runs the rules
-themselves, names the faults of the graphs it flags.
+themselves, names the faults of the graphs it flags.  Each matcher is a
+greedy seed and a search; each seed, and the builder's pull-back
+(``_pull_back_columns``), has a column form beside it, so the audit and the
+cross-check run the search and the builder only where the columns leave
+work.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .halfint import HalfIntegral
 # maximum matching (general graphs, blossom contraction)
 
 
-def _blossom_max_matching(rows: tuple[int, ...], n: int) -> tuple[int, list[int]]:
+def _blossom_seed(rows: tuple[int, ...], n: int) -> tuple[list[int], int]:
     match = [-1] * n
     free = (1 << n) - 1
     for v in range(n):  # greedy seed: v takes its lowest free neighbour
@@ -45,7 +49,32 @@ def _blossom_max_matching(rows: tuple[int, ...], n: int) -> tuple[int, list[int]
             match[v] = u
             match[u] = v
             free ^= (1 << u) | (1 << v)
+    return match, free
 
+
+def _blossom_seed_columns(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_blossom_seed`` of each graph of a (graphs, n) uint16 array of rows:
+    the match lists, the free masks and the column of the graphs on which
+    ``_blossom_search`` searches at all (its skip rule); elsewhere it
+    returns the seed."""
+    count, n = rows.shape
+    match = np.full((count, n), -1, dtype=np.int8)
+    free = np.full(count, (1 << n) - 1, dtype=np.uint16)
+    for v in range(n):
+        nb = np.where(free >> v & 1, rows[:, v] & free, 0).astype(np.uint16)
+        low = nb & -nb
+        took = np.flatnonzero(nb)
+        u = np.bitwise_count(low[took] - 1).astype(np.intp)  # the index of the lowest bit
+        match[took, v] = u
+        match[took, u] = v
+        free ^= np.where(nb != 0, low | np.uint16(1 << v), 0).astype(np.uint16)
+    nonisolated = np.bitwise_or.reduce(np.where(rows != 0, np.uint16(1) << np.arange(n, dtype=np.uint16), 0), axis=1)
+    first = free & nonisolated
+    first &= -first  # the lowest free vertex with a neighbour, or 0
+    return match, free, free & ~(first | first - 1) != 0  # a free vertex above it
+
+
+def _blossom_search(rows: tuple[int, ...], n: int, match: list[int], free: int) -> tuple[int, list[int]]:
     # Edmonds' lemma: a free vertex with no augmenting path keeps none later,
     # so each is searched once, in ascending order.  A path from v ends at a
     # free vertex above v: with no neighbour or no such vertex, v is skipped.
@@ -59,6 +88,10 @@ def _blossom_max_matching(rows: tuple[int, ...], n: int) -> tuple[int, list[int]
                 free &= ~(1 << to)
                 size += 1
     return size, match
+
+
+def _blossom_max_matching(rows: tuple[int, ...], n: int) -> tuple[int, list[int]]:
+    return _blossom_search(rows, n, *_blossom_seed(rows, n))
 
 
 def _augment(rows: tuple[int, ...], n: int, match: list[int], root: int) -> int:
@@ -161,14 +194,58 @@ def matching_number(g: Graph) -> MatchingResult:
 # bipartite double cover and its matching
 
 
-def _dc_matching(rows: tuple[int, ...], n: int) -> tuple[list[int], int, int, int]:
+def _dc_seed(rows: tuple[int, ...], n: int) -> tuple[list[int], list[int], int, int, int]:
+    # the greedy seed of _dc_search: each left copy u takes its lowest free right copy
+    match_l = [-1] * n
+    match_r = [-1] * n
+    free_l, free_r, isolated = 0, (1 << n) - 1, 0
+    for u in range(n):
+        nb = rows[u] & free_r
+        if nb:
+            v = (nb & -nb).bit_length() - 1
+            match_r[v] = u
+            match_l[u] = v
+            free_r ^= 1 << v
+        elif rows[u]:
+            free_l |= 1 << u
+        else:
+            free_r ^= 1 << u
+            isolated |= 1 << u
+    return match_l, match_r, free_l, free_r, isolated
+
+
+def _dc_seed_columns(rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``_dc_seed`` of each graph of a (graphs, n) uint16 array of rows.
+    Where free_l is 0, ``_dc_search`` returns the seed and the cover W = {},
+    R = the isolated vertices, C = the rest."""
+    count, n = rows.shape
+    match_l, match_r = np.full((2, count, n), -1, dtype=np.int8)
+    lone = rows == 0
+    bits = np.uint16(1) << np.arange(n, dtype=np.uint16)
+    isolated = np.bitwise_or.reduce(np.where(lone, bits, 0), axis=1).astype(np.uint16)
+    free_l = np.zeros(count, dtype=np.uint16)
+    free_r = ((1 << n) - 1) & ~isolated  # no earlier left copy takes an isolated right copy
+    for u in range(n):
+        nb = rows[:, u] & free_r
+        low = nb & -nb
+        took = np.flatnonzero(nb)
+        v = np.bitwise_count(low[took] - 1).astype(np.intp)  # the index of the lowest bit
+        match_l[took, u] = v
+        match_r[took, v] = u
+        free_r ^= low
+        free_l |= np.where((nb == 0) & ~lone[:, u], bits[u], 0).astype(np.uint16)
+    return match_l, match_r, free_l, free_r, isolated
+
+
+def _dc_search(rows: tuple[int, ...], n: int, match_l: list[int], match_r: list[int], free_l: int, free_r: int,
+               isolated: int) -> tuple[list[int], int, int, int]:
     # Maximum matching on the double cover by Hopcroft-Karp phases (Hopcroft
-    # and Karp, SIAM J. Comput. 2(4), 1973): left copy u may match any v in
-    # N(u) on the right.  A greedy seed gives each u its lowest free right
-    # copy.  A path joins a free left copy to a free right copy, both with a
-    # neighbour, so only those are kept as free_l and free_r; the rows are
-    # symmetric, so the right copy of v has a neighbour iff rows[v] does,
-    # and free_l and free_r are always the same size.
+    # and Karp, SIAM J. Comput. 2(4), 1973), grown in place from _dc_seed:
+    # left copy u may match any v in N(u) on the right.  A path joins a free
+    # left copy to a free right copy, both with a neighbour, so only those
+    # are kept as free_l and free_r; the rows are symmetric, so the right
+    # copy of v has a neighbour iff rows[v] does, and free_l and free_r are
+    # always the same size.
     #
     # A phase runs one breadth-first search from all of free_l at once:
     # lefts[k] is the mask of the left copies k steps out (lefts[0] =
@@ -188,21 +265,6 @@ def _dc_matching(rows: tuple[int, ...], n: int) -> tuple[list[int], int, int, in
     # half the number of covered copies of v, 1 on W (only the right copy
     # reached), 0 on R (only the left copy) and 1/2 on C.  The cover is the
     # same for every maximum matching (Dulmage-Mendelsohn).
-    match_l = [-1] * n
-    match_r = [-1] * n
-    free_l, free_r, isolated = 0, (1 << n) - 1, 0
-    for u in range(n):
-        nb = rows[u] & free_r
-        if nb:
-            v = (nb & -nb).bit_length() - 1
-            match_r[v] = u
-            match_l[u] = v
-            free_r ^= 1 << v
-        elif rows[u]:
-            free_l |= 1 << u
-        else:
-            free_r ^= 1 << u
-            isolated |= 1 << u
     while True:
         lefts = []
         seen = 0
@@ -256,6 +318,10 @@ def _dc_matching(rows: tuple[int, ...], n: int) -> tuple[list[int], int, int, in
     for front in lefts:
         left |= front
     return match_l, seen & ~left, left & ~seen, ((1 << n) - 1) & ~(left ^ seen)
+
+
+def _dc_matching(rows: tuple[int, ...], n: int) -> tuple[list[int], int, int, int]:
+    return _dc_search(rows, n, *_dc_seed(rows, n))
 
 
 def _dc_matching_size(rows: tuple[int, ...], n: int) -> int:
@@ -365,6 +431,22 @@ def _fractional_matching_from(rows: tuple[int, ...], match_l: list[int]) -> tupl
             partner[a] = 1 << b
             partner[b] = 1 << a
     return partner, half, total
+
+
+def _pull_back_columns(match_l: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The first loop of ``_fractional_matching_from`` on each row of a
+    (graphs, n) array of match_l lists: partner rows, half rows and doubled
+    totals, canonical where the half rows are 0."""
+    n = match_l.shape[1]
+    matched = match_l >= 0
+    v = np.where(matched, match_l, 0)
+    to_v = np.where(matched, np.uint16(1) << v.astype(np.uint16), 0).astype(np.uint16)
+    mutual = matched & (np.take_along_axis(match_l, v, axis=1) == np.arange(n))
+    partner = np.where(mutual, to_v, 0).astype(np.uint16)
+    half = to_v ^ partner
+    g, u = np.nonzero(matched & ~mutual)  # the half-edge u-v seen from v
+    np.bitwise_or.at(half, (g, v[g, u]), np.uint16(1) << u.astype(np.uint16))
+    return partner, half, np.count_nonzero(matched, axis=1)
 
 
 def _check_matching(rows: tuple[int, ...], partner: list[int], half: list[int], total: int) -> None:

@@ -186,8 +186,7 @@ def spectral_radius(g: Graph, tol: float = DEFAULT_TOL) -> RhoResult:
             cand = (value, resid, 1, idx, verts, vec)
         if best is None or cand[0] > best[0]:
             best = cand
-    assert best is not None
-    value, resid, iters, idx, verts, vec = best
+    value, resid, iters, idx, verts, vec = best  # n >= 1, so some component has set best
     full = np.zeros(g.n)
     full[verts] = vec
     return RhoResult(value, resid, iters, idx, tuple(full.tolist()))
@@ -311,8 +310,7 @@ def poly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[tuple[int, ...]
         quo.append(lead)
         for i in range(dn + 1):
             rem[i] -= lead * den[i]
-        assert rem[0] == 0
-        rem.pop(0)
+        rem.pop(0)  # den is monic, so the leading term cancels exactly
     while rem and rem[0] == 0:
         rem.pop(0)
     return tuple(quo), tuple(rem)

@@ -24,13 +24,14 @@ the theorem screen, densest edge count first, only while Stanley's bound
 can reach a class maximum or bound, 0.1-1.5 % of the graphs at n = 6 and
 7; the audit and the cross-check never read it.  The theorem and
 certificate sweeps work on whole columns.  The audit and the cross-check
-each check one matching kernel against the oracles' columns, running it
-graph by graph.  The audit runs the double-cover matching and the bitmask
-witness core of ``matching``, the same code the public witness
-constructors wrap, and one column screen (``_witness_faults``) judges
-every witness against the rules of ``matching`` and 2*beta_star; the
-namer beside it (``_name_witness_faults``) runs the rules themselves only
-on the graphs the screen flags.  Every rule lives in ``matching``, in one
+each check one matching kernel against the oracles' columns, seeding it
+by column and searching graph by graph only where the seed leaves work.
+The audit runs the double-cover matching and the bitmask witness core of
+``matching``, the same code the public witness constructors wrap, and one
+column screen (``_witness_faults``) judges every witness against the
+rules of ``matching`` and 2*beta_star; the namer beside it
+(``_name_witness_faults``) runs the rules themselves only on the graphs
+the screen flags.  Every rule and seed lives in ``matching``, in one
 scalar and one column form.  The cross-check runs the blossom matching
 against beta.
 """
@@ -62,11 +63,14 @@ from .graphs import (
 )
 from .halfint import HalfIntegral
 from .matching import (
-    _blossom_max_matching,
-    _dc_matching,
+    _blossom_search,
+    _blossom_seed_columns,
+    _dc_search,
+    _dc_seed_columns,
     _fractional_matching_from,
     _name_witness_faults,
     _odd_cycles,
+    _pull_back_columns,
     _witness_faults,
 )
 from .spectral import spectral_radius
@@ -616,43 +620,51 @@ def _audit_chunk(n: int, table: ChunkTable) -> tuple:
         window = slice(start, start + _WINDOW)
         graphs = list(map(tuple, table.rows[window].tolist()))
         # one double-cover matching per graph gives both witnesses as
-        # bitmasks, gathered into the window's columns
-        partners: list[int] = []
-        halves: list[int] = []
-        totals: list[int] = []
-        covers: list[int] = []  # W, R, C of each graph in turn
+        # bitmasks, in the window's columns: the seed by column, searched
+        # only where it leaves a free left copy (elsewhere the cover is
+        # W = {}, R = the isolated vertices), and pulled back by column,
+        # built by graph only where it has a half edge.  The per-graph
+        # results come back in one flat list: a list kept per graph would
+        # cost the garbage collector about what the seed saves.
+        match_l, match_r, free_l, free_r, isolated = _dc_seed_columns(table.rows[window].astype(np.uint16))
+        w, r, c = np.zeros_like(isolated), isolated.copy(), ((1 << n) - 1) & ~isolated
+        todo, found = np.flatnonzero(free_l), []
+        seeds = (col[todo].tolist() for col in (match_l, match_r, free_l, free_r, isolated))
+        for i, *seed in zip(todo.tolist(), *seeds):
+            match, *cover = _dc_search(graphs[i], n, *seed)
+            found += match + cover
+        if found:
+            found = np.reshape(found, (-1, n + 3))
+            match_l[todo], (w[todo], r[todo], c[todo]) = found[:, :n], found[:, n:].T
+        partner, half, totals = _pull_back_columns(match_l)
+        todo, built = np.flatnonzero(half.any(axis=1)), []
         broken: dict[int, str] = {}  # a builder that raised: its message
         walked: list[int] = []  # a half-weight walk that raised: the namer names it
-        for rows in graphs:
-            match_l, w, r, c = _dc_matching(rows, n)
-            covers += w, r, c
+        for i, match in zip(todo.tolist(), match_l[todo].tolist()):
             try:
-                partner, half, fm_total = _fractional_matching_from(rows, match_l)
+                fm = _fractional_matching_from(graphs[i], match)
             except GraphError as exc:  # a half-weight path that an augmenting path would fill
-                broken[len(totals)] = f"double-cover matching is not maximum: {exc}"
-                partner = half = [0] * n
-                fm_total = 0
+                broken[i] = f"double-cover matching is not maximum: {exc}"
+                fm = [0] * n, [0] * n, 0
             else:
-                if any(half):
+                if any(fm[1]):
                     try:
-                        _odd_cycles(half)
+                        _odd_cycles(fm[1])
                     except GraphError:
-                        walked.append(len(totals))
-            partners += partner
-            halves += half
-            totals.append(fm_total)
-        partner_rows = np.array(partners, dtype=np.uint16).reshape(len(graphs), n)
-        half_rows = np.array(halves, dtype=np.uint16).reshape(len(graphs), n)
-        w, r, c = np.array(covers, dtype=np.uint16).reshape(len(graphs), 3).T
+                        walked.append(i)
+            built += [*fm[0], *fm[1], fm[2]]
+        if built:
+            built = np.reshape(built, (-1, 2 * n + 1))
+            partner[todo], half[todo], totals[todo] = built[:, :n], built[:, n:-1], built[:, -1]
         connected, bsd = table.connected[window], table.bsd[window]
-        flagged = _witness_faults(n, connected, bsd, table.rows[window], partner_rows, half_rows, np.array(totals), w, r, c)
+        flagged = _witness_faults(n, connected, bsd, table.rows[window], partner, half, totals, w, r, c)
         for i in sorted({*np.flatnonzero(flagged).tolist(), *broken, *walked}):
             g6 = to_graph6(Graph._from_rows_unchecked(n, graphs[i]))
             if i in broken:
                 violations.append(f"{g6}: {broken[i]}")
                 continue
-            fm = partner_rows[i].tolist(), half_rows[i].tolist(), totals[i]
-            faults = _name_witness_faults(n, bool(connected[i]), int(bsd[i]), graphs[i], *fm, *covers[3 * i : 3 * i + 3])
+            fm = partner[i].tolist(), half[i].tolist(), int(totals[i])
+            faults = _name_witness_faults(n, bool(connected[i]), int(bsd[i]), graphs[i], *fm, int(w[i]), int(r[i]), int(c[i]))
             violations.extend(f"{g6}: {f}" for f in faults)
     return int(table.connected.sum()), int(np.count_nonzero(table.bsd == n)), violations
 
@@ -670,9 +682,10 @@ def audit_structures(n: int, jobs: int = 1) -> AuditReport:
     connected graphs, the transversal's W/R/C classes satisfy the structure
     rules.  The witnesses come from one double-cover matching per graph
     through the bitmask core that the public constructors wrap; no witness
-    object is built.  The half-weight support is walked graph by graph, and
-    a column screen (``matching._witness_faults``) judges the rest for a
-    window of graphs at once.  So this is the oracle check of the kernel
+    object is built.  A window of graphs is seeded and pulled back by
+    column, and only the graphs these leave open are searched, built and
+    walked graph by graph; a column screen (``matching._witness_faults``)
+    judges the rest for the window at once.  So this is the oracle check of the kernel
     behind ``fractional_matching_number``, whose size is the primal total.
     On a graph the screen or the walk flags, each rule of ``matching`` runs
     on its masks (``matching._name_witness_faults``), and a rule that fails
@@ -709,21 +722,22 @@ class CrossCheckReport:
         return not self.mismatches
 
 
-def _cross_check_one(n: int, rows: tuple[int, ...], beta: int) -> list[str]:
-    # the kernel that matching_number wraps, on the table's rows; a graph is
-    # built only to name a mismatch
-    size = _blossom_max_matching(rows, n)[0]
-    if size == beta:
-        return []
-    return [f"{to_graph6(Graph._from_rows_unchecked(n, rows))}: matching number {size} != oracle {beta}"]
-
-
 def _cross_chunk(n: int, table: ChunkTable) -> list[str]:
+    # the kernel that matching_number wraps, on the table's rows: the seed
+    # by column, the search only where its skip rule would search; a graph
+    # is built only to name a mismatch
     out: list[str] = []
-    for start in range(0, len(table.masks), _WINDOW):  # a window's rows at a time as Python ints
+    for start in range(0, len(table.masks), _WINDOW):
         window = slice(start, start + _WINDOW)
-        for beta, rows in zip(table.beta[window].tolist(), map(tuple, table.rows[window].tolist())):
-            out.extend(_cross_check_one(n, rows, beta))
+        match, free, searched = _blossom_seed_columns(table.rows[window].astype(np.uint16))
+        size = (n - np.bitwise_count(free)).astype(np.int64) // 2
+        for i in np.flatnonzero(searched).tolist():
+            rows = tuple(table.rows[start + i].tolist())
+            size[i] = _blossom_search(rows, n, match[i].tolist(), int(free[i]))[0]
+        beta = table.beta[window]
+        for i in np.flatnonzero(size != beta).tolist():
+            g6 = to_graph6(Graph._from_rows_unchecked(n, tuple(table.rows[start + i].tolist())))
+            out.append(f"{g6}: matching number {size[i]} != oracle {beta[i]}")
     return out
 
 
@@ -758,7 +772,8 @@ def cross_check_matching_implementations(
 ) -> CrossCheckReport:
     """Exhaustive (n <= 6) or sampled comparison of the blossom matching
     that ``matching_number`` wraps against the beta column of the subset
-    tables.  The double-cover kernel behind ``fractional_matching_number``
+    tables, searched only where the column seed leaves the search work.
+    The double-cover kernel behind ``fractional_matching_number``
     has its own oracle check in ``audit_structures``, exhaustive at n <= 7
     and on this check's default draws above.  The samples are checked in
     windows of at most ``_TABLE_CELLS >> n`` graphs in up to jobs

@@ -13,6 +13,8 @@ import math
 import os
 import random
 
+import pytest
+
 from specmatch import (
     Graph,
     HalfIntegral,
@@ -33,6 +35,7 @@ from specmatch import (
     verify_theorem,
     verify_tie_class_n8,
 )
+from specmatch import verify
 from specmatch.extremal import _shape, theta_cubic_coeffs
 from specmatch.spectral import char_poly_f_coeffs
 from conftest import random_connected_graph
@@ -42,6 +45,8 @@ JOBS = min(8, os.cpu_count() or 1)
 N7_CSV_SHA256 = {
     "t32": "749b0d85ee4d6599f1fb793b021aff22f53da3a5cddd8e8a7f76602c333f6761",
     "t33": "3d6ff7f887008f2b9fa8f65ba31546fd27c6ea816305a2c399658d26d8f717d7",
+    "t12": "d320e74e966900370f94e26c8e20bfac115ce70ad49a071eda8bd8073cbdf5a7",
+    "t13": "d586db970ed939f77731129a691434489e7d9637e9acde32860af970c41c2631",
 }
 # the n = 7 sweeps merge 64 chunks: the certificate counts (name, applicable,
 # fired) and the audit's connected (A001187(7)) and fpm counts they add up to
@@ -132,10 +137,21 @@ class TestAcceptance:
         )
         report(4, ok, "; ".join(details))
 
+    @pytest.mark.parametrize("theorem", ["t12", "t13"])
+    def test_matching_theorems_n7_pinned(self, theorem):
+        # the golden CSVs stop at n = 6; every labeled graph at n = 7
+        rep = verify_theorem(theorem, 7, jobs=JOBS)
+        assert rep.passed and rep.labeled_examined == 1 << 21
+        assert csv_sha256(rep) == N7_CSV_SHA256[theorem]
+
     def test_c05_oracle_equivalence(self):
         rep6 = cross_check_matching_implementations(6, jobs=JOBS)
         ok = rep6.passed and rep6.exhaustive and rep6.graphs_checked == 32768
         details = [f"n=6 exhaustive {rep6.graphs_checked} graphs"]
+        # every labeled graph at n = 7, in the sweep the public check samples
+        mismatches = verify._sweep(verify._cross_chunk, 7, JOBS)
+        ok = ok and mismatches == []
+        details.append(f"n=7 exhaustive {1 << 21} graphs")
         for n in (7, 8, 9):
             rep = cross_check_matching_implementations(n, samples=1000)
             ok = ok and rep.passed and rep.graphs_checked == 1000

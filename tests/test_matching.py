@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import cProfile
+import itertools
 import pstats
 import random
 import subprocess
@@ -8,6 +9,7 @@ import sys
 from collections import deque
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -803,3 +805,78 @@ class TestPrunedKernels:
         assert _find_path_calls(pruned, with_k1) == _find_path_calls(pruned, every_n4)
         assert _find_path_calls(reference, with_k1) == _find_path_calls(reference, every_n4) + len(every_n4)
         assert _find_path_calls(pruned, [empty(5)]) == 0
+
+
+def _seed_column_tables():
+    """(id, chunk table) of every graph set the column seeds are checked on:
+    every labeled graph at n <= 6, chunks 0 and 63 at n = 7 and the sampled
+    sweeps' default draws at n = 8..10."""
+    from specmatch import verify
+
+    for n in range(7):
+        yield f"n={n}", lambda n=n: verify._batch_arrays(n, 0, 1 << n * (n - 1) // 2)
+    for chunk in (0, 63):
+        yield f"n=7 chunk {chunk}", lambda chunk=chunk: verify._batch_arrays(7, *verify._chunk_ranges(7)[chunk])
+    for n in (8, 9, 10):
+        draws = lambda n=n: verify._random_masks(n, verify.SAMPLES, verify.SEED, 0.05, 0.95)
+        yield f"n={n} draws", lambda n=n, draws=draws: verify._batch_arrays(n, 0, verify.SAMPLES, masks=draws())
+
+
+_SEED_TABLES = dict(_seed_column_tables())
+
+
+class TestSeedColumns:
+    """Each column form in ``matching`` returns, graph by graph, what its
+    scalar form returns, and a search from a column seed returns what the
+    scalar matcher does."""
+
+    @pytest.mark.parametrize("case", _SEED_TABLES)
+    def test_double_cover(self, case):
+        table = _SEED_TABLES[case]()
+        n = table.rows.shape[1]
+        match_l, match_r, free_l, free_r, isolated = (col.tolist() for col in matching._dc_seed_columns(table.rows.astype(np.uint16)))
+        full = (1 << n) - 1
+        maximum = []
+        for i, rows in enumerate(map(tuple, table.rows.tolist())):
+            seed = match_l[i], match_r[i], free_l[i], free_r[i], isolated[i]
+            assert matching._dc_seed(rows, n) == seed, rows
+            found = matching._dc_matching(rows, n)
+            assert matching._dc_search(rows, n, *seed) == found, rows
+            if not free_l[i]:  # the search returns the seed and the cover of a search that reaches nothing
+                assert found == (seed[0], 0, isolated[i], full & ~isolated[i]), rows
+            maximum.append(found[0])
+        # the pull-back of every maximum matching, where it has no half edge
+        partner, half, total = matching._pull_back_columns(np.array(maximum, dtype=np.intp).reshape(len(maximum), n))
+        pulled = list(zip(partner.tolist(), half.tolist(), total.tolist()))
+        no_half = [i for i, row in enumerate(half.tolist()) if not any(row)]
+        assert no_half
+        for i in no_half:
+            rows = tuple(table.rows[i].tolist())
+            assert pulled[i] == matching._fractional_matching_from(rows, maximum[i]), rows
+
+    @pytest.mark.parametrize("case", _SEED_TABLES)
+    def test_blossom(self, case, monkeypatch):
+        table = _SEED_TABLES[case]()
+        n = table.rows.shape[1]
+        match, free, searched = (col.tolist() for col in matching._blossom_seed_columns(table.rows.astype(np.uint16)))
+        augment = matching._augment
+        calls = []
+        monkeypatch.setattr(matching, "_augment", lambda *args: calls.append(1) or augment(*args))
+        for i, rows in enumerate(map(tuple, table.rows.tolist())):
+            assert matching._blossom_seed(rows, n) == (match[i], free[i]), rows
+            expected = matching._blossom_max_matching(rows, n)
+            # the search from the column seed, which searches exactly where the column says
+            calls.clear()
+            assert matching._blossom_search(rows, n, list(match[i]), free[i]) == expected, rows
+            assert bool(calls) == searched[i], rows
+            if not searched[i]:
+                assert expected == ((n - free[i].bit_count()) // 2, match[i]), rows
+
+    def test_pull_back_of_every_match_list(self):
+        # every match_l list on 4 vertices, matchings or not, pulls back as
+        # the builder's first loop does wherever it leaves no half edge
+        lists = np.array(list(itertools.product(range(-1, 4), repeat=4)), dtype=np.intp)
+        partner, half, total = matching._pull_back_columns(lists)
+        for i, match_l in enumerate(lists.tolist()):
+            if not any(half[i]):
+                assert (partner[i].tolist(), half[i].tolist(), int(total[i])) == matching._fractional_matching_from((0,) * 4, match_l)

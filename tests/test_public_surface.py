@@ -2,7 +2,8 @@
 
 Every function and class that ``specmatch/__init__.py`` re-exports, and
 every public method or property of those classes, has a caller outside the
-tests, and no module imports a name that it never uses.
+tests, no module imports a name that it never uses, and the package has
+no assert statement.
 """
 
 from __future__ import annotations
@@ -133,3 +134,15 @@ def test_no_module_imports_a_name_it_never_uses():
         used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         unused += [f"{path.relative_to(ROOT)}:{line}: {name}" for name, line in _imported(tree).items() if name not in used]
     assert unused == []
+
+
+def test_no_assert_in_the_package():
+    # python -O strips assert statements, so the package checks its inputs
+    # and results with typed errors and states an invariant in a comment
+    asserts = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path, tree in _sources("src/specmatch").items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []

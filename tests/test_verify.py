@@ -212,25 +212,28 @@ class TestChunkTable:
         assert _lists(table) == ([0.0], [False], [0], [0], [0], [0], [()], [0])
 
     @pytest.mark.parametrize(
-        "sweep, args, kernel_calls",
-        [("verify_theorem", (t, 5), 0) for t in verify.THEOREMS]
-        + [("verify_certificates", (5,), 0), ("cross_check_matching_implementations", (5,), 1024)]
-        + [("cross_check_matching_implementations", (7, 50), 50)],
+        "sweep, args, checked, searches",
+        [("verify_theorem", (t, 5), 0, 0) for t in verify.THEOREMS]
+        + [("verify_certificates", (5,), 0, 0), ("cross_check_matching_implementations", (5,), 1024, 124)]
+        + [("cross_check_matching_implementations", (7, 50), 50, 13)],
         ids=[*verify.THEOREMS, "certificates", "cross-check", "sampled-cross-check"],
     )
-    def test_workers_read_the_columns(self, sweep, args, kernel_calls):
+    def test_workers_read_the_columns(self, sweep, args, checked, searches):
         # beta and 2*beta_star come from the table: nothing in verify calls an
         # oracle per graph, and only the cross-check calls the blossom
-        # kernel, once per graph checked, to compare it with the table
+        # search, once per graph checked whose column seed it would search
+        # from (TestSeedColumns), to compare the size with the table
         profile = cProfile.Profile()
         report = profile.runcall(getattr(verify, sweep), *args)
         stats = pstats.Stats(profile).stats
         assert _verify_calls(stats, oracle_beta) == _verify_calls(stats, oracle_beta_star) == 0
-        if kernel_calls:
-            assert report.graphs_checked == kernel_calls
-        assert _verify_calls(stats, matching._blossom_max_matching) == kernel_calls
+        if checked:
+            assert report.graphs_checked == checked
+        assert _verify_calls(stats, matching._blossom_search) == searches
+        assert _verify_calls(stats, matching._blossom_max_matching) == 0
         # the double-cover kernel is the structure audit's alone
-        assert _verify_calls(stats, matching._dc_matching) == _verify_calls(stats, matching._dc_matching_size) == 0
+        dc_kernels = (matching._dc_matching, matching._dc_matching_size, matching._dc_search)
+        assert [_verify_calls(stats, kernel) for kernel in dc_kernels] == [0, 0, 0]
 
     def test_certificates_decide_on_columns(self):
         # the certificate sweep rules on whole columns: at n = 5 (one chunk)
@@ -788,6 +791,49 @@ class TestCertificateSweep:
         assert verify_certificates(n).counts == counts
 
 
+def _patch_seed_cover(monkeypatch, target, cover=None, match_l=None):
+    """Give target, in the audit's double-cover seed (``_dc_seed_columns``),
+    the match_l list match_l, or the isolated column that reads as cover.
+    target's seed leaves no free left copy, so it never reaches the search:
+    its matching is the seed's, and its cover is W = {}, R = the isolated
+    vertices and C = the rest."""
+    real = verify._dc_seed_columns
+    if cover is not None:
+        assert cover[0] == 0 and cover[2] == ((1 << target.n) - 1) & ~cover[1], "not a cover the seed gives"
+
+    def seeded(rows):
+        seed = real(rows)
+        at = (rows == target.rows).all(axis=1)
+        assert not seed[2][at].any(), "the seed leaves target a free left copy"
+        if match_l is not None:
+            seed[0][at] = match_l
+        if cover is not None:
+            seed[4][at] = cover[1]
+        return seed
+
+    monkeypatch.setattr(verify, "_dc_seed_columns", seeded)
+
+
+def _patch_fractional_matching(monkeypatch, target, witness):
+    """Give target, n <= 5, the fractional matching witness (partner rows,
+    half-support rows, doubled total) in the audit: in the pull-back's
+    columns (``_pull_back_columns``), at target's edge mask, its row in the
+    one window at n <= 5, and from the builder, which the audit calls on a
+    graph whose row has a half edge."""
+    pairs = pairs_colex(target.n)
+    mask = sum(1 << pairs.index(e) for e in target.edges())
+    pull_back, build = verify._pull_back_columns, verify._fractional_matching_from
+
+    def pulled(match_l):
+        columns = pull_back(match_l)
+        for column, value in zip(columns, witness):
+            column[mask] = value
+        return columns
+
+    monkeypatch.setattr(verify, "_pull_back_columns", pulled)
+    monkeypatch.setattr(verify, "_fractional_matching_from", lambda rows, match: witness if rows == target.rows else build(rows, match))
+
+
 class TestAudits:
     def test_duality_n5(self):
         # the duality audit is folded into the structure audit; the old name stays
@@ -832,27 +878,29 @@ class TestAudits:
         assert rep.connected_graphs == connected
 
     def test_names_a_wrong_double_cover_kernel(self, monkeypatch):
-        # a double-cover matching that leaves C_5's last left copy unmatched:
+        # a double-cover search that leaves C_5's last left copy unmatched:
         # its total falls to 2, below the oracle's 5/2, and the partition of
         # a graph with 2beta* = n fails on the matching it gives
-        real = verify._dc_matching
+        real = verify._dc_search
 
-        def short(rows, n):
-            match_l, *cover = real(rows, n)
+        def short(rows, n, *seed):
+            match_l, *cover = real(rows, n, *seed)
             if rows == C5:
                 match_l = match_l[:-1] + [-1]
             return match_l, *cover
 
-        monkeypatch.setattr(verify, "_dc_matching", short)
+        monkeypatch.setattr(verify, "_dc_search", short)
         rep = audit_structures(5)
         assert rep.passed is False and rep.graphs == 1024
         assert rep.violations == (
             "Dhc: primal 2 / dual 5/2 / matching 5/2 differ",
             "Dhc: fractional perfect matching partition failed: matching is not perfect: total 2 < n/2 = 5/2",
         )
-        # one that leaves K_2's edge half matched, a path an augmenting path
-        # would fill, is named too, and the sweep goes on
-        monkeypatch.setattr(verify, "_dc_matching", lambda rows, n: ([1, -1], 0, 0, 0b11) if rows == (0b10, 0b01) else real(rows, n))
+        # a seed that leaves K_2's edge half matched, a path an augmenting
+        # path would fill, is named too, and the sweep goes on; its cover
+        # is W = {}, R = {}, C = {0, 1}
+        monkeypatch.undo()
+        _patch_seed_cover(monkeypatch, complete(2), match_l=[1, -1])
         assert audit_structures(2) == AuditReport(
             2, 2, 1, 1, ("A_: double-cover matching is not maximum: half-weight support had an augmentable odd path",)
         )
@@ -862,7 +910,8 @@ class TestAudits:
         assert capsys.readouterr().out == "graphs 1024, connected 728, with fractional perfect matching 383\nresult: PASS\n"
 
     def test_one_matching_and_one_validation_per_witness(self, monkeypatch):
-        # n = 4 has 64 graphs: each gets one double-cover matching, and the
+        # n = 4 has 64 graphs: each gets one double-cover seed, by column,
+        # and the 29 whose seed leaves a free left copy one search; the
         # column screen validates both witnesses of each once (it is exact:
         # TestWitnessScreen), so the scalar rules run only to name the faults
         # of a flagged graph: never on a passing audit, once each on a graph
@@ -876,15 +925,17 @@ class TestAudits:
                 code = fn.__code__
                 return stats.get((code.co_filename, code.co_firstlineno, code.co_name), (0, 0))[1]
 
-            return report, [calls(fn) for fn in (matching._dc_matching, matching._check_matching, matching._check_cover)]
+            return report, [calls(fn) for fn in (matching._dc_search, matching._check_matching, matching._check_cover)]
 
+        pairs = pairs_colex(4)
+        seeds = [matching._dc_seed(verify._graph_from_mask(4, mask, pairs).rows, 4) for mask in range(64)]
+        assert sum(free_l != 0 for _, _, free_l, _, _ in seeds) == 29
         report, calls = counts()
-        assert report.passed and calls == [64, 0, 0]
+        assert report.passed and calls == [29, 0, 0]
         target = union(complete(2), empty(2))
-        real = verify._dc_matching
-        monkeypatch.setattr(verify, "_dc_matching", lambda rows, n: (real(rows, n)[0], 0, 0b1111, 0) if rows == target.rows else real(rows, n))
+        _patch_seed_cover(monkeypatch, target, cover=(0, 0b1111, 0))
         report, calls = counts()
-        assert calls == [64, 1, 1]
+        assert calls == [29, 1, 1]
         assert report.violations == (
             f"{to_graph6(target)}: primal 1 / dual 0 / matching 1 differ",
             f"{to_graph6(target)}: transversal is infeasible: edge (0,1) not covered: weights sum below 1",
@@ -905,16 +956,14 @@ class TestAudits:
         # only the odd-cycle check runs; C4 has 2beta* = n, where the
         # partition reports the failed walk too.
         partition_fault = "fractional perfect matching partition failed: non-canonical matching: even cycle in the half-weight support"
-        real = verify._fractional_matching_from
         for n, faults in [
             (5, ["half-weight support is not a disjoint union of odd cycles"]),
             (4, ["half-weight support is not a disjoint union of odd cycles", partition_fault]),
         ]:
             target = Graph(n, [(0, 1), (1, 2), (2, 3), (0, 3)])
             even = ([0] * n, list(target.rows), 4)  # partner rows, half-support rows, doubled total
-            monkeypatch.setattr(
-                verify, "_fractional_matching_from", lambda rows, *m, t=target, e=even: e if rows == t.rows else real(rows, *m)
-            )
+            monkeypatch.undo()
+            _patch_fractional_matching(monkeypatch, target, even)
             rep = audit_structures(n)
             assert rep.violations == tuple(f"{to_graph6(target)}: {f}" for f in faults)
 
@@ -922,8 +971,7 @@ class TestAudits:
         # K2 u K1: weight 1/2 everywhere covers the edge but totals 3/2 > beta* = 1
         target = union(complete(2), empty(1))
         loose = (0, 0, 0b111)  # W, R, C masks
-        real = verify._dc_matching
-        monkeypatch.setattr(verify, "_dc_matching", lambda rows, n: (real(rows, n)[0], *loose) if rows == target.rows else real(rows, n))
+        _patch_seed_cover(monkeypatch, target, cover=loose)
         rep = audit_structures(3)
         assert rep.violations == (f"{to_graph6(target)}: primal 1 / dual 3/2 / matching 1 differ",)
 
@@ -945,8 +993,7 @@ class TestAudits:
         ],
     )
     def test_reports_infeasible_matching(self, monkeypatch, target, witness, faults):
-        real = verify._fractional_matching_from
-        monkeypatch.setattr(verify, "_fractional_matching_from", lambda rows, *m: witness if rows == target.rows else real(rows, *m))
+        _patch_fractional_matching(monkeypatch, target, witness)
         rep = audit_structures(3)
         assert rep.violations == tuple(f"{to_graph6(target)}: {f}" for f in faults)
 
@@ -976,9 +1023,7 @@ class TestAudits:
         with pytest.raises(GraphError) as excinfo:
             fpm_partition(g, fm)
         assert str(excinfo.value) == fault
-        witness = (*fm._rows(4), total)
-        real = verify._fractional_matching_from
-        monkeypatch.setattr(verify, "_fractional_matching_from", lambda rows, *m: witness if rows == g.rows else real(rows, *m))
+        _patch_fractional_matching(monkeypatch, g, (*fm._rows(4), total))
         prefix = f"{to_graph6(g)}: fractional perfect matching partition failed: "
         assert [v[len(prefix) :] for v in audit_structures(4).violations if v.startswith(prefix)] == [fault]
 
@@ -986,8 +1031,7 @@ class TestAudits:
         # K2 u K1 with weight 0 everywhere leaves the edge uncovered
         target = union(complete(2), empty(1))
         zero = (0, 0b111, 0)  # W, R, C masks
-        real = verify._dc_matching
-        monkeypatch.setattr(verify, "_dc_matching", lambda rows, n: (real(rows, n)[0], *zero) if rows == target.rows else real(rows, n))
+        _patch_seed_cover(monkeypatch, target, cover=zero)
         rep = audit_structures(3)
         assert rep.violations == (
             f"{to_graph6(target)}: primal 1 / dual 0 / matching 1 differ",
@@ -1093,9 +1137,19 @@ class TestCrossCheck:
     def test_reports_each_mismatch(self, monkeypatch):
         # a blossom that gets C_5 wrong, beta = 2, is named, and every other
         # graph at n = 5 still agrees; a wrong double-cover kernel is the
-        # structure audit's to name (TestAudits.test_names_a_wrong_double_cover_kernel)
-        blossom = verify._blossom_max_matching
-        monkeypatch.setattr(verify, "_blossom_max_matching", lambda rows, n: (1, []) if rows == C5 else blossom(rows, n))
+        # structure audit's to name (TestAudits.test_names_a_wrong_double_cover_kernel).
+        # C_5's seed leaves only its last vertex free, which the skip rule
+        # passes over, so here the seed leaves all of C_5 free for the search
+        seed, search = verify._blossom_seed_columns, verify._blossom_search
+
+        def unseeded(rows):
+            match, free, searched = seed(rows)
+            at = (rows == C5).all(axis=1)
+            match[at], free[at], searched[at] = -1, 0b11111, True
+            return match, free, searched
+
+        monkeypatch.setattr(verify, "_blossom_seed_columns", unseeded)
+        monkeypatch.setattr(verify, "_blossom_search", lambda rows, n, *s: (1, []) if rows == C5 else search(rows, n, *s))
         rep = cross_check_matching_implementations(5)
         assert rep.passed is False and rep.graphs_checked == 1024
         assert rep.mismatches == ("Dhc: matching number 1 != oracle 2",)
@@ -1120,12 +1174,14 @@ class TestCrossCheck:
         # the 1,000 draws, in the order checked, with their oracle columns:
         # "graph6 beta 2*beta_star" per line, 2*beta_star from the draws' table
         seen = []
-        real = verify._cross_check_one
-        monkeypatch.setattr(
-            verify,
-            "_cross_check_one",
-            lambda n, rows, b: seen.append(f"{to_graph6(Graph._from_rows_unchecked(n, rows))} {b}") or real(n, rows, b),
-        )
+        real = verify._cross_chunk
+
+        def spy(n, table):
+            graphs = (Graph._from_rows_unchecked(n, rows) for rows in map(tuple, table.rows.tolist()))
+            seen.extend(f"{to_graph6(g)} {b}" for g, b in zip(graphs, table.beta.tolist(), strict=True))
+            return real(n, table)
+
+        monkeypatch.setattr(verify, "_cross_chunk", spy)
         rep = cross_check_matching_implementations(n, seed=seed)
         assert (rep.n, rep.exhaustive, rep.graphs_checked, rep.mismatches) == (n, False, 1000, ())
         bsd = verify._batch_arrays(n, 0, 1000, masks=verify._random_masks(n, 1000, seed, 0.05, 0.95)).bsd.tolist()
@@ -1135,12 +1191,8 @@ class TestCrossCheck:
     def test_sampled_n9_reaches_dense_graphs(self, monkeypatch):
         # every draw is checked, dense ones included: no edge cap rejects a sample
         edge_counts = []
-        real = verify._cross_check_one
-        monkeypatch.setattr(
-            verify,
-            "_cross_check_one",
-            lambda n, rows, beta: edge_counts.append(Graph._from_rows_unchecked(n, rows).edge_count()) or real(n, rows, beta),
-        )
+        real = verify._cross_chunk
+        monkeypatch.setattr(verify, "_cross_chunk", lambda n, table: edge_counts.extend(table.edges.tolist()) or real(n, table))
         rep = cross_check_matching_implementations(9, samples=60, seed=1)
         assert rep.passed and rep.graphs_checked == len(edge_counts) == 60
         assert max(edge_counts) > 18
