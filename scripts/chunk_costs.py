@@ -8,9 +8,10 @@ timed calls: the theorem screen of each theorem (``_theorem_chunk``), the
 certificate sweep (``_cert_chunk``), the structure audit (``_audit_chunk``)
 and the cross-check (``_cross_chunk``).  A sweep's chunk costs the table
 row plus its worker's row.  Each cell is the best of --repeat runs in
-seconds, in this one process (jobs = 1) with one BLAS thread.
+seconds, in this one process (jobs = 1) with one BLAS thread.  The default
+chunks are those of the ROADMAP's per-chunk table: 6:0 7:37 8:2000.
 
-    PYTHONPATH=src python scripts/chunk_costs.py 7:37 8:2000
+    PYTHONPATH=src python scripts/chunk_costs.py 6:0 7:37 8:2000
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def steps(n: int, lo: int, hi: int) -> list[tuple[str, Callable[[], object]]]:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("chunks", nargs="*", type=chunk, default=[(7, 37), (8, 2000)], metavar="N:CHUNK")
+    parser.add_argument("chunks", nargs="*", type=chunk, default=[(6, 0), (7, 37), (8, 2000)], metavar="N:CHUNK")
     parser.add_argument("--repeat", type=repeat, default=3, help="runs per cell, the best is printed (default 3)")
     args = parser.parse_args()
 

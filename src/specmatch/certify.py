@@ -103,6 +103,18 @@ _FPM_GUARANTEE = "fractional perfect matching (2*beta_star = n)"
 
 
 def _min_degree_row(n: int, connected: bool) -> Certificate:
+    """Fires when rho < delta * sqrt((n + 1)/(n - 1)) on a connected graph,
+    n >= 2, and is sound at every order.  Take a connected graph with no
+    fractional perfect matching and its optimal transversal W/R/C.  Its
+    cover rule makes R independent with N(R) inside W; its total
+    (n - (|R| - |W|))/2 = beta* < n/2 gives |R| >= |W| + 1; so R is not
+    empty, and W is not empty either, since R has neighbours.  R then is
+    a Hall violator, and the test vector 1/sqrt(2|R|) on R, 1/sqrt(2|W|)
+    on W gives rho >= e(R, W)/sqrt(|R||W|) >= delta |R|/sqrt(|R||W|) =
+    delta sqrt(|R|/|W|), each vertex of R having all its at least delta
+    neighbours in W.  With |R| + |W| <= n, |W| <= (n - 1)/2 and
+    |R|/|W| >= (|W| + 1)/|W| >= (n + 1)/(n - 1).  K_{a,a+1} meets the
+    bound exactly."""
     factor = math.sqrt((n + 1) / (n - 1)) if n >= 2 and connected else None
     return Certificate("min-degree-fpm", "fpm", 0, _FPM_GUARANTEE, factor, below=True)
 

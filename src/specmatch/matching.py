@@ -17,10 +17,13 @@ they build with those rules.  The structure audit runs the core with no
 witness objects and judges its witnesses by column: ``_witness_faults`` is
 the rules' column form, and ``_name_witness_faults``, which runs the rules
 themselves, names the faults of the graphs it flags.  Each matcher is a
-greedy seed and a search; each seed, and the builder's pull-back
-(``_pull_back_columns``), has a column form beside it, so the audit and the
-cross-check run the search and the builder only where the columns leave
-work.
+greedy seed and a search; each seed, the double-cover search
+(``_dc_search_columns``), the builder's pull-back (``_pull_back_columns``)
+and the half-weight walk (``_odd_cycle_columns``) have a column form
+beside the scalar one.  So the audit runs no per-graph search and builds a
+graph only where its pulled-back half rows are not already odd cycles, and
+the cross-check runs the blossom search only where its seed leaves work;
+the public queries run the scalar forms.
 """
 
 from __future__ import annotations
@@ -215,9 +218,8 @@ def _dc_seed(rows: tuple[int, ...], n: int) -> tuple[list[int], list[int], int, 
 
 
 def _dc_seed_columns(rows: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``_dc_seed`` of each graph of a (graphs, n) uint16 array of rows.
-    Where free_l is 0, ``_dc_search`` returns the seed and the cover W = {},
-    R = the isolated vertices, C = the rest."""
+    """``_dc_seed`` of each graph of a (graphs, n) uint16 array of rows, the
+    seed of ``_dc_search_columns``."""
     count, n = rows.shape
     match_l, match_r = np.full((2, count, n), -1, dtype=np.int8)
     lone = rows == 0
@@ -318,6 +320,85 @@ def _dc_search(rows: tuple[int, ...], n: int, match_l: list[int], match_r: list[
     for front in lefts:
         left |= front
     return match_l, seen & ~left, left & ~seen, ((1 << n) - 1) & ~(left ^ seen)
+
+
+def _dc_search_columns(rows: np.ndarray, match_l: np.ndarray, match_r: np.ndarray, free_l: np.ndarray, free_r: np.ndarray,
+                       isolated: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``_dc_search`` of each graph of a (graphs, n) uint16 array of rows,
+    from its column seed (``_dc_seed_columns``), whose columns it updates in
+    place: match_l and the W, R and C columns, graph by graph what the
+    scalar search returns.  Each phase is the scalar one on every graph
+    still searching at once: the breadth-first search a level at a time,
+    lefts an (n + 1, graphs) array; then the searches back, a step at a
+    time, each graph with its own path stack, length and k, taking its
+    free right copies in ascending order and the lowest bit at each step.
+    A graph leaves in the phase that reaches no free right copy, with the
+    cover read from that phase."""
+    count, n = rows.shape
+    shift = np.arange(n, dtype=np.uint16)
+    bits = np.append(np.uint16(1) << shift, np.uint16(0))  # bits[-1]: no partner
+    w, r, c = np.zeros((3, count), dtype=np.uint16)
+    todo = np.arange(count)
+    while len(todo):
+        nbrs, fl, fr = rows[todo], free_l[todo], free_r[todo]
+        lefts = np.zeros((n + 1, len(todo)), dtype=np.uint16)
+        seen, ends = np.zeros((2, len(todo)), dtype=np.uint16)
+        last = np.zeros(len(todo), dtype=np.intp)
+        live, front = np.arange(len(todo)), fl
+        for k in range(n + 1):  # each level but the last adds a right copy to seen
+            lefts[k, live] = front
+            reach = np.bitwise_or.reduce(np.where(front[:, None] >> shift & 1, nbrs[live], 0), axis=1) & ~seen[live]
+            stop = (reach == 0) | (reach & fr[live] != 0)
+            last[live[stop]], ends[live[stop]] = k, reach[stop] & fr[live[stop]]
+            live, reach = live[~stop], reach[~stop]
+            if not len(live):
+                break
+            seen[live] |= reach
+            front = np.bitwise_or.reduce(np.where(reach[:, None] >> shift & 1, bits[match_r[todo[live]]], 0), axis=1)
+        done = ends == 0
+        left = isolated[todo[done]] | np.bitwise_or.reduce(lefts[:, done], axis=0)
+        w[todo[done]], r[todo[done]], c[todo[done]] = seen[done] & ~left, left & ~seen[done], ((1 << n) - 1) & ~(left ^ seen[done])
+        todo = todo[~done]
+        nbrs, fl, fr, lefts, ends, last = nbrs[~done], fl[~done], fr[~done], lefts[:, ~done], ends[~done], last[~done]
+        ml, mr = match_l[todo], match_r[todo]
+        path = np.zeros((len(todo), 2 * n + 2), dtype=np.intp)  # as in _dc_search: v_last, u_last, ..., u_0
+        depth, k = np.zeros((2, len(todo)), dtype=np.intp)
+        end = np.zeros(len(todo), dtype=np.uint16)
+        searching = np.zeros(len(todo), dtype=bool)
+        while True:
+            g = np.flatnonzero(~searching & (ends != 0) & (lefts[0] != 0))  # the next free right copy
+            end[g] = ends[g] & -ends[g]
+            ends[g] ^= end[g]
+            path[g, 0], depth[g], k[g], searching[g] = np.bitwise_count(end[g] - 1), 1, last[g], True
+            g = np.flatnonzero(searching)
+            if not len(g):
+                break
+            nb = nbrs[g, path[g, depth[g] - 1]] & lefts[k[g], g]
+            stuck = g[nb == 0]  # a dead end: back one step towards the free copy
+            searching[stuck[k[stuck] == last[stuck]]] = False
+            stuck = stuck[k[stuck] != last[stuck]]
+            depth[stuck] -= 2
+            k[stuck] += 1
+            g, nb = g[nb != 0], nb[nb != 0]
+            low = nb & -nb
+            lefts[k[g], g] ^= low
+            u = np.bitwise_count(low - 1).astype(np.intp)
+            path[g, depth[g]] = u
+            depth[g] += 1
+            found = k[g] == 0
+            a = g[found]  # augment along each path found
+            fl[a] ^= low[found]
+            fr[a] ^= end[a]
+            searching[a] = False
+            i, j = np.nonzero(np.arange(n + 1) < depth[a, None] // 2)
+            mr[a[i], path[a[i], 2 * j]] = path[a[i], 2 * j + 1]
+            ml[a[i], path[a[i], 2 * j + 1]] = path[a[i], 2 * j]
+            g, u = g[~found], u[~found]
+            path[g, depth[g]] = ml[g, u]
+            depth[g] += 1
+            k[g] -= 1
+        match_l[todo], match_r[todo], free_l[todo], free_r[todo] = ml, mr, fl, fr
+    return match_l, w, r, c
 
 
 def _dc_matching(rows: tuple[int, ...], n: int) -> tuple[list[int], int, int, int]:
@@ -476,7 +557,9 @@ def _odd_cycles(half: list[int]) -> list[tuple[int, ...]]:
 
     Each cycle is walked from its lowest vertex towards its smaller
     neighbour.  Raises GraphError unless the support is a disjoint union of
-    odd cycles, the shape of a canonical witness.
+    odd cycles, the shape of a canonical witness: the rows are symmetric
+    with no loop, and each vertex has 0 or 2 half-edges, in a component of
+    odd size (``_odd_cycle_columns``).
     """
     cycles: list[tuple[int, ...]] = []
     if not any(half):
@@ -486,8 +569,38 @@ def _odd_cycles(half: list[int]) -> list[tuple[int, ...]]:
             raise GraphError(_NOT_CYCLES)
         if len(vertices) % 2 == 0:
             raise GraphError("non-canonical matching: even cycle in the half-weight support")
+        # rows that are not symmetric can close a walk too: the vertices must
+        # be distinct and each row their two neighbours on the cycle
+        ring = zip(vertices, vertices[-1:] + vertices[:-1], vertices[1:] + vertices[:1])
+        if len(vertices) < 3 or len(set(vertices)) < len(vertices) or any(half[x] != 1 << a | 1 << b for x, a, b in ring):
+            raise GraphError(_NOT_CYCLES)
         cycles.append(tuple(vertices))
     return cycles
+
+
+def _odd_cycle_columns(half: np.ndarray) -> np.ndarray:
+    """``_odd_cycles`` on each row of a (graphs, n) uint16 array of
+    half-support rows: True where it returns, that is where the rows are
+    symmetric with no loop, every half-degree is 0 or 2 and every component
+    has odd size.  A component is then a cycle, and the reach of each of its
+    vertices grows by one step per round, through its two neighbours."""
+    ok = np.ones(len(half), dtype=bool)
+    todo = np.flatnonzero(half.any(axis=1))
+    half = half[todo]
+    at = np.arange(half.shape[1], dtype=np.uint16)
+    low = half & -half
+    high = half ^ low
+    degree = np.bitwise_count(half)
+    # each vertex's two neighbours, or itself where it has none
+    near = np.where(low != 0, np.bitwise_count(low - 1), at).astype(np.intp)
+    far = np.where(high != 0, np.bitwise_count(high - 1), at).astype(np.intp)
+    mutual = (np.take_along_axis(half, near, axis=1) & np.take_along_axis(half, far, axis=1)) >> at & 1 == 1
+    good = (degree == 0) | (degree == 2) & mutual & (half >> at & 1 == 0)
+    reach = half | np.uint16(1) << at
+    for _ in range(len(at) // 2 - 1):  # a cycle of at most n vertices has radius at most n/2
+        reach |= np.take_along_axis(reach, near, axis=1) | np.take_along_axis(reach, far, axis=1)
+    ok[todo] = (good & ((np.bitwise_count(reach) % 2 == 1) | (degree == 0))).all(axis=1)
+    return ok
 
 
 def _check_perfect(n: int, total: int, partner: list[int], support: int) -> None:
@@ -538,14 +651,14 @@ def _witness_faults(n: int, connected: np.ndarray, bsd: np.ndarray, rows: np.nda
     half-support rows and columns of doubled totals, W/R/C masks, 2*beta_star
     (at most n) and connectivity.  A graph is True exactly when one of these
     fails: duality (both totals equal ``bsd``), ``_check_matching``,
-    ``_check_perfect`` where ``bsd`` = n, ``_check_cover`` and, on connected
-    graphs, the W/R/C rules of ``_name_witness_faults``.  The half-weight
-    walk (``_odd_cycles``) has no column form."""
+    ``_check_perfect`` where ``bsd`` = n, ``_check_cover``, the half-weight
+    walk (``_odd_cycle_columns``) and, on connected graphs, the W/R/C rules
+    of ``_name_witness_faults``."""
     load = 2 * np.bitwise_count(partner).astype(np.int64) + np.bitwise_count(half)
     weighted = partner | half
     s, t = np.bitwise_count(w).astype(np.int64), np.bitwise_count(r).astype(np.int64)
     t_total = 2 * s + np.bitwise_count(c)
-    faults = (total != bsd) | (t_total != bsd)
+    faults = (total != bsd) | (t_total != bsd) | ~_odd_cycle_columns(half)
     # _check_matching: a weight off the row, a load above 2, the doubled total
     faults |= (weighted & ~rows).any(axis=1) | (load > 2).any(axis=1) | (load.sum(axis=1) != 2 * total)
     # _check_perfect: every vertex in a weighted edge (a total below n breaks duality)

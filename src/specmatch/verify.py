@@ -24,16 +24,18 @@ the theorem screen, densest edge count first, only while Stanley's bound
 can reach a class maximum or bound, 0.1-1.5 % of the graphs at n = 6 and
 7; the audit and the cross-check never read it.  The theorem and
 certificate sweeps work on whole columns.  The audit and the cross-check
-each check one matching kernel against the oracles' columns, seeding it
-by column and searching graph by graph only where the seed leaves work.
-The audit runs the double-cover matching and the bitmask witness core of
-``matching``, the same code the public witness constructors wrap, and one
-column screen (``_witness_faults``) judges every witness against the
-rules of ``matching`` and 2*beta_star; the namer beside it
+each check one matching kernel against the oracles' columns.  The audit
+runs the double-cover matching by column, seed and search, and the
+bitmask witness core of ``matching``, whose scalar forms the public
+witness constructors wrap; it builds a graph's matching only where the
+pulled-back half rows are not already odd cycles.  One column screen
+(``_witness_faults``) judges every witness against the rules of
+``matching`` and 2*beta_star; the namer beside it
 (``_name_witness_faults``) runs the rules themselves only on the graphs
-the screen flags.  Every rule and seed lives in ``matching``, in one
-scalar and one column form.  The cross-check runs the blossom matching
-against beta.
+the screen flags.  Every rule, seed and search lives in ``matching``, in
+one scalar and one column form.  The cross-check seeds the blossom
+matching by column, searches graph by graph only where the seed leaves
+work, and compares its size with beta.
 """
 
 from __future__ import annotations
@@ -65,11 +67,11 @@ from .halfint import HalfIntegral
 from .matching import (
     _blossom_search,
     _blossom_seed_columns,
-    _dc_search,
+    _dc_search_columns,
     _dc_seed_columns,
     _fractional_matching_from,
     _name_witness_faults,
-    _odd_cycles,
+    _odd_cycle_columns,
     _pull_back_columns,
     _witness_faults,
 )
@@ -618,53 +620,37 @@ def _audit_chunk(n: int, table: ChunkTable) -> tuple:
     violations: list[str] = []
     for start in range(0, len(table.masks), _WINDOW):
         window = slice(start, start + _WINDOW)
-        graphs = list(map(tuple, table.rows[window].tolist()))
         # one double-cover matching per graph gives both witnesses as
-        # bitmasks, in the window's columns: the seed by column, searched
-        # only where it leaves a free left copy (elsewhere the cover is
-        # W = {}, R = the isolated vertices), and pulled back by column,
-        # built by graph only where it has a half edge.  The per-graph
-        # results come back in one flat list: a list kept per graph would
-        # cost the garbage collector about what the seed saves.
-        match_l, match_r, free_l, free_r, isolated = _dc_seed_columns(table.rows[window].astype(np.uint16))
-        w, r, c = np.zeros_like(isolated), isolated.copy(), ((1 << n) - 1) & ~isolated
-        todo, found = np.flatnonzero(free_l), []
-        seeds = (col[todo].tolist() for col in (match_l, match_r, free_l, free_r, isolated))
-        for i, *seed in zip(todo.tolist(), *seeds):
-            match, *cover = _dc_search(graphs[i], n, *seed)
-            found += match + cover
-        if found:
-            found = np.reshape(found, (-1, n + 3))
-            match_l[todo], (w[todo], r[todo], c[todo]) = found[:, :n], found[:, n:].T
+        # bitmasks, in the window's columns: seeded, searched and pulled back
+        # by column, and built by graph only where its half rows are not
+        # already a union of odd cycles, which the builder returns unchanged.
+        # The builder's results come back in one flat list, not a list per
+        # graph, which the cyclic garbage collector would keep walking.
+        rows = table.rows[window].astype(np.uint16)
+        match_l, w, r, c = _dc_search_columns(rows, *_dc_seed_columns(rows))
         partner, half, totals = _pull_back_columns(match_l)
-        todo, built = np.flatnonzero(half.any(axis=1)), []
+        todo, built = np.flatnonzero(~_odd_cycle_columns(half)), []
         broken: dict[int, str] = {}  # a builder that raised: its message
-        walked: list[int] = []  # a half-weight walk that raised: the namer names it
-        for i, match in zip(todo.tolist(), match_l[todo].tolist()):
+        for i, graph, match in zip(todo.tolist(), table.rows[window][todo].tolist(), match_l[todo].tolist()):
             try:
-                fm = _fractional_matching_from(graphs[i], match)
+                fm = _fractional_matching_from(tuple(graph), match)
             except GraphError as exc:  # a half-weight path that an augmenting path would fill
                 broken[i] = f"double-cover matching is not maximum: {exc}"
                 fm = [0] * n, [0] * n, 0
-            else:
-                if any(fm[1]):
-                    try:
-                        _odd_cycles(fm[1])
-                    except GraphError:
-                        walked.append(i)
             built += [*fm[0], *fm[1], fm[2]]
         if built:
             built = np.reshape(built, (-1, 2 * n + 1))
             partner[todo], half[todo], totals[todo] = built[:, :n], built[:, n:-1], built[:, -1]
         connected, bsd = table.connected[window], table.bsd[window]
         flagged = _witness_faults(n, connected, bsd, table.rows[window], partner, half, totals, w, r, c)
-        for i in sorted({*np.flatnonzero(flagged).tolist(), *broken, *walked}):
-            g6 = to_graph6(Graph._from_rows_unchecked(n, graphs[i]))
+        for i in sorted({*np.flatnonzero(flagged).tolist(), *broken}):
+            graph = tuple(table.rows[start + i].tolist())
+            g6 = to_graph6(Graph._from_rows_unchecked(n, graph))
             if i in broken:
                 violations.append(f"{g6}: {broken[i]}")
                 continue
             fm = partner[i].tolist(), half[i].tolist(), int(totals[i])
-            faults = _name_witness_faults(n, bool(connected[i]), int(bsd[i]), graphs[i], *fm, int(w[i]), int(r[i]), int(c[i]))
+            faults = _name_witness_faults(n, bool(connected[i]), int(bsd[i]), graph, *fm, int(w[i]), int(r[i]), int(c[i]))
             violations.extend(f"{g6}: {f}" for f in faults)
     return int(table.connected.sum()), int(np.count_nonzero(table.bsd == n)), violations
 
@@ -682,14 +668,17 @@ def audit_structures(n: int, jobs: int = 1) -> AuditReport:
     connected graphs, the transversal's W/R/C classes satisfy the structure
     rules.  The witnesses come from one double-cover matching per graph
     through the bitmask core that the public constructors wrap; no witness
-    object is built.  A window of graphs is seeded and pulled back by
-    column, and only the graphs these leave open are searched, built and
-    walked graph by graph; a column screen (``matching._witness_faults``)
-    judges the rest for the window at once.  So this is the oracle check of the kernel
-    behind ``fractional_matching_number``, whose size is the primal total.
-    On a graph the screen or the walk flags, each rule of ``matching`` runs
-    on its masks (``matching._name_witness_faults``), and a rule that fails
-    is reported as a violation with its own message.
+    object is built.  A window of graphs is seeded, searched and pulled
+    back by column (``matching._dc_search_columns`` returns, graph by
+    graph, what the scalar search behind ``fractional_matching_number``
+    does, so this is that kernel's oracle check, its size the primal
+    total); only a graph whose pulled-back half rows are not already a
+    union of odd cycles goes through the per-graph builder.  A column
+    screen (``matching._witness_faults``), the half-weight walk included,
+    judges every witness of the window at once.  On a graph it flags, each
+    rule of ``matching`` runs on its masks
+    (``matching._name_witness_faults``), and a rule that fails is reported
+    as a violation with its own message.
     """
     n = operator.index(n)
     if n < 0:

@@ -19,6 +19,7 @@ from specmatch import (
     union,
     verify_certificates,
 )
+from specmatch import verify
 from specmatch.certify import certificate_table, fpm_threshold, pm_threshold
 from specmatch.extremal import _t32_regime, rho_join_formula, theta_cubic, theta_n
 from conftest import random_connected_graph
@@ -65,6 +66,28 @@ class TestMinDegreeFpm:
     def test_disconnected_not_applicable(self):
         rec = row(union(complete(2), complete(2)), "min-degree-fpm")
         assert not rec.applicable and not rec.fired
+
+    @pytest.mark.parametrize("a", range(1, 51))
+    def test_complete_bipartite_ties_the_row(self, a):
+        # K_{a,a+1} has no fractional perfect matching, and its
+        # rho = sqrt(a(a+1)) is delta * sqrt((n+1)/(n-1)) with delta = a
+        g = join(empty(a), empty(a + 1))
+        rec = row(g, "min-degree-fpm")
+        assert abs(spectral_radius(g).value - rec.threshold) <= 1e-12
+        assert rec.applicable and not rec.fired and rec.at_threshold
+        assert fractional_matching_number(g).doubled < g.n
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_even_orders_stay_clear_of_the_row(self, n):
+        # every connected graph without a fractional perfect matching sits
+        # at least 0.4 above delta * sqrt((n+1)/(n-1)): at even n no graph
+        # ties it
+        table = verify._batch_arrays(n, 0, 1 << n * (n - 1) // 2)
+        open_ = table.connected & (table.bsd < n)
+        rho = verify._rho_column(table.rows[open_], n)
+        cert = certificate_table(n, True)[0]
+        assert cert.name == "min-degree-fpm" and open_.any()
+        assert (rho - table.delta[open_] * cert.threshold).min() >= 0.4
 
 
 class TestFpmSpectral:

@@ -399,13 +399,23 @@ class TestFpm:
         assert proc.stdout == "non-canonical matching: half-weight support is not a union of cycles\n", proc.stderr
 
     def test_audit_reports_a_looping_half_walk(self):
-        # a builder that gives one graph at n = 5 those rows: the audit ends,
-        # and reports the graph with the walk's violation
+        # a pull-back and a builder that give one graph at n = 5 those rows
+        # (its own pull-back is an odd triangle, so the builder alone would
+        # never be called): the audit ends, and reports the graph with the
+        # walk's violation
         target = Graph(5, [(0, 1), (0, 4), (1, 2), (1, 3), (2, 3)])
+        mask = sum(1 << pairs_colex(5).index(e) for e in target.edges())  # its row in the one window at n = 5
+        witness = ([0] * 5, self.LOOP, 4)
         code = (
             "from specmatch import audit_structures, verify\n"
-            "real = verify._fractional_matching_from\n"
-            f"verify._fractional_matching_from = lambda rows, m: ([0] * 5, {self.LOOP}, 4) if rows == {target.rows} else real(rows, m)\n"
+            "pull_back, build = verify._pull_back_columns, verify._fractional_matching_from\n"
+            "def pulled(match_l):\n"
+            "    columns = pull_back(match_l)\n"
+            f"    for column, value in zip(columns, {witness}):\n"
+            f"        column[{mask}] = value\n"
+            "    return columns\n"
+            "verify._pull_back_columns = pulled\n"
+            f"verify._fractional_matching_from = lambda rows, m: {witness} if rows == {target.rows} else build(rows, m)\n"
             "print(*audit_structures(5).violations, sep='\\n')\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), timeout=60)
@@ -807,6 +817,12 @@ class TestPrunedKernels:
         assert _find_path_calls(pruned, [empty(5)]) == 0
 
 
+def _graph_table(n, chunk):
+    from specmatch import verify
+
+    return verify._batch_arrays(n, *verify._chunk_ranges(n)[chunk])
+
+
 def _seed_column_tables():
     """(id, chunk table) of every graph set the column seeds are checked on:
     every labeled graph at n <= 6, chunks 0 and 63 at n = 7 and the sampled
@@ -823,6 +839,12 @@ def _seed_column_tables():
 
 
 _SEED_TABLES = dict(_seed_column_tables())
+# the column search is also checked on the chunks of the per-chunk cost table
+_SEARCH_TABLES = {
+    **_SEED_TABLES,
+    "n=7 chunk 37": lambda: _graph_table(7, 37),
+    "n=8 chunk 2000": lambda: _graph_table(8, 2000),
+}
 
 
 class TestSeedColumns:
@@ -845,14 +867,26 @@ class TestSeedColumns:
             if not free_l[i]:  # the search returns the seed and the cover of a search that reaches nothing
                 assert found == (seed[0], 0, isolated[i], full & ~isolated[i]), rows
             maximum.append(found[0])
-        # the pull-back of every maximum matching, where it has no half edge
+        # the pull-back of every maximum matching whose half rows are already
+        # a union of odd cycles, half edges or none
         partner, half, total = matching._pull_back_columns(np.array(maximum, dtype=np.intp).reshape(len(maximum), n))
         pulled = list(zip(partner.tolist(), half.tolist(), total.tolist()))
-        no_half = [i for i, row in enumerate(half.tolist()) if not any(row)]
-        assert no_half
-        for i in no_half:
+        canonical = np.flatnonzero(matching._odd_cycle_columns(half))
+        assert half[canonical].any() == (n >= 3)  # a triangle is the first odd cycle
+        for i in canonical.tolist():
             rows = tuple(table.rows[i].tolist())
             assert pulled[i] == matching._fractional_matching_from(rows, maximum[i]), rows
+
+    @pytest.mark.parametrize("case", _SEARCH_TABLES)
+    def test_double_cover_search(self, case):
+        # the column search from the column seed, graph by graph: the scalar
+        # search's match_l and W, R, C masks
+        table = _SEARCH_TABLES[case]()
+        n = table.rows.shape[1]
+        rows16 = table.rows.astype(np.uint16)
+        match_l, w, r, c = (col.tolist() for col in matching._dc_search_columns(rows16, *matching._dc_seed_columns(rows16)))
+        for i, rows in enumerate(map(tuple, table.rows.tolist())):
+            assert matching._dc_matching(rows, n) == (match_l[i], w[i], r[i], c[i]), rows
 
     @pytest.mark.parametrize("case", _SEED_TABLES)
     def test_blossom(self, case, monkeypatch):
@@ -880,3 +914,52 @@ class TestSeedColumns:
         for i, match_l in enumerate(lists.tolist()):
             if not any(half[i]):
                 assert (partner[i].tolist(), half[i].tolist(), int(total[i])) == matching._fractional_matching_from((0,) * 4, match_l)
+
+
+def _walk_returns(half):
+    try:
+        matching._odd_cycles(half)
+    except GraphError:
+        return False
+    return True
+
+
+def _random_half_rows(rng, n):
+    """Half rows on n vertices: disjoint cycles of random lengths (1 is a
+    loop, 2 a single edge), then at times one bit flipped, which may break
+    symmetry, or one chord added."""
+    half = [0] * n
+    order = rng.sample(range(n), rng.randint(0, n))  # the vertices on cycles
+    while order:
+        size = rng.randint(1, len(order))
+        cycle, order = order[:size], order[size:]
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            half[a] |= 1 << b
+            half[b] |= 1 << a
+    kind = rng.randrange(3)
+    u, v = rng.randrange(n), rng.randrange(n)
+    if kind == 1:
+        half[u] ^= 1 << v
+    elif kind == 2:
+        half[u] |= 1 << v
+        half[v] |= 1 << u
+    return half
+
+
+class TestOddCycleColumns:
+    """``_odd_cycle_columns`` is True exactly where ``_odd_cycles`` returns."""
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_every_half_row_set(self, n):
+        # every set of n rows of n bits, asymmetric rows and loops included
+        sets = list(itertools.product(range(1 << n), repeat=n))
+        columns = matching._odd_cycle_columns(np.array(sets, dtype=np.uint16).reshape(len(sets), n))
+        assert columns.tolist() == [_walk_returns(list(h)) for h in sets]
+
+    @pytest.mark.parametrize("n", range(5, 11))
+    def test_random_half_row_sets(self, n):
+        rng = random.Random(n)
+        sets = [_random_half_rows(rng, n) for _ in range(2000)]
+        columns = matching._odd_cycle_columns(np.array(sets, dtype=np.uint16)).tolist()
+        assert columns == [_walk_returns(h) for h in sets]
+        assert 0 < sum(columns) < len(sets)

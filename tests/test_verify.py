@@ -232,8 +232,8 @@ class TestChunkTable:
         assert _verify_calls(stats, matching._blossom_search) == searches
         assert _verify_calls(stats, matching._blossom_max_matching) == 0
         # the double-cover kernel is the structure audit's alone
-        dc_kernels = (matching._dc_matching, matching._dc_matching_size, matching._dc_search)
-        assert [_verify_calls(stats, kernel) for kernel in dc_kernels] == [0, 0, 0]
+        dc_kernels = (matching._dc_matching, matching._dc_matching_size, matching._dc_search, matching._dc_search_columns)
+        assert [_verify_calls(stats, kernel) for kernel in dc_kernels] == [0, 0, 0, 0]
 
     def test_certificates_decide_on_columns(self):
         # the certificate sweep rules on whole columns: at n = 5 (one chunk)
@@ -794,9 +794,9 @@ class TestCertificateSweep:
 def _patch_seed_cover(monkeypatch, target, cover=None, match_l=None):
     """Give target, in the audit's double-cover seed (``_dc_seed_columns``),
     the match_l list match_l, or the isolated column that reads as cover.
-    target's seed leaves no free left copy, so it never reaches the search:
-    its matching is the seed's, and its cover is W = {}, R = the isolated
-    vertices and C = the rest."""
+    target's seed leaves no free left copy, so the column search reaches
+    nothing from it: its matching is the seed's, and its cover is W = {},
+    R = the isolated vertices and C = the rest."""
     real = verify._dc_seed_columns
     if cover is not None:
         assert cover[0] == 0 and cover[2] == ((1 << target.n) - 1) & ~cover[1], "not a cover the seed gives"
@@ -819,7 +819,7 @@ def _patch_fractional_matching(monkeypatch, target, witness):
     half-support rows, doubled total) in the audit: in the pull-back's
     columns (``_pull_back_columns``), at target's edge mask, its row in the
     one window at n <= 5, and from the builder, which the audit calls on a
-    graph whose row has a half edge."""
+    graph whose half rows are not a union of odd cycles."""
     pairs = pairs_colex(target.n)
     mask = sum(1 << pairs.index(e) for e in target.edges())
     pull_back, build = verify._pull_back_columns, verify._fractional_matching_from
@@ -881,15 +881,14 @@ class TestAudits:
         # a double-cover search that leaves C_5's last left copy unmatched:
         # its total falls to 2, below the oracle's 5/2, and the partition of
         # a graph with 2beta* = n fails on the matching it gives
-        real = verify._dc_search
+        real = verify._dc_search_columns
 
-        def short(rows, n, *seed):
-            match_l, *cover = real(rows, n, *seed)
-            if rows == C5:
-                match_l = match_l[:-1] + [-1]
+        def short(rows, *seed):
+            match_l, *cover = real(rows, *seed)
+            match_l[(rows == C5).all(axis=1), -1] = -1
             return match_l, *cover
 
-        monkeypatch.setattr(verify, "_dc_search", short)
+        monkeypatch.setattr(verify, "_dc_search_columns", short)
         rep = audit_structures(5)
         assert rep.passed is False and rep.graphs == 1024
         assert rep.violations == (
@@ -910,12 +909,12 @@ class TestAudits:
         assert capsys.readouterr().out == "graphs 1024, connected 728, with fractional perfect matching 383\nresult: PASS\n"
 
     def test_one_matching_and_one_validation_per_witness(self, monkeypatch):
-        # n = 4 has 64 graphs: each gets one double-cover seed, by column,
-        # and the 29 whose seed leaves a free left copy one search; the
-        # column screen validates both witnesses of each once (it is exact:
-        # TestWitnessScreen), so the scalar rules run only to name the faults
-        # of a flagged graph: never on a passing audit, once each on a graph
-        # given an uncovered transversal
+        # n = 4 has 64 graphs in one window: they get one double-cover seed
+        # and one search, both by column, and the scalar search never runs;
+        # the column screen validates both witnesses of each once (it is
+        # exact: TestWitnessScreen), so the scalar rules run only to name the
+        # faults of a flagged graph: never on a passing audit, once each on a
+        # graph given an uncovered transversal
         def counts():
             profile = cProfile.Profile()
             report = profile.runcall(audit_structures, 4)
@@ -925,30 +924,31 @@ class TestAudits:
                 code = fn.__code__
                 return stats.get((code.co_filename, code.co_firstlineno, code.co_name), (0, 0))[1]
 
-            return report, [calls(fn) for fn in (matching._dc_search, matching._check_matching, matching._check_cover)]
+            kernels = (matching._dc_search_columns, matching._dc_search, matching._check_matching, matching._check_cover)
+            return report, [calls(fn) for fn in kernels]
 
-        pairs = pairs_colex(4)
-        seeds = [matching._dc_seed(verify._graph_from_mask(4, mask, pairs).rows, 4) for mask in range(64)]
-        assert sum(free_l != 0 for _, _, free_l, _, _ in seeds) == 29
         report, calls = counts()
-        assert report.passed and calls == [29, 0, 0]
+        assert report.passed and calls == [1, 0, 0, 0]
         target = union(complete(2), empty(2))
         _patch_seed_cover(monkeypatch, target, cover=(0, 0b1111, 0))
         report, calls = counts()
-        assert calls == [29, 1, 1]
+        assert calls == [1, 0, 1, 1]
         assert report.violations == (
             f"{to_graph6(target)}: primal 1 / dual 0 / matching 1 differ",
             f"{to_graph6(target)}: transversal is infeasible: edge (0,1) not covered: weights sum below 1",
         )
 
     def test_one_half_cycle_walk_per_graph(self):
-        # the odd-cycle check and the perfect-matching partition share one
-        # walk of the half-weight support: 1,024 graphs at n = 5
+        # the 1,024 graphs at n = 5 fill one window: its half-weight supports
+        # are walked by column twice, once as pulled back and once in the
+        # screen, and the scalar walk, which the odd-cycle check and the
+        # perfect-matching partition share, runs only to name a flagged
+        # graph's faults: never on a passing audit
         profile = cProfile.Profile()
         profile.runcall(audit_structures, 5)
-        code = matching._odd_cycles.__code__
         stats = pstats.Stats(profile).stats
-        assert stats[code.co_filename, code.co_firstlineno, code.co_name][1] <= 1024
+        codes = (fn.__code__ for fn in (matching._odd_cycle_columns, matching._odd_cycles))
+        assert [stats.get((code.co_filename, code.co_firstlineno, code.co_name), (0, 0))[1] for code in codes] == [2, 0]
 
     def test_catches_even_half_cycle(self, monkeypatch):
         # weight 1/2 on the whole 4-cycle is feasible and optimal, so only the
@@ -1081,21 +1081,12 @@ def _witness_cases(n, table):
                 yield "masks", i, real, masks
 
 
-def _walk_fails(half):
-    try:
-        matching._odd_cycles(half)
-    except GraphError:
-        return True
-    return False
-
-
 class TestWitnessScreen:
     @pytest.mark.parametrize("n", range(7))
     def test_flags_exactly_the_graphs_the_rules_fault(self, n):
         # every labeled graph on n <= 6 vertices, with its real witnesses and
-        # each corruption: the screen, with the half-weight walk that the
-        # audit runs beside it, flags a case exactly when the per-graph
-        # reference reports a fault
+        # each corruption: the screen, the half-weight walk included, flags a
+        # case exactly when the per-graph reference reports a fault
         table = verify._batch_arrays(n, 0, 1 << (n * (n - 1) // 2))
         kinds, graph, fms, covers = zip(*_witness_cases(n, table))
         graph = np.array(graph)
@@ -1104,7 +1095,7 @@ class TestWitnessScreen:
         total = np.array([fm[2] for fm in fms])
         screened = matching._witness_faults(
             n, table.connected[graph], table.bsd[graph], table.rows[graph], partner, half, total, w, r, c
-        ) | np.array([_walk_fails(fm[1]) for fm in fms])
+        )
         connected, bsd, rows = table.connected.tolist(), table.bsd.tolist(), list(map(tuple, table.rows.tolist()))
         faulted = [
             bool(matching._name_witness_faults(n, connected[i], bsd[i], rows[i], *fm, *cover)) for i, fm, cover in zip(graph.tolist(), fms, covers)
@@ -1153,6 +1144,22 @@ class TestCrossCheck:
         rep = cross_check_matching_implementations(5)
         assert rep.passed is False and rep.graphs_checked == 1024
         assert rep.mismatches == ("Dhc: matching number 1 != oracle 2",)
+
+    def test_catches_a_search_one_short_on_odd_cycles(self, monkeypatch):
+        # a blossom search that comes out one short on every graph with an
+        # odd cycle, the graphs that need its contractions: the exhaustive
+        # n = 7 sweep reports it from any one of its chunks
+        search = verify._blossom_search
+
+        def short(rows, n, *seed):
+            size, match = search(rows, n, *seed)
+            odd = not nx.is_bipartite(nx.Graph([(u, v) for u in range(n) for v in range(u) if rows[u] >> v & 1]))
+            return size - odd, match
+
+        monkeypatch.setattr(verify, "_blossom_search", short)
+        mismatches = verify._cross_chunk(7, verify._batch_arrays(7, *verify._chunk_ranges(7)[37]))
+        assert len(mismatches) == 2844
+        assert mismatches[0] == "FW?DG: matching number 1 != oracle 2"
 
     @pytest.mark.parametrize("samples", [0, -1])
     def test_sampled_needs_a_sample(self, samples):
