@@ -21,16 +21,15 @@ from typing import Callable, NamedTuple
 from .graphs import Graph, _check_order, complete, empty, join, union
 from .halfint import HalfIntegral
 from .roots import largest_real_root
+from .spectral import char_poly_f_coeffs, char_poly_g_coeffs
 
 __all__ = [
     "RegimePrediction",
     "THEOREMS",
     "predict",
     "theta_cubic",
-    "theta_cubic_coeffs",
     "rho_join_formula",
     "theta_n",
-    "theta_n_coeffs",
 ]
 
 
@@ -39,37 +38,29 @@ def _shape(n: int, s: int, c: int) -> Graph:
     return join(complete(s), union(complete(c), empty(n - s - c)))
 
 
-def theta_cubic_coeffs(n: int, beta_star: HalfIntegral) -> tuple[int, int, int, int]:
-    d = beta_star.doubled
-    return (1, -(d - 3), -(n - 1), -d * d + d * n + 4 * d - 3 * n - 3)
-
-
 def theta_cubic(n: int, beta_star: HalfIntegral) -> float:
     """Largest root of the hub-family cubic (the s=1 quotient polynomial)."""
     if beta_star.doubled + 1 > n:
         raise ValueError(f"requires 2*beta_star + 1 <= n, got 2*beta_star={beta_star.doubled}, n={n}")
-    return largest_real_root(theta_cubic_coeffs(n, beta_star))
+    return largest_real_root(char_poly_f_coeffs(n, beta_star, 1))
 
 
 def rho_join_formula(n: int, b: int) -> float:
     """Spectral radius of K_b v (n-b)K_1, the larger root of x^2-(b-1)x-b(n-b)."""
     if not 0 <= b <= n:
         raise ValueError(f"requires 0 <= b <= n, got b={b}, n={n}")
-    disc = (b - 1) ** 2 + 4 * b * (n - b)
+    _, c1, c0 = char_poly_g_coeffs(n, b)
+    disc = c1 * c1 - 4 * c0
     if disc > sys.float_info.max:
         raise ValueError("the discriminant (b-1)^2 + 4b(n-b) lies beyond the float range")
-    return (b - 1 + math.sqrt(disc)) / 2.0
-
-
-def theta_n_coeffs(n: int) -> tuple[int, int, int, int]:
-    return (1, -(n - 4), -(n - 1), 2 * (n - 4))
+    return (-c1 + math.sqrt(disc)) / 2.0
 
 
 def theta_n(n: int) -> float:
-    """Largest root of x^3-(n-4)x^2-(n-1)x+2(n-4); the perfect-matching threshold."""
+    """Largest root of x^3-(n-4)x^2-(n-1)x+2(n-4), the hub cubic at 2*beta_star = n - 1; the perfect-matching threshold."""
     if n < 3:
         raise ValueError(f"requires n >= 3, got {n}")
-    return largest_real_root(theta_n_coeffs(n))
+    return largest_real_root(char_poly_f_coeffs(n, HalfIntegral(n - 1), 1))
 
 
 @dataclass(frozen=True)
@@ -103,10 +94,18 @@ def _check_class_args(n: int, d: int, fractional: bool) -> None:
 ClassRule = tuple[str, float, list[tuple[int, int, bool]]]
 
 
+def _linear(bound: int) -> float:
+    """A linear class bound (n - 1, d - 1 or d) as a float, with the other bounds' ValueError beyond the float range."""
+    try:
+        return float(bound)
+    except OverflowError:
+        raise ValueError("the linear bound lies beyond the float range") from None
+
+
 def _t32_regime(n: int, d: int) -> ClassRule:
     """t32's connected class 2*beta_star = d; builds no graph."""
     if d == n:
-        return "i", float(n - 1), [(0, n, n != 1)]  # K_1 has 2*beta_star 0
+        return "i", _linear(n - 1), [(0, n, n != 1)]  # K_1 has 2*beta_star 0
     if n < 3 * ((d + 1) // 2) - 3:
         return "ii", theta_cubic(n, HalfIntegral(d)), [(1, d - 2, True)]
     # the split join has 2*beta_star d - 1 at odd d; at d = 0 it is edgeless, so disconnected unless n = 1
@@ -116,31 +115,31 @@ def _t32_regime(n: int, d: int) -> ClassRule:
 def _t33_regime(n: int, d: int) -> ClassRule:
     """t33's class 2*beta_star = d; builds no graph."""
     if d == n:
-        return "1", float(n - 1), [(0, n, n != 1)]
+        return "1", _linear(n - 1), [(0, n, n != 1)]
     pivot = 3 * ((d + 1) // 2) - 1
     if n < pivot:
-        return "2", float(d - 1), [(0, d, d != 1)]  # K_1 u tK_1 is edgeless
+        return "2", _linear(d - 1), [(0, d, d != 1)]  # K_1 u tK_1 is edgeless
     if n == pivot:
-        return "3", float(d - 1), [(d // 2, 0, d % 2 == 0), (0, d, d != 1)]
+        return "3", _linear(d - 1), [(d // 2, 0, d % 2 == 0), (0, d, d != 1)]
     return "4", rho_join_formula(n, d // 2), [(d // 2, 0, d % 2 == 0)]
 
 
 def _t12_regime(n: int, d: int) -> ClassRule:
     """t12's class 2*beta = d; builds no graph."""
     if n <= d + 1:
-        return "1", float(n - 1), [(0, n, True)]
+        return "1", _linear(n - 1), [(0, n, True)]
     pivot = 3 * d // 2 + 2
     if n < pivot:
-        return "2", float(d), [(0, d + 1, True)]
+        return "2", _linear(d), [(0, d + 1, True)]
     if n == pivot:
-        return "3", float(d), [(d // 2, 0, True), (0, d + 1, True)]
+        return "3", _linear(d), [(d // 2, 0, True), (0, d + 1, True)]
     return "4", rho_join_formula(n, d // 2), [(d // 2, 0, True)]
 
 
 def _t13_regime(n: int, d: int) -> ClassRule:
     """t13's connected class 2*beta = d; builds no graph."""
     if n <= d + 1:
-        return "1", float(n - 1), [(0, n, True)]
+        return "1", _linear(n - 1), [(0, n, True)]
     if n <= 3 * d // 2 - 1:  # the hub family's quotient cubic
         return "2", theta_cubic(n, HalfIntegral(d + 1)), [(1, d - 1, True)]
     return "3", rho_join_formula(n, d // 2), [(d // 2, 0, d >= 2 or n == 1)]

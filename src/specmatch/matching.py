@@ -645,20 +645,20 @@ def _check_cover(rows: tuple[int, ...], r: int, c: int) -> None:
 
 
 def _witness_faults(n: int, connected: np.ndarray, bsd: np.ndarray, rows: np.ndarray, partner: np.ndarray, half: np.ndarray,
-                    total: np.ndarray, w: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:
+                    total: np.ndarray, w: np.ndarray, r: np.ndarray, c: np.ndarray, odd: np.ndarray) -> np.ndarray:
     """The rules above in column form: True for each graph whose witnesses
     break one, of a batch given as (graphs, n) neighbour, partner and
     half-support rows and columns of doubled totals, W/R/C masks, 2*beta_star
-    (at most n) and connectivity.  A graph is True exactly when one of these
+    (at most n), connectivity and the half-weight walk of the half rows
+    (``_odd_cycle_columns``).  A graph is True exactly when one of these
     fails: duality (both totals equal ``bsd``), ``_check_matching``,
-    ``_check_perfect`` where ``bsd`` = n, ``_check_cover``, the half-weight
-    walk (``_odd_cycle_columns``) and, on connected graphs, the W/R/C rules
-    of ``_name_witness_faults``."""
+    ``_check_perfect`` where ``bsd`` = n, ``_check_cover``, the walk and, on
+    connected graphs, the W/R/C rules of ``_name_witness_faults``."""
     load = 2 * np.bitwise_count(partner).astype(np.int64) + np.bitwise_count(half)
     weighted = partner | half
     s, t = np.bitwise_count(w).astype(np.int64), np.bitwise_count(r).astype(np.int64)
     t_total = 2 * s + np.bitwise_count(c)
-    faults = (total != bsd) | (t_total != bsd) | ~_odd_cycle_columns(half)
+    faults = (total != bsd) | (t_total != bsd) | ~odd
     # _check_matching: a weight off the row, a load above 2, the doubled total
     faults |= (weighted & ~rows).any(axis=1) | (load > 2).any(axis=1) | (load.sum(axis=1) != 2 * total)
     # _check_perfect: every vertex in a weighted edge (a total below n breaks duality)

@@ -248,7 +248,7 @@ def adjacency_quotient(g: Graph, partition: Iterable[Iterable[int]]) -> Quotient
     return QuotientMatrix(len(cells), tuple(entries), tuple(len(c) for c in cells))
 
 
-def quotient_spectral_radius(q: QuotientMatrix, tol: float = DEFAULT_TOL) -> float:
+def quotient_spectral_radius(q: QuotientMatrix) -> float:
     """Largest eigenvalue of the quotient; equals the graph's spectral radius."""
     if q.k == 0:
         raise GraphError("empty quotient matrix")
@@ -317,7 +317,7 @@ def poly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[tuple[int, ...]
 
 
 def char_poly_f_coeffs(n: int, beta_star: HalfIntegral, s: int) -> tuple[int, int, int, int]:
-    """Integer coefficients of the hub-family quotient cubic, descending powers."""
+    """The quotient cubic of K_s v (K_{2*beta_star-2s} u tK_1), descending powers; s = 1 is the hub cubic."""
     d = beta_star.doubled
     c2 = -(d - s - 2)
     c1 = d * s - s * s - d + s - s * n + 1
@@ -326,4 +326,5 @@ def char_poly_f_coeffs(n: int, beta_star: HalfIntegral, s: int) -> tuple[int, in
 
 
 def char_poly_g_coeffs(n: int, b: int) -> tuple[int, int, int]:
+    """The split-join quadratic x^2-(b-1)x-b(n-b) of K_b v (n-b)K_1, descending powers."""
     return (1, -(b - 1), -b * (n - b))

@@ -85,6 +85,7 @@ CERTIFY_STRIDE = 4096  # every CERTIFY_STRIDE-th connected graph of a chunk is r
 _WALK = 8  # the enclosure's test vector counts the walks of this length
 _WINDOW = 4096  # graphs per batch of the enclosure, the audit's screen and the cross-check: far smaller than a chunk
 SAMPLES, SEED = 1000, 2024  # the default draws of the sampled cross-check, and the sampled audit's draws
+_DRAW_CAP = 1 << 24  # random graphs per draw, checked before any is drawn: 128 MB of masks
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +165,7 @@ def _subset_columns(rows: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
 def _oracle_columns(g: Graph, what: str) -> tuple[np.ndarray, ...]:
     if g.n > ORACLE_N_CAP:
         raise GraphError(f"{what} oracle capped at n <= {ORACLE_N_CAP}, got {g.n}")
-    return _subset_columns(np.array([g.rows], dtype=np.int64), g.n)
+    return _subset_columns(np.array([g.rows], dtype=np.uint16), g.n)
 
 
 def oracle_beta(g: Graph) -> int:
@@ -199,7 +200,7 @@ def _matrices(rows: np.ndarray, n: int) -> np.ndarray:
     """The (graphs, n, n) float matrices of a (graphs, n) array of neighbour
     rows: bit v of row u, read from the row's two little-endian bytes, is
     entry (u, v)."""
-    row_bytes = rows.astype("<u2").view(np.uint8).reshape(len(rows), n, 2)
+    row_bytes = rows.astype("<u2", copy=False).view(np.uint8).reshape(len(rows), n, 2)
     return np.unpackbits(row_bytes, axis=-1, count=n, bitorder="little").astype(np.float64)
 
 
@@ -224,7 +225,7 @@ def _rho_enclosure(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     past ``eigvalsh``'s own error.  The graphs go in windows of
     ``_WINDOW``, which bounds the (graphs, n, n) matrices."""
     lo, hi = np.empty(len(rows)), np.empty(len(rows))
-    loops = 1 << np.arange(n)
+    loops = np.uint16(1) << np.arange(n, dtype=np.uint16)
     for start in range(0, len(rows), _WINDOW):
         b = _matrices(rows[start : start + _WINDOW] | loops, n)  # each row with its own bit: B = A + I
         x = np.ones((len(b), n))
@@ -244,7 +245,7 @@ class ChunkTable(NamedTuple):
     edges: np.ndarray  # edge count, int64
     beta: np.ndarray  # int8
     bsd: np.ndarray  # 2*beta_star, int64
-    rows: np.ndarray  # (graphs, n) neighbour rows, int64
+    rows: np.ndarray  # (graphs, n) neighbour rows, uint16
     masks: np.ndarray  # edge masks in graph6 bit order, int64
 
 
@@ -272,7 +273,7 @@ def _batch_arrays(n: int, lo: int, hi: int, *, masks: np.ndarray | None = None) 
         rows |= table.take(byte, axis=0)
     step = _TABLE_CELLS >> n
     columns = [_subset_columns(rows[start : start + step], n) for start in range(0, len(masks), step)]
-    return ChunkTable(*(np.concatenate(c) for c in zip(*columns)), rows.astype(np.int64), masks)
+    return ChunkTable(*(np.concatenate(c) for c in zip(*columns)), rows, masks)
 
 
 def _merge(acc, part):
@@ -626,12 +627,13 @@ def _audit_chunk(n: int, table: ChunkTable) -> tuple:
         # already a union of odd cycles, which the builder returns unchanged.
         # The builder's results come back in one flat list, not a list per
         # graph, which the cyclic garbage collector would keep walking.
-        rows = table.rows[window].astype(np.uint16)
+        rows = table.rows[window]
         match_l, w, r, c = _dc_search_columns(rows, *_dc_seed_columns(rows))
         partner, half, totals = _pull_back_columns(match_l)
-        todo, built = np.flatnonzero(~_odd_cycle_columns(half)), []
+        odd = _odd_cycle_columns(half)
+        todo, built = np.flatnonzero(~odd), []
         broken: dict[int, str] = {}  # a builder that raised: its message
-        for i, graph, match in zip(todo.tolist(), table.rows[window][todo].tolist(), match_l[todo].tolist()):
+        for i, graph, match in zip(todo.tolist(), rows[todo].tolist(), match_l[todo].tolist()):
             try:
                 fm = _fractional_matching_from(tuple(graph), match)
             except GraphError as exc:  # a half-weight path that an augmenting path would fill
@@ -641,10 +643,11 @@ def _audit_chunk(n: int, table: ChunkTable) -> tuple:
         if built:
             built = np.reshape(built, (-1, 2 * n + 1))
             partner[todo], half[todo], totals[todo] = built[:, :n], built[:, n:-1], built[:, -1]
+            odd[todo] = _odd_cycle_columns(half[todo])  # only the rebuilt rows change
         connected, bsd = table.connected[window], table.bsd[window]
-        flagged = _witness_faults(n, connected, bsd, table.rows[window], partner, half, totals, w, r, c)
+        flagged = _witness_faults(n, connected, bsd, rows, partner, half, totals, w, r, c, odd)
         for i in sorted({*np.flatnonzero(flagged).tolist(), *broken}):
-            graph = tuple(table.rows[start + i].tolist())
+            graph = tuple(rows[i].tolist())
             g6 = to_graph6(Graph._from_rows_unchecked(n, graph))
             if i in broken:
                 violations.append(f"{g6}: {broken[i]}")
@@ -673,10 +676,10 @@ def audit_structures(n: int, jobs: int = 1) -> AuditReport:
     graph, what the scalar search behind ``fractional_matching_number``
     does, so this is that kernel's oracle check, its size the primal
     total); only a graph whose pulled-back half rows are not already a
-    union of odd cycles goes through the per-graph builder.  A column
-    screen (``matching._witness_faults``), the half-weight walk included,
-    judges every witness of the window at once.  On a graph it flags, each
-    rule of ``matching`` runs on its masks
+    union of odd cycles goes through the per-graph builder, and is walked
+    again by column.  A column screen (``matching._witness_faults``) judges
+    every witness of the window at once.  On a graph it flags, each rule of
+    ``matching`` runs on its masks
     (``matching._name_witness_faults``), and a rule that fails is reported
     as a violation with its own message.
     """
@@ -718,7 +721,7 @@ def _cross_chunk(n: int, table: ChunkTable) -> list[str]:
     out: list[str] = []
     for start in range(0, len(table.masks), _WINDOW):
         window = slice(start, start + _WINDOW)
-        match, free, searched = _blossom_seed_columns(table.rows[window].astype(np.uint16))
+        match, free, searched = _blossom_seed_columns(table.rows[window])
         size = (n - np.bitwise_count(free)).astype(np.int64) // 2
         for i in np.flatnonzero(searched).tolist():
             rows = tuple(table.rows[start + i].tolist())
@@ -740,6 +743,8 @@ def _random_masks(n: int, samples: int, seed: int, p_lo: float, p_hi: float) -> 
     and ``uniform`` form them: a double from two words a, b is
     ((a >> 5) * 2^26 + (b >> 6)) / 2^53.  A block holds ``_TABLE_CELLS >> n >> 2``
     samples, at most 2.1 MB of words and as much of doubles at any order."""
+    if not 0 <= samples <= _DRAW_CAP:
+        raise GraphError(f"random samples must number 0 to {_DRAW_CAP} (8 bytes of mask each), got {samples}")
     m, step = n * (n - 1) // 2, _TABLE_CELLS >> n >> 2
     rng = random.Random(seed)
     masks = np.zeros(samples, dtype=np.int64)
@@ -826,8 +831,6 @@ def verify_tie_class_n8(samples: int = 4000, seed: int = 2024) -> TieCaseReport:
     set, so its violations read like the sweep's discrepancies.
     """
     samples = operator.index(samples)
-    if samples < 0:
-        raise GraphError(f"samples must be non-negative, got {samples}")
     n, d = 8, 5
     pred = predict("t33", n, d)
     predicted_rho = tuple(spectral_radius(g).value for g in pred.extremal_graphs)

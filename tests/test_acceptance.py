@@ -13,6 +13,7 @@ import math
 import os
 import random
 
+import numpy as np
 import pytest
 
 from specmatch import (
@@ -28,7 +29,6 @@ from specmatch import (
     join,
     poly_divmod,
     spectral_radius,
-    theta_cubic,
     theta_n,
     union,
     verify_certificates,
@@ -36,7 +36,7 @@ from specmatch import (
     verify_tie_class_n8,
 )
 from specmatch import verify
-from specmatch.extremal import _shape, theta_cubic_coeffs
+from specmatch.extremal import _shape
 from specmatch.spectral import char_poly_f_coeffs
 from conftest import random_connected_graph
 
@@ -184,17 +184,20 @@ class TestAcceptance:
         report(7, ok, "; ".join(details))
 
     def test_c08_threshold_identities(self):
+        # theta(n) against numpy's roots of x^3-(n-4)x^2-(n-1)x+2(n-4), and
+        # the hub cubic (s = 1) against its coefficients written out
         ok = True
         worst = 0.0
         for n in range(5, 201):
-            diff = abs(theta_cubic(n, HalfIntegral(n - 1)) - theta_n(n))
+            roots = np.roots([1, -(n - 4), -(n - 1), 2 * (n - 4)])
+            diff = abs(max(r.real for r in roots if abs(r.imag) < 1e-9) - theta_n(n))
             worst = max(worst, diff)
             ok = ok and diff <= 1e-9
         rng = random.Random(8)
         for _ in range(50):
             d = rng.randrange(2, 60)
             n = rng.randrange(d + 1, d + 40)
-            ok = ok and char_poly_f_coeffs(n, HalfIntegral(d), 1) == theta_cubic_coeffs(n, HalfIntegral(d))
+            ok = ok and char_poly_f_coeffs(n, HalfIntegral(d), 1) == (1, -(d - 3), -(n - 1), -d * d + d * n + 4 * d - 3 * n - 3)
         report(8, ok, f"theta identity over 5<=n<=200 (worst diff {worst:.2e}); 50 exact coefficient identities")
 
     def test_c09_quotient_divides_charpoly(self):

@@ -187,6 +187,11 @@ class TestVerifyCommands:
         code, out, err = run_cli(capsys, "cross-check", "--n", "7", "--samples", samples)
         assert code == 2 and "samples >= 1" in err and "PASS" not in out
 
+    def test_sample_count_past_memory_exit2(self, capsys):
+        # refused before any mask is allocated, not numpy's allocation error
+        code, out, err = run_cli(capsys, "cross-check", "--n", "8", "--samples", str(10**13))
+        assert (code, out) == (2, "") and err == f"error: random samples must number 0 to {1 << 24} (8 bytes of mask each), got {10**13}\n"
+
     def test_connected_flag_consistency(self, capsys):
         # connectivity belongs to the theorem (t32/t13), so verify has no --connected
         for theorem in ("t33", "t32"):
@@ -318,6 +323,25 @@ class TestThresholdAboveTheVertexCap:
         for theorem, value in (("t32", ("--beta-star", "3")), ("t13", ("--beta", "3")), ("t35", ())):
             code, _, err = run_cli(capsys, "threshold", "--theorem", theorem, "--n", str(10**400), *value)
             assert code == 1 and err.startswith("input error"), theorem
+
+    @pytest.mark.parametrize(
+        "theorem, n, value",
+        [
+            ("t32", 10**400, ("--beta-star", f"{10**400}/2")),
+            ("t33", 10**400, ("--beta-star", f"{10**400}/2")),
+            ("t33", 10**400, ("--beta-star", f"{10**400 - 1}/2")),
+            ("t33", 3 * 10**400 - 1, ("--beta-star", str(10**400))),
+            ("t12", 10**400, ("--beta", str(10**400 // 2))),
+            ("t12", 10**400, ("--beta", str(10**400 // 2 - 1))),
+            ("t12", 3 * 10**400 + 2, ("--beta", str(10**400))),
+            ("t13", 10**400, ("--beta", str(10**400 // 2))),
+        ],
+        ids=["t32-i", "t33-1", "t33-2", "t33-3", "t12-1", "t12-2", "t12-3", "t13-1"],
+    )
+    def test_linear_bounds_past_the_float_range(self, capsys, theorem, n, value):
+        # each theorem's linear regimes name the float range, as its other bounds do
+        code, out, err = run_cli(capsys, "threshold", "--theorem", theorem, "--n", str(n), *value)
+        assert (code, out, err) == (1, "", "input error: the linear bound lies beyond the float range\n")
 
 
 class TestBetaIncrementThreshold:

@@ -21,7 +21,7 @@ from specmatch import (
     to_graph6,
     union,
 )
-from specmatch.extremal import THEOREMS, _shape, theta_cubic_coeffs
+from specmatch.extremal import THEOREMS, _shape
 from specmatch.spectral import char_poly_f_coeffs
 from specmatch.verify import oracle_beta, oracle_beta_star
 from conftest import isomorphic
@@ -108,18 +108,41 @@ class TestThresholds:
         with pytest.raises(ValueError, match="beyond the float range"):
             fn(*args)
 
+    # each theorem's linear regimes at an order past the float range
+    # (n, d): n - 1 where d = n, d - 1 or d below the split-join pivot, and at it
+    @pytest.mark.parametrize(
+        "theorem, n, d",
+        [
+            ("t32", 10**400, 10**400),
+            ("t33", 10**400, 10**400),
+            ("t33", 10**400, 10**400 - 1),
+            ("t33", 3 * 10**400 - 1, 2 * 10**400),
+            ("t12", 10**400, 10**400),
+            ("t12", 10**400, 10**400 - 2),
+            ("t12", 3 * 10**400 + 2, 2 * 10**400),
+            ("t13", 10**400, 10**400),
+        ],
+        ids=["t32-i", "t33-1", "t33-2", "t33-3", "t12-1", "t12-2", "t12-3", "t13-1"],
+    )
+    def test_linear_bounds_beyond_the_float_range(self, theorem, n, d):
+        # the typed error of the cubic and the quadratic bounds, not OverflowError
+        with pytest.raises(ValueError, match="^the linear bound lies beyond the float range$"):
+            THEOREMS[theorem].rule(n, d)
+
     def test_theta_n_values(self):
         assert theta_n(8) == pytest.approx(5.07, abs=0.01)
         assert theta_n(4) == pytest.approx(math.sqrt(3), abs=1e-9)
 
     def test_theta_n_identity(self):
-        for n in range(5, 201):
-            assert theta_n(n) == pytest.approx(theta_cubic(n, HalfIntegral(n - 1)), abs=1e-9)
+        # theta(n) is the hub cubic at 2*beta_star = n - 1, bit for bit
+        for n in range(3, 201):
+            assert theta_n(n) == theta_cubic(n, HalfIntegral(n - 1))
 
     def test_cubic_coefficient_identity(self):
+        # the hub cubic (s = 1), its coefficients written out
         for n in range(4, 60):
             for d in range(2, n):
-                assert char_poly_f_coeffs(n, HalfIntegral(d), 1) == theta_cubic_coeffs(n, HalfIntegral(d))
+                assert char_poly_f_coeffs(n, HalfIntegral(d), 1) == (1, -(d - 3), -(n - 1), -d * d + d * n + 4 * d - 3 * n - 3)
 
 
 class TestConnectedSelector:

@@ -48,7 +48,6 @@ from specmatch import spectral
 from specmatch.graphs import byte_rows
 from specmatch.matching import _name_witness_faults, _odd_cycles
 from specmatch.cli import main
-from specmatch.extremal import theta_n_coeffs
 from conftest import src_env
 
 
@@ -257,7 +256,7 @@ class TestGraph6:
 class TestThresholds:
     @pytest.mark.parametrize("n", [515, 600, 1000, 2048])
     def test_theta_n_matches_numpy_roots(self, n):
-        roots = np.roots(theta_n_coeffs(n))
+        roots = np.roots([1, -(n - 4), -(n - 1), 2 * (n - 4)])
         expected = max(r.real for r in roots if abs(r.imag) < 1e-9)
         assert theta_n(n) == pytest.approx(expected, rel=1e-12)
 

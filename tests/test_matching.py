@@ -856,7 +856,7 @@ class TestSeedColumns:
     def test_double_cover(self, case):
         table = _SEED_TABLES[case]()
         n = table.rows.shape[1]
-        match_l, match_r, free_l, free_r, isolated = (col.tolist() for col in matching._dc_seed_columns(table.rows.astype(np.uint16)))
+        match_l, match_r, free_l, free_r, isolated = (col.tolist() for col in matching._dc_seed_columns(table.rows))
         full = (1 << n) - 1
         maximum = []
         for i, rows in enumerate(map(tuple, table.rows.tolist())):
@@ -883,8 +883,7 @@ class TestSeedColumns:
         # search's match_l and W, R, C masks
         table = _SEARCH_TABLES[case]()
         n = table.rows.shape[1]
-        rows16 = table.rows.astype(np.uint16)
-        match_l, w, r, c = (col.tolist() for col in matching._dc_search_columns(rows16, *matching._dc_seed_columns(rows16)))
+        match_l, w, r, c = (col.tolist() for col in matching._dc_search_columns(table.rows, *matching._dc_seed_columns(table.rows)))
         for i, rows in enumerate(map(tuple, table.rows.tolist())):
             assert matching._dc_matching(rows, n) == (match_l[i], w[i], r[i], c[i]), rows
 
@@ -892,7 +891,7 @@ class TestSeedColumns:
     def test_blossom(self, case, monkeypatch):
         table = _SEED_TABLES[case]()
         n = table.rows.shape[1]
-        match, free, searched = (col.tolist() for col in matching._blossom_seed_columns(table.rows.astype(np.uint16)))
+        match, free, searched = (col.tolist() for col in matching._blossom_seed_columns(table.rows))
         augment = matching._augment
         calls = []
         monkeypatch.setattr(matching, "_augment", lambda *args: calls.append(1) or augment(*args))

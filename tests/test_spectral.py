@@ -26,7 +26,7 @@ from specmatch import (
     spectral_radius,
     union,
 )
-from specmatch.extremal import _shape, theta_cubic_coeffs
+from specmatch.extremal import _shape
 from specmatch.roots import _eval
 from conftest import graphs, random_connected_graph, random_graph
 
@@ -243,10 +243,11 @@ class TestCharPolyF:
             assert charpoly_int(q) == char_poly_f_coeffs(n, HalfIntegral(d), s)
 
     def test_s1_equals_theta_cubic(self, rng):
+        # the cubic that theta_cubic solves, its coefficients written out
         for _ in range(50):
             d = rng.randrange(2, 40)
             n = rng.randrange(d + 1, d + 20)
-            assert char_poly_f_coeffs(n, HalfIntegral(d), 1) == theta_cubic_coeffs(n, HalfIntegral(d))
+            assert char_poly_f_coeffs(n, HalfIntegral(d), 1) == (1, -(d - 3), -(n - 1), -d * d + d * n + 4 * d - 3 * n - 3)
 
     def test_annihilates_family_rho(self, rng):
         for n, d, s in [(8, 7, 1), (10, 9, 2), (14, 10, 3), (20, 13, 4)]:

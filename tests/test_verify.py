@@ -156,7 +156,7 @@ class TestChunkTable:
             lo, hi = 3, len(masks) - 2
             graphs = [verify._graph_from_mask(n, mask, pairs_colex(n)) for mask in masks[lo:hi].tolist()]
             table = verify._batch_arrays(n, lo, hi, masks=masks)
-            assert [col.dtype for col in table] == [np.bool_, np.int8, np.int64, np.int8, np.int64, np.int64, np.int64]
+            assert [col.dtype for col in table] == [np.bool_, np.int8, np.int64, np.int8, np.int64, np.uint16, np.int64]
             rho, conn, delta, edges, beta, bsd, rows, picked = _lists(table)
             assert picked == masks[lo:hi].tolist() and len(set(picked)) < len(picked)
             assert rows == [g.rows for g in graphs]
@@ -939,16 +939,21 @@ class TestAudits:
         )
 
     def test_one_half_cycle_walk_per_graph(self):
-        # the 1,024 graphs at n = 5 fill one window: its half-weight supports
-        # are walked by column twice, once as pulled back and once in the
-        # screen, and the scalar walk, which the odd-cycle check and the
-        # perfect-matching partition share, runs only to name a flagged
-        # graph's faults: never on a passing audit
+        # the 1,024 graphs at n = 5 fill one window: the audit walks its
+        # half-weight supports by column once as pulled back and once more
+        # on the rows the builder rebuilt, and hands that column to the
+        # screen, which walks none; the scalar walk, which the odd-cycle
+        # check and the perfect-matching partition share, runs only to name
+        # a flagged graph's faults: never on a passing audit
         profile = cProfile.Profile()
         profile.runcall(audit_structures, 5)
         stats = pstats.Stats(profile).stats
-        codes = (fn.__code__ for fn in (matching._odd_cycle_columns, matching._odd_cycles))
-        assert [stats.get((code.co_filename, code.co_firstlineno, code.co_name), (0, 0))[1] for code in codes] == [2, 0]
+
+        def key(fn):
+            return fn.__code__.co_filename, fn.__code__.co_firstlineno, fn.__code__.co_name
+
+        assert [stats.get(key(fn), (0, 0))[1] for fn in (matching._odd_cycle_columns, matching._odd_cycles)] == [2, 0]
+        assert list(stats[key(matching._odd_cycle_columns)][4]) == [key(verify._audit_chunk)]
 
     def test_catches_even_half_cycle(self, monkeypatch):
         # weight 1/2 on the whole 4-cycle is feasible and optimal, so only the
@@ -1094,7 +1099,7 @@ class TestWitnessScreen:
         w, r, c = np.array(covers, dtype=np.uint16).T
         total = np.array([fm[2] for fm in fms])
         screened = matching._witness_faults(
-            n, table.connected[graph], table.bsd[graph], table.rows[graph], partner, half, total, w, r, c
+            n, table.connected[graph], table.bsd[graph], table.rows[graph], partner, half, total, w, r, c, matching._odd_cycle_columns(half)
         )
         connected, bsd, rows = table.connected.tolist(), table.bsd.tolist(), list(map(tuple, table.rows.tolist()))
         faulted = [
@@ -1115,6 +1120,13 @@ class TestCrossCheck:
     def test_sampled_n7(self):
         rep = cross_check_matching_implementations(7, samples=150)
         assert not rep.exhaustive and rep.graphs_checked == 150 and rep.passed
+
+    def test_sample_count_past_memory(self):
+        # 10^13 masks would take 80 TB: both sampled checks refuse the count
+        # before anything is allocated
+        for check in (lambda: cross_check_matching_implementations(8, samples=10**13), lambda: verify_tie_class_n8(samples=10**13)):
+            with pytest.raises(GraphError, match=f"^random samples must number 0 to {verify._DRAW_CAP} "):
+                check()
 
     def test_deterministic_sampling(self):
         a = cross_check_matching_implementations(8, samples=50, seed=7)
