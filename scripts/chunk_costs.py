@@ -7,9 +7,11 @@ For each (n, chunk) pair, time one chunk of the labeled graphs on n vertices
 timed calls: the theorem screen of each theorem (``_theorem_chunk``), the
 certificate sweep (``_cert_chunk``), the structure audit (``_audit_chunk``)
 and the cross-check (``_cross_chunk``).  A sweep's chunk costs the table
-row plus its worker's row.  Each cell is the best of --repeat runs in
-seconds, in this one process (jobs = 1) with one BLAS thread.  The default
-chunks are those of the ROADMAP's per-chunk table: 6:0 7:37 8:2000.
+row plus its worker's row.  Each chunk has two columns: the best of
+--repeat runs in seconds, in this one process (jobs = 1) with one BLAS
+thread, and the peak memory that tracemalloc traces in MB (10^6 bytes)
+over one more, untimed run, above what was traced when it began.  The
+default chunks are those of the ROADMAP's per-chunk table: 6:0 7:37 8:2000.
 
     PYTHONPATH=src python scripts/chunk_costs.py 6:0 7:37 8:2000
 """
@@ -23,6 +25,7 @@ os.environ["OMP_NUM_THREADS"] = "1"
 
 import argparse  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 from typing import Callable  # noqa: E402
 
 from specmatch import predict, verify  # noqa: E402
@@ -53,6 +56,16 @@ def best(call, repeat: int) -> float:
     return min(times)
 
 
+def peak_mb(call) -> float:
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return (tracemalloc.get_traced_memory()[1] - start) / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def steps(n: int, lo: int, hi: int) -> list[tuple[str, Callable[[], object]]]:
     table = verify._batch_arrays(n, lo, hi)
     out = [("_batch_arrays", lambda: verify._batch_arrays(n, lo, hi))]
@@ -74,12 +87,13 @@ def main() -> None:
     columns = []
     for n, index in args.chunks:
         lo, hi = verify._chunk_ranges(n)[index]
-        columns.append((f"n = {n}, chunk {index} ({hi - lo:,} graphs)", [(name, best(call, args.repeat)) for name, call in steps(n, lo, hi)]))
-    names = [name for name, _ in columns[0][1]]
-    print("| step | " + " | ".join(title for title, _ in columns) + " |")
-    print("|---|" + "---|" * len(columns))
+        cells = [(name, best(call, args.repeat), peak_mb(call)) for name, call in steps(n, lo, hi)]
+        columns.append((f"n = {n}, chunk {index} ({hi - lo:,} graphs)", cells))
+    names = [name for name, *_ in columns[0][1]]
+    print("| step | " + " | ".join(f"{title}: s | MB" for title, _ in columns) + " |")
+    print("|---|" + "---|---|" * len(columns))
     for i, name in enumerate(names):
-        print(f"| `{name}` | " + " | ".join(f"{cells[i][1]:.4f}" for _, cells in columns) + " |")
+        print(f"| `{name}` | " + " | ".join(f"{cells[i][1]:.4f} | {cells[i][2]:.1f}" for _, cells in columns) + " |")
 
 
 if __name__ == "__main__":

@@ -224,6 +224,8 @@ class CertificateReport:
 
 
 def graph_label(g: Graph) -> str:
+    # graph6 only while its text is one header byte and at most 316 more;
+    # a larger graph goes by its order and edge count
     if g.n <= 62:
         return to_graph6(g)
     return f"n={g.n},m={g.edge_count()}"

@@ -177,16 +177,15 @@ def components(g: Graph) -> list[frozenset[int]]:
 # ---------------------------------------------------------------------------
 # graph6 codec
 #
-# Header byte 63+n for n <= 62; '~' + 3 bytes for n < 2^18 and '~~' + 6 bytes
-# beyond are accepted on input.  The upper triangle is packed in column order
+# Header byte 63+n for n <= 62, and '~' + 3 bytes for n < 2^18, which holds
+# every order up to MAX_VERTICES; '~~' + 6 bytes beyond is accepted on input
+# too.  The upper triangle is packed in column order
 # x(0,1), x(0,2), x(1,2), x(0,3), ..., zero-padded to a multiple of six bits,
 # each 6-bit group (most significant bit first) stored as value+63.
 
 
 def to_graph6(g: Graph) -> str:
-    if g.n > 62:
-        raise GraphError(f"graph6 output supports n <= 62, got {g.n}")
-    out = [chr(63 + g.n)]
+    out = [chr(63 + g.n)] if g.n <= 62 else ["~", *(chr(63 + (g.n >> shift & 63)) for shift in (12, 6, 0))]
     acc = 0
     filled = 0
     for j in range(1, g.n):

@@ -24,7 +24,9 @@ the theorem screen, densest edge count first, only while Stanley's bound
 can reach a class maximum or bound, 0.1-1.5 % of the graphs at n = 6 and
 7; the audit and the cross-check never read it.  The theorem and
 certificate sweeps work on whole columns.  The audit and the cross-check
-each check one matching kernel against the oracles' columns.  The audit
+each check one matching kernel against the oracles' columns, in one column
+pass over the whole table; only the enclosure cuts a table into windows,
+because its float matrices would outgrow the table's build.  The audit
 runs the double-cover matching by column, seed and search, and the
 bitmask witness core of ``matching``, whose scalar forms the public
 witness constructors wrap; it builds a graph's matching only where the
@@ -83,7 +85,7 @@ RHO_TOL = 1e-8
 _TABLE_CELLS = 1 << 21  # subset-table cells per batch: 32,768 graphs at n = 6
 CERTIFY_STRIDE = 4096  # every CERTIFY_STRIDE-th connected graph of a chunk is reconciled with certify_all
 _WALK = 8  # the enclosure's test vector counts the walks of this length
-_WINDOW = 4096  # graphs per batch of the enclosure, the audit's screen and the cross-check: far smaller than a chunk
+_WINDOW = 4096  # graphs per enclosure batch: its (graphs, n, n) floats over a whole table would outgrow the build
 SAMPLES, SEED = 1000, 2024  # the default draws of the sampled cross-check, and the sampled audit's draws
 _DRAW_CAP = 1 << 24  # random graphs per draw, checked before any is drawn: 128 MB of masks
 
@@ -618,44 +620,42 @@ class AuditReport:
 
 
 def _audit_chunk(n: int, table: ChunkTable) -> tuple:
+    # one double-cover matching per graph gives both witnesses as bitmasks,
+    # in the table's columns: seeded, searched and pulled back by column, and
+    # built by graph only where its half rows are not already a union of odd
+    # cycles, which the builder returns unchanged.  The builder's results
+    # come back in one flat list, not a list per graph, which the cyclic
+    # garbage collector would keep walking.
+    rows, connected, bsd = table.rows, table.connected, table.bsd
+    match_l, w, r, c = _dc_search_columns(rows, *_dc_seed_columns(rows))
+    partner, half, totals = _pull_back_columns(match_l)
+    odd = _odd_cycle_columns(half)
+    todo, built = np.flatnonzero(~odd), []
+    broken: dict[int, str] = {}  # a builder that raised: its message
+    for i, graph, match in zip(todo.tolist(), rows[todo].tolist(), match_l[todo].tolist()):
+        try:
+            fm = _fractional_matching_from(tuple(graph), match)
+        except GraphError as exc:  # a half-weight path that an augmenting path would fill
+            broken[i] = f"double-cover matching is not maximum: {exc}"
+            fm = [0] * n, [0] * n, 0
+        built += [*fm[0], *fm[1], fm[2]]
+    if built:
+        built = np.reshape(built, (-1, 2 * n + 1))
+        partner[todo], half[todo], totals[todo] = built[:, :n], built[:, n:-1], built[:, -1]
+        odd[todo] = _odd_cycle_columns(half[todo])  # only the rebuilt rows change
+    flagged = _witness_faults(n, connected, bsd, rows, partner, half, totals, w, r, c, odd)
     violations: list[str] = []
-    for start in range(0, len(table.masks), _WINDOW):
-        window = slice(start, start + _WINDOW)
-        # one double-cover matching per graph gives both witnesses as
-        # bitmasks, in the window's columns: seeded, searched and pulled back
-        # by column, and built by graph only where its half rows are not
-        # already a union of odd cycles, which the builder returns unchanged.
-        # The builder's results come back in one flat list, not a list per
-        # graph, which the cyclic garbage collector would keep walking.
-        rows = table.rows[window]
-        match_l, w, r, c = _dc_search_columns(rows, *_dc_seed_columns(rows))
-        partner, half, totals = _pull_back_columns(match_l)
-        odd = _odd_cycle_columns(half)
-        todo, built = np.flatnonzero(~odd), []
-        broken: dict[int, str] = {}  # a builder that raised: its message
-        for i, graph, match in zip(todo.tolist(), rows[todo].tolist(), match_l[todo].tolist()):
-            try:
-                fm = _fractional_matching_from(tuple(graph), match)
-            except GraphError as exc:  # a half-weight path that an augmenting path would fill
-                broken[i] = f"double-cover matching is not maximum: {exc}"
-                fm = [0] * n, [0] * n, 0
-            built += [*fm[0], *fm[1], fm[2]]
-        if built:
-            built = np.reshape(built, (-1, 2 * n + 1))
-            partner[todo], half[todo], totals[todo] = built[:, :n], built[:, n:-1], built[:, -1]
-            odd[todo] = _odd_cycle_columns(half[todo])  # only the rebuilt rows change
-        connected, bsd = table.connected[window], table.bsd[window]
-        flagged = _witness_faults(n, connected, bsd, rows, partner, half, totals, w, r, c, odd)
-        for i in sorted({*np.flatnonzero(flagged).tolist(), *broken}):
-            graph = tuple(rows[i].tolist())
-            g6 = to_graph6(Graph._from_rows_unchecked(n, graph))
-            if i in broken:
-                violations.append(f"{g6}: {broken[i]}")
-                continue
-            fm = partner[i].tolist(), half[i].tolist(), int(totals[i])
-            faults = _name_witness_faults(n, bool(connected[i]), int(bsd[i]), graph, *fm, int(w[i]), int(r[i]), int(c[i]))
-            violations.extend(f"{g6}: {f}" for f in faults)
-    return int(table.connected.sum()), int(np.count_nonzero(table.bsd == n)), violations
+    for i in sorted({*np.flatnonzero(flagged).tolist(), *broken}):
+        graph = tuple(rows[i].tolist())
+        g6 = to_graph6(Graph._from_rows_unchecked(n, graph))
+        if i in broken:
+            violations.append(f"{g6}: {broken[i]}")
+            continue
+        fm = partner[i].tolist(), half[i].tolist(), int(totals[i])
+        faults = _name_witness_faults(n, bool(connected[i]), int(bsd[i]), graph, *fm, int(w[i]), int(r[i]), int(c[i]))
+        faults = faults or ["the column screen flags its witnesses, but no rule names a fault"]
+        violations.extend(f"{g6}: {f}" for f in faults)
+    return int(connected.sum()), int(np.count_nonzero(bsd == n)), violations
 
 
 def audit_structures(n: int, jobs: int = 1) -> AuditReport:
@@ -671,17 +671,18 @@ def audit_structures(n: int, jobs: int = 1) -> AuditReport:
     connected graphs, the transversal's W/R/C classes satisfy the structure
     rules.  The witnesses come from one double-cover matching per graph
     through the bitmask core that the public constructors wrap; no witness
-    object is built.  A window of graphs is seeded, searched and pulled
-    back by column (``matching._dc_search_columns`` returns, graph by
-    graph, what the scalar search behind ``fractional_matching_number``
-    does, so this is that kernel's oracle check, its size the primal
-    total); only a graph whose pulled-back half rows are not already a
-    union of odd cycles goes through the per-graph builder, and is walked
-    again by column.  A column screen (``matching._witness_faults``) judges
-    every witness of the window at once.  On a graph it flags, each rule of
-    ``matching`` runs on its masks
+    object is built.  A chunk table's graphs are seeded, searched and
+    pulled back by column, all at once (``matching._dc_search_columns``
+    returns, graph by graph, what the scalar search behind
+    ``fractional_matching_number`` does, so this is that kernel's oracle
+    check, its size the primal total); only a graph whose pulled-back half
+    rows are not already a union of odd cycles goes through the per-graph
+    builder, and is walked again by column.  A column screen
+    (``matching._witness_faults``) judges every witness of the table at
+    once.  On a graph it flags, each rule of ``matching`` runs on its masks
     (``matching._name_witness_faults``), and a rule that fails is reported
-    as a violation with its own message.
+    as a violation with its own message; a flagged graph on which no rule
+    fails is reported too, since the screen and the rules then disagree.
     """
     n = operator.index(n)
     if n < 0:
@@ -718,18 +719,14 @@ def _cross_chunk(n: int, table: ChunkTable) -> list[str]:
     # the kernel that matching_number wraps, on the table's rows: the seed
     # by column, the search only where its skip rule would search; a graph
     # is built only to name a mismatch
-    out: list[str] = []
-    for start in range(0, len(table.masks), _WINDOW):
-        window = slice(start, start + _WINDOW)
-        match, free, searched = _blossom_seed_columns(table.rows[window])
-        size = (n - np.bitwise_count(free)).astype(np.int64) // 2
-        for i in np.flatnonzero(searched).tolist():
-            rows = tuple(table.rows[start + i].tolist())
-            size[i] = _blossom_search(rows, n, match[i].tolist(), int(free[i]))[0]
-        beta = table.beta[window]
-        for i in np.flatnonzero(size != beta).tolist():
-            g6 = to_graph6(Graph._from_rows_unchecked(n, tuple(table.rows[start + i].tolist())))
-            out.append(f"{g6}: matching number {size[i]} != oracle {beta[i]}")
+    match, free, searched = _blossom_seed_columns(table.rows)
+    size = (n - np.bitwise_count(free)).astype(np.int64) // 2
+    for i in np.flatnonzero(searched).tolist():
+        size[i] = _blossom_search(tuple(table.rows[i].tolist()), n, match[i].tolist(), int(free[i]))[0]
+    out = []
+    for i in np.flatnonzero(size != table.beta).tolist():
+        g6 = to_graph6(Graph._from_rows_unchecked(n, tuple(table.rows[i].tolist())))
+        out.append(f"{g6}: matching number {size[i]} != oracle {table.beta[i]}")
     return out
 
 

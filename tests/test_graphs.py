@@ -188,9 +188,23 @@ class TestGraph6:
         code += chr(63) * ((63 * 62 // 2 + 5) // 6)
         assert from_graph6(code) == g
 
-    def test_large_n_rejected_on_output(self):
-        with pytest.raises(GraphError):
-            to_graph6(empty(63))
+    def test_large_n_round_trip(self, rng):
+        # above 62 vertices the header is '~' and 18 bits of n; networkx
+        # writes the same text (its encoder takes seconds on K_2048, so it
+        # checks the sparse graphs at 63 and 600 only)
+        for n in (63, 64, 600, 2048):
+            chords = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(3 * n)}
+            g = Graph(n, {*((i, i + 1) for i in range(n - 1)), *chords})
+            code = to_graph6(g)
+            assert code[:4] == "~" + "".join(chr(63 + (n >> shift & 63)) for shift in (12, 6, 0))
+            assert from_graph6(code) == g
+            if n in (63, 600):
+                g_nx = nx.Graph()
+                g_nx.add_nodes_from(range(n))  # node order matters for the encoding
+                g_nx.add_edges_from(g.edges())
+                assert code == nx.to_graph6_bytes(g_nx, header=False).decode().strip()
+        for g in (empty(63), complete(64)):
+            assert from_graph6(to_graph6(g)) == g
 
     def test_bad_byte_offset(self):
         with pytest.raises(Graph6Error) as err:

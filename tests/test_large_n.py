@@ -9,7 +9,9 @@ byte-table operator against dense products about 1 s.  The witness tests
 take 5.5 s of it: `beta --witness` on theta(2048) reads an edge list of
 2,092,037 lines (about 5 s), and `matching_number` on theta(2048) takes
 20 ms of the rest.  The random-graph witnesses, checked against the HiGHS
-LP solver, take about 0.4 s at n <= 2048.
+LP solver, take about 0.4 s at n <= 2048.  The in-process CLI checks of
+every single-graph subcommand take about 2.6 s at n = 600, 1000 and 2048,
+1.7 s of it at n = 2048.
 """
 
 from __future__ import annotations
@@ -40,14 +42,16 @@ from specmatch import (
     join,
     matching_number,
     optimal_fractional_matching,
+    predict,
     spectral_radius,
     theta_n,
+    to_graph6,
     union,
 )
 from specmatch import spectral
 from specmatch.graphs import byte_rows
 from specmatch.matching import _name_witness_faults, _odd_cycles
-from specmatch.cli import main
+from specmatch.cli import _fmt, main
 from conftest import src_env
 
 
@@ -381,3 +385,33 @@ class TestRandomWitnesses:
         assert fractional_matching_number(h).doubled == th.total.doubled == bsd
         for cls in ("W", "R", "C"):
             assert getattr(th, cls) == {perm[v] for v in getattr(t, cls)}, cls
+
+
+class TestCliAtLargeOrders:
+    """Every single-graph subcommand in-process through ``cli.main``, the
+    graph given as graph6 text, at orders up to the vertex cap; each output
+    is the library call's own."""
+
+    @pytest.mark.parametrize("n", [600, 1000, 2048])
+    def test_each_subcommand_reads_as_the_library(self, capsys, n):
+        # a Hamiltonian cycle plus G(n, 6/n): the cycle gives a fractional
+        # perfect matching, so decompose has a partition to print
+        g = Graph(n, [*((i, (i + 1) % n) for i in range(n)), *random_edges(n, 6 / n, seed=n + 1)])
+        code = to_graph6(g)
+        fm, t, m = optimal_fractional_matching(g), fractional_transversal(g), matching_number(g)
+        assert fm.total == HalfIntegral(n)
+        expected = {
+            "rho": _fmt(spectral_radius(g).value) + "\n",
+            "beta --witness": f"{m.size}\n" + "".join(f"edge {u} {v} 1\n" for u, v in m.edges),
+            "beta-star --witness": f"{fm.total}\n{fm.to_text()}",
+            "transversal": f"{t.total}\n{t.to_text()}",
+            "decompose": fpm_partition(g, fm).to_text(),
+            "certify": certify_all(g).to_json() + "\n",
+        }
+        for command, out in expected.items():
+            assert main([*command.split(), "--graph6", code]) == 0, command
+            assert capsys.readouterr() == (out, ""), command
+        # the class's attaining shape at 2beta* = n - 1, as graph6 text
+        assert main(["extremal", "--n", str(n), "--beta-star", f"{n - 1}/2"]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and from_graph6(out) == predict("t32", n, n - 1).extremal_graphs[0]

@@ -283,6 +283,34 @@ class TestChunkTable:
         assert verify._sweep(lambda n, table: [table], 8, 5000) == verify._chunk_ranges(8)
         assert asked == [3]
 
+    @staticmethod
+    def _traced_peak(call):
+        """The traced peak of call above the memory traced when it starts."""
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("n, chunk", [(6, 0), (8, 2000)])
+    def test_no_worker_outgrows_the_table_build(self, n, chunk):
+        # the design rule that lets a worker take its whole table in one
+        # pass: each worker's traced peak on a table stays within the peak of
+        # building that table; the enclosure keeps a window because its float
+        # matrices over a whole table would outgrow it (11.9 MB against 8.8 MB
+        # at n = 6)
+        lo, hi = verify._chunk_ranges(n)[chunk]
+        build = self._traced_peak(lambda: verify._batch_arrays(n, lo, hi))
+        table = verify._batch_arrays(n, lo, hi)
+        workers = {w.__name__: w for w in (verify._cert_chunk, verify._audit_chunk, verify._cross_chunk)}
+        for t, entry in THEOREMS.items():
+            bounds = {key: predict(t, n, key).bound for key in range(0, n + 1, 1 if entry.fractional else 2)}
+            workers[f"_theorem_chunk {t}"] = functools.partial(verify._theorem_chunk, theorem=t, bounds=bounds)
+        peaks = {name: self._traced_peak(lambda: worker(n, table)) for name, worker in workers.items()}
+        assert all(peak <= build for peak in peaks.values()), (build, peaks)
+
     def test_merge_of_each_worker_shape(self):
         # partials shaped like the outputs of _theorem_chunk, _cert_chunk,
         # _audit_chunk and _cross_chunk, merged in order: counts add, lists
@@ -904,12 +932,23 @@ class TestAudits:
             2, 2, 1, 1, ("A_: double-cover matching is not maximum: half-weight support had an augmentable odd path",)
         )
 
+    def test_reports_a_flag_that_no_rule_names(self, monkeypatch):
+        # a screen that flags every graph at n = 4 while every rule passes:
+        # the audit reports each graph, in mask order, as the disagreement
+        monkeypatch.setattr(verify, "_witness_faults", lambda n, connected, *columns: np.ones(len(connected), dtype=bool))
+        rep = audit_structures(4)
+        pairs = pairs_colex(4)
+        assert rep.violations == tuple(
+            f"{to_graph6(verify._graph_from_mask(4, mask, pairs))}: the column screen flags its witnesses, but no rule names a fault"
+            for mask in range(64)
+        )
+
     def test_cli_golden(self, capsys):
         assert main(["verify", "--audit", "--n", "5"]) == 0
         assert capsys.readouterr().out == "graphs 1024, connected 728, with fractional perfect matching 383\nresult: PASS\n"
 
     def test_one_matching_and_one_validation_per_witness(self, monkeypatch):
-        # n = 4 has 64 graphs in one window: they get one double-cover seed
+        # n = 4 has 64 graphs in one table: they get one double-cover seed
         # and one search, both by column, and the scalar search never runs;
         # the column screen validates both witnesses of each once (it is
         # exact: TestWitnessScreen), so the scalar rules run only to name the
@@ -939,7 +978,7 @@ class TestAudits:
         )
 
     def test_one_half_cycle_walk_per_graph(self):
-        # the 1,024 graphs at n = 5 fill one window: the audit walks its
+        # the 1,024 graphs at n = 5 fill one table: the audit walks its
         # half-weight supports by column once as pulled back and once more
         # on the rows the builder rebuilt, and hands that column to the
         # screen, which walks none; the scalar walk, which the odd-cycle
