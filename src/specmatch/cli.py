@@ -1,7 +1,9 @@
 """Command-line front door: computations, certificates, constructions, sweeps.
 
 Exit codes: 0 success, 1 usage or input error, 2 computation error,
-3 verification failure (bound violated or unsound certificate).
+3 verification failure (bound violated or unsound certificate).  A sweep
+that refuses its arguments, such as an order past its enumeration cap or
+a sample count out of range, exits 2 as a computation error.
 """
 
 from __future__ import annotations

@@ -25,12 +25,12 @@ can reach a class maximum or bound, 0.1-1.5 % of the graphs at n = 6 and
 7; the audit and the cross-check never read it.  The theorem and
 certificate sweeps work on whole columns.  The audit and the cross-check
 each check one matching kernel against the oracles' columns, in one column
-pass over the whole table; only the enclosure cuts a table into windows,
-because its float matrices would outgrow the table's build.  The audit
-runs the double-cover matching by column, seed and search, and the
-bitmask witness core of ``matching``, whose scalar forms the public
-witness constructors wrap; it builds a graph's matching only where the
-pulled-back half rows are not already odd cycles.  One column screen
+pass over the whole table, as the enclosure counts its walks on the
+table's rows: no worker cuts its table.  The audit runs the double-cover
+matching by column, seed and search, and the bitmask witness core of
+``matching``, whose scalar forms the public witness constructors wrap; it
+builds a graph's matching only where the pulled-back half rows are not
+already odd cycles.  One column screen
 (``_witness_faults``) judges every witness against the rules of
 ``matching`` and 2*beta_star; the namer beside it
 (``_name_witness_faults``) runs the rules themselves only on the graphs
@@ -85,7 +85,6 @@ RHO_TOL = 1e-8
 _TABLE_CELLS = 1 << 21  # subset-table cells per batch: 32,768 graphs at n = 6
 CERTIFY_STRIDE = 4096  # every CERTIFY_STRIDE-th connected graph of a chunk is reconciled with certify_all
 _WALK = 8  # the enclosure's test vector counts the walks of this length
-_WINDOW = 4096  # graphs per enclosure batch: its (graphs, n, n) floats over a whole table would outgrow the build
 SAMPLES, SEED = 1000, 2024  # the default draws of the sampled cross-check, and the sampled audit's draws
 _DRAW_CAP = 1 << 24  # random graphs per draw, checked before any is drawn: 128 MB of masks
 
@@ -198,22 +197,16 @@ def _chunk_ranges(n: int) -> list[tuple[int, int]]:
     return [(i * step, (i + 1) * step if i < chunks - 1 else total) for i in range(chunks)]
 
 
-def _matrices(rows: np.ndarray, n: int) -> np.ndarray:
-    """The (graphs, n, n) float matrices of a (graphs, n) array of neighbour
-    rows: bit v of row u, read from the row's two little-endian bytes, is
-    entry (u, v)."""
-    row_bytes = rows.astype("<u2", copy=False).view(np.uint8).reshape(len(rows), n, 2)
-    return np.unpackbits(row_bytes, axis=-1, count=n, bitorder="little").astype(np.float64)
-
-
 def _rho_column(rows: np.ndarray, n: int) -> np.ndarray:
     """Spectral radius of each graph of a (graphs, n) array of neighbour
-    rows, from one batched ``eigvalsh`` (K_0 reads 0).  The solver works
-    matrix by matrix, so a graph's rho does not depend on the batch it is
-    computed in."""
+    rows, from one batched ``eigvalsh`` (K_0 reads 0) on their float
+    matrices, entry (u, v) bit v of row u.  The solver works matrix by
+    matrix, so a graph's rho does not depend on the batch it is computed in."""
     if not n:
         return np.zeros(len(rows))
-    return np.linalg.eigvalsh(_matrices(rows, n))[:, -1]
+    row_bytes = rows.astype("<u2", copy=False).view(np.uint8).reshape(len(rows), n, 2)
+    matrices = np.unpackbits(row_bytes, axis=-1, count=n, bitorder="little").astype(np.float64)
+    return np.linalg.eigvalsh(matrices)[:, -1]
 
 
 def _rho_enclosure(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -224,19 +217,19 @@ def _rho_enclosure(rows: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     the least and the largest (Bx)_i / x_i.  x and Bx count walks, integers
     below n^(k+1) <= 2^27 at n <= 8, so float64 holds them exactly and only
     the division rounds; ``RHO_TOL`` widens the bounds far past that and
-    past ``eigvalsh``'s own error.  The graphs go in windows of
-    ``_WINDOW``, which bounds the (graphs, n, n) matrices."""
-    lo, hi = np.empty(len(rows)), np.empty(len(rows))
-    loops = np.uint16(1) << np.arange(n, dtype=np.uint16)
-    for start in range(0, len(rows), _WINDOW):
-        b = _matrices(rows[start : start + _WINDOW] | loops, n)  # each row with its own bit: B = A + I
-        x = np.ones((len(b), n))
-        for _ in range(_WALK):
-            x = np.einsum("gij,gj->gi", b, x)
-        ratio = np.einsum("gij,gj->gi", b, x) / x
-        lo[start : start + _WINDOW] = ratio.min(axis=1)
-        hi[start : start + _WINDOW] = ratio.max(axis=1)
-    return lo - 1 - RHO_TOL, hi - 1 + RHO_TOL
+    past ``eigvalsh``'s own error.  The walks are counted on the rows
+    themselves, with no matrices: x and Bx are (n, graphs) columns, and
+    (Bx)_i gets x_j where bit j of row i is set."""
+    columns = np.ascontiguousarray(rows.T)  # laid out as x, which the masked adds need to run fast
+    adjacent = [(columns >> j & 1) == 1 for j in range(n)]  # adjacent[j][i]: vertex i has neighbour j
+    bx = np.ones((n, len(rows)))
+    for _ in range(_WALK + 1):
+        x = bx  # rebound before the copy, so only two float columns stay alive
+        bx = x.copy()  # the identity of B = A + I
+        for j in range(n):
+            np.add(bx, x[j], out=bx, where=adjacent[j])
+    bx /= x
+    return bx.min(axis=0) - 1 - RHO_TOL, bx.max(axis=0) - 1 + RHO_TOL
 
 
 class ChunkTable(NamedTuple):

@@ -294,13 +294,11 @@ class TestChunkTable:
         finally:
             tracemalloc.stop()
 
-    @pytest.mark.parametrize("n, chunk", [(6, 0), (8, 2000)])
+    @pytest.mark.parametrize("n, chunk", [(6, 0), (7, 37), (8, 2000)])
     def test_no_worker_outgrows_the_table_build(self, n, chunk):
         # the design rule that lets a worker take its whole table in one
         # pass: each worker's traced peak on a table stays within the peak of
-        # building that table; the enclosure keeps a window because its float
-        # matrices over a whole table would outgrow it (11.9 MB against 8.8 MB
-        # at n = 6)
+        # building that table
         lo, hi = verify._chunk_ranges(n)[chunk]
         build = self._traced_peak(lambda: verify._batch_arrays(n, lo, hi))
         table = verify._batch_arrays(n, lo, hi)
@@ -415,6 +413,33 @@ class TestCertificateScreen:
             low, high = verify._rho_enclosure(rows, n)
             rho = verify._rho_column(rows, n)
             assert np.all(low <= rho) and np.all(rho <= high), (n, lo)
+
+    @pytest.mark.parametrize("n, chunk", [(n, 0) for n in range(1, 7)] + [(7, 37), (8, 2000)])
+    def test_enclosure_is_the_walk_ratio(self, n, chunk):
+        # lo and hi are exactly min and max of (Bx)_i / x_i - 1 -+ RHO_TOL,
+        # with B = A + I and x = B^_WALK 1 counted in int64 on the matrices
+        # of each connected graph's _graph_from_mask
+        table = verify._batch_arrays(n, *verify._chunk_ranges(n)[chunk])
+        pairs = pairs_colex(n)
+        masks = table.masks[table.connected].tolist()
+        rows = np.array([verify._graph_from_mask(n, mask, pairs).rows for mask in masks], dtype=np.int64)
+        b = (rows[:, :, None] >> np.arange(n) & 1) | np.eye(n, dtype=np.int64)
+        x = np.linalg.matrix_power(b, verify._WALK) @ np.ones(n, dtype=np.int64)
+        ratio = np.einsum("gij,gj->gi", b, x) / x
+        low, high = verify._rho_enclosure(table.rows[table.connected], n)
+        assert np.array_equal(low, ratio.min(axis=1) - 1 - verify.RHO_TOL)
+        assert np.array_equal(high, ratio.max(axis=1) - 1 + verify.RHO_TOL)
+
+    def test_enclosure_does_not_depend_on_the_batch(self):
+        # the whole n = 8 chunk 2000 table against its slices of 4,096 and
+        # of 1,000 graphs
+        table = verify._batch_arrays(8, *verify._chunk_ranges(8)[2000])
+        rows = table.rows[table.connected]
+        whole = verify._rho_enclosure(rows, 8)
+        for size in (4096, 1000):
+            sliced = [verify._rho_enclosure(rows[start : start + size], 8) for start in range(0, len(rows), size)]
+            for end, ends in zip(whole, zip(*sliced)):
+                assert np.array_equal(end, np.concatenate(ends)), size
 
     @pytest.mark.parametrize("guard", [certify.GUARD, 0.0])
     def test_fires_as_the_full_rho_column(self, monkeypatch, guard):
